@@ -19,7 +19,6 @@ Subpackages / modules:
 - ``rotated_ellipses`` minimum-fuel transfers between a pair of equal
   ellipses rotated against each other
 - ``oracle``        independent brute-force / numeric verification
-- ``cli``           command-line front end
 """
 
 __version__ = "0.1.0"
@@ -32,5 +31,4 @@ __all__ = [
     "hohmann",
     "rotated_ellipses",
     "oracle",
-    "cli",
 ]

@@ -42,13 +42,13 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .kepler import DegenerateOrbit, Orbit, Vec3
 from .poly_kernel import (
     MPoly,
-    Q,
     RatPoly,
     isolate_real_roots,
     refine_root,
@@ -314,7 +314,7 @@ def critical_eliminant_exact(k0, k1, x1, y1, w0, w1s) -> RatPoly:
     sy = MPoly.variable("sy", V)
 
     def c(value) -> MPoly:
-        return MPoly.const(Q(value), V)
+        return MPoly.const(Fraction(value), V)
 
     w0x, w0y, w0z = w0
     w1x, w1y, w1z = w1s

@@ -2,21 +2,21 @@
 
 Public surface:
 
-- types: ``Rat`` (exact rational constructor ``Q``), ``MPoly``,
-  ``RatPoly``, ``RootInterval``
+- types: ``MPoly``, ``RatPoly``, ``RootInterval``
 - arithmetic: ``mpoly_arith``, ``mpoly_partial`` (also available as
   operators / methods on ``MPoly``)
 - elimination: ``sylvester_resultant``, ``euclidean_last_linear``
-- roots: ``strip_known_factors``, ``isolate_real_roots``, ``refine_root``
-- errors: ``DegenerateInput``, ``ChainCollapse``, ``NotAFactor``
+- roots: ``strip_known_factors``, ``isolate_real_roots``, ``refine_root``,
+  ``sturm_chain``
+- errors: ``PolyKernelError``, ``DegenerateInput``, ``ChainCollapse``,
+  ``NotAFactor``
 
-Backends: term loops run compiled when the optional extension built,
-pure-Python otherwise (``ORBITA_PURE=1`` forces pure); rationals are
-gmpy2-backed when available (``ORBITA_NO_GMPY=1`` forces stdlib
-fractions).  ``BACKEND`` and ``RATIONAL_BACKEND`` report the selection.
+Rationals are ``fractions.Fraction`` (coefficients may also be plain
+``int``), and the kernel has one implementation, in pure Python: the
+sparse term loops live in ``mpoly`` and the dense coefficient-list loops
+in ``dense``.
 """
 
-from .backend import BACKEND, Q, RATIONAL_BACKEND, as_fraction
 from .errors import ChainCollapse, DegenerateInput, NotAFactor, PolyKernelError
 from .euclid import euclidean_last_linear
 from .mpoly import MPoly, RatPoly
@@ -29,14 +29,7 @@ from .roots import (
     sturm_chain,
 )
 
-Rat = Q
-
 __all__ = [
-    "BACKEND",
-    "RATIONAL_BACKEND",
-    "Q",
-    "Rat",
-    "as_fraction",
     "MPoly",
     "RatPoly",
     "RootInterval",

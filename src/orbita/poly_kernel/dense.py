@@ -1,26 +1,83 @@
-"""Dense integer univariate helpers: content, exact division,
-pseudo-remainders, fraction-free determinants, exact sign evaluation.
+"""Dense univariate helpers: coefficient-list arithmetic, content, exact
+division, pseudo-remainders, fraction-free determinants, exact sign
+evaluation.
 
-All polynomials here are plain Python lists of ints, lowest degree first,
-no trailing zeros (zero polynomial = empty list).  These are the workhorse
-representations inside resultants (Bareiss elimination entries) and Sturm
-chains, where exactness and big-integer speed matter most.
+Polynomials here are plain Python lists, lowest degree first, no trailing
+zeros (zero polynomial = empty list).  The ``u_*`` arithmetic loops only
+combine coefficients with ``+ - *``, so they serve ``int`` and
+``fractions.Fraction`` coefficients alike (``RatPoly`` uses them); the rest
+works on ints.  These are the workhorse representations inside resultants
+(Bareiss elimination entries) and Sturm chains, where exactness and
+big-integer speed matter most.  The kernel has one implementation, in pure
+Python.
 """
 
 from __future__ import annotations
 
 import math
 
-from .backend import impl
 from .errors import DegenerateInput, NotAFactor
 
-u_add = impl.u_add
-u_sub = impl.u_sub
-u_neg = impl.u_neg
-u_mul = impl.u_mul
-u_scale = impl.u_scale
-u_eval = impl.u_eval
-u_trim = impl.u_trim
+
+def u_trim(a):
+    """Drop trailing zeros in place; return the list."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def u_add(a, b):
+    """Sum of two dense coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return u_trim(out)
+
+
+def u_sub(a, b):
+    """Difference of two dense coefficient lists."""
+    n = max(len(a), len(b))
+    out = list(a) + [0] * (n - len(a))
+    for i, c in enumerate(b):
+        out[i] = out[i] - c
+    return u_trim(out)
+
+
+def u_neg(a):
+    """Negation of a dense coefficient list."""
+    return [-c for c in a]
+
+
+def u_mul(a, b):
+    """Product of two dense coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    if len(a) > len(b):
+        a, b = b, a
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return u_trim(out)
+
+
+def u_scale(a, c):
+    """Dense coefficient list times a scalar (may be zero)."""
+    if not c:
+        return []
+    return [v * c for v in a]
+
+
+def u_eval(a, x):
+    """Evaluate a dense coefficient list at ``x`` by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def content(a: list[int]) -> int:

@@ -1,22 +1,27 @@
 """Exact sparse multivariate and dense univariate rational polynomials.
 
 ``MPoly`` stores terms as a dict mapping a packed integer exponent vector
-to a nonzero exact coefficient (int, ``fractions.Fraction`` or gmpy2
-rational).  Each variable owns 16 bits of the key, first variable in the
-highest bits, so comparing packed keys as integers is lexicographic order
-on exponent vectors.  Degrees above 65535 in any one variable are not
-representable; the solvers here stay far below that.
+to a nonzero exact coefficient (``int`` or ``fractions.Fraction``).  Each
+variable owns 16 bits of the key, first variable in the highest bits, so
+comparing packed keys as integers is lexicographic order on exponent
+vectors.  Degrees above 65535 in any one variable are not representable;
+the solvers here stay far below that.
 
 ``RatPoly`` is the dense univariate companion (coefficient list, lowest
 degree first) used by root isolation and by resultant evaluation nodes.
+
+The sparse term loops (``terms_*``) live here and the dense ones in
+``dense``; the kernel has one implementation, in pure Python, and its
+rationals are ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .backend import Q, as_fraction, impl
+from .dense import u_add, u_eval, u_mul, u_neg, u_scale, u_sub
 from .errors import DegenerateInput, NotAFactor
 
 SHIFT = 16
@@ -38,6 +43,75 @@ def unpack(key: int, nvars: int) -> tuple[int, ...]:
         out[i] = key & MASK
         key >>= SHIFT
     return tuple(out)
+
+
+# ------------------------------------------------------- sparse term loops
+#
+# Term dicts map packed exponent -> nonzero coefficient; coefficients are
+# only combined with ``+ - *``.
+
+
+def terms_add(a, b):
+    """Sum of two sparse term dicts."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s = s + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def terms_sub(a, b):
+    """Difference of two sparse term dicts."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = -c
+        else:
+            s = s - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def terms_neg(a):
+    """Negation of a sparse term dict."""
+    return {k: -c for k, c in a.items()}
+
+
+def terms_mul(a, b):
+    """Product of two sparse term dicts (exponent keys add)."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = get(k)
+            if s is None:
+                out[k] = ca * cb
+            else:
+                s = s + ca * cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
+
+
+def terms_scale(a, c):
+    """Sparse term dict times a nonzero scalar."""
+    return {k: v * c for k, v in a.items()}
 
 
 def _is_exact_scalar(c) -> bool:
@@ -208,7 +282,7 @@ class MPoly:
         if o is None:
             return NotImplemented
         a, b = MPoly.align(self, o)
-        return MPoly(a.vars, impl.terms_add(a.terms, b.terms))
+        return MPoly(a.vars, terms_add(a.terms, b.terms))
 
     __radd__ = __add__
 
@@ -217,14 +291,14 @@ class MPoly:
         if o is None:
             return NotImplemented
         a, b = MPoly.align(self, o)
-        return MPoly(a.vars, impl.terms_sub(a.terms, b.terms))
+        return MPoly(a.vars, terms_sub(a.terms, b.terms))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = MPoly.align(o, self)
-        return MPoly(a.vars, impl.terms_sub(a.terms, b.terms))
+        return MPoly(a.vars, terms_sub(a.terms, b.terms))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -234,9 +308,9 @@ class MPoly:
             c = o.constant()
             if not c:
                 return MPoly(self.vars)
-            return MPoly(self.vars, impl.terms_scale(self.terms, c))
+            return MPoly(self.vars, terms_scale(self.terms, c))
         a, b = MPoly.align(self, o)
-        return MPoly(a.vars, impl.terms_mul(a.terms, b.terms))
+        return MPoly(a.vars, terms_mul(a.terms, b.terms))
 
     __rmul__ = __mul__
 
@@ -250,10 +324,10 @@ class MPoly:
             return NotImplemented
         if not other:
             raise DegenerateInput("division by zero")
-        return self * (Q(1) / Q(other))
+        return self * (1 / Fraction(other))
 
     def __neg__(self):
-        return MPoly(self.vars, impl.terms_neg(self.terms))
+        return MPoly(self.vars, terms_neg(self.terms))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -312,10 +386,10 @@ class MPoly:
         acc: dict = {}
         for e in range(max(groups), -1, -1) if groups else []:
             if acc:
-                acc = impl.terms_scale(acc, value) if value else {}
+                acc = terms_scale(acc, value) if value else {}
             g = groups.get(e)
             if g:
-                acc = impl.terms_add(acc, g)
+                acc = terms_add(acc, g)
         return MPoly(self.vars, acc)
 
     def eval_exact(self, assignment: Mapping[str, object]):
@@ -323,7 +397,7 @@ class MPoly:
         p = self
         for v in self.vars:
             if v in assignment:
-                p = p.subs(v, Q(assignment[v]) if isinstance(assignment[v], float) else assignment[v])
+                p = p.subs(v, Fraction(assignment[v]) if isinstance(assignment[v], float) else assignment[v])
         return p.constant()
 
     def eval_float(self, assignment: Mapping[str, float]) -> float:
@@ -333,8 +407,8 @@ class MPoly:
         converted to exact rationals, the evaluation is exact, and only the
         final value is rounded.
         """
-        exact = {v: Q(x) for v, x in assignment.items()}
-        return float(as_fraction(self.eval_exact(exact)))
+        exact = {v: Fraction(x) for v, x in assignment.items()}
+        return float(self.eval_exact(exact))
 
     def coeffs_in(self, var: str) -> list["MPoly"]:
         """Dense coefficient list with respect to one variable, lowest first.
@@ -379,7 +453,7 @@ class MPoly:
                 raise NotAFactor("division leaves a nonzero remainder")
             qk = rk - bk
             c = rem[rk]
-            qc = c * Q(1) / bc if not isinstance(c, int) or not isinstance(bc, int) or c % bc else c // bc
+            qc = Fraction(c) / bc if not isinstance(c, int) or not isinstance(bc, int) or c % bc else c // bc
             quot[qk] = qc
             for k2, c2 in bt.items():
                 kk = qk + k2
@@ -519,7 +593,7 @@ class RatPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatPoly(impl.u_add(self.coeffs, o.coeffs), self.var)
+        return RatPoly(u_add(self.coeffs, o.coeffs), self.var)
 
     __radd__ = __add__
 
@@ -527,26 +601,26 @@ class RatPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatPoly(impl.u_sub(self.coeffs, o.coeffs), self.var)
+        return RatPoly(u_sub(self.coeffs, o.coeffs), self.var)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatPoly(impl.u_sub(o.coeffs, self.coeffs), self.var)
+        return RatPoly(u_sub(o.coeffs, self.coeffs), self.var)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not isinstance(other, RatPoly):
-            return RatPoly(impl.u_scale(self.coeffs, other), self.var)
-        return RatPoly(impl.u_mul(self.coeffs, o.coeffs), self.var)
+            return RatPoly(u_scale(self.coeffs, other), self.var)
+        return RatPoly(u_mul(self.coeffs, o.coeffs), self.var)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RatPoly(impl.u_neg(self.coeffs), self.var)
+        return RatPoly(u_neg(self.coeffs), self.var)
 
     def derivative(self) -> "RatPoly":
         return RatPoly(
@@ -561,7 +635,7 @@ class RatPoly:
         dc = divisor.coeffs
         dd = len(dc) - 1
         lead = dc[-1]
-        inv = Q(1) / Q(lead) if not isinstance(lead, int) or abs(lead) != 1 else None
+        inv = 1 / Fraction(lead) if not isinstance(lead, int) or abs(lead) != 1 else None
         qd = len(num) - 1 - dd
         if qd < 0:
             return RatPoly([], self.var), RatPoly(num, self.var)
@@ -586,11 +660,11 @@ class RatPoly:
 
     def eval_q(self, x):
         """Exact evaluation at a rational point."""
-        return impl.u_eval(self.coeffs, x)
+        return u_eval(self.coeffs, x)
 
     def eval_float(self, x: float) -> float:
         """Evaluate at a float, exactly, rounding once at the end."""
-        return float(as_fraction(Q(impl.u_eval(self.coeffs, Q(x)))))
+        return float(u_eval(self.coeffs, Fraction(x)))
 
     # ------------------------------------------------------- conversions
 

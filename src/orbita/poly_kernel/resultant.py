@@ -28,7 +28,8 @@ the end via ``Res(c*P, Q) = c**deg(Q) * Res(P, Q)``.
 
 from __future__ import annotations
 
-from .backend import Q
+from fractions import Fraction
+
 from .dense import bareiss_det, u_trim
 from .errors import DegenerateInput
 from .mpoly import MPoly
@@ -53,7 +54,7 @@ def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     p_int, mp = p.clear_denominators()
     q_int, mq = q.clear_denominators()
     res = _resultant_int(p_int, q_int, var, dp, dq)
-    scale = Q(1, mp**dq * mq**dp)
+    scale = Fraction(1, mp**dq * mq**dp)
     if scale != 1:
         res = res * scale
     return res
@@ -333,5 +334,5 @@ def _lagrange(
                 continue
             num = num * (tv - MPoly.const(xj, variables))
             den *= xi - xj
-        total = total + vi * num * Q(1, den)
+        total = total + vi * num * Fraction(1, den)
     return total

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .backend import Q, q_num_den
 from .dense import content, divexact, prem, sign_at, squarefree_part, u_trim
 from .errors import DegenerateInput, NotAFactor
 from .mpoly import RatPoly
@@ -46,10 +45,10 @@ class RootInterval:
     multiplicity: int = 1
 
     def midpoint(self):
-        return (Q(self.lo) + Q(self.hi)) / 2
+        return (Fraction(self.lo) + Fraction(self.hi)) / 2
 
     def width(self):
-        return Q(self.hi) - Q(self.lo)
+        return Fraction(self.hi) - Fraction(self.lo)
 
 
 # ---------------------------------------------------------- Sturm chain ---
@@ -128,10 +127,10 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
 
     if lo is None or hi is None:
         bound = _cauchy_bound(coeffs)
-        lo = -bound if lo is None else Q(lo)
-        hi = bound if hi is None else Q(hi)
+        lo = -bound if lo is None else Fraction(lo)
+        hi = bound if hi is None else Fraction(hi)
     else:
-        lo, hi = Q(lo), Q(hi)
+        lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise DegenerateInput("empty isolation interval")
 
@@ -176,23 +175,23 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
             RootInterval(interior_hi, hi, 1, _mult_at_rational(coeffs, hi))
         )
 
-    out.sort(key=lambda iv: Q(iv.lo))
+    out.sort(key=lambda iv: Fraction(iv.lo))
     return out
 
 
 def _cauchy_bound(coeffs: list[int]) -> object:
     lead = abs(coeffs[-1])
     top = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
-    return Q(1 + (top + lead - 1) // lead)
+    return Fraction(1 + (top + lead - 1) // lead)
 
 
 def _sign_q(coeffs: list[int], x) -> int:
-    num, den = q_num_den(Q(x))
+    num, den = Fraction(x).as_integer_ratio()
     return sign_at(coeffs, num, den)
 
 
 def _var_q(chain: list[list[int]], x) -> int:
-    num, den = q_num_den(Q(x))
+    num, den = Fraction(x).as_integer_ratio()
     return _variations(chain, num, den)
 
 
@@ -200,7 +199,7 @@ def _split_point(sqf: list[int], a, b):
     """A point strictly between a and b that is not a root (the midpoint,
     nudged through a fixed sequence of interior fractions if needed)."""
     for num, den in ((1, 2), (1, 3), (2, 5), (3, 7), (5, 11), (7, 13)):
-        mid = a + (b - a) * Q(num, den)
+        mid = a + (b - a) * Fraction(num, den)
         if _sign_q(sqf, mid) != 0:
             return mid
     raise DegenerateInput("could not find a non-root split point")
@@ -208,7 +207,7 @@ def _split_point(sqf: list[int], a, b):
 
 def _deflate_rational_root(coeffs: list[int], r) -> list[int]:
     """Exact division by (den*x - num) for the rational root r = num/den."""
-    num, den = q_num_den(Q(r))
+    num, den = Fraction(r).as_integer_ratio()
     return divexact(coeffs, [-num, den])
 
 
@@ -291,7 +290,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
         raise DegenerateInput("cannot refine a root of the zero polynomial")
     coeffs, _ = p.to_int_coeffs()
     sqf = list(_sqf_cached(tuple(u_trim(coeffs))))
-    a, b = Q(interval.lo), Q(interval.hi)
+    a, b = Fraction(interval.lo), Fraction(interval.hi)
     sb = _sign_q(sqf, b)
     if sb == 0:
         return float(b)
@@ -306,7 +305,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
     if sa == sb:
         raise DegenerateInput("interval does not bracket a sign change")
 
-    target = Q(Fraction(tol))
+    target = Fraction(tol)
     while b - a > target * _qmax(1, abs(a + b) / 2):
         mid = (a + b) / 2
         sm = _sign_q(sqf, mid)
@@ -322,7 +321,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
 
 
 def _qmax(a, b):
-    a, b = Q(a), Q(b)
+    a, b = Fraction(a), Fraction(b)
     return a if a >= b else b
 
 

@@ -57,9 +57,8 @@ from .kepler import DegenerateOrbit, NotElliptic, Orbit, Vec3, orbit_geometry
 from .poly_kernel import (
     ChainCollapse,
     MPoly,
-    Q,
+    NotAFactor,
     RatPoly,
-    as_fraction,
     euclidean_last_linear,
     isolate_real_roots,
     refine_root,
@@ -121,7 +120,7 @@ def _to_rational(value, name: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     try:
-        return Q(value)
+        return Fraction(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be an exact rational, got {value!r}") from exc
 
@@ -171,7 +170,7 @@ class RotatedInput:
 
         def snap(v: float):
             r = Fraction(v).limit_denominator(max_denominator)
-            return Q(r) if abs(float(r) - v) <= 1e-12 else Q(v)
+            return Fraction(r) if abs(float(r) - v) <= 1e-12 else Fraction(v)
 
         return cls(s0x=snap(s0x), s0y=snap(s0y))
 
@@ -179,23 +178,23 @@ class RotatedInput:
 
     @property
     def s0x_float(self) -> float:
-        return float(as_fraction(self.s0x))
+        return float(self.s0x)
 
     @property
     def s0y_float(self) -> float:
-        return float(as_fraction(self.s0y))
+        return float(self.s0y)
 
     @property
     def eccentricity(self) -> float:
-        return math.sqrt(float(as_fraction(self.s0x * self.s0x + self.s0y * self.s0y)))
+        return math.sqrt(float(self.s0x * self.s0x + self.s0y * self.s0y))
 
     @property
     def alpha_deg(self) -> float:
         """Rotation between the two apse lines, in degrees, in [0, 180]."""
-        e2 = float(as_fraction(self.s0x * self.s0x + self.s0y * self.s0y))
+        e2 = float(self.s0x * self.s0x + self.s0y * self.s0y)
         if e2 < 1e-30:
             return 0.0
-        c = float(as_fraction(self.s0y * self.s0y - self.s0x * self.s0x)) / e2
+        c = float(self.s0y * self.s0y - self.s0x * self.s0x) / e2
         return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
     @property
@@ -217,8 +216,8 @@ class RotatedInput:
 
     def as_dict(self) -> dict:
         return {
-            "s0x": str(as_fraction(self.s0x)),
-            "s0y": str(as_fraction(self.s0y)),
+            "s0x": str(self.s0x),
+            "s0y": str(self.s0y),
             "eccentricity": self.eccentricity,
             "alpha_deg": self.alpha_deg,
             "e": self.e,
@@ -422,14 +421,14 @@ def params_from_angle(e: float, alpha_deg: float) -> RotatedInput:
     er = Fraction(e).limit_denominator(10**6)
     if abs(float(er) - e) > 1e-12:
         er = Fraction(e)
-    eq = Q(er)
+    eq = Fraction(er)
 
     if eq == 0:
-        return RotatedInput(s0x=Q(0), s0y=Q(0), e=e, a=1, b=1)
+        return RotatedInput(s0x=Fraction(0), s0y=Fraction(0), e=e, a=1, b=1)
     if alpha_deg == 0.0:
-        return RotatedInput(s0x=Q(0), s0y=eq, e=e, a=1, b=1)
+        return RotatedInput(s0x=Fraction(0), s0y=eq, e=e, a=1, b=1)
     if alpha_deg == 180.0:
-        return RotatedInput(s0x=eq, s0y=Q(0), e=e, a=1, b=0)
+        return RotatedInput(s0x=eq, s0y=Fraction(0), e=e, a=1, b=0)
 
     # the pair must satisfy b/a ~ tan(45 deg - alpha/4); best rational
     # approximations come from the continued fraction, growing the
@@ -453,10 +452,10 @@ def params_from_angle(e: float, alpha_deg: float) -> RotatedInput:
             )
         bound *= 2
     _, a, b = best
-    den = Q(a * a + b * b)
+    den = Fraction(a * a + b * b)
     return RotatedInput(
-        s0x=eq * Q(a * a - b * b) / den,
-        s0y=eq * Q(2 * a * b) / den,
+        s0x=eq * Fraction(a * a - b * b) / den,
+        s0y=eq * Fraction(2 * a * b) / den,
         e=e,
         a=a,
         b=b,
@@ -478,7 +477,7 @@ def case2a_axis_solutions(inp: RotatedInput) -> list[RotatedCandidate]:
     """
     out: list[RotatedCandidate] = []
     for sigma in (1, -1):
-        u = 1 - Q(sigma) * inp.s0x
+        u = 1 - Fraction(sigma) * inp.s0x
         if inp.s0y * inp.s0y >= u:
             logger.info(
                 "case2a_axis branch y0=%+d rejected: transfer orbit not pierced "
@@ -487,7 +486,7 @@ def case2a_axis_solutions(inp: RotatedInput) -> list[RotatedCandidate]:
                 u,
             )
             continue
-        uf = float(as_fraction(u))
+        uf = float(u)
         root = math.sqrt(uf)
         f1 = 2.0 * abs(uf - root)
         cand = _assemble(
@@ -516,7 +515,6 @@ class _MirrorPipeline:
     core: RatPoly  # degree-20 eliminant core in y0
     even_part: RatPoly  # q0: even-in-x0 part of the pair resultant, on the circle
     odd_part: RatPoly  # q1: odd-in-x0 part (zero polynomial when s0y = 0)
-    lin_l: tuple[MPoly, MPoly] | None  # (r1, r0): last linear chain element in l
     degree_full: int  # 48
     degree_core: int  # 20
 
@@ -583,20 +581,12 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
     even_part = even.to_ratpoly("y0")
     odd_part = odd.to_ratpoly("y0")
 
-    try:
-        r1, r0 = euclidean_last_linear(stat_l, stat_t, "l")
-        lin_l = (r1, r0)
-    except ChainCollapse:
-        logger.info("mirror family: euclidean chain collapsed; fiber-only recovery")
-        lin_l = None
-
     return _MirrorPipeline(
         stat_l=stat_l,
         stat_t=stat_t,
         core=core,
         even_part=even_part,
         odd_part=odd_part,
-        lin_l=lin_l,
         degree_full=48,
         degree_core=20,
     )
@@ -612,12 +602,12 @@ def _mirror_backsub(
         return []  # burn on the y axis: covered by the closed form
 
     def from_x0(x0v: float) -> list[RotatedCandidate]:
-        yQ, xQ = Q(y0r), Q(x0v)
+        yQ, xQ = Fraction(y0r), Fraction(x0v)
         fiber = pipe.stat_l.subs("x0", xQ).subs("y0", yQ).to_ratpoly("l")
         if fiber.is_zero():
             return []
         found: list[RotatedCandidate] = []
-        for iv in isolate_real_roots(fiber, Q(-8), Q(8)):
+        for iv in isolate_real_roots(fiber, Fraction(-8), Fraction(8)):
             lv = refine_root(fiber, iv)
             if abs(lv) < 1e-9:
                 continue
@@ -651,11 +641,11 @@ def _mirror_backsub(
 
     mag = math.sqrt(xx)
     if not pipe.odd_part.is_zero():
-        num = pipe.even_part.eval_q(Q(y0r))
-        den = pipe.odd_part.eval_q(Q(y0r))
+        num = pipe.even_part.eval_q(Fraction(y0r))
+        den = pipe.odd_part.eval_q(Fraction(y0r))
         if den != 0:
             ratio = -num / den
-            x0v = float(as_fraction(ratio))
+            x0v = float(ratio)
             if abs(x0v) <= 1.0 + 1e-6 and abs(x0v) > 1e-9:
                 got = from_x0(math.copysign(mag, x0v))
                 if got:
@@ -688,7 +678,7 @@ def case2a_general(inp: RotatedInput) -> list[RotatedCandidate]:
         )
     pipe = _mirror_pipeline(inp.s0x, inp.s0y)
     out: list[RotatedCandidate] = []
-    for iv in isolate_real_roots(pipe.core, Q(-1), Q(1)):
+    for iv in isolate_real_roots(pipe.core, Fraction(-1), Fraction(1)):
         y0r = refine_root(pipe.core, iv)
         out.extend(_mirror_backsub(inp, pipe, y0r))
     return _sorted_unique(out)
@@ -808,28 +798,28 @@ def _quadratic_real_roots(coeffs: Sequence[object]) -> list[float]:
     if c2 == 0:
         if c1 == 0:
             return []
-        return [float(as_fraction(Q(-c0) / Q(c1)))]
-    b = Q(c1) / Q(c2)
-    c = Q(c0) / Q(c2)
-    disc = float(as_fraction(b * b - 4 * c))
+        return [float(Fraction(-c0) / Fraction(c1))]
+    b = Fraction(c1) / Fraction(c2)
+    c = Fraction(c0) / Fraction(c2)
+    disc = float(b * b - 4 * c)
     if disc < 0:
         return []
-    bf = float(as_fraction(b))
+    bf = float(b)
     root = math.sqrt(disc)
     return [(-bf - root) / 2.0, (-bf + root) / 2.0]
 
 
-def _antipodal_window(s0x) -> tuple[Q, Q]:
+def _antipodal_window(s0x) -> tuple[Fraction, Fraction]:
     """Rational bounds enclosing |l| values with a real burn latitude.
 
     A real ``y0 = (1-l^2)/s0x`` in [-1, 1] needs ``|1-l^2| <= |s0x|``; the
     bounds are widened slightly so boundary roots stay inside and are then
     rejected by the ``|y0| < 1`` guard.
     """
-    a = float(as_fraction(abs(s0x)))
+    a = float(abs(s0x))
     lo = max(math.sqrt(max(1.0 - a, 0.0)) - 1e-6, 1e-9)
     hi = math.sqrt(1.0 + a) + 1e-6
-    return Q(lo), Q(hi)
+    return Fraction(lo), Fraction(hi)
 
 
 def _antipodal_backsub(
@@ -845,13 +835,13 @@ def _antipodal_backsub(
     out: list[RotatedCandidate] = []
     for sign in (1.0, -1.0):
         x0v = sign * mag
-        lQ, xQ = Q(lv), Q(x0v)
+        lQ, xQ = Fraction(lv), Fraction(x0v)
         seed: float | None = None
         if pipe.lin_s is not None:
             u1v = pipe.lin_s[0].eval_exact({"l": lQ, "x0": xQ})
             u0v = pipe.lin_s[1].eval_exact({"l": lQ, "x0": xQ})
             if u1v != 0:
-                seed = float(as_fraction(-u0v / u1v))
+                seed = float(-u0v / u1v)
         fiber = pipe.d_first.subs("l", lQ).subs("x0", xQ).to_ratpoly("s1y")
         roots = _quadratic_real_roots(fiber.coeffs)
         if not roots:
@@ -894,7 +884,7 @@ def _antipodal_backsub(
     return out
 
 
-def _antipodal_symmetric_empty(inp: RotatedInput) -> bool:
+def _prove_antipodal_symmetric_empty(inp: RotatedInput) -> None:
     """Prove (exactly, per input) that the s0y = 0 antipodal family is empty.
 
     At ``s0y = 0`` both reduced stationarity polynomials are odd in
@@ -904,11 +894,11 @@ def _antipodal_symmetric_empty(inp: RotatedInput) -> bool:
     branch ``s1y != 0`` the ``s1y``-coefficient of the first polynomial
     factors as a monomial times a quintic in ``l`` whose resultant with the
     burn-latitude relation is a monomial in ``l`` — again no interior
-    zeros.  Both facts are verified here in exact arithmetic; the return
-    value reports whether the verification succeeded (it always should).
+    zeros.  Both facts are verified here in exact arithmetic; a failed
+    verification raises ``PipelineDegreeMismatch``.
     """
     s0x = inp.s0x
-    radius_pair, first, second, t0 = _antipodal_equations(s0x, Q(0))
+    radius_pair, first, second, t0 = _antipodal_equations(s0x, Fraction(0))
 
     coeffs = first.coeffs_in("s1y")
     if len(coeffs) != 2 or not coeffs[0].is_zero():
@@ -925,95 +915,24 @@ def _antipodal_symmetric_empty(inp: RotatedInput) -> bool:
             while True:
                 try:
                     p = p.divexact(fac)
-                except Exception:
+                except NotAFactor:
                     break
         return p
 
-    branch_a = strip_monomials(t0.subs("s1y", Q(0)))
+    branch_a = strip_monomials(t0.subs("s1y", Fraction(0)))
     if not branch_a.is_const():
-        logger.warning(
-            "symmetric antipodal split: stationary branch s1y=0 is not "
-            "structurally empty; falling back to its eliminant"
+        raise PipelineDegreeMismatch(
+            "symmetric antipodal split: stationary branch s1y=0 is not a "
+            "monomial times a unit"
         )
-        return False
 
     quintic = strip_monomials(coeffs[1])
-    res = sylvester_resultant(radius_pair.subs("s1y", Q(0)), quintic, "x0")
-    res_core = strip_monomials(res)
-    if not res_core.is_const():
-        logger.warning(
+    res = sylvester_resultant(radius_pair.subs("s1y", Fraction(0)), quintic, "x0")
+    if not strip_monomials(res).is_const():
+        raise PipelineDegreeMismatch(
             "symmetric antipodal split: branch s1y != 0 eliminant is not a "
-            "monomial; falling back to root isolation"
+            "monomial"
         )
-        return False
-    return True
-
-
-def _antipodal_symmetric_general(inp: RotatedInput) -> list[RotatedCandidate]:
-    """Generic fallback for s0y = 0 when the emptiness proof fails.
-
-    Solves the two branches by direct elimination: roots of the branch
-    eliminants inside the feasibility window, back-substituted against the
-    even-quartic fiber for ``s1y``.  In practice this path is unreachable
-    (the emptiness verification always succeeds); it exists so a structural
-    surprise degrades to a slower exact solve instead of a wrong answer.
-    """
-    s0x = inp.s0x
-    radius_pair, first, second, t0 = _antipodal_equations(s0x, Q(0))
-    out: list[RotatedCandidate] = []
-    lo, hi = _antipodal_window(s0x)
-
-    branch_a = t0.subs("s1y", Q(0))
-    elim_a = sylvester_resultant(radius_pair.subs("s1y", Q(0)), branch_a, "x0")
-    coeffs = first.coeffs_in("s1y")
-    elim_b = sylvester_resultant(radius_pair.subs("s1y", Q(0)), coeffs[1], "x0")
-    quart = second.divexact(MPoly.variable("s1y", second.vars))
-
-    for tag, elim in (("A", elim_a), ("B", elim_b)):
-        poly, _ = _strip_l_units(elim.to_ratpoly("l"))
-        if poly.is_zero() or poly.degree() == 0:
-            continue
-        for window in ((lo, hi), (-hi, -lo)):
-            for iv in isolate_real_roots(poly, window[0], window[1]):
-                lv = refine_root(poly, iv)
-                y0v = (1.0 - lv * lv) / inp.s0x_float
-                if 1.0 - y0v * y0v <= 1e-14 or abs(lv) < 1e-9:
-                    continue
-                mag = math.sqrt(1.0 - y0v * y0v)
-                for sign in (1.0, -1.0):
-                    x0v = sign * mag
-                    if tag == "A":
-                        s1y_list = [0.0]
-                    else:
-                        fib = quart.subs("l", Q(lv)).subs("x0", Q(x0v)).to_ratpoly("s1y")
-                        s1y_list = [
-                            refine_root(fib, jv)
-                            for jv in isolate_real_roots(fib, Q(-4), Q(4))
-                            if abs(refine_root(fib, jv)) > 1e-12
-                        ]
-                    for s1yv in s1y_list:
-                        s1xv = (
-                            x0v * lv * s1yv * inp.s0x_float / (lv * (1.0 - lv * lv))
-                            if s1yv
-                            else 0.0
-                        )
-                        try:
-                            cand = _assemble(
-                                inp,
-                                "case2b_general",
-                                x0v,
-                                y0v,
-                                -x0v,
-                                -y0v,
-                                lv,
-                                s1xv,
-                                s1yv,
-                            )
-                        except EllipticityViolation:
-                            continue
-                        if cand is not None:
-                            out.append(cand)
-    return out
 
 
 def case2b_solutions(
@@ -1033,7 +952,8 @@ def case2b_solutions(
     ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real burn
     latitude.  For ``s0y = 0`` the eliminant degenerates (both reduced
     polynomials are odd in ``s1y``); the split solver then verifies in
-    exact arithmetic that the general family is empty away from the axis.
+    exact arithmetic that the general family is empty away from the axis,
+    and raises ``PipelineDegreeMismatch`` if it cannot.
     ``include_general=False`` skips the heavy elimination and returns the
     closed forms only.
     """
@@ -1084,8 +1004,7 @@ def case2b_solutions(
 
     if include_general:
         if inp.s0y == 0:
-            if not _antipodal_symmetric_empty(inp):
-                out.extend(_antipodal_symmetric_general(inp))
+            _prove_antipodal_symmetric_empty(inp)
         else:
             pipe = _antipodal_pipeline(inp.s0x, inp.s0y)
             lo, hi = _antipodal_window(inp.s0x)
@@ -1491,8 +1410,7 @@ def sweep_record_as_dict(r: SweepRecord) -> dict:
     return {name: getattr(r, name) for name in SWEEP_COLUMNS}
 
 
-def _sweep_cell(cell: tuple[float, float]) -> SweepRecord:
-    e, alpha = cell
+def _sweep_cell(e: float, alpha: float) -> SweepRecord:
     inp = params_from_angle(e, alpha)
     winner, ranked = best_rotated_transfer(inp)
     try:
@@ -1519,17 +1437,6 @@ def _sweep_cell(cell: tuple[float, float]) -> SweepRecord:
 def sweep_rotated(
     e_values: Sequence[float],
     alpha_values: Sequence[float],
-    workers: int | None = None,
 ) -> list[SweepRecord]:
-    """Solve every (e, alpha) cell; deterministic row order (e outer).
-
-    ``workers > 1`` distributes cells over processes; results keep the
-    same order either way.
-    """
-    cells = [(e, a) for e in e_values for a in alpha_values]
-    if workers is not None and workers > 1 and len(cells) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_sweep_cell(c) for c in cells]
+    """Solve every (e, alpha) cell; deterministic row order (e outer)."""
+    return [_sweep_cell(e, a) for e in e_values for a in alpha_values]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,7 +38,7 @@ from orbita.hohmann import (
 )
 from orbita.kepler import Orbit, Vec3, circular_orbit
 from orbita.oracle import OracleConfig, planar_two_impulse_min, stationarity_check
-from orbita.poly_kernel import MPoly, Q
+from orbita.poly_kernel import MPoly
 from orbita.transfer_model import TransferPlan, impulses, validate_plan
 
 HOHMANN_1_TO_2 = 0.2844570503761733
@@ -236,9 +237,9 @@ class TestOutOfPlane:
         sx, sy, sz, ly, lz, d0, d1 = (MPoly.variable(n, V) for n in V)
 
         def const(q):
-            return MPoly.const(Q(q), V)
+            return MPoly.const(Fraction(q), V)
 
-        l0z, l2z = const(1), const(Q(-4, 5))
+        l0z, l2z = const(1), const(Fraction(-4, 5))
         g1 = ly * sy + lz * sz
         g2 = ly * ly + lz * lz + sy * lz - sz * ly - l0z * l0z
         g3 = ly * ly + lz * lz - sy * lz + sz * ly - l2z * l2z

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +31,7 @@ from orbita.lambert_pp import (
     solve_general,
 )
 from orbita.oracle import OracleConfig, fixed_endpoint_min
-from orbita.poly_kernel import MPoly, Q, RatPoly
+from orbita.poly_kernel import MPoly, RatPoly
 
 # Brute-force scan settings: ~1e5 grid points over l, then local polish.
 ORACLE_CFG = OracleConfig(grid_points_per_dim=317, refine_iterations=2)
@@ -144,7 +145,7 @@ def _independent_quartic(k0, k1, x1, y1, w0, w1s) -> RatPoly:
         + 8 * k0 * k1 * y1**2 - 8 * k0 * k1
         + 4 * k1**2 * x1 - 2 * k1**2 * y1**2 + 4 * k1**2
     )
-    return RatPoly([c0, c1, Q(0), c3, c4], "l")
+    return RatPoly([c0, c1, Fraction(0), c3, c4], "l")
 
 
 class TestLambertInput:
@@ -251,12 +252,12 @@ class TestEliminant:
 
     def test_pinned_exact_coefficients(self):
         quartic = critical_eliminant_exact(
-            Q(7, 8), Q(5, 4), Q(4, 5), Q(3, 5),
-            (Q(1, 3), Q(11, 10), Q(1, 7)),
-            (Q(-2, 5), Q(9, 10), Q(-1, 9)),
+            Fraction(7, 8), Fraction(5, 4), Fraction(4, 5), Fraction(3, 5),
+            (Fraction(1, 3), Fraction(11, 10), Fraction(1, 7)),
+            (Fraction(-2, 5), Fraction(9, 10), Fraction(-1, 9)),
         )
         assert quartic.coeffs == [
-            Q(-111, 80), Q(489, 625), Q(0), Q(-51, 3125), Q(12, 125)]
+            Fraction(-111, 80), Fraction(489, 625), Fraction(0), Fraction(-51, 3125), Fraction(12, 125)]
 
     def test_matches_independent_closed_form_up_to_constant(self):
         # Exact rational points on the unit circle via the tangent-half-angle
@@ -265,15 +266,15 @@ class TestEliminant:
         rng = random.Random(5)
         checked = 0
         while checked < 20:
-            t = Q(rng.randint(1, 30), rng.randint(1, 30))
+            t = Fraction(rng.randint(1, 30), rng.randint(1, 30))
             x1 = (1 - t * t) / (1 + t * t)
             y1 = 2 * t / (1 + t * t)
             if not y1:
                 continue
-            k0 = Q(rng.randint(1, 40), rng.randint(1, 40))
-            k1 = Q(rng.randint(1, 40), rng.randint(1, 40))
-            w0 = tuple(Q(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(3))
-            w1s = tuple(Q(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(3))
+            k0 = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            k1 = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            w0 = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(3))
+            w1s = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(3))
             mine = critical_eliminant_exact(k0, k1, x1, y1, w0, w1s)
             ref = _independent_quartic(k0, k1, x1, y1, w0, w1s)
             assert mine.degree() == 4
@@ -297,10 +298,10 @@ class TestEliminant:
         lv = MPoly.variable("l", V)
         sx = MPoly.variable("sx", V)
         sy = MPoly.variable("sy", V)
-        x1, y1 = Q(4, 5), Q(3, 5)
-        q1 = lv * lv + lv * sy - MPoly.const(Q(7, 8), V)
+        x1, y1 = Fraction(4, 5), Fraction(3, 5)
+        q1 = lv * lv + lv * sy - MPoly.const(Fraction(7, 8), V)
         q2 = (lv * lv + lv * (MPoly.const(x1, V) * sy - MPoly.const(y1, V) * sx)
-              - MPoly.const(Q(5, 4), V))
+              - MPoly.const(Fraction(5, 4), V))
         minor = (q1.partial("sx") * q2.partial("sy")
                  - q1.partial("sy") * q2.partial("sx"))
         assert minor == lv * lv * MPoly.const(y1, V)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from orbita.oracle import (
     planar_two_impulse_min,
     stationarity_check,
 )
-from orbita.poly_kernel import MPoly, Q
+from orbita.poly_kernel import MPoly
 from orbita.transfer_model import impulses, plan_is_valid
 
 Z = Vec3(0.0, 0.0, 1.0)
@@ -196,19 +197,19 @@ def _hohmann_system():
     x1, y1, L, sx, sy, d0, d1 = (MPoly.variable(n, V) for n in V)
 
     def const(q):
-        return MPoly.const(Q(q), V)
+        return MPoly.const(Fraction(q), V)
 
-    k0, k1 = const(1), const(Q(1, 2))
+    k0, k1 = const(1), const(Fraction(1, 2))
     l0z = const(1)
     l2z = const(0.7071067811865476)  # 1/sqrt(2) to double precision
     g1 = x1 * x1 + y1 * y1 - const(1)
     g2 = L * L + L * sy - k0
     g3 = L * L + L * (sy * x1 - sx * y1) - k1
     dL0 = L - l0z
-    g4 = d0 * d0 - (sx * sx + sy * sy + dL0 * dL0 + Q(2) * sy * dL0)
+    g4 = d0 * d0 - (sx * sx + sy * sy + dL0 * dL0 + Fraction(2) * sy * dL0)
     dL2 = L - l2z
     g5 = d1 * d1 - (
-        sx * sx + sy * sy + dL2 * dL2 + Q(2) * dL2 * (sy * x1 - sx * y1)
+        sx * sx + sy * sy + dL2 * dL2 + Fraction(2) * dL2 * (sy * x1 - sx * y1)
     )
     return [g1, g2, g3, g4, g5], d0 + d1
 
@@ -217,7 +218,7 @@ class TestStationarity:
     def test_unconstrained_quadratic(self):
         V = ("x", "y")
         x, y = MPoly.variable("x", V), MPoly.variable("y", V)
-        cost = (x - MPoly.const(Q(1), V)) ** 2 + (y + MPoly.const(Q(2), V)) ** 2
+        cost = (x - MPoly.const(Fraction(1), V)) ** 2 + (y + MPoly.const(Fraction(2), V)) ** 2
         rep = stationarity_check([], cost, {"x": 1.0, "y": -2.0})
         assert rep.gradient_residual < 1e-10
         assert rep.lambdas == ()

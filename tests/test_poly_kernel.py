@@ -11,7 +11,6 @@ from orbita.poly_kernel import (
     DegenerateInput,
     MPoly,
     NotAFactor,
-    Q,
     RatPoly,
     RootInterval,
     euclidean_last_linear,
@@ -36,7 +35,7 @@ def _random_mpoly(rng, variables, max_deg=3, max_terms=6, rational=False):
         exps = tuple(rng.randrange(0, max_deg + 1) for _ in variables)
         c = rng.randrange(-9, 10)
         if rational:
-            c = Q(c, rng.randrange(1, 7))
+            c = Fraction(c, rng.randrange(1, 7))
         if c:
             p = p + MPoly.from_dict(variables, {exps: c})
     return p
@@ -103,8 +102,8 @@ class TestMPolyArithmetic:
 
     def test_subs_and_eval(self):
         p = X * X * Y - 2 * Y + 3
-        assert p.subs("x", Q(2)).subs("y", Q(5)).constant() == 4 * 5 - 10 + 3
-        assert p.eval_exact({"x": Q(1, 2), "y": Q(4)}) == Q(1, 4) * 4 - 8 + 3
+        assert p.subs("x", Fraction(2)).subs("y", Fraction(5)).constant() == 4 * 5 - 10 + 3
+        assert p.eval_exact({"x": Fraction(1, 2), "y": Fraction(4)}) == Fraction(1, 4) * 4 - 8 + 3
         assert p.eval_float({"x": 0.5, "y": 4.0}) == pytest.approx(-4.0)
 
     def test_divexact_roundtrip_and_failure(self):
@@ -121,10 +120,10 @@ class TestMPolyArithmetic:
     def test_pow_and_scalars(self):
         assert (X + 1) ** 3 == X**3 + 3 * X * X + 3 * X + 1
         assert (X * 2) / 2 == X
-        assert (X * Q(3, 4)) / Q(3, 4) == X
+        assert (X * Fraction(3, 4)) / Fraction(3, 4) == X
 
     def test_clear_denominators(self):
-        p = X * Q(1, 6) + Y * Q(3, 4)
+        p = X * Fraction(1, 6) + Y * Fraction(3, 4)
         cleared, m = p.clear_denominators()
         assert m == 12
         assert cleared == X * 2 + Y * 9
@@ -147,8 +146,8 @@ class TestRatPoly:
     def test_div_rem_invariant(self):
         rng = random.Random(5)
         for _ in range(25):
-            a = RatPoly([Q(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 7))])
-            b = RatPoly([Q(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 5))])
+            a = RatPoly([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 7))])
+            b = RatPoly([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 5))])
             if b.is_zero():
                 continue
             q, r = a.div_rem(b)
@@ -156,13 +155,13 @@ class TestRatPoly:
             assert r.degree() < b.degree() or r.is_zero()
 
     def test_to_int_coeffs(self):
-        p = RatPoly([Q(1, 2), Q(-2, 3), 1])
+        p = RatPoly([Fraction(1, 2), Fraction(-2, 3), 1])
         ints, m = p.to_int_coeffs()
         assert m == 6 and ints == [3, -4, 6]
 
     def test_eval(self):
         p = RatPoly([1, 0, -1])  # 1 - t^2
-        assert p.eval_q(Q(1, 2)) == Q(3, 4)
+        assert p.eval_q(Fraction(1, 2)) == Fraction(3, 4)
         assert p.eval_float(3.0) == -8.0
 
 
@@ -174,7 +173,7 @@ class TestResultant:
     def test_two_linears_value_and_sign(self):
         # Res(x-a, x-b) = a - b under the convention that the first
         # argument's coefficients occupy the top rows
-        a, b = Q(3), Q(5)
+        a, b = Fraction(3), Fraction(5)
         r = sylvester_resultant(X - MPoly.const(a, V2), X - MPoly.const(b, V2), "x")
         assert r.constant() == a - b
 
@@ -246,8 +245,8 @@ class TestResultant:
         p = X * X * X - Y
         q = X * X + Y * Y - 2
         base = sylvester_resultant(p, q, "x")
-        scaled = sylvester_resultant(p * Q(3, 7), q, "x")
-        assert scaled == base * (Q(3, 7) ** 2)
+        scaled = sylvester_resultant(p * Fraction(3, 7), q, "x")
+        assert scaled == base * (Fraction(3, 7) ** 2)
 
 
 def _random_univar_in_x(rng, deg, rational=False):
@@ -258,7 +257,7 @@ def _random_univar_in_x(rng, deg, rational=False):
             c = rng.randrange(-5, 6)
             if c:
                 p = p + MPoly.from_dict(V2, {(e, rng.randrange(0, 3)): c})
-    lead_c = Q(rng.randrange(1, 5), rng.randrange(1, 4)) if rational else rng.randrange(1, 5)
+    lead_c = Fraction(rng.randrange(1, 5), rng.randrange(1, 4)) if rational else rng.randrange(1, 5)
     p = p + MPoly.from_dict(V2, {(deg, rng.randrange(0, 2)): lead_c})
     return p
 
@@ -285,7 +284,7 @@ class TestEuclideanLastLinear:
         p = (X - Y) * (X * X + 3)
         q = (X - Y) * (X - 7)
         u1a, u0a = euclidean_last_linear(p, q, "x")
-        u1b, u0b = euclidean_last_linear(p * 6, q * Q(2, 3), "x")
+        u1b, u0b = euclidean_last_linear(p * 6, q * Fraction(2, 3), "x")
         assert u1a * u0b == u1b * u0a  # same ratio
 
 
@@ -299,12 +298,12 @@ class TestRootIsolation:
 
     def test_intervals_disjoint_sorted_halfopen(self):
         p = RatPoly([-6, 11, -6, 1])
-        ivs = isolate_real_roots(p, Q(1), Q(3))
+        ivs = isolate_real_roots(p, Fraction(1), Fraction(3))
         # root at lo=1 excluded, root at hi=3 included
         roots = sorted(refine_root(p, iv) for iv in ivs)
         assert roots == pytest.approx([2.0, 3.0], abs=1e-12)
         for a, b in zip(ivs, ivs[1:]):
-            assert Q(a.hi) <= Q(b.lo)
+            assert Fraction(a.hi) <= Fraction(b.lo)
 
     def test_multiplicities(self):
         # (t-1)^3 (t+2)^2
@@ -332,21 +331,21 @@ class TestRootIsolation:
 
     def test_refine_tolerance_and_exact_rational_root(self):
         p = RatPoly([-2, 0, 1])  # t^2 - 2
-        ivs = isolate_real_roots(p, Q(0), Q(2))
+        ivs = isolate_real_roots(p, Fraction(0), Fraction(2))
         assert len(ivs) == 1
         r = refine_root(p, ivs[0], tol=1e-13)
         assert abs(r - 2**0.5) < 1e-13
         # hi endpoint exactly a root
         p2 = RatPoly([-2, 1])  # t - 2
-        ivs2 = isolate_real_roots(p2, Q(0), Q(2))
-        assert len(ivs2) == 1 and Q(ivs2[0].hi) == Q(2)
+        ivs2 = isolate_real_roots(p2, Fraction(0), Fraction(2))
+        assert len(ivs2) == 1 and Fraction(ivs2[0].hi) == Fraction(2)
         assert refine_root(p2, ivs2[0]) == 2.0
 
     def test_huge_coefficients(self):
         # far outside float range: exact bisection must not care
         big = 10**400
         p = RatPoly([-2 * big, 0, big])  # big*(t^2 - 2)
-        ivs = isolate_real_roots(p, Q(1), Q(2))
+        ivs = isolate_real_roots(p, Fraction(1), Fraction(2))
         assert len(ivs) == 1
         assert abs(refine_root(p, ivs[0]) - 2**0.5) < 1e-13
 
@@ -373,32 +372,10 @@ class TestStripKnownFactors:
             strip_known_factors(RatPoly([1, 1]), [(RatPoly([2]), 1)])
 
 
-class TestBackendTwins:
-    def test_compiled_matches_pure_if_present(self):
-        try:
-            from orbita.poly_kernel import _terms
-        except ImportError:
-            pytest.skip("compiled extension not built")
-        from orbita.poly_kernel import _terms_py
-
-        rng = random.Random(23)
-        for _ in range(200):
-            a = {rng.randrange(1 << 40): rng.randrange(-99, 99) or 1 for _ in range(rng.randrange(0, 10))}
-            b = {rng.randrange(1 << 40): rng.randrange(-99, 99) or 1 for _ in range(rng.randrange(0, 10))}
-            assert _terms.terms_add(dict(a), dict(b)) == _terms_py.terms_add(dict(a), dict(b))
-            assert _terms.terms_mul(dict(a), dict(b)) == _terms_py.terms_mul(dict(a), dict(b))
-            la = [rng.randrange(-99, 99) for _ in range(rng.randrange(0, 8))]
-            lb = [rng.randrange(-99, 99) for _ in range(rng.randrange(0, 8))]
-            assert _terms.u_mul(list(la), list(lb)) == _terms_py.u_mul(list(la), list(lb))
-            assert _terms.u_add(list(la), list(lb)) == _terms_py.u_add(list(la), list(lb))
-            q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
-            assert _terms.u_eval(list(la), q) == _terms_py.u_eval(list(la), q)
-
-
 class TestRootInterval:
     def test_fields_and_helpers(self):
-        iv = RootInterval(Q(1, 2), Q(3, 4), 1, 2)
+        iv = RootInterval(Fraction(1, 2), Fraction(3, 4), 1, 2)
         assert iv.sign_change_count == 1
         assert iv.multiplicity == 2
-        assert iv.midpoint() == Q(5, 8)
-        assert iv.width() == Q(1, 4)
+        assert iv.midpoint() == Fraction(5, 8)
+        assert iv.width() == Fraction(1, 4)

@@ -13,12 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbita import rotated_ellipses
 from orbita.kepler import Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
-from orbita.poly_kernel import Q, as_fraction
 from orbita.rotated_ellipses import (
     SWEEP_COLUMNS,
     DegenerateGeometry,
+    PipelineDegreeMismatch,
     RotatedCandidate,
     RotatedInput,
     _case1_system,
@@ -38,8 +39,8 @@ from orbita.rotated_ellipses import (
 from orbita.transfer_model import impulses, scale_plan, validate_plan
 
 # the two reference geometries every family is frozen against
-REF = RotatedInput(s0x=Q(3, 10), s0y=Q(2, 5))  # e = 0.5, alpha ~ 73.74 deg
-REF180 = RotatedInput(s0x=Q(1, 2), s0y=Q(0))  # e = 0.5, alpha = 180 deg
+REF = RotatedInput(s0x=Fraction(3, 10), s0y=Fraction(2, 5))  # e = 0.5, alpha ~ 73.74 deg
+REF180 = RotatedInput(s0x=Fraction(1, 2), s0y=Fraction(0))  # e = 0.5, alpha = 180 deg
 
 
 @pytest.fixture(scope="module")
@@ -85,16 +86,16 @@ def max_equality_residual(c: RotatedCandidate) -> float:
 
 class TestRotatedInput:
     def test_exact_storage(self):
-        assert REF.s0x == Q(3, 10)
-        assert REF.s0y == Q(2, 5)
+        assert REF.s0x == Fraction(3, 10)
+        assert REF.s0y == Fraction(2, 5)
         assert REF.eccentricity == pytest.approx(0.5, abs=1e-15)
         assert REF.alpha_deg == pytest.approx(73.73979529168804, abs=1e-12)
 
     def test_rejects_non_elliptic(self):
         with pytest.raises(ValueError):
-            RotatedInput(s0x=Q(4, 5), s0y=Q(3, 5))  # e = 1 exactly
+            RotatedInput(s0x=Fraction(4, 5), s0y=Fraction(3, 5))  # e = 1 exactly
         with pytest.raises(ValueError):
-            RotatedInput(s0x=Q(2), s0y=Q(0))
+            RotatedInput(s0x=Fraction(2), s0y=Fraction(0))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -102,8 +103,8 @@ class TestRotatedInput:
 
     def test_from_floats_snaps_to_small_denominators(self):
         inp = RotatedInput.from_floats(0.3, 0.4)
-        assert inp.s0x == Q(3, 10)
-        assert inp.s0y == Q(2, 5)
+        assert inp.s0x == Fraction(3, 10)
+        assert inp.s0y == Fraction(2, 5)
 
     def test_orbits_are_mirror_images(self):
         o0, o2 = REF.orbit0, REF.orbit2
@@ -112,13 +113,13 @@ class TestRotatedInput:
         assert o0.l.z == o2.l.z == 1.0
 
     def test_degenerate_flags(self):
-        assert RotatedInput(s0x=Q(0), s0y=Q(0)).is_circular
-        assert RotatedInput(s0x=Q(0), s0y=Q(2, 5)).is_identical
+        assert RotatedInput(s0x=Fraction(0), s0y=Fraction(0)).is_circular
+        assert RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)).is_identical
         assert not REF.is_identical
 
     def test_alpha_at_the_ends(self):
-        assert RotatedInput(s0x=Q(1, 2), s0y=Q(0)).alpha_deg == pytest.approx(180.0)
-        assert RotatedInput(s0x=Q(0), s0y=Q(1, 2)).alpha_deg == pytest.approx(0.0)
+        assert RotatedInput(s0x=Fraction(1, 2), s0y=Fraction(0)).alpha_deg == pytest.approx(180.0)
+        assert RotatedInput(s0x=Fraction(0), s0y=Fraction(1, 2)).alpha_deg == pytest.approx(0.0)
 
 
 # --------------------------------------------------------------------------
@@ -130,8 +131,8 @@ class TestParamsFromAngle:
     def test_reference_pair_is_pythagorean(self):
         inp = params_from_angle(0.5, 73.73979529168804)
         assert (inp.a, inp.b) == (2, 1)
-        assert inp.s0x == Q(3, 10)
-        assert inp.s0y == Q(2, 5)
+        assert inp.s0x == Fraction(3, 10)
+        assert inp.s0y == Fraction(2, 5)
 
     def test_right_angle_pair(self):
         inp = params_from_angle(0.5, 90.0)
@@ -140,17 +141,17 @@ class TestParamsFromAngle:
 
     def test_axis_aligned_conventions(self):
         flat = params_from_angle(0.5, 180.0)
-        assert flat.s0x == Q(1, 2) and flat.s0y == 0 and flat.b == 0
+        assert flat.s0x == Fraction(1, 2) and flat.s0y == 0 and flat.b == 0
         same = params_from_angle(0.3, 0.0)
-        assert same.s0x == 0 and same.s0y == Q(3, 10)
+        assert same.s0x == 0 and same.s0y == Fraction(3, 10)
         circ = params_from_angle(0.0, 45.0)
         assert circ.is_circular
 
     def test_eccentricity_is_exact(self):
         for e, alpha in [(0.25, 50.0), (0.8, 10.0), (0.5, 125.0), (0.7, 85.0)]:
             inp = params_from_angle(e, alpha)
-            sx = Fraction(as_fraction(inp.s0x))
-            sy = Fraction(as_fraction(inp.s0y))
+            sx = Fraction(inp.s0x)
+            sy = Fraction(inp.s0y)
             er = Fraction(e).limit_denominator(10**6)
             assert sx * sx + sy * sy == er * er
 
@@ -194,7 +195,7 @@ class TestAxisSolutions:
 
     def test_non_elliptic_branch_is_dropped(self):
         # u = 1 - s0x = 1/2 <= s0y^2 = 9/16: the y0=+1 branch cannot exist
-        cands = case2a_axis_solutions(RotatedInput(s0x=Q(1, 2), s0y=Q(3, 4)))
+        cands = case2a_axis_solutions(RotatedInput(s0x=Fraction(1, 2), s0y=Fraction(3, 4)))
         assert len(cands) == 1
         assert cands[0].burn0.y == -1.0
 
@@ -208,7 +209,7 @@ class TestAxisSolutions:
         )
 
     def test_identical_orbits_cost_nothing(self):
-        cands = case2a_axis_solutions(RotatedInput(s0x=Q(0), s0y=Q(2, 5)))
+        cands = case2a_axis_solutions(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)))
         assert cands and cands[0].f1 == pytest.approx(0.0, abs=1e-15)
 
 
@@ -263,7 +264,7 @@ class TestMirrorGeneral:
 
     def test_identical_orbits_rejected(self):
         with pytest.raises(DegenerateGeometry):
-            case2a_general(RotatedInput(s0x=Q(0), s0y=Q(2, 5)))
+            case2a_general(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)))
 
     def test_spurious_quartic_never_has_real_roots(self):
         # discriminant of the stripped quartic factor's quadratic is
@@ -350,13 +351,27 @@ class TestAntipodalSolutions:
         assert cands[1].f1 == pytest.approx(2.0 * math.sqrt(4.25), abs=1e-14)
         assert cands[1].s1x == 0.0 and cands[1].s1y == 0.0
 
+    def test_flat_geometry_failed_proof_raises(self, monkeypatch):
+        # a stationary branch s1y = 0 that is no longer a monomial times a
+        # unit defeats the emptiness proof; the solver must say so instead
+        # of returning the closed forms alone
+        equations = rotated_ellipses._antipodal_equations
+
+        def perturbed(s0x, s0y):
+            radius_pair, first, second, t0 = equations(s0x, s0y)
+            return radius_pair, first, second, t0 + 1
+
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", perturbed)
+        with pytest.raises(PipelineDegreeMismatch):
+            case2b_solutions(REF180)
+
     def test_include_general_flag(self):
         cands = case2b_solutions(REF, include_general=False)
         assert [c.case_tag for c in cands] == ["case2b_closed", "case2b_closed"]
 
     def test_identical_orbits_rejected(self):
         with pytest.raises(DegenerateGeometry):
-            case2b_solutions(RotatedInput(s0x=Q(0), s0y=Q(2, 5)))
+            case2b_solutions(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)))
 
 
 # --------------------------------------------------------------------------
@@ -379,7 +394,7 @@ class TestCase1Numeric:
         assert case1_numeric(REF180) == []
 
     def test_identical_orbits_is_empty(self):
-        assert case1_numeric(RotatedInput(s0x=Q(0), s0y=Q(2, 5))) == []
+        assert case1_numeric(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5))) == []
 
     def test_constraint_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -456,13 +471,13 @@ class TestBestRotatedTransfer:
             best_rotated_transfer(REF, cases=("2c",))
 
     def test_identical_orbits_do_nothing(self):
-        winner, _ = best_rotated_transfer(RotatedInput(s0x=Q(0), s0y=Q(2, 5)))
+        winner, _ = best_rotated_transfer(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)))
         assert winner.f1 == pytest.approx(0.0, abs=1e-15)
-        winner, _ = best_rotated_transfer(RotatedInput(s0x=Q(0), s0y=Q(0)))
+        winner, _ = best_rotated_transfer(RotatedInput(s0x=Fraction(0), s0y=Fraction(0)))
         assert winner.f1 == pytest.approx(0.0, abs=1e-15)
 
     def test_mirror_input_symmetry(self, ref_best):
-        flipped, _ = best_rotated_transfer(RotatedInput(s0x=Q(-3, 10), s0y=Q(2, 5)))
+        flipped, _ = best_rotated_transfer(RotatedInput(s0x=Fraction(-3, 10), s0y=Fraction(2, 5)))
         assert flipped.f1 == pytest.approx(ref_best[0].f1, abs=1e-12)
 
     def test_candidate_dict_round_trip(self, ref_best):
@@ -513,16 +528,16 @@ class TestInvariants:
         _, ranked = ref_best
         for c in ranked:
             assert 0.0 <= c.separation_angle_deg <= 180.0
-        circ = RotatedInput(s0x=Q(0), s0y=Q(0))
+        circ = RotatedInput(s0x=Fraction(0), s0y=Fraction(0))
         winner, _ = best_rotated_transfer(circ)
         assert separation_angle(winner, circ) == 0.0
 
     def test_axis_dominates_prograde_antipodal(self):
         # closed-form comparison: min axis cost < 2|s0x| for many inputs
         for s0x_num in range(1, 10):
-            s0x = Q(s0x_num, 10)
-            cands = case2a_axis_solutions(RotatedInput(s0x=s0x, s0y=Q(0)))
-            assert cands[0].f1 < 2.0 * float(as_fraction(s0x))
+            s0x = Fraction(s0x_num, 10)
+            cands = case2a_axis_solutions(RotatedInput(s0x=s0x, s0y=Fraction(0)))
+            assert cands[0].f1 < 2.0 * float(s0x)
 
 
 # --------------------------------------------------------------------------
@@ -548,9 +563,9 @@ class TestApogeeToApogee:
 
     def test_degenerate_geometries(self):
         with pytest.raises(DegenerateGeometry):
-            apogee_to_apogee_cost(RotatedInput(s0x=Q(0), s0y=Q(0)))
+            apogee_to_apogee_cost(RotatedInput(s0x=Fraction(0), s0y=Fraction(0)))
         with pytest.raises(DegenerateGeometry):
-            apogee_to_apogee_cost(RotatedInput(s0x=Q(0), s0y=Q(2, 5)))
+            apogee_to_apogee_cost(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)))
 
 
 # --------------------------------------------------------------------------
