@@ -4,8 +4,10 @@ Sturm's method throughout: a sign-safe pseudo-remainder chain with
 primitive-part reduction, exact integer sign evaluation at rational
 points, and bisection until each root sits alone in a half-open rational
 interval ``(lo, hi]``.  The square-free part is isolated (so multiple
-roots are found once) and each root's multiplicity is recovered from the
-gcd layers of the polynomial.
+roots are found once) and each root's multiplicity is read off Yun's
+square-free factors.  The square-free part, its Sturm chain and the Yun
+factors are computed once per polynomial and shared by every isolation
+window and by refinement.
 
 Refinement is exact dyadic bisection on the isolating interval down to
 the requested width, followed by a float Newton polish safeguarded by the
@@ -19,8 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dense import content, divexact, prem, sign_at, squarefree_part, u_trim
-from .errors import DegenerateInput, NotAFactor
+from .dense import (
+    content,
+    divexact,
+    gcd_poly,
+    prem,
+    sign_at,
+    squarefree_part,
+    u_sub,
+    u_trim,
+)
+from .errors import DegenerateInput
 from .mpoly import RatPoly
 
 __all__ = [
@@ -69,8 +80,7 @@ def sturm_chain(coeffs: list[int]) -> list[list[int]]:
     chain = [f]
     if len(f) == 1:
         return chain
-    df = u_trim([c * i for i, c in enumerate(f)][1:])
-    g, _ = _primitive_signed(df)
+    g, _ = _primitive_signed(_derivative(f))
     chain.append(g)
     while True:
         r, lead, k = prem(chain[-2], chain[-1])
@@ -122,8 +132,8 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
     if len(coeffs) == 1:
         return []
 
-    sqf, layer0 = squarefree_part(coeffs)
-    layers = _gcd_layers(layer0)
+    dec = _decompose(tuple(coeffs))
+    sqf = dec.sqf
 
     if lo is None or hi is None:
         bound = _cauchy_bound(coeffs)
@@ -145,7 +155,7 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
     if hi_is_root:
         sqf = _deflate_rational_root(sqf, hi)
 
-    chain = sturm_chain(sqf)
+    chain = dec.chain if sqf is dec.sqf else sturm_chain(sqf)
     interior_hi = hi
     if hi_is_root:
         # reserve a slice (interior_hi, hi] holding no other root, so the
@@ -163,7 +173,7 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
         if n <= 0:
             continue
         if n == 1:
-            out.append(RootInterval(a, b, 1, _mult_from_layers(layers, a, b)))
+            out.append(RootInterval(a, b, 1, _multiplicity(dec, a, b)))
             continue
         mid = _split_point(sqf, a, b)
         vm = _var_q(chain, mid)
@@ -211,32 +221,63 @@ def _deflate_rational_root(coeffs: list[int], r) -> list[int]:
     return divexact(coeffs, [-num, den])
 
 
-def _gcd_layers(layer0: list[int]) -> list[list[int]]:
-    """Successive gcd layers: a root of multiplicity m in p appears in the
-    first m-1 layers.  ``layer0`` is gcd(p, p')."""
-    layers = []
-    g = layer0
-    while len(g) > 1:
-        layers.append(g)
-        g = squarefree_part(g)[1]
-    return layers
+# ------------------------------------------- square-free decomposition ---
 
 
-def _mult_from_layers(layers: list[list[int]], a, b) -> int:
-    """Multiplicity of the single root isolated in (a, b]."""
-    mult = 1
-    for g in layers:
-        chain = _layer_chain(tuple(g))
-        if _var_q(chain, a) - _var_q(chain, b) > 0:
-            mult += 1
-        else:
-            break
-    return mult
+@dataclass(frozen=True)
+class _Decomposition:
+    """What isolation and refinement need of one integer polynomial ``p``.
+
+    ``sqf`` is the square-free part as :func:`squarefree_part` returns it,
+    ``chain`` its Sturm chain, and ``factors`` the non-constant Yun factors
+    ``a_i`` of ``p = c * prod(a_i**i)`` as ``(i, Sturm chain of a_i)``
+    pairs, ascending in ``i``.  Shared through the cache: never mutated.
+    """
+
+    sqf: list[int]
+    chain: list[list[int]]
+    factors: list[tuple[int, list[list[int]]]]
 
 
-@lru_cache(maxsize=64)
-def _layer_chain(g: tuple[int, ...]) -> list[list[int]]:
-    return sturm_chain(list(g))
+@lru_cache(maxsize=32)
+def _decompose(coeffs: tuple[int, ...]) -> _Decomposition:
+    """Square-free part, its Sturm chain and Yun's square-free factors of
+    the integer polynomial ``coeffs``, computed once per polynomial."""
+    p = list(coeffs)
+    sqf, g = squarefree_part(p)
+    chain = sturm_chain(sqf)
+    if len(g) == 1:  # square-free: every root is simple
+        return _Decomposition(sqf, chain, [(1, chain)])
+    # Yun (1976): from b = p/g, c = p'/g, each step takes
+    # a_i = gcd(b, c - b') and continues with b/a_i, (c - b')/a_i.  g and
+    # every a_i are primitive, so each division is exact over the integers.
+    b = divexact(p, g)
+    c = divexact(_derivative(p), g)
+    yun = []
+    i = 1
+    while len(b) > 1:
+        d = u_sub(c, _derivative(b))
+        a = gcd_poly(b, d)
+        if len(a) > 1:
+            yun.append((i, a))
+        b = divexact(b, a)
+        c = divexact(d, a)
+        i += 1
+    return _Decomposition(sqf, chain, [(i, sturm_chain(a)) for i, a in yun])
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return u_trim([c * i for i, c in enumerate(a)][1:])
+
+
+def _multiplicity(dec: _Decomposition, a, b) -> int:
+    """Multiplicity of the single root isolated in (a, b]: the index of the
+    one Yun factor whose Sturm variation drops across (a, b].  When no
+    other factor has the root, it is the last factor's."""
+    for i, chain in dec.factors[:-1]:
+        if _var_q(chain, a) > _var_q(chain, b):
+            return i
+    return dec.factors[-1][0]
 
 
 def _mult_at_rational(coeffs: list[int], r) -> int:
@@ -272,11 +313,6 @@ def strip_known_factors(
 # ----------------------------------------------------------- refinement ---
 
 
-@lru_cache(maxsize=32)
-def _sqf_cached(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(squarefree_part(list(coeffs))[0])
-
-
 def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float:
     """Shrink an isolating interval around its root and return the root
     as a float, accurate to ``tol`` (relative for roots above 1 in size).
@@ -289,7 +325,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
     if p.is_zero():
         raise DegenerateInput("cannot refine a root of the zero polynomial")
     coeffs, _ = p.to_int_coeffs()
-    sqf = list(_sqf_cached(tuple(u_trim(coeffs))))
+    sqf = _decompose(tuple(u_trim(coeffs))).sqf
     a, b = Fraction(interval.lo), Fraction(interval.hi)
     sb = _sign_q(sqf, b)
     if sb == 0:

@@ -46,14 +46,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kepler import DegenerateOrbit, NotElliptic, Orbit, Vec3, orbit_geometry
+from .kepler import NotElliptic, Orbit, Vec3, orbit_geometry
 from .poly_kernel import (
     ChainCollapse,
     MPoly,
@@ -65,6 +65,7 @@ from .poly_kernel import (
     strip_known_factors,
     sylvester_resultant,
 )
+from .poly_kernel.dense import divexact
 from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
 
 __all__ = [
@@ -742,17 +743,26 @@ def _antipodal_equations(s0x, s0y):
 
 
 def _strip_l_units(poly: RatPoly) -> tuple[RatPoly, tuple[int, int, int]]:
-    """Divide out all factors l, (l-1), (l+1); return the core and counts."""
-    counts = []
-    for fac in (RatPoly([0, 1], "l"), RatPoly([-1, 1], "l"), RatPoly([1, 1], "l")):
+    """Divide out all factors l, (l-1), (l+1); return the core and counts.
+
+    Works on the integer multiple ``m * poly``: the powers of l are its
+    lowest zero coefficients, and exact integer division by the monic
+    l - 1 and l + 1 succeeds exactly when the rational one does.
+    """
+    coeffs, m = poly.to_int_coeffs()
+    n_l = next(i for i, c in enumerate(coeffs) if c)
+    coeffs = coeffs[n_l:]
+    counts = [n_l]
+    for fac in ([-1, 1], [1, 1]):
         n = 0
-        while not poly.is_zero():
-            quo, rem = poly.div_rem(fac)
-            if not rem.is_zero():
+        while True:
+            try:
+                coeffs = divexact(coeffs, fac)
+            except NotAFactor:
                 break
-            poly, n = quo, n + 1
+            n += 1
         counts.append(n)
-    return poly, tuple(counts)
+    return RatPoly([Fraction(c, m) for c in coeffs], poly.var), tuple(counts)
 
 
 @lru_cache(maxsize=32)

@@ -22,6 +22,7 @@ from orbita.poly_kernel import (
     sturm_chain,
     sylvester_resultant,
 )
+from orbita.poly_kernel import roots as roots_mod
 from orbita.poly_kernel.mpoly import pack, unpack
 
 V2 = ("x", "y")
@@ -356,6 +357,84 @@ class TestRootIsolation:
     def test_zero_poly_rejected(self):
         with pytest.raises(DegenerateInput):
             isolate_real_roots(RatPoly([]))
+
+
+class TestSharedDecomposition:
+    """One square-free decomposition per polynomial, shared by every
+    isolation window and by refinement, on a product shaped like the
+    antipodal core (A^2 B^7 C^8) plus a rational root of multiplicity 3."""
+
+    T = sp.Symbol("t")
+    EXPR = (T**2 - 2) ** 2 * (T - 3) ** 7 * (T**2 + T - 1) ** 8 * (T + 1) ** 3
+
+    def _poly(self):
+        ex = sp.Poly(sp.expand(self.EXPR), self.T)
+        return RatPoly([int(c) for c in reversed(ex.all_coeffs())], "t")
+
+    def _expected(self, lo, hi):
+        """(root, multiplicity) in (lo, hi] from sympy's sqf_list."""
+        out = []
+        for factor, mult in sp.sqf_list(self.EXPR)[1]:
+            for r in sp.Poly(factor, self.T).real_roots():
+                if lo < r <= hi:
+                    out.append((float(r), mult))
+        return sorted(out)
+
+    def _got(self, p, lo, hi):
+        ivs = isolate_real_roots(p, lo, hi)
+        return sorted((refine_root(p, iv), iv.multiplicity) for iv in ivs)
+
+    def _check(self, p, lo, hi):
+        got, want = self._got(p, lo, hi), self._expected(lo, hi)
+        assert [m for _, m in got] == [m for _, m in want]
+        assert [r for r, _ in got] == pytest.approx([r for r, _ in want], abs=1e-12)
+
+    def test_computed_once(self, monkeypatch):
+        calls = []
+        real = roots_mod.squarefree_part
+
+        def counting(a):
+            calls.append(len(a) - 1)
+            return real(a)
+
+        monkeypatch.setattr(roots_mod, "squarefree_part", counting)
+        roots_mod._decompose.cache_clear()
+        p = self._poly()
+        ivs = isolate_real_roots(p, Fraction(-4), Fraction(1)) + isolate_real_roots(
+            p, Fraction(1), Fraction(4)
+        )
+        assert len(ivs) == 6
+        for iv in ivs:
+            refine_root(p, iv)
+        assert calls == [30]
+
+    def test_multiplicities_full_line(self):
+        p = self._poly()
+        got = self._got(p, None, None)
+        assert [m for _, m in got] == [m for _, m in self._expected(-10, 10)]
+        assert len(got) == 6
+
+    def test_multiplicities_two_windows(self):
+        p = self._poly()
+        self._check(p, Fraction(-4), Fraction(1))
+        self._check(p, Fraction(1), Fraction(4))
+
+    def test_multiplicities_roots_at_both_endpoints(self):
+        # lo = -1 and hi = 3 are roots: -1 is excluded, 3 is reported, and
+        # the interior is isolated on the deflated square-free part
+        p = self._poly()
+        self._check(p, Fraction(-1), Fraction(3))
+        ivs = isolate_real_roots(p, Fraction(-1), Fraction(3))
+        assert Fraction(ivs[-1].hi) == 3 and ivs[-1].multiplicity == 7
+        self._check(p, Fraction(-3), Fraction(-1))
+
+    def test_rational_coefficients_share_the_integer_key(self):
+        p = self._poly()
+        scaled = RatPoly([Fraction(c, 7) for c in p.coeffs], "t")
+        roots_mod._decompose.cache_clear()
+        isolate_real_roots(p, Fraction(1), Fraction(4))
+        isolate_real_roots(scaled, Fraction(1), Fraction(4))
+        assert roots_mod._decompose.cache_info().misses == 1
 
 
 class TestStripKnownFactors:

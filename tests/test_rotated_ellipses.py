@@ -16,6 +16,8 @@ import pytest
 from orbita import rotated_ellipses
 from orbita.kepler import Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
+from orbita.poly_kernel import RatPoly, sylvester_resultant
+from orbita.poly_kernel.dense import primitive
 from orbita.rotated_ellipses import (
     SWEEP_COLUMNS,
     DegenerateGeometry,
@@ -538,6 +540,73 @@ class TestInvariants:
             s0x = Fraction(s0x_num, 10)
             cands = case2a_axis_solutions(RotatedInput(s0x=s0x, s0y=Fraction(0)))
             assert cands[0].f1 < 2.0 * float(s0x)
+
+
+# a large-coefficient input: its antipodal core has coefficients of
+# thousands of bits; the ranked pool below was frozen from the solver
+# before the shared square-free decomposition and the integer l-unit strip
+BIG = params_from_angle(0.7, 37)
+BIG_POOL = [
+    ("case2a_general", 0.18105305387725276),
+    ("case2a_axis", 0.20818556228904916),
+    ("case2a_general", 0.2141458438358688),
+    ("case2a_axis", 0.2332435171523488),
+    ("case2b_closed", 0.44422949324980027),
+    ("case2b_general", 3.6728740643381395),
+    ("case2b_general", 3.6728740643381395),
+    ("case1", 3.8966272273874982),
+    ("case1", 3.8966272273874987),
+    ("case2b_general", 3.9125319965042507),
+    ("case2b_general", 3.9125319965042507),
+    ("case2b_general", 3.9501210532538624),
+    ("case2b_general", 3.9501210532538624),
+    ("case2b_general", 4.018269082943145),
+    ("case2b_general", 4.018269082943145),
+    ("case2b_closed", 4.0245918852317155),
+    ("case2a_general", 4.257931750124954),
+    ("case2a_general", 5.176866008170297),
+]
+
+
+@pytest.fixture(scope="module")
+def big_eliminant():
+    radius_pair, first, second, _ = rotated_ellipses._antipodal_equations(BIG.s0x, BIG.s0y)
+    inner = sylvester_resultant(first, second, "s1y")
+    return sylvester_resultant(radius_pair, inner, "x0").to_ratpoly("l")
+
+
+class TestLargeCoefficientGolden:
+    def test_ranked_pool(self):
+        _, ranked = best_rotated_transfer(BIG)
+        assert len(ranked) == 18
+        assert [c.case_tag for c in ranked] == [tag for tag, _ in BIG_POOL]
+        for c, (_, f1) in zip(ranked, BIG_POOL):
+            assert c.f1 == pytest.approx(f1, abs=1e-12)
+
+    def test_l_unit_strip(self, big_eliminant):
+        core, counts = rotated_ellipses._strip_l_units(big_eliminant)
+        assert counts == (22, 20, 20)
+        assert core.degree() == 104
+        l = RatPoly([0, 1], "l")
+        units = RatPoly([1], "l")
+        for factor, n in ((l, 22), (l - 1, 20), (l + 1, 20)):
+            for _ in range(n):
+                units = units * factor
+        assert core * units == big_eliminant
+        assert core == rotated_ellipses._antipodal_pipeline(BIG.s0x, BIG.s0y).core
+        # the primitive integer core keeps no factor l, l - 1 or l + 1
+        ints, _ = primitive(core.to_int_coeffs()[0])
+        assert len(ints) == 105
+        assert ints[0] != 0 and sum(ints) != 0
+        assert sum(c if i % 2 == 0 else -c for i, c in enumerate(ints)) != 0
+
+    def test_l_unit_strip_small(self):
+        l = RatPoly([0, 1], "l")
+        rest = RatPoly([Fraction(5, 2), 0, 1], "l") * Fraction(3, 7)
+        p = l * l * (l - 1) * (l - 1) * (l - 1) * (l + 1) * rest
+        core, counts = rotated_ellipses._strip_l_units(p)
+        assert counts == (2, 3, 1)
+        assert core == rest
 
 
 # --------------------------------------------------------------------------
