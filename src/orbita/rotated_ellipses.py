@@ -1145,63 +1145,102 @@ def _case1_seeds(sx: float, sy: float, count: int) -> np.ndarray:
     return Z
 
 
+_LINE_SEARCH_STEPS = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3)
+
+
+def _newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps ``J[i] @ s[i] = -F[i]`` for a (m, 16, 16) batch.
+
+    ``ok[i]`` is False where ``J[i]`` is singular; that row's step is zero.
+    Each row equals its own ``np.linalg.solve`` call bit for bit.
+    """
+    ok = np.ones(J.shape[0], dtype=bool)
+    try:
+        return np.linalg.solve(J, -F[:, :, None])[:, :, 0], ok
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(F)
+    for row in range(J.shape[0]):
+        try:
+            steps[row] = np.linalg.solve(J[row], -F[row])
+        except np.linalg.LinAlgError:
+            ok[row] = False
+    return steps, ok
+
+
+def _case1_newton(
+    sx: float, sy: float, seed_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton from ``seed_count`` seeds: final states, alive, converged.
+
+    All active seeds move together: one stacked call for the forward
+    difference Jacobian, one batched solve, and one call per line-search
+    step size for the seeds still waiting for an acceptable step.  Seeds
+    never interact and every operation works row by row, so the result is
+    the same, bit for bit, as running each seed on its own.
+    """
+    Z = _case1_seeds(sx, sy, seed_count)
+    alive = np.ones(seed_count, dtype=bool)
+    done = np.zeros(seed_count, dtype=bool)
+    F, _ = _case1_system(sx, sy, Z)
+    norms = np.max(np.abs(F), axis=1)
+    cols = np.arange(_N_UNKNOWNS)
+
+    for _ in range(60):
+        idx = np.flatnonzero(alive & ~done)
+        if idx.size == 0:
+            break
+        Za = Z[idx]
+        Fa, _ = _case1_system(sx, sy, Za)
+        # Zp[j] is Za with column j perturbed by h[:, j]
+        h = 1e-7 * np.maximum(1.0, np.abs(Za))
+        Zp = np.repeat(Za[None, :, :], _N_UNKNOWNS, axis=0)
+        Zp[cols, :, cols] += h.T
+        Fp, _ = _case1_system(sx, sy, Zp.reshape(-1, _N_UNKNOWNS))
+        Fp = Fp.reshape(_N_UNKNOWNS, -1, _N_UNKNOWNS)
+        J = ((Fp - Fa[None, :, :]) / h.T[:, :, None]).transpose(1, 2, 0)
+        steps, ok = _newton_steps(J, Fa)
+        alive[idx[~ok]] = False
+
+        tried = idx[ok]
+        pending, rows = tried, np.flatnonzero(ok)
+        for t in _LINE_SEARCH_STEPS:
+            if pending.size == 0:
+                break
+            Znew = Z[pending] + t * steps[rows]
+            Fn, _ = _case1_system(sx, sy, Znew)
+            nn = np.max(np.abs(Fn), axis=1)
+            acc = np.isfinite(nn) & (nn < norms[pending] * (1.0 - 1e-4 * t))
+            Z[pending[acc]] = Znew[acc]
+            norms[pending[acc]] = nn[acc]
+            pending, rows = pending[~acc], rows[~acc]
+        alive[pending] = False
+        alive[tried[norms[tried] > 1e10]] = False
+        done[tried[alive[tried] & (norms[tried] < 1e-12)]] = True
+    return Z, alive, done
+
+
 def case1_numeric(inp: RotatedInput, seed_count: int = 64) -> list[RotatedCandidate]:
     """Non-symmetric critical points by deterministic multi-start Newton.
 
     The full first-order system (six constraints, nine stationarity rows,
     one deflation row ``1 - k*(y0+y1)`` that excludes the symmetric
     families) is solved by a damped Newton iteration from ``seed_count``
-    low-discrepancy seeds.  Converged states (residual below 1e-12) are
-    filtered: positive burn sizes, ``|y0+y1| > 1e-6``, elliptic transfer,
-    plan residuals below 1e-9.  The list is often empty — for many inputs
-    this family has no real solution.
+    low-discrepancy seeds, batched across seeds; the states equal those of
+    running each seed on its own, bit for bit.  Converged states (residual
+    below 1e-12) are filtered: positive burn sizes, ``|y0+y1| > 1e-6``,
+    elliptic transfer, plan residuals below 1e-9.  The list is often
+    empty — for many inputs this family has no real solution.
+
+    Raises ``ValueError`` unless ``seed_count`` is a positive int.
     """
+    integral = isinstance(seed_count, (int, np.integer)) and not isinstance(seed_count, bool)
+    if not integral or seed_count < 1:
+        raise ValueError("seed_count must be a positive int")
     if inp.s0x == 0:
         return []
     sx, sy = inp.s0x_float, inp.s0y_float
-    Z = _case1_seeds(sx, sy, seed_count)
-    alive = np.ones(seed_count, dtype=bool)
-    done = np.zeros(seed_count, dtype=bool)
-    F, _ = _case1_system(sx, sy, Z)
-    norms = np.max(np.abs(F), axis=1)
-
-    for _ in range(60):
-        act = alive & ~done
-        if not act.any():
-            break
-        idx = np.flatnonzero(act)
-        Za = Z[idx]
-        Fa, _ = _case1_system(sx, sy, Za)
-        J = np.empty((len(idx), _N_UNKNOWNS, _N_UNKNOWNS))
-        for j in range(_N_UNKNOWNS):
-            h = 1e-7 * np.maximum(1.0, np.abs(Za[:, j]))
-            Zp = Za.copy()
-            Zp[:, j] += h
-            Fp, _ = _case1_system(sx, sy, Zp)
-            J[:, :, j] = (Fp - Fa) / h[:, None]
-        steps = np.zeros_like(Za)
-        for row, i in enumerate(idx):
-            try:
-                steps[row] = np.linalg.solve(J[row], -Fa[row])
-            except np.linalg.LinAlgError:
-                alive[i] = False
-        for row, i in enumerate(idx):
-            if not alive[i]:
-                continue
-            accepted = False
-            for t in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3):
-                Znew = Z[i] + t * steps[row]
-                Fn, _ = _case1_system(sx, sy, Znew[None, :])
-                nn = float(np.max(np.abs(Fn)))
-                if math.isfinite(nn) and nn < norms[i] * (1.0 - 1e-4 * t):
-                    Z[i] = Znew
-                    norms[i] = nn
-                    accepted = True
-                    break
-            if not accepted or norms[i] > 1e10:
-                alive[i] = False
-            elif norms[i] < 1e-12:
-                done[i] = True
+    Z, _, done = _case1_newton(sx, sy, int(seed_count))
 
     out: list[RotatedCandidate] = []
     for i in np.flatnonzero(done):

@@ -24,7 +24,10 @@ from orbita.rotated_ellipses import (
     PipelineDegreeMismatch,
     RotatedCandidate,
     RotatedInput,
+    _case1_newton,
+    _case1_seeds,
     _case1_system,
+    _newton_steps,
     apogee_to_apogee_cost,
     best_rotated_transfer,
     candidate_as_dict,
@@ -437,6 +440,117 @@ class TestCase1Numeric:
                 Zm[j] -= h
                 fd = (lagrangian(Zp) - lagrangian(Zm)) / (2.0 * h)
                 assert abs(fd - F[i, 6 + j]) < 1e-5
+
+
+def _reference_newton(sx, sy, seed_count):
+    """The per-seed Newton loop that ``_case1_newton`` batches."""
+    n_unk = 16
+    Z = _case1_seeds(sx, sy, seed_count)
+    alive = np.ones(seed_count, dtype=bool)
+    done = np.zeros(seed_count, dtype=bool)
+    F, _ = _case1_system(sx, sy, Z)
+    norms = np.max(np.abs(F), axis=1)
+
+    for _ in range(60):
+        act = alive & ~done
+        if not act.any():
+            break
+        idx = np.flatnonzero(act)
+        Za = Z[idx]
+        Fa, _ = _case1_system(sx, sy, Za)
+        J = np.empty((len(idx), n_unk, n_unk))
+        for j in range(n_unk):
+            h = 1e-7 * np.maximum(1.0, np.abs(Za[:, j]))
+            Zp = Za.copy()
+            Zp[:, j] += h
+            Fp, _ = _case1_system(sx, sy, Zp)
+            J[:, :, j] = (Fp - Fa) / h[:, None]
+        steps = np.zeros_like(Za)
+        for row, i in enumerate(idx):
+            try:
+                steps[row] = np.linalg.solve(J[row], -Fa[row])
+            except np.linalg.LinAlgError:
+                alive[i] = False
+        for row, i in enumerate(idx):
+            if not alive[i]:
+                continue
+            accepted = False
+            for t in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3):
+                Znew = Z[i] + t * steps[row]
+                Fn, _ = _case1_system(sx, sy, Znew[None, :])
+                nn = float(np.max(np.abs(Fn)))
+                if math.isfinite(nn) and nn < norms[i] * (1.0 - 1e-4 * t):
+                    Z[i] = Znew
+                    norms[i] = nn
+                    accepted = True
+                    break
+            if not accepted or norms[i] > 1e10:
+                alive[i] = False
+            elif norms[i] < 1e-12:
+                done[i] = True
+    return Z, alive, done
+
+
+_NEWTON_INPUTS = {
+    "ref": REF,
+    "e0.7-a37": params_from_angle(0.7, 37),
+    "flat": REF180,
+    "e0.9-a90": params_from_angle(0.9, 90),
+    "e0.9-a180": params_from_angle(0.9, 180),
+}
+
+
+class TestCase1Batched:
+    @pytest.mark.parametrize("seed_count", [64, 7])
+    @pytest.mark.parametrize("name", sorted(_NEWTON_INPUTS))
+    def test_batched_newton_equals_per_seed_loop(self, name, seed_count):
+        inp = _NEWTON_INPUTS[name]
+        sx, sy = inp.s0x_float, inp.s0y_float
+        Z_ref, alive_ref, done_ref = _reference_newton(sx, sy, seed_count)
+        Z, alive, done = _case1_newton(sx, sy, seed_count)
+        assert Z.tobytes() == Z_ref.tobytes()
+        assert np.array_equal(alive, alive_ref)
+        assert np.array_equal(done, done_ref)
+
+    def test_singular_row_is_the_only_failure(self):
+        rng = np.random.default_rng(3)
+        J = rng.normal(size=(5, 16, 16))
+        F = rng.normal(size=(5, 16))
+        J[2, :, 5] = 0.0  # an exactly zero column: LU meets a zero pivot
+        steps, ok = _newton_steps(J, F)
+        assert ok.tolist() == [True, True, False, True, True]
+        assert not steps[2].any()
+        for row in (0, 1, 3, 4):
+            assert steps[row].tobytes() == np.linalg.solve(J[row], -F[row]).tobytes()
+
+    def test_regular_batch_equals_per_row_solves(self):
+        rng = np.random.default_rng(4)
+        J = rng.normal(size=(3, 16, 16))
+        F = rng.normal(size=(3, 16))
+        steps, ok = _newton_steps(J, F)
+        assert ok.all()
+        for row in range(3):
+            assert steps[row].tobytes() == np.linalg.solve(J[row], -F[row]).tobytes()
+
+    @pytest.mark.parametrize("seed_count", [0, -1, 2.5])
+    def test_bad_seed_count_raises(self, seed_count):
+        with pytest.raises(ValueError, match="seed_count must be a positive int"):
+            case1_numeric(REF, seed_count=seed_count)
+        # checked before the identical-orbit shortcut too
+        with pytest.raises(ValueError, match="seed_count must be a positive int"):
+            case1_numeric(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)), seed_count=seed_count)
+
+    @pytest.mark.parametrize(
+        "inp",
+        [REF, params_from_angle(0.5, 30), params_from_angle(0.9, 90)],
+        ids=["ref", "e0.5-a30", "e0.9-a90"],
+    )
+    def test_more_seeds_keep_every_point_and_never_win(self, inp):
+        few = {round(c.f1, 9) for c in case1_numeric(inp, seed_count=64)}
+        many = case1_numeric(inp, seed_count=1024)
+        assert few <= {round(c.f1, 9) for c in many}
+        mirror_best = min(c.f1 for c in case2a_axis_solutions(inp) + case2a_general(inp))
+        assert all(c.f1 >= mirror_best for c in many)
 
 
 # --------------------------------------------------------------------------
