@@ -2,11 +2,12 @@
 
 Public surface:
 
-- types: ``MPoly``, ``RatPoly``, ``RootInterval``
-- arithmetic: ``mpoly_arith``, ``mpoly_partial`` (also available as
-  operators / methods on ``MPoly``)
+- types: ``MPoly``, ``RatPoly`` (arithmetic as operators, ``partial``,
+  ``subs`` and ``divexact`` as methods), ``RootInterval``
 - elimination: ``sylvester_resultant``, ``euclidean_last_linear``
-- roots: ``strip_known_factors``, ``isolate_real_roots``, ``refine_root``,
+- roots: ``strip_known_factors`` (exact division by known factors, the
+  one place repeated factors are removed), ``isolate_real_roots`` and
+  ``refine_root`` (on the square-free part; no multiplicities),
   ``sturm_chain``
 - errors: ``PolyKernelError``, ``DegenerateInput``, ``ChainCollapse``,
   ``NotAFactor``
@@ -33,8 +34,6 @@ __all__ = [
     "MPoly",
     "RatPoly",
     "RootInterval",
-    "mpoly_arith",
-    "mpoly_partial",
     "sylvester_resultant",
     "euclidean_last_linear",
     "strip_known_factors",
@@ -47,18 +46,3 @@ __all__ = [
     "NotAFactor",
 ]
 
-
-def mpoly_arith(a: MPoly, b: MPoly, op: str) -> MPoly:
-    """Combine two polynomials: ``op`` is '+', '-' or '*'."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise DegenerateInput(f"unknown operation {op!r}")
-
-
-def mpoly_partial(p: MPoly, var: str) -> MPoly:
-    """Partial derivative of ``p`` with respect to ``var``."""
-    return p.partial(var)

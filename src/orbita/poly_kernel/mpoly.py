@@ -198,21 +198,6 @@ class MPoly:
         sh = self._var_shift(var)
         return max((k >> sh) & MASK for k in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        n = self.nvars
-        best = 0
-        for k in self.terms:
-            t = 0
-            kk = k
-            for _ in range(n):
-                t += kk & MASK
-                kk >>= SHIFT
-            if t > best:
-                best = t
-        return best
-
     def active_vars(self) -> tuple[str, ...]:
         """Variables that actually occur with positive exponent."""
         if not self.terms:
@@ -627,35 +612,6 @@ class RatPoly:
             [c * i for i, c in enumerate(self.coeffs)][1:], self.var
         )
 
-    def div_rem(self, divisor: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        """Polynomial long division over the rationals."""
-        if divisor.is_zero():
-            raise DegenerateInput("division by zero polynomial")
-        num = list(self.coeffs)
-        dc = divisor.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        inv = 1 / Fraction(lead) if not isinstance(lead, int) or abs(lead) != 1 else None
-        qd = len(num) - 1 - dd
-        if qd < 0:
-            return RatPoly([], self.var), RatPoly(num, self.var)
-        quot = [0] * (qd + 1)
-        for i in range(qd, -1, -1):
-            top = num[i + dd]
-            if not top:
-                continue
-            q = top * inv if inv is not None else (top if lead == 1 else -top)
-            quot[i] = q
-            for j, c in enumerate(dc):
-                num[i + j] = num[i + j] - q * c
-        return RatPoly(quot, self.var), RatPoly(num[:dd], self.var)
-
-    def divexact(self, divisor: "RatPoly") -> "RatPoly":
-        quot, rem = self.div_rem(divisor)
-        if not rem.is_zero():
-            raise NotAFactor("division leaves a nonzero remainder")
-        return quot
-
     # -------------------------------------------------------- evaluation
 
     def eval_q(self, x):
@@ -682,15 +638,6 @@ class RatPoly:
                 num, den = int(c.numerator), int(c.denominator)
                 out.append(num * (m // den))
         return out, m
-
-    def to_mpoly(self, variables: Sequence[str] | None = None) -> MPoly:
-        variables = tuple(variables) if variables is not None else (self.var,)
-        p = MPoly(variables)
-        sh = SHIFT * (len(variables) - 1 - variables.index(self.var))
-        for e, c in enumerate(self.coeffs):
-            if c:
-                p.terms[e << sh] = c
-        return p
 
     def __repr__(self):
         return f"RatPoly({self.var}, deg={self.degree()})"

@@ -96,7 +96,7 @@ def _res_linear(lin: MPoly, g: MPoly, var: str, flip: bool) -> MPoly:
     neg_c = -c
     acc = gc[-1]
     for j in range(len(gc) - 2, -1, -1):
-        acc = acc * neg_c + gc[j] * _pow(a, len(gc) - 1 - j)
+        acc = acc * neg_c + gc[j] * a ** (len(gc) - 1 - j)
     if flip:
         acc = -acc
     return acc
@@ -105,10 +105,6 @@ def _res_linear(lin: MPoly, g: MPoly, var: str, flip: bool) -> MPoly:
 def _two_coeffs(lin: MPoly, var: str) -> tuple[MPoly, MPoly]:
     cs = lin.coeffs_in(var)
     return cs[1], cs[0]
-
-
-def _pow(base: MPoly, n: int) -> MPoly:
-    return base**n
 
 
 # ---------------------------------------------------------- quadratic ---
@@ -190,8 +186,8 @@ def _res_quad_general(a: MPoly, b: MPoly, c: MPoly, gc: list[MPoly], gdeg: int) 
     core = c * r1 * r1 - b * r1 * r0 + a * r0 * r0
     exp = gdeg - 2 * k - 1
     if exp >= 0:
-        return core * _pow(a, exp)
-    return core.divexact(_pow(a, -exp))
+        return core * a**exp
+    return core.divexact(a ** -exp)
 
 
 # ----------------------------------------------- univariate coefficients ---

@@ -3,11 +3,11 @@
 Sturm's method throughout: a sign-safe pseudo-remainder chain with
 primitive-part reduction, exact integer sign evaluation at rational
 points, and bisection until each root sits alone in a half-open rational
-interval ``(lo, hi]``.  The square-free part is isolated (so multiple
-roots are found once) and each root's multiplicity is read off Yun's
-square-free factors.  The square-free part, its Sturm chain and the Yun
-factors are computed once per polynomial and shared by every isolation
-window and by refinement.
+interval ``(lo, hi]``.  The square-free part is isolated, so a multiple
+root is found once; its multiplicity is not reported (callers strip known
+repeated factors exactly first, with :func:`strip_known_factors`).  The
+square-free part and its Sturm chain are computed once per polynomial and
+shared by every isolation window and by refinement.
 
 Refinement is exact dyadic bisection on the isolating interval down to
 the requested width, followed by a float Newton polish safeguarded by the
@@ -21,16 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dense import (
-    content,
-    divexact,
-    gcd_poly,
-    prem,
-    sign_at,
-    squarefree_part,
-    u_sub,
-    u_trim,
-)
+from .dense import divexact, prem, primitive, sign_at, squarefree_part, u_trim
 from .errors import DegenerateInput
 from .mpoly import RatPoly
 
@@ -46,14 +37,10 @@ __all__ = [
 @dataclass(frozen=True)
 class RootInterval:
     """Half-open rational interval ``(lo, hi]`` isolating one distinct
-    real root; ``sign_change_count`` is the Sturm variation drop across
-    it (1 for an isolating interval), ``multiplicity`` the root's
-    multiplicity in the original polynomial."""
+    real root."""
 
     lo: object
     hi: object
-    sign_change_count: int
-    multiplicity: int = 1
 
     def midpoint(self):
         return (Fraction(self.lo) + Fraction(self.hi)) / 2
@@ -80,7 +67,7 @@ def sturm_chain(coeffs: list[int]) -> list[list[int]]:
     chain = [f]
     if len(f) == 1:
         return chain
-    g, _ = _primitive_signed(_derivative(f))
+    g, _ = primitive(_derivative(f))
     chain.append(g)
     while True:
         r, lead, k = prem(chain[-2], chain[-1])
@@ -88,16 +75,8 @@ def sturm_chain(coeffs: list[int]) -> list[list[int]]:
             return chain
         if lead > 0 or k % 2 == 0:
             r = [-c for c in r]
-        r, _ = _primitive_signed(r)
+        r, _ = primitive(r)
         chain.append(r)
-
-
-def _primitive_signed(a: list[int]) -> tuple[list[int], int]:
-    """Divide by the positive content (sign preserved)."""
-    g = content(a)
-    if g <= 1:
-        return a, max(g, 1)
-    return [c // g for c in a], g
 
 
 def _variations(chain: list[list[int]], num: int, den: int) -> int:
@@ -132,8 +111,8 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
     if len(coeffs) == 1:
         return []
 
-    dec = _decompose(tuple(coeffs))
-    sqf = dec.sqf
+    full_sqf, full_chain = _decompose(tuple(coeffs))
+    sqf = full_sqf
 
     if lo is None or hi is None:
         bound = _cauchy_bound(coeffs)
@@ -155,7 +134,7 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
     if hi_is_root:
         sqf = _deflate_rational_root(sqf, hi)
 
-    chain = dec.chain if sqf is dec.sqf else sturm_chain(sqf)
+    chain = full_chain if sqf is full_sqf else sturm_chain(sqf)
     interior_hi = hi
     if hi_is_root:
         # reserve a slice (interior_hi, hi] holding no other root, so the
@@ -173,7 +152,7 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
         if n <= 0:
             continue
         if n == 1:
-            out.append(RootInterval(a, b, 1, _multiplicity(dec, a, b)))
+            out.append(RootInterval(a, b))
             continue
         mid = _split_point(sqf, a, b)
         vm = _var_q(chain, mid)
@@ -181,9 +160,7 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
         stack.append((mid, b, vm, vb))
 
     if hi_is_root:
-        out.append(
-            RootInterval(interior_hi, hi, 1, _mult_at_rational(coeffs, hi))
-        )
+        out.append(RootInterval(interior_hi, hi))
 
     out.sort(key=lambda iv: Fraction(iv.lo))
     return out
@@ -221,73 +198,20 @@ def _deflate_rational_root(coeffs: list[int], r) -> list[int]:
     return divexact(coeffs, [-num, den])
 
 
-# ------------------------------------------- square-free decomposition ---
-
-
-@dataclass(frozen=True)
-class _Decomposition:
-    """What isolation and refinement need of one integer polynomial ``p``.
-
-    ``sqf`` is the square-free part as :func:`squarefree_part` returns it,
-    ``chain`` its Sturm chain, and ``factors`` the non-constant Yun factors
-    ``a_i`` of ``p = c * prod(a_i**i)`` as ``(i, Sturm chain of a_i)``
-    pairs, ascending in ``i``.  Shared through the cache: never mutated.
-    """
-
-    sqf: list[int]
-    chain: list[list[int]]
-    factors: list[tuple[int, list[list[int]]]]
+# ------------------------------------------------ square-free part ---
 
 
 @lru_cache(maxsize=32)
-def _decompose(coeffs: tuple[int, ...]) -> _Decomposition:
-    """Square-free part, its Sturm chain and Yun's square-free factors of
-    the integer polynomial ``coeffs``, computed once per polynomial."""
-    p = list(coeffs)
-    sqf, g = squarefree_part(p)
-    chain = sturm_chain(sqf)
-    if len(g) == 1:  # square-free: every root is simple
-        return _Decomposition(sqf, chain, [(1, chain)])
-    # Yun (1976): from b = p/g, c = p'/g, each step takes
-    # a_i = gcd(b, c - b') and continues with b/a_i, (c - b')/a_i.  g and
-    # every a_i are primitive, so each division is exact over the integers.
-    b = divexact(p, g)
-    c = divexact(_derivative(p), g)
-    yun = []
-    i = 1
-    while len(b) > 1:
-        d = u_sub(c, _derivative(b))
-        a = gcd_poly(b, d)
-        if len(a) > 1:
-            yun.append((i, a))
-        b = divexact(b, a)
-        c = divexact(d, a)
-        i += 1
-    return _Decomposition(sqf, chain, [(i, sturm_chain(a)) for i, a in yun])
+def _decompose(coeffs: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
+    """Square-free part of the integer polynomial ``coeffs`` (as
+    :func:`squarefree_part` returns it) and its Sturm chain, computed once
+    per polynomial.  Shared through the cache: never mutated."""
+    sqf, _ = squarefree_part(list(coeffs))
+    return sqf, sturm_chain(sqf)
 
 
 def _derivative(a: list[int]) -> list[int]:
     return u_trim([c * i for i, c in enumerate(a)][1:])
-
-
-def _multiplicity(dec: _Decomposition, a, b) -> int:
-    """Multiplicity of the single root isolated in (a, b]: the index of the
-    one Yun factor whose Sturm variation drops across (a, b].  When no
-    other factor has the root, it is the last factor's."""
-    for i, chain in dec.factors[:-1]:
-        if _var_q(chain, a) > _var_q(chain, b):
-            return i
-    return dec.factors[-1][0]
-
-
-def _mult_at_rational(coeffs: list[int], r) -> int:
-    """Multiplicity of an exact rational root by repeated deflation."""
-    mult = 0
-    cur = coeffs
-    while _sign_q(cur, r) == 0:
-        cur = _deflate_rational_root(cur, r)
-        mult += 1
-    return mult
 
 
 # ----------------------------------------------------- known-factor strip ---
@@ -296,18 +220,28 @@ def _mult_at_rational(coeffs: list[int], r) -> int:
 def strip_known_factors(
     p: RatPoly, factors: list[tuple[RatPoly, int]]
 ) -> RatPoly:
-    """Divide out each ``(factor, multiplicity)`` exactly.
+    """Divide out each ``(factor, multiplicity)`` exactly and return the
+    rational quotient.
 
-    Raises ``NotAFactor`` when any claimed factor does not divide the
-    running quotient the demanded number of times.
+    The division runs on integers: ``p`` is scaled to an integer
+    polynomial and each factor to its primitive integer part, and by
+    Gauss's lemma a primitive factor divides an integer polynomial over
+    the rationals exactly when it divides it over the integers.  The
+    scale factors are put back at the end.  Raises ``NotAFactor`` when any
+    claimed factor does not divide the running quotient the demanded
+    number of times.
     """
-    out = p
+    coeffs, m = p.to_int_coeffs()
+    scale = Fraction(1, m)
     for factor, mult in factors:
         if factor.is_zero() or factor.degree() < 1:
             raise DegenerateInput("factors must have positive degree")
+        ints, den = factor.to_int_coeffs()
+        prim, cont = primitive(ints)
         for _ in range(mult):
-            out = out.divexact(factor)
-    return out
+            coeffs = divexact(coeffs, prim)
+        scale *= Fraction(den, cont) ** mult
+    return RatPoly([c * scale for c in coeffs], p.var)
 
 
 # ----------------------------------------------------------- refinement ---
@@ -325,7 +259,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
     if p.is_zero():
         raise DegenerateInput("cannot refine a root of the zero polynomial")
     coeffs, _ = p.to_int_coeffs()
-    sqf = _decompose(tuple(u_trim(coeffs))).sqf
+    sqf, _ = _decompose(tuple(u_trim(coeffs)))
     a, b = Fraction(interval.lo), Fraction(interval.hi)
     sb = _sign_q(sqf, b)
     if sb == 0:

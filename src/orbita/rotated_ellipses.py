@@ -28,8 +28,11 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
 - ``case2b_closed`` / ``case2b_general``   burns antipodal (``x1 = -x0``,
   ``y1 = -y0``).  Two closed-form families exist (prograde ``l = 1`` with a
   free ``s1x`` interval, retrograde ``l = -1``, always dominated).  The
-  rest of the family reduces to a degree-166 eliminant in ``l``; its real
-  roots in the feasibility window are isolated exactly and back-substituted.
+  rest of the family reduces to a degree-166 eliminant in ``l`` which
+  always factors as ``l^22 (l-1)^20 (l+1)^20 B^7`` times a degree-76 core,
+  with ``B = (1-l^2)^2 - s0x^2`` the boundary factor whose roots are burns
+  on the y axis; the known factors are divided out exactly, and the core's
+  real roots in the feasibility window are isolated and back-substituted.
   When ``s0y = 0`` (``alpha = 180``) the two reduced stationarity
   polynomials become odd in ``s1y`` and the eliminant degenerates; the
   module switches to a dedicated split (``s1y = 0`` branch and
@@ -65,7 +68,6 @@ from .poly_kernel import (
     strip_known_factors,
     sylvester_resultant,
 )
-from .poly_kernel.dense import divexact
 from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
 
 __all__ = [
@@ -697,9 +699,10 @@ class _AntipodalPipeline:
     radius_pair: MPoly  # s0x^2 (x0^2 - 1) + (1 - l^2)^2; vars (l, x0, s1y)
     d_first: MPoly  # squared-gap balance, degree 2 in s1y
     d_second: MPoly  # tangential balance, degree 5 in s1y
-    core: RatPoly  # eliminant in l after stripping l^a (l-1)^b (l+1)^c
+    core: RatPoly  # degree-76 eliminant in l: l^22 (l-1)^20 (l+1)^20 B^7 stripped
     lin_s: tuple[MPoly, MPoly] | None  # (u1, u0): last linear element in s1y
     degree_full: int  # 166
+    degree_core: int  # 76
 
 
 def _antipodal_equations(s0x, s0y):
@@ -742,29 +745,6 @@ def _antipodal_equations(s0x, s0y):
     return radius_pair, first, second, t0
 
 
-def _strip_l_units(poly: RatPoly) -> tuple[RatPoly, tuple[int, int, int]]:
-    """Divide out all factors l, (l-1), (l+1); return the core and counts.
-
-    Works on the integer multiple ``m * poly``: the powers of l are its
-    lowest zero coefficients, and exact integer division by the monic
-    l - 1 and l + 1 succeeds exactly when the rational one does.
-    """
-    coeffs, m = poly.to_int_coeffs()
-    n_l = next(i for i, c in enumerate(coeffs) if c)
-    coeffs = coeffs[n_l:]
-    counts = [n_l]
-    for fac in ([-1, 1], [1, 1]):
-        n = 0
-        while True:
-            try:
-                coeffs = divexact(coeffs, fac)
-            except NotAFactor:
-                break
-            n += 1
-        counts.append(n)
-    return RatPoly([Fraction(c, m) for c in coeffs], poly.var), tuple(counts)
-
-
 @lru_cache(maxsize=32)
 def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     if s0y == 0:
@@ -777,12 +757,18 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
         raise PipelineDegreeMismatch(
             f"antipodal eliminant has degree {elim.degree()}, expected 166"
         )
-    core, counts = _strip_l_units(elim)
-    logger.debug(
-        "antipodal eliminant: stripped l^%d (l-1)^%d (l+1)^%d -> degree %d",
-        *counts,
-        core.degree(),
+    # Res_x0(radius_pair, inner) = unit * B^7 * H(l, r(l))^2 with
+    # s0x^2 r(l) = -B, the boundary factor B = (1 - l^2)^2 - s0x^2 whose
+    # roots are the window edges |1 - l^2| = |s0x| (burns on the y axis)
+    l = RatPoly([0, 1], "l")
+    boundary = RatPoly([1 - s0x * s0x, 0, -2, 0, 1], "l")
+    core = strip_known_factors(
+        elim, [(l, 22), (l - 1, 20), (l + 1, 20), (boundary, 7)]
     )
+    if core.degree() != 76:
+        raise PipelineDegreeMismatch(
+            f"antipodal core has degree {core.degree()}, expected 76"
+        )
 
     try:
         u1, u0 = euclidean_last_linear(first, second, "s1y")
@@ -798,6 +784,7 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
         core=core,
         lin_s=lin_s,
         degree_full=166,
+        degree_core=76,
     )
 
 
@@ -822,9 +809,11 @@ def _quadratic_real_roots(coeffs: Sequence[object]) -> list[float]:
 def _antipodal_window(s0x) -> tuple[Fraction, Fraction]:
     """Rational bounds enclosing |l| values with a real burn latitude.
 
-    A real ``y0 = (1-l^2)/s0x`` in [-1, 1] needs ``|1-l^2| <= |s0x|``; the
-    bounds are widened slightly so boundary roots stay inside and are then
-    rejected by the ``|y0| < 1`` guard.
+    A real ``y0 = (1-l^2)/s0x`` in [-1, 1] needs ``|1-l^2| <= |s0x|``.  The
+    edges ``|1-l^2| = |s0x|`` are the roots of the boundary factor B, which
+    the pipeline strips exactly, so no root of the core sits on them; the
+    bounds are widened slightly so rounding the irrational edges to
+    rationals never drops a core root near them.
     """
     a = float(abs(s0x))
     lo = max(math.sqrt(max(1.0 - a, 0.0)) - 1e-6, 1e-9)
@@ -838,7 +827,7 @@ def _antipodal_backsub(
     s0xf, s0yf = inp.s0x_float, inp.s0y_float
     y0v = (1.0 - lv * lv) / s0xf
     if 1.0 - y0v * y0v <= 1e-14:
-        return []  # boundary root: burns on the y axis have x0 = 0 here
+        return []  # backstop: y-axis burns (x0 = 0) are B roots, stripped
     if abs(lv) < 1e-9 or abs(abs(lv) - 1.0) < 1e-12:
         return []
     mag = math.sqrt(1.0 - y0v * y0v)
@@ -957,10 +946,12 @@ def case2b_solutions(
     ``s1 = (-s0x*s0y, -s0y)``, always elliptic, costing
     ``2*sqrt(4 + s0x^2) > 4`` — always dominated, flagged in its note.
 
-    The general family (tag ``case2b_general``) comes from the degree-166
-    eliminant in ``l``; roots are isolated only inside the window
-    ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real burn
-    latitude.  For ``s0y = 0`` the eliminant degenerates (both reduced
+    The general family (tag ``case2b_general``) comes from the degree-76
+    core of the degree-166 eliminant in ``l``, left after the exact strip of
+    ``l^22 (l-1)^20 (l+1)^20 B^7`` (``B = (1-l^2)^2 - s0x^2``, whose roots
+    are y-axis burns at the window edges); roots are isolated only inside
+    the window ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real
+    burn latitude.  For ``s0y = 0`` the eliminant degenerates (both reduced
     polynomials are odd in ``s1y``); the split solver then verifies in
     exact arithmetic that the general family is empty away from the axis,
     and raises ``PipelineDegreeMismatch`` if it cannot.
@@ -1272,7 +1263,8 @@ def elimination_degrees(inp: RotatedInput) -> dict[str, int]:
 
     Keys: ``mirror_full`` (48), ``mirror_core`` (20), and — when
     ``s0y != 0`` so the generic antipodal elimination applies —
-    ``antipodal_full`` (166).
+    ``antipodal_full`` (166) and ``antipodal_core`` (76, after the exact
+    strip of ``l^22 (l-1)^20 (l+1)^20 B^7``).
     """
     if inp.s0x == 0:
         raise DegenerateGeometry("identical orbits have no elimination pipeline")
@@ -1284,6 +1276,7 @@ def elimination_degrees(inp: RotatedInput) -> dict[str, int]:
     if inp.s0y != 0:
         pipe_b = _antipodal_pipeline(inp.s0x, inp.s0y)
         out["antipodal_full"] = pipe_b.degree_full
+        out["antipodal_core"] = pipe_b.degree_core
     return out
 
 

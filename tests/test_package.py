@@ -1,7 +1,10 @@
-"""Package surface: every module imports and every ``__all__`` resolves."""
+"""Package surface: every module imports, every ``__all__`` resolves, and
+no module imports a name it never reads."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import orbita
 
@@ -22,3 +25,32 @@ def test_star_import_binds_every_public_name():
         exec(f"from {name} import *", namespace)
         for public in getattr(importlib.import_module(name), "__all__", []):
             assert public in namespace, (name, public)
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    # package __init__ modules import to re-export, so they are exempt
+    checked = 0
+    for name in MODULES:
+        path = Path(importlib.import_module(name).__file__)
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused = sorted(set(_imported_names(tree)) - read)
+        assert not unused, (name, unused)
+        checked += 1
+    assert checked >= 10

@@ -16,7 +16,7 @@ import pytest
 from orbita import rotated_ellipses
 from orbita.kepler import Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
-from orbita.poly_kernel import RatPoly, sylvester_resultant
+from orbita.poly_kernel import MPoly, NotAFactor, RatPoly, strip_known_factors, sylvester_resultant
 from orbita.poly_kernel.dense import primitive
 from orbita.rotated_ellipses import (
     SWEEP_COLUMNS,
@@ -370,6 +370,23 @@ class TestAntipodalSolutions:
         with pytest.raises(PipelineDegreeMismatch):
             case2b_solutions(REF180)
 
+    @pytest.mark.parametrize("e, alpha", [(0.1, 120), (0.9, 90)])
+    def test_no_y_axis_burns_in_general_family(self, e, alpha):
+        # roots of the boundary factor B (|1 - l^2| = |s0x|, burns on the y
+        # axis) are stripped exactly; none may come back, through rounding,
+        # as a general candidate with x0 ~ 1e-6
+        general = [
+            c for c in case2b_solutions(params_from_angle(e, alpha))
+            if c.case_tag == "case2b_general"
+        ]
+        assert general
+        assert all(abs(c.burn0.x) >= 1e-4 for c in general)
+
+    def test_sweep_best_antipodal_is_prograde_family(self):
+        inp = params_from_angle(0.1, 120)
+        record = sweep_rotated([0.1], [120])[0]
+        assert record.case2b_best_f1 == pytest.approx(2 * abs(float(inp.s0x)), abs=1e-12)
+
     def test_include_general_flag(self):
         cands = case2b_solutions(REF, include_general=False)
         assert [c.case_tag for c in cands] == ["case2b_closed", "case2b_closed"]
@@ -615,6 +632,7 @@ class TestInvariants:
             "mirror_full": 48,
             "mirror_core": 20,
             "antipodal_full": 166,
+            "antipodal_core": 76,
         }
         # the flat geometry has no generic antipodal eliminant
         assert elimination_degrees(REF180) == {
@@ -697,30 +715,64 @@ class TestLargeCoefficientGolden:
         for c, (_, f1) in zip(ranked, BIG_POOL):
             assert c.f1 == pytest.approx(f1, abs=1e-12)
 
-    def test_l_unit_strip(self, big_eliminant):
-        core, counts = rotated_ellipses._strip_l_units(big_eliminant)
-        assert counts == (22, 20, 20)
-        assert core.degree() == 104
-        l = RatPoly([0, 1], "l")
-        units = RatPoly([1], "l")
-        for factor, n in ((l, 22), (l - 1, 20), (l + 1, 20)):
-            for _ in range(n):
-                units = units * factor
-        assert core * units == big_eliminant
+    def test_known_factor_strip(self, big_eliminant):
+        factors = _known_factors(BIG.s0x)
+        core = strip_known_factors(big_eliminant, factors)
+        assert core.degree() == 76
         assert core == rotated_ellipses._antipodal_pipeline(BIG.s0x, BIG.s0y).core
-        # the primitive integer core keeps no factor l, l - 1 or l + 1
-        ints, _ = primitive(core.to_int_coeffs()[0])
-        assert len(ints) == 105
-        assert ints[0] != 0 and sum(ints) != 0
-        assert sum(c if i % 2 == 0 else -c for i, c in enumerate(ints)) != 0
+        known = RatPoly([1], "l")
+        for factor, n in factors:
+            for _ in range(n):
+                known = known * factor
+        assert core * known == big_eliminant
+        _assert_core_signature(core, BIG.s0x)
 
-    def test_l_unit_strip_small(self):
-        l = RatPoly([0, 1], "l")
-        rest = RatPoly([Fraction(5, 2), 0, 1], "l") * Fraction(3, 7)
-        p = l * l * (l - 1) * (l - 1) * (l - 1) * (l + 1) * rest
-        core, counts = rotated_ellipses._strip_l_units(p)
-        assert counts == (2, 3, 1)
-        assert core == rest
+    @pytest.mark.parametrize(
+        "e, alpha", [(0.5, 179.9), (0.5, 0.5), (0.97, 60)], ids=["alpha-179.9", "alpha-0.5", "e-0.97"]
+    )
+    def test_core_signature_at_edge_geometries(self, e, alpha):
+        inp = params_from_angle(e, alpha)
+        core = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y).core
+        _assert_core_signature(core, inp.s0x)
+
+    def test_missing_boundary_factor_raises(self, monkeypatch):
+        # the x0 resultant rebuilt with B^6 in place of B^7 (degree kept at
+        # 166 by a factor with no real root) must not pass the strip
+        inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
+        resultant = rotated_ellipses.sylvester_resultant
+        perturbed_degrees = []
+
+        def perturbed(p, q, var):
+            res = resultant(p, q, var)
+            if var != "x0":
+                return res
+            lv = MPoly.variable("l", res.vars)
+            boundary = (1 - lv * lv) ** 2 - inp.s0x * inp.s0x
+            res = res.divexact(boundary) * (lv * lv + 4) ** 2
+            perturbed_degrees.append(res.degree("l"))
+            return res
+
+        monkeypatch.setattr(rotated_ellipses, "sylvester_resultant", perturbed)
+        with pytest.raises(NotAFactor):
+            rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+        assert perturbed_degrees == [166]
+
+
+def _known_factors(s0x):
+    l = RatPoly([0, 1], "l")
+    boundary = (1 - l * l) * (1 - l * l) - s0x * s0x
+    return [(l, 22), (l - 1, 20), (l + 1, 20), (boundary, 7)]
+
+
+def _assert_core_signature(core, s0x):
+    """The primitive core keeps no root at 0, 1 or -1 and no factor B."""
+    ints, _ = primitive(core.to_int_coeffs()[0])
+    assert len(ints) == 77
+    assert ints[0] != 0 and sum(ints) != 0
+    assert sum(c if i % 2 == 0 else -c for i, c in enumerate(ints)) != 0
+    boundary = _known_factors(s0x)[-1][0]
+    with pytest.raises(NotAFactor):
+        strip_known_factors(core, [(boundary, 1)])
 
 
 # --------------------------------------------------------------------------
