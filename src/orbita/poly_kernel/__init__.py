@@ -4,7 +4,9 @@ Public surface:
 
 - types: ``MPoly``, ``RatPoly`` (arithmetic as operators, ``partial``,
   ``subs`` and ``divexact`` as methods), ``RootInterval``
-- elimination: ``sylvester_resultant``, ``euclidean_last_linear``
+- elimination: ``sylvester_resultant``, ``sylvester_degree_bound``,
+  ``newton_interpolate`` (exact interpolation at integer nodes),
+  ``euclidean_last_linear``
 - roots: ``strip_known_factors`` (exact division by known factors, the
   one place repeated factors are removed), ``isolate_real_roots`` and
   ``refine_root`` (on the square-free part; no multiplicities),
@@ -21,7 +23,7 @@ in ``dense``.
 from .errors import ChainCollapse, DegenerateInput, NotAFactor, PolyKernelError
 from .euclid import euclidean_last_linear
 from .mpoly import MPoly, RatPoly
-from .resultant import sylvester_resultant
+from .resultant import newton_interpolate, sylvester_degree_bound, sylvester_resultant
 from .roots import (
     RootInterval,
     isolate_real_roots,
@@ -35,6 +37,8 @@ __all__ = [
     "RatPoly",
     "RootInterval",
     "sylvester_resultant",
+    "sylvester_degree_bound",
+    "newton_interpolate",
     "euclidean_last_linear",
     "strip_known_factors",
     "isolate_real_roots",

@@ -19,8 +19,9 @@ the shape of the inputs, and every path computes the same exact value:
   entries;
 - two or more remaining active variables: evaluate one variable at small
   integer nodes (skipping nodes that drop either leading coefficient),
-  recurse per node, and reconstruct by exact Lagrange interpolation, with
-  one spare node verifying the reconstruction.
+  recurse per node, and reconstruct by exact Newton interpolation
+  (:func:`newton_interpolate`), with one spare node verifying the
+  reconstruction.
 
 Rational coefficients are cleared up front and the exact scale restored at
 the end via ``Res(c*P, Q) = c**deg(Q) * Res(P, Q)``.
@@ -29,12 +30,13 @@ the end via ``Res(c*P, Q) = c**deg(Q) * Res(P, Q)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .dense import bareiss_det, u_trim
 from .errors import DegenerateInput
-from .mpoly import MPoly
+from .mpoly import MPoly, unpack
 
-__all__ = ["sylvester_resultant"]
+__all__ = ["newton_interpolate", "sylvester_degree_bound", "sylvester_resultant"]
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -258,13 +260,35 @@ def _shift_of(variables: tuple[str, ...], var: str) -> int:
 # ------------------------------------------------------- interpolation ---
 
 
-def _row_degree_bound(pc: list[MPoly], qc: list[MPoly], v: str) -> int:
-    """Degree bound of the Sylvester determinant in ``v``: each of the
-    ``deg q`` p-rows contributes at most ``max_j deg_v(p_j)``, likewise
-    for the q-rows."""
-    dmax_p = max((c.degree(v) for c in pc), default=0)
-    dmax_q = max((c.degree(v) for c in qc), default=0)
-    return (len(qc) - 1) * dmax_p + (len(pc) - 1) * dmax_q
+def sylvester_degree_bound(
+    p: MPoly, q: MPoly, var: str, weights: Mapping[str, int]
+) -> int:
+    """Bound on the weighted degree of ``Res_var(p, q)``.
+
+    A monomial with exponents ``e`` has weight ``sum(weights[v] * e[v])``
+    (variables missing from ``weights`` weigh 0).  Each of the ``deg q``
+    rows of p's coefficients contributes at most the largest weight of a
+    p-coefficient, likewise for the ``deg p`` rows of q's coefficients.
+    """
+    p, q = MPoly.align(p, q)
+    return _row_degree_bound(p.coeffs_in(var), q.coeffs_in(var), weights)
+
+
+def _row_degree_bound(
+    pc: list[MPoly], qc: list[MPoly], weights: Mapping[str, int]
+) -> int:
+    return (len(qc) - 1) * _max_weight(pc, weights) + (len(pc) - 1) * _max_weight(qc, weights)
+
+
+def _max_weight(coeffs: list[MPoly], weights: Mapping[str, int]) -> int:
+    if not coeffs:
+        return 0
+    n = len(coeffs[0].vars)
+    w = [weights.get(v, 0) for v in coeffs[0].vars]
+    return max(
+        (sum(wi * e for wi, e in zip(w, unpack(k, n))) for c in coeffs for k in c.terms),
+        default=0,
+    )
 
 
 def _res_interpolated(
@@ -272,7 +296,7 @@ def _res_interpolated(
 ) -> MPoly:
     """Evaluate/interpolate on the active variable with the largest degree
     bound (fewest leftover degrees per node)."""
-    bounds = {v: _row_degree_bound(pc, qc, v) for v in active}
+    bounds = {v: _row_degree_bound(pc, qc, {v: 1}) for v in active}
     t = max(active, key=lambda v: (bounds[v], active.index(v) * -1))
     bound = bounds[t]
     lead_p, lead_q = pc[-1], qc[-1]
@@ -306,7 +330,12 @@ def _res_interpolated(
         x += 1
 
     spare_node, spare_value = nodes.pop(), values.pop()
-    result = _lagrange(nodes, values, t, variables)
+    coeffs = newton_interpolate(nodes, values)
+    sh = _shift_of(variables, t)
+    result = MPoly(variables)
+    for e, cf in enumerate(coeffs):
+        for k, c in cf.terms.items():
+            result.terms[k + (e << sh)] = c
     if result.subs(t, spare_node) != spare_value:
         raise DegenerateInput(
             "interpolation self-check failed (degree bound violated)"
@@ -314,21 +343,45 @@ def _res_interpolated(
     return result
 
 
-def _lagrange(
-    nodes: list[int], values: list[MPoly], t: str, variables: tuple[str, ...]
-) -> MPoly:
-    """Exact Lagrange interpolation with polynomial values."""
-    tv = MPoly.variable(t, variables)
-    total = MPoly(variables)
-    for i, (xi, vi) in enumerate(zip(nodes, values)):
-        if vi.is_zero():
-            continue
-        num = MPoly.const(1, variables)
-        den = 1
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            num = num * (tv - MPoly.const(xj, variables))
-            den *= xi - xj
-        total = total + vi * num * Fraction(1, den)
-    return total
+def newton_interpolate(nodes: Sequence[int], values: Sequence) -> list:
+    """Coefficients, lowest degree first, of the polynomial of degree below
+    ``len(nodes)`` that takes ``values[i]`` at the distinct integer
+    ``nodes[i]``.
+
+    Values are exact scalars or ``MPoly`` (free of the interpolation
+    variable).  Newton's divided differences, then the Newton form expanded
+    by Horner's rule: O(n^2) value operations.  Integer values of an
+    integer polynomial keep every divided difference an integer (each is
+    an integer combination of complete symmetric functions of the nodes),
+    so the divisions stay exact; other values fall back to ``Fraction``.
+    """
+    if len(set(nodes)) != len(nodes):
+        raise DegenerateInput("interpolation nodes must be distinct")
+    n = len(nodes)
+    dd = list(values)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = _div_int(dd[i] - dd[i - 1], nodes[i] - nodes[i - k])
+    if not dd:
+        return []
+    coeffs = [dd[-1]]
+    for k in range(n - 2, -1, -1):
+        xk = nodes[k]
+        # coeffs <- coeffs * (t - xk) + dd[k]
+        coeffs = (
+            [dd[k] - coeffs[0] * xk]
+            + [coeffs[j - 1] - coeffs[j] * xk for j in range(1, len(coeffs))]
+            + [coeffs[-1]]
+        )
+    return coeffs
+
+
+def _div_int(v, d: int):
+    """``v / d`` for a nonzero int ``d``: an int when the division is exact."""
+    if isinstance(v, MPoly):
+        return MPoly(v.vars, {k: _div_int(c, d) for k, c in v.terms.items()})
+    if isinstance(v, int):
+        q, r = divmod(v, d)
+        if not r:
+            return q
+    return Fraction(v) / d

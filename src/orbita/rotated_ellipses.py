@@ -28,11 +28,16 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
 - ``case2b_closed`` / ``case2b_general``   burns antipodal (``x1 = -x0``,
   ``y1 = -y0``).  Two closed-form families exist (prograde ``l = 1`` with a
   free ``s1x`` interval, retrograde ``l = -1``, always dominated).  The
-  rest of the family reduces to a degree-166 eliminant in ``l`` which
-  always factors as ``l^22 (l-1)^20 (l+1)^20 B^7`` times a degree-76 core,
-  with ``B = (1-l^2)^2 - s0x^2`` the boundary factor whose roots are burns
-  on the y axis; the known factors are divided out exactly, and the core's
-  real roots in the feasibility window are isolated and back-substituted.
+  rest of the family reduces to one eliminant in ``l``: the s1y resultant
+  of the two reduced stationarity polynomials is ``x0^7 H(l, x0^2)``, and
+  on the burn circle ``x0^2 = r(l) = 1 - (1-l^2)^2/s0x^2`` it becomes
+  ``h(l) = H(l, r(l))`` of degree 69.  ``h`` is built by evaluation at
+  integer ``l``-nodes (one univariate resultant per node) and exact
+  interpolation, with the node count taken from a weighted degree bound
+  and one spare node checking the result (Collins, J. ACM 1971).  It
+  always factors as ``l^11 (l-1)^10 (l+1)^10`` times a degree-38 core; the
+  known factors are divided out exactly, and the core's real roots in the
+  feasibility window are isolated and back-substituted.
   When ``s0y = 0`` (``alpha = 180``) the two reduced stationarity
   polynomials become odd in ``s1y`` and the eliminant degenerates; the
   module switches to a dedicated split (``s1y = 0`` branch and
@@ -47,12 +52,13 @@ below 1e-9) and the elliptic-transfer requirement ``|s1| < |l|``.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,10 +70,13 @@ from .poly_kernel import (
     RatPoly,
     euclidean_last_linear,
     isolate_real_roots,
+    newton_interpolate,
     refine_root,
     strip_known_factors,
+    sylvester_degree_bound,
     sylvester_resultant,
 )
+from .poly_kernel.dense import primitive, u_eval
 from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
 
 __all__ = [
@@ -696,13 +705,13 @@ def case2a_general(inp: RotatedInput) -> list[RotatedCandidate]:
 class _AntipodalPipeline:
     """Exact elimination data for the antipodal family, per input."""
 
-    radius_pair: MPoly  # s0x^2 (x0^2 - 1) + (1 - l^2)^2; vars (l, x0, s1y)
-    d_first: MPoly  # squared-gap balance, degree 2 in s1y
+    d_first: MPoly  # squared-gap balance, degree 2 in s1y; vars (l, x0, s1y)
     d_second: MPoly  # tangential balance, degree 5 in s1y
-    core: RatPoly  # degree-76 eliminant in l: l^22 (l-1)^20 (l+1)^20 B^7 stripped
+    core: RatPoly  # degree-38 primitive integer core of h(l) = H(l, r(l))
     lin_s: tuple[MPoly, MPoly] | None  # (u1, u0): last linear element in s1y
-    degree_full: int  # 166
-    degree_core: int  # 76
+    degree_bound: int  # weighted Sylvester row bound on deg h (102 so far)
+    degree_full: int  # 69: deg h, interpolated from degree_bound + 1 nodes
+    degree_core: int  # 38: h with l^11 (l-1)^10 (l+1)^10 stripped
 
 
 def _antipodal_equations(s0x, s0y):
@@ -745,29 +754,99 @@ def _antipodal_equations(s0x, s0y):
     return radius_pair, first, second, t0
 
 
+# Res_s1y(first, second) = x0^7 H(l, x0^2): odd in x0, lowest power 7
+_X0_LOW = 7
+
+
+def _integer_nodes() -> Iterator[int]:
+    """0, 1, -1, 2, -2, ...: the interpolation nodes, smallest first."""
+    yield 0
+    for x in itertools.count(1):
+        yield x
+        yield -x
+
+
+def _antipodal_node_value(first: MPoly, second: MPoly, radius, top: int, c: int):
+    """A fixed multiple of ``h(c) = H(c, r(c))`` at the integer node ``c``,
+    or None when ``l = c`` drops the s1y-degree of either polynomial.
+
+    ``first`` and ``second`` have integer coefficients, so the node is
+    evaluated in integer arithmetic.  ``radius = (N, D)`` gives
+    ``r(c) = N(c)/D`` with ``N`` an integer polynomial in ``l``; the value
+    is ``D^top * sum_j a_j r(c)^j`` for ``a_j`` the x0^(7+2j) coefficient
+    of ``Res_s1y`` at the node, an integer, so the values lie on an integer
+    polynomial in ``c``.
+    """
+    f = first.subs("l", c)
+    g = second.subs("l", c)
+    if f.degree("s1y") < first.degree("s1y") or g.degree("s1y") < second.degree("s1y"):
+        return None
+    inner = sylvester_resultant(f, g, "s1y").to_ratpoly("x0").coeffs
+    if any(inner[:_X0_LOW]) or any(inner[_X0_LOW + 1 :: 2]):
+        raise PipelineDegreeMismatch(
+            f"Res_s1y at l = {c} is not odd in x0 with lowest power >= {_X0_LOW}"
+        )
+    odd = inner[_X0_LOW::2]
+    if len(odd) > top + 1:
+        raise PipelineDegreeMismatch(
+            f"Res_s1y at l = {c} exceeds its x0-degree bound {_X0_LOW + 2 * top}"
+        )
+    n, d = u_eval(radius[0], c), radius[1]
+    acc, d_pow = 0, 1
+    for j in range(top, -1, -1):
+        acc = acc * n + (odd[j] * d_pow if j < len(odd) else 0)
+        d_pow *= d
+    return acc
+
+
 @lru_cache(maxsize=32)
 def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     if s0y == 0:
         raise ValueError("use the symmetric split for s0y = 0")
-    radius_pair, first, second, _ = _antipodal_equations(s0x, s0y)
+    _, first, second, _ = _antipodal_equations(s0x, s0y)
 
-    inner = sylvester_resultant(first, second, "s1y")
-    elim = sylvester_resultant(radius_pair, inner, "x0").to_ratpoly("l")
-    if elim.degree() != 166:
+    # a real burn latitude y0 = (1 - l^2)/s0x puts the burn on the circle
+    # x0^2 = r(l) = 1 - (1 - l^2)^2/s0x^2; with weight 2 on x0, r(l) keeps
+    # the weight of x0^2, so the weighted row bound less 14 (for x0^7)
+    # bounds the degree of h(l) = H(l, r(l))
+    bound = sylvester_degree_bound(first, second, "s1y", {"l": 1, "x0": 2}) - 2 * _X0_LOW
+    if bound < 69:
         raise PipelineDegreeMismatch(
-            f"antipodal eliminant has degree {elim.degree()}, expected 166"
+            f"antipodal degree bound is {bound}, below the expected degree 69"
         )
-    # Res_x0(radius_pair, inner) = unit * B^7 * H(l, r(l))^2 with
-    # s0x^2 r(l) = -B, the boundary factor B = (1 - l^2)^2 - s0x^2 whose
-    # roots are the window edges |1 - l^2| = |s0x| (burns on the y axis)
-    l = RatPoly([0, 1], "l")
-    boundary = RatPoly([1 - s0x * s0x, 0, -2, 0, 1], "l")
-    core = strip_known_factors(
-        elim, [(l, 22), (l - 1, 20), (l + 1, 20), (boundary, 7)]
-    )
-    if core.degree() != 76:
+    top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - _X0_LOW) // 2
+    # r(l) = N(l)/D with s0x = num/den: N = num^2 - den^2 (1 - l^2)^2, D = num^2
+    num, den = s0x.numerator, s0x.denominator
+    radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
+    first_int, _ = first.clear_denominators()
+    second_int, _ = second.clear_denominators()
+
+    # evaluate at bound + 1 nodes and one spare node that checks the result
+    nodes: list[int] = []
+    values: list[int] = []
+    for c in _integer_nodes():
+        if len(nodes) == bound + 2:
+            break
+        v = _antipodal_node_value(first_int, second_int, radius, top, c)
+        if v is not None:
+            nodes.append(c)
+            values.append(v)
+    coeffs = newton_interpolate(nodes[:-1], values[:-1])
+    if u_eval(coeffs, nodes[-1]) != values[-1]:
         raise PipelineDegreeMismatch(
-            f"antipodal core has degree {core.degree()}, expected 76"
+            f"antipodal eliminant misses its spare node l = {nodes[-1]}"
+        )
+    h = RatPoly(coeffs, "l")
+    if h.degree() != 69:
+        raise PipelineDegreeMismatch(
+            f"antipodal eliminant has degree {h.degree()}, expected 69"
+        )
+    ints, _ = primitive(h.to_int_coeffs()[0])
+    l = RatPoly([0, 1], "l")
+    core = strip_known_factors(RatPoly(ints, "l"), [(l, 11), (l - 1, 10), (l + 1, 10)])
+    if core.degree() != 38:
+        raise PipelineDegreeMismatch(
+            f"antipodal core has degree {core.degree()}, expected 38"
         )
 
     try:
@@ -778,13 +857,13 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
         lin_s = None
 
     return _AntipodalPipeline(
-        radius_pair=radius_pair,
         d_first=first,
         d_second=second,
         core=core,
         lin_s=lin_s,
-        degree_full=166,
-        degree_core=76,
+        degree_bound=bound,
+        degree_full=69,
+        degree_core=38,
     )
 
 
@@ -810,15 +889,25 @@ def _antipodal_window(s0x) -> tuple[Fraction, Fraction]:
     """Rational bounds enclosing |l| values with a real burn latitude.
 
     A real ``y0 = (1-l^2)/s0x`` in [-1, 1] needs ``|1-l^2| <= |s0x|``.  The
-    edges ``|1-l^2| = |s0x|`` are the roots of the boundary factor B, which
-    the pipeline strips exactly, so no root of the core sits on them; the
-    bounds are widened slightly so rounding the irrational edges to
-    rationals never drops a core root near them.
+    edges ``|1-l^2| = |s0x|`` are the roots of ``B = (1-l^2)^2 - s0x^2``
+    (burns on the y axis), which is no factor of the core; the bounds are
+    widened slightly so rounding the irrational edges to rationals never
+    drops a core root near them.
     """
     a = float(abs(s0x))
     lo = max(math.sqrt(max(1.0 - a, 0.0)) - 1e-6, 1e-9)
     hi = math.sqrt(1.0 + a) + 1e-6
     return Fraction(lo), Fraction(hi)
+
+
+def _linear_seed(pipe: _AntipodalPipeline, lQ: Fraction, xQ: Fraction) -> float | None:
+    """``s1y = -u0/u1`` from the chain's linear element at ``(l, x0)``."""
+    if pipe.lin_s is None:
+        return None
+    u1v = pipe.lin_s[0].eval_exact({"l": lQ, "x0": xQ})
+    if u1v == 0:
+        return None
+    return float(-pipe.lin_s[1].eval_exact({"l": lQ, "x0": xQ}) / u1v)
 
 
 def _antipodal_backsub(
@@ -827,7 +916,7 @@ def _antipodal_backsub(
     s0xf, s0yf = inp.s0x_float, inp.s0y_float
     y0v = (1.0 - lv * lv) / s0xf
     if 1.0 - y0v * y0v <= 1e-14:
-        return []  # backstop: y-axis burns (x0 = 0) are B roots, stripped
+        return []  # backstop: y-axis burns (x0 = 0) are B roots, not core roots
     if abs(lv) < 1e-9 or abs(abs(lv) - 1.0) < 1e-12:
         return []
     mag = math.sqrt(1.0 - y0v * y0v)
@@ -835,12 +924,6 @@ def _antipodal_backsub(
     for sign in (1.0, -1.0):
         x0v = sign * mag
         lQ, xQ = Fraction(lv), Fraction(x0v)
-        seed: float | None = None
-        if pipe.lin_s is not None:
-            u1v = pipe.lin_s[0].eval_exact({"l": lQ, "x0": xQ})
-            u0v = pipe.lin_s[1].eval_exact({"l": lQ, "x0": xQ})
-            if u1v != 0:
-                seed = float(-u0v / u1v)
         fiber = pipe.d_first.subs("l", lQ).subs("x0", xQ).to_ratpoly("s1y")
         roots = _quadratic_real_roots(fiber.coeffs)
         if not roots:
@@ -851,7 +934,13 @@ def _antipodal_backsub(
                 pipe.d_second, {"l": lv, "x0": x0v, "s1y": s1yv}
             )
             scored.append((rel, s1yv))
-        scored.sort(key=lambda t: (t[0], abs(t[1] - seed) if seed is not None else 0.0))
+        scored.sort(key=lambda t: t[0])
+        if len(scored) == 2 and scored[0][0] == scored[1][0]:
+            # an exact tie: the linear element of the remainder chain picks
+            # the root nearest its s1y = -u0/u1 (stable order without one)
+            seed = _linear_seed(pipe, lQ, xQ)
+            if seed is not None:
+                scored.sort(key=lambda t: abs(t[1] - seed))
         # only the best-matching fiber root continues the solution branch;
         # the other quadratic root belongs to a sign branch of the squared
         # system and its residual is orders of magnitude larger
@@ -946,11 +1035,12 @@ def case2b_solutions(
     ``s1 = (-s0x*s0y, -s0y)``, always elliptic, costing
     ``2*sqrt(4 + s0x^2) > 4`` — always dominated, flagged in its note.
 
-    The general family (tag ``case2b_general``) comes from the degree-76
-    core of the degree-166 eliminant in ``l``, left after the exact strip of
-    ``l^22 (l-1)^20 (l+1)^20 B^7`` (``B = (1-l^2)^2 - s0x^2``, whose roots
-    are y-axis burns at the window edges); roots are isolated only inside
-    the window ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real
+    The general family (tag ``case2b_general``) comes from the degree-38
+    core of the degree-69 eliminant ``h(l) = H(l, r(l))``, left after the
+    exact strip of ``l^11 (l-1)^10 (l+1)^10``; ``h`` is interpolated from
+    its values at integer ``l``-nodes, each one univariate s1y resultant
+    reduced modulo ``x0^2 = r(l)``.  Roots are isolated only inside the
+    window ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real
     burn latitude.  For ``s0y = 0`` the eliminant degenerates (both reduced
     polynomials are odd in ``s1y``); the split solver then verifies in
     exact arithmetic that the general family is empty away from the axis,
@@ -1263,8 +1353,9 @@ def elimination_degrees(inp: RotatedInput) -> dict[str, int]:
 
     Keys: ``mirror_full`` (48), ``mirror_core`` (20), and — when
     ``s0y != 0`` so the generic antipodal elimination applies —
-    ``antipodal_full`` (166) and ``antipodal_core`` (76, after the exact
-    strip of ``l^22 (l-1)^20 (l+1)^20 B^7``).
+    ``antipodal_full`` (69, the degree of ``h(l) = H(l, r(l))``) and
+    ``antipodal_core`` (38, after the exact strip of
+    ``l^11 (l-1)^10 (l+1)^10``).
     """
     if inp.s0x == 0:
         raise DegenerateGeometry("identical orbits have no elimination pipeline")

@@ -15,6 +15,7 @@ from orbita.poly_kernel import (
     RootInterval,
     euclidean_last_linear,
     isolate_real_roots,
+    newton_interpolate,
     refine_root,
     strip_known_factors,
     sturm_chain,
@@ -228,6 +229,44 @@ class TestResultant:
         base = sylvester_resultant(p, q, "x")
         scaled = sylvester_resultant(p * Fraction(3, 7), q, "x")
         assert scaled == base * (Fraction(3, 7) ** 2)
+
+
+class TestNewtonInterpolate:
+    def test_scalar_values_match_sympy(self):
+        rng = random.Random(5)
+        t = sp.Symbol("t")
+        for n in (1, 2, 5, 12):
+            nodes = rng.sample(range(-30, 31), n)
+            values = [rng.randrange(-10**9, 10**9) for _ in nodes]
+            values[0] = Fraction(values[0], 7)
+            mine = newton_interpolate(nodes, values)
+            ref = sp.Poly(sp.interpolate(list(zip(nodes, values)), t), t)
+            expected = [Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs())]
+            while mine and not mine[-1]:
+                mine.pop()
+            assert mine == expected
+
+    def test_mpoly_values_match_sympy(self):
+        rng = random.Random(9)
+        sx, sy, t = sp.symbols("x y t")
+        nodes = [0, 1, -1, 2, -2, 3]
+        values = [_random_mpoly(rng, V2, rational=True) for _ in nodes]
+        mine = newton_interpolate(nodes, values)
+        got = sum(_to_sympy(c, (sx, sy)) * t**e for e, c in enumerate(mine))
+        ref = sp.interpolate([(x, _to_sympy(v, (sx, sy))) for x, v in zip(nodes, values)], t)
+        assert sp.expand(got - ref) == 0
+
+    def test_integer_polynomial_stays_in_the_integers(self):
+        coeffs = [3, -7, 0, 11, 2**70 + 1, -5]
+        nodes = [0, 1, -1, 2, -2, 3]
+        values = [sum(c * x**e for e, c in enumerate(coeffs)) for x in nodes]
+        mine = newton_interpolate(nodes, values)
+        assert mine == coeffs
+        assert all(type(c) is int for c in mine)
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(DegenerateInput):
+            newton_interpolate([0, 1, 1], [1, 2, 3])
 
 
 def _random_univar_in_x(rng, deg, rational=False):

@@ -17,7 +17,7 @@ from orbita import rotated_ellipses
 from orbita.kepler import Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
 from orbita.poly_kernel import MPoly, NotAFactor, RatPoly, strip_known_factors, sylvester_resultant
-from orbita.poly_kernel.dense import primitive
+from orbita.poly_kernel.dense import primitive, squarefree_part
 from orbita.rotated_ellipses import (
     SWEEP_COLUMNS,
     DegenerateGeometry,
@@ -387,6 +387,16 @@ class TestAntipodalSolutions:
         record = sweep_rotated([0.1], [120])[0]
         assert record.case2b_best_f1 == pytest.approx(2 * abs(float(inp.s0x)), abs=1e-12)
 
+    def test_linear_seed_recovers_s1y(self, ref_antipodal):
+        # the chain's linear element, read only to break an exact tie
+        # between the two fiber roots, points at the candidate's s1y
+        pipe = rotated_ellipses._antipodal_pipeline(REF.s0x, REF.s0y)
+        general = [c for c in ref_antipodal if c.case_tag == "case2b_general"]
+        assert general
+        for c in general:
+            seed = rotated_ellipses._linear_seed(pipe, Fraction(c.l1z), Fraction(c.burn0.x))
+            assert seed == pytest.approx(c.s1y, abs=1e-9)
+
     def test_include_general_flag(self):
         cands = case2b_solutions(REF, include_general=False)
         assert [c.case_tag for c in cands] == ["case2b_closed", "case2b_closed"]
@@ -631,8 +641,8 @@ class TestInvariants:
         assert elimination_degrees(REF) == {
             "mirror_full": 48,
             "mirror_core": 20,
-            "antipodal_full": 166,
-            "antipodal_core": 76,
+            "antipodal_full": 69,
+            "antipodal_core": 38,
         }
         # the flat geometry has no generic antipodal eliminant
         assert elimination_degrees(REF180) == {
@@ -702,6 +712,9 @@ BIG_POOL = [
 
 @pytest.fixture(scope="module")
 def big_eliminant():
+    # the symbolic route, kept as an oracle: Res_s1y, then Res_x0 with the
+    # burn-circle relation, a degree-166 eliminant equal to a unit times
+    # B^7 h(l)^2 with h the pipeline's degree-69 node-built eliminant
     radius_pair, first, second, _ = rotated_ellipses._antipodal_equations(BIG.s0x, BIG.s0y)
     inner = sylvester_resultant(first, second, "s1y")
     return sylvester_resultant(radius_pair, inner, "x0").to_ratpoly("l")
@@ -716,16 +729,23 @@ class TestLargeCoefficientGolden:
             assert c.f1 == pytest.approx(f1, abs=1e-12)
 
     def test_known_factor_strip(self, big_eliminant):
-        factors = _known_factors(BIG.s0x)
-        core = strip_known_factors(big_eliminant, factors)
-        assert core.degree() == 76
-        assert core == rotated_ellipses._antipodal_pipeline(BIG.s0x, BIG.s0y).core
+        # the symbolic eliminant still strips to the old degree-76 core,
+        # which is a rational multiple of the square of the pipeline's core
+        factors = _symbolic_known_factors(BIG.s0x)
+        core76 = strip_known_factors(big_eliminant, factors)
+        assert core76.degree() == 76
         known = RatPoly([1], "l")
         for factor, n in factors:
             for _ in range(n):
                 known = known * factor
-        assert core * known == big_eliminant
-        _assert_core_signature(core, BIG.s0x)
+        assert core76 * known == big_eliminant
+        core38 = rotated_ellipses._antipodal_pipeline(BIG.s0x, BIG.s0y).core
+        square = core38 * core38
+        assert core76 == square * (Fraction(core76.leading()) / square.leading())
+        sqf76, _ = squarefree_part(core76.to_int_coeffs()[0])
+        sqf38, _ = squarefree_part(core38.to_int_coeffs()[0])
+        assert sqf76 == sqf38
+        _assert_core_signature(core38, BIG.s0x)
 
     @pytest.mark.parametrize(
         "e, alpha", [(0.5, 179.9), (0.5, 0.5), (0.97, 60)], ids=["alpha-179.9", "alpha-0.5", "e-0.97"]
@@ -735,44 +755,84 @@ class TestLargeCoefficientGolden:
         core = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y).core
         _assert_core_signature(core, inp.s0x)
 
-    def test_missing_boundary_factor_raises(self, monkeypatch):
-        # the x0 resultant rebuilt with B^6 in place of B^7 (degree kept at
-        # 166 by a factor with no real root) must not pass the strip
+    @pytest.mark.parametrize(
+        "inp",
+        [
+            RotatedInput.from_floats(0.123457, 0.654321),
+            RotatedInput(s0x=Fraction(-3, 10), s0y=Fraction(2, 5)),
+        ],
+        ids=["from-floats-1e6", "negative-s0x"],
+    )
+    def test_node_signature_on_other_inputs(self, inp):
+        assert max(inp.s0x.denominator, inp.s0y.denominator) >= 10**5 or inp.s0x < 0
+        pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+        assert (pipe.degree_bound, pipe.degree_full, pipe.degree_core) == (102, 69, 38)
+        _assert_core_signature(pipe.core, inp.s0x)
+
+    def test_missing_unit_factor_raises(self, monkeypatch):
+        # node values of h (l^2 + 4) / (l (l - 1)): still degree 69 and
+        # consistent at the spare node, but one power of l and of l - 1
+        # short, so the unit strip must fail
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
-        resultant = rotated_ellipses.sylvester_resultant
-        perturbed_degrees = []
+        node_value = rotated_ellipses._antipodal_node_value
 
-        def perturbed(p, q, var):
-            res = resultant(p, q, var)
-            if var != "x0":
-                return res
-            lv = MPoly.variable("l", res.vars)
-            boundary = (1 - lv * lv) ** 2 - inp.s0x * inp.s0x
-            res = res.divexact(boundary) * (lv * lv + 4) ** 2
-            perturbed_degrees.append(res.degree("l"))
-            return res
+        def perturbed(*args):
+            c, v = args[-1], node_value(*args)
+            if v is None or c in (0, 1):
+                return v
+            return v * (c * c + 4) // (c * (c - 1))
 
-        monkeypatch.setattr(rotated_ellipses, "sylvester_resultant", perturbed)
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value", perturbed)
         with pytest.raises(NotAFactor):
-            rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
-        assert perturbed_degrees == [166]
+            rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
+
+    def test_perturbed_node_fails_the_spare_check(self, monkeypatch):
+        inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
+        node_value = rotated_ellipses._antipodal_node_value
+
+        def perturbed(*args):
+            v = node_value(*args)
+            return v + 1 if args[-1] == 5 and v is not None else v
+
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value", perturbed)
+        with pytest.raises(PipelineDegreeMismatch, match="spare node"):
+            rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
+
+    def test_extra_factor_fails_the_degree_check(self, monkeypatch):
+        # a factor l^2 + 4 in the first polynomial raises the bound and
+        # puts (l^2 + 4)^5 into h: degree 79, not 69
+        inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
+        equations = rotated_ellipses._antipodal_equations
+
+        def perturbed(s0x, s0y):
+            radius_pair, first, second, t0 = equations(s0x, s0y)
+            l = MPoly.variable("l", first.vars)
+            return radius_pair, first * (l * l + 4), second, t0
+
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", perturbed)
+        with pytest.raises(PipelineDegreeMismatch, match="degree 79"):
+            rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
 
 
-def _known_factors(s0x):
+def _symbolic_known_factors(s0x):
     l = RatPoly([0, 1], "l")
-    boundary = (1 - l * l) * (1 - l * l) - s0x * s0x
-    return [(l, 22), (l - 1, 20), (l + 1, 20), (boundary, 7)]
+    return [(l, 22), (l - 1, 20), (l + 1, 20), (_boundary(s0x), 7)]
+
+
+def _boundary(s0x):
+    l = RatPoly([0, 1], "l")
+    return (1 - l * l) * (1 - l * l) - s0x * s0x
 
 
 def _assert_core_signature(core, s0x):
-    """The primitive core keeps no root at 0, 1 or -1 and no factor B."""
+    """The primitive degree-38 core keeps no root at 0, 1 or -1 and no
+    factor B."""
     ints, _ = primitive(core.to_int_coeffs()[0])
-    assert len(ints) == 77
+    assert len(ints) == 39
     assert ints[0] != 0 and sum(ints) != 0
     assert sum(c if i % 2 == 0 else -c for i, c in enumerate(ints)) != 0
-    boundary = _known_factors(s0x)[-1][0]
     with pytest.raises(NotAFactor):
-        strip_known_factors(core, [(boundary, 1)])
+        strip_known_factors(core, [(_boundary(s0x), 1)])
 
 
 # --------------------------------------------------------------------------
