@@ -5,7 +5,7 @@ Public surface:
 - types: ``MPoly``, ``RatPoly`` (arithmetic as operators, ``partial``,
   ``subs`` and ``divexact`` as methods), ``RootInterval``
 - elimination: ``sylvester_resultant``, ``sylvester_degree_bound``,
-  ``newton_interpolate`` (exact interpolation at integer nodes),
+  ``newton_interpolate`` (exact interpolation at the ``integer_nodes``),
   ``euclidean_last_linear``
 - roots: ``strip_known_factors`` (exact division by known factors, the
   one place repeated factors are removed), ``isolate_real_roots`` and
@@ -23,7 +23,12 @@ in ``dense``.
 from .errors import ChainCollapse, DegenerateInput, NotAFactor, PolyKernelError
 from .euclid import euclidean_last_linear
 from .mpoly import MPoly, RatPoly
-from .resultant import newton_interpolate, sylvester_degree_bound, sylvester_resultant
+from .resultant import (
+    integer_nodes,
+    newton_interpolate,
+    sylvester_degree_bound,
+    sylvester_resultant,
+)
 from .roots import (
     RootInterval,
     isolate_real_roots,
@@ -38,6 +43,7 @@ __all__ = [
     "RootInterval",
     "sylvester_resultant",
     "sylvester_degree_bound",
+    "integer_nodes",
     "newton_interpolate",
     "euclidean_last_linear",
     "strip_known_factors",

@@ -29,14 +29,20 @@ the end via ``Res(c*P, Q) = c**deg(Q) * Res(P, Q)``.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .dense import bareiss_det, u_trim
 from .errors import DegenerateInput
 from .mpoly import MPoly, unpack
 
-__all__ = ["newton_interpolate", "sylvester_degree_bound", "sylvester_resultant"]
+__all__ = [
+    "integer_nodes",
+    "newton_interpolate",
+    "sylvester_degree_bound",
+    "sylvester_resultant",
+]
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -303,31 +309,27 @@ def _res_interpolated(
 
     nodes: list[int] = []
     values: list[MPoly] = []
-    x = 0
-    needed = bound + 1
-    while len(nodes) < needed + 1:  # one spare node for verification
-        for cand in (x, -x) if x else (0,):
-            if len(nodes) >= needed + 1:
-                break
-            if lead_p.subs(t, cand).is_zero() or lead_q.subs(t, cand).is_zero():
-                continue
-            pc_t = [c.subs(t, cand) for c in pc]
-            qc_t = [c.subs(t, cand) for c in qc]
-            rem_active = [v for v in active if v != t]
-            rem_active = [
-                v
-                for v in rem_active
-                if any(c.degree(v) > 0 for c in pc_t + qc_t)
-            ]
-            if len(rem_active) <= 1:
-                val = _res_bareiss_univariate(
-                    pc_t, qc_t, variables, rem_active[0] if rem_active else None
-                )
-            else:
-                val = _res_interpolated(pc_t, qc_t, variables, rem_active)
-            nodes.append(cand)
-            values.append(val)
-        x += 1
+    for cand in integer_nodes():
+        if len(nodes) == bound + 2:  # bound + 1 nodes and one spare node
+            break
+        if lead_p.subs(t, cand).is_zero() or lead_q.subs(t, cand).is_zero():
+            continue
+        pc_t = [c.subs(t, cand) for c in pc]
+        qc_t = [c.subs(t, cand) for c in qc]
+        rem_active = [v for v in active if v != t]
+        rem_active = [
+            v
+            for v in rem_active
+            if any(c.degree(v) > 0 for c in pc_t + qc_t)
+        ]
+        if len(rem_active) <= 1:
+            val = _res_bareiss_univariate(
+                pc_t, qc_t, variables, rem_active[0] if rem_active else None
+            )
+        else:
+            val = _res_interpolated(pc_t, qc_t, variables, rem_active)
+        nodes.append(cand)
+        values.append(val)
 
     spare_node, spare_value = nodes.pop(), values.pop()
     coeffs = newton_interpolate(nodes, values)
@@ -341,6 +343,15 @@ def _res_interpolated(
             "interpolation self-check failed (degree bound violated)"
         )
     return result
+
+
+def integer_nodes() -> Iterator[int]:
+    """Interpolation nodes 0, 1, -1, 2, -2, ...: smallest magnitude first,
+    which keeps the evaluated values small."""
+    yield 0
+    for x in itertools.count(1):
+        yield x
+        yield -x
 
 
 def newton_interpolate(nodes: Sequence[int], values: Sequence) -> list:

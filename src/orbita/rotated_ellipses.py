@@ -52,13 +52,12 @@ below 1e-9) and the elliptic-transfer requirement ``|s1| < |l|``.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,6 +68,7 @@ from .poly_kernel import (
     NotAFactor,
     RatPoly,
     euclidean_last_linear,
+    integer_nodes,
     isolate_real_roots,
     newton_interpolate,
     refine_root,
@@ -758,14 +758,6 @@ def _antipodal_equations(s0x, s0y):
 _X0_LOW = 7
 
 
-def _integer_nodes() -> Iterator[int]:
-    """0, 1, -1, 2, -2, ...: the interpolation nodes, smallest first."""
-    yield 0
-    for x in itertools.count(1):
-        yield x
-        yield -x
-
-
 def _antipodal_node_value(first: MPoly, second: MPoly, radius, top: int, c: int):
     """A fixed multiple of ``h(c) = H(c, r(c))`` at the integer node ``c``,
     or None when ``l = c`` drops the s1y-degree of either polynomial.
@@ -824,7 +816,7 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     # evaluate at bound + 1 nodes and one spare node that checks the result
     nodes: list[int] = []
     values: list[int] = []
-    for c in _integer_nodes():
+    for c in integer_nodes():
         if len(nodes) == bound + 2:
             break
         v = _antipodal_node_value(first_int, second_int, radius, top, c)

@@ -798,19 +798,29 @@ class TestLargeCoefficientGolden:
         with pytest.raises(PipelineDegreeMismatch, match="spare node"):
             rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
 
-    def test_extra_factor_fails_the_degree_check(self, monkeypatch):
-        # a factor l^2 + 4 in the first polynomial raises the bound and
-        # puts (l^2 + 4)^5 into h: degree 79, not 69
+    @pytest.mark.parametrize(
+        "which, factor, message",
+        [
+            # (l^2 + 4)^5 in h: degree 79, not 69
+            (1, lambda l, x0: l * l + 4, "degree 79"),
+            # (x0 + 2)^2 in Res_s1y breaks its parity in x0
+            (2, lambda l, x0: x0 + 2, "not odd in x0"),
+        ],
+        ids=["extra-l-factor", "parity-break"],
+    )
+    def test_perturbed_equations_fail_the_signature(self, monkeypatch, which, factor, message):
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
         equations = rotated_ellipses._antipodal_equations
 
         def perturbed(s0x, s0y):
             radius_pair, first, second, t0 = equations(s0x, s0y)
-            l = MPoly.variable("l", first.vars)
-            return radius_pair, first * (l * l + 4), second, t0
+            extra = factor(MPoly.variable("l", first.vars), MPoly.variable("x0", first.vars))
+            if which == 1:
+                return radius_pair, first * extra, second, t0
+            return radius_pair, first, second * extra, t0
 
         monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", perturbed)
-        with pytest.raises(PipelineDegreeMismatch, match="degree 79"):
+        with pytest.raises(PipelineDegreeMismatch, match=message):
             rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
 
 
