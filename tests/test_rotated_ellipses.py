@@ -764,7 +764,6 @@ class TestLargeCoefficientGolden:
         ids=["from-floats-1e6", "negative-s0x"],
     )
     def test_node_signature_on_other_inputs(self, inp):
-        assert max(inp.s0x.denominator, inp.s0y.denominator) >= 10**5 or inp.s0x < 0
         pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
         assert (pipe.degree_bound, pipe.degree_full, pipe.degree_core) == (102, 69, 38)
         _assert_core_signature(pipe.core, inp.s0x)
@@ -799,25 +798,23 @@ class TestLargeCoefficientGolden:
             rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
 
     @pytest.mark.parametrize(
-        "which, factor, message",
+        "perturb, message",
         [
             # (l^2 + 4)^5 in h: degree 79, not 69
-            (1, lambda l, x0: l * l + 4, "degree 79"),
+            (lambda first, second, l, x0: (first * (l * l + 4), second), "degree 79"),
             # (x0 + 2)^2 in Res_s1y breaks its parity in x0
-            (2, lambda l, x0: x0 + 2, "not odd in x0"),
+            (lambda first, second, l, x0: (first, second * (x0 + 2)), "not odd in x0"),
         ],
         ids=["extra-l-factor", "parity-break"],
     )
-    def test_perturbed_equations_fail_the_signature(self, monkeypatch, which, factor, message):
+    def test_perturbed_equations_fail_the_signature(self, monkeypatch, perturb, message):
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
         equations = rotated_ellipses._antipodal_equations
 
         def perturbed(s0x, s0y):
             radius_pair, first, second, t0 = equations(s0x, s0y)
-            extra = factor(MPoly.variable("l", first.vars), MPoly.variable("x0", first.vars))
-            if which == 1:
-                return radius_pair, first * extra, second, t0
-            return radius_pair, first, second * extra, t0
+            l, x0 = (MPoly.variable(v, first.vars) for v in ("l", "x0"))
+            return (radius_pair, *perturb(first, second, l, x0), t0)
 
         monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", perturbed)
         with pytest.raises(PipelineDegreeMismatch, match=message):
