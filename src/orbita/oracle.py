@@ -64,13 +64,11 @@ class OracleConfig:
 
     ``bounds`` may override the default per-variable intervals with keys
     ``"theta0"``, ``"theta1"`` (half-open, periodic) and ``"l1z"``
-    (closed).  ``seed`` is part of the configuration identity but the
-    oracle itself is fully deterministic.
+    (closed).  The oracle is fully deterministic.
     """
 
     grid_points_per_dim: int = 48
     refine_iterations: int = 3
-    seed: int = 0
     bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):

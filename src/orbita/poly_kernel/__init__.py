@@ -5,8 +5,8 @@ Public surface:
 - types: ``MPoly``, ``RatPoly`` (arithmetic as operators, ``partial``,
   ``subs`` and ``divexact`` as methods), ``RootInterval``
 - elimination: ``sylvester_resultant``, ``sylvester_degree_bound``,
-  ``newton_interpolate`` (exact interpolation at the ``integer_nodes``),
-  ``euclidean_last_linear``
+  ``interpolate_checked`` (exact interpolation at integer nodes, checked
+  at one spare node), ``euclidean_last_linear``
 - roots: ``strip_known_factors`` (exact division by known factors, the
   one place repeated factors are removed), ``isolate_real_roots`` and
   ``refine_root`` (on the square-free part; no multiplicities),
@@ -24,8 +24,7 @@ from .errors import ChainCollapse, DegenerateInput, NotAFactor, PolyKernelError
 from .euclid import euclidean_last_linear
 from .mpoly import MPoly, RatPoly
 from .resultant import (
-    integer_nodes,
-    newton_interpolate,
+    interpolate_checked,
     sylvester_degree_bound,
     sylvester_resultant,
 )
@@ -43,8 +42,7 @@ __all__ = [
     "RootInterval",
     "sylvester_resultant",
     "sylvester_degree_bound",
-    "integer_nodes",
-    "newton_interpolate",
+    "interpolate_checked",
     "euclidean_last_linear",
     "strip_known_factors",
     "isolate_real_roots",

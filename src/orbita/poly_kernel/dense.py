@@ -80,6 +80,11 @@ def u_eval(a, x):
     return acc
 
 
+def u_derivative(a):
+    """Derivative of a dense coefficient list."""
+    return u_trim([c * i for i, c in enumerate(a)][1:])
+
+
 def content(a: list[int]) -> int:
     """Positive GCD of the coefficients (0 for the zero polynomial)."""
     g = 0
@@ -193,8 +198,7 @@ def squarefree_part(a: list[int]) -> tuple[list[int], list[int]]:
         if p[-1] < 0:
             p = [-c for c in p]
         return p, [1]
-    da = [c * i for i, c in enumerate(a)][1:]
-    g = gcd_poly(a, u_trim(da))
+    g = gcd_poly(a, u_derivative(a))
     if len(g) == 1:
         p, _ = primitive(a)
         if p[-1] < 0:

@@ -13,6 +13,7 @@ import math
 
 from .errors import ChainCollapse, DegenerateInput
 from .mpoly import MPoly
+from .resultant import _prem_coeffs
 
 __all__ = ["euclidean_last_linear"]
 
@@ -42,7 +43,7 @@ def euclidean_last_linear(p: MPoly, q: MPoly, var: str) -> tuple[MPoly, MPoly]:
     if len(f) - 1 < len(g) - 1:
         f, g = g, f
     while True:
-        r = _prem_coeffs(f, g)
+        r, _ = _prem_coeffs(f, g)
         if not r:
             raise ChainCollapse(
                 f"remainder chain ended above degree 1 "
@@ -57,27 +58,6 @@ def euclidean_last_linear(p: MPoly, q: MPoly, var: str) -> tuple[MPoly, MPoly]:
                 "remainder chain skipped degree 1 (nonzero constant remainder)"
             )
         f, g = g, r
-
-
-def _prem_coeffs(fc: list[MPoly], gc: list[MPoly]) -> list[MPoly]:
-    """Pseudo-remainder of coefficient lists (lowest first) in the
-    eliminated variable; entries are polynomials in the other variables."""
-    db = len(gc) - 1
-    lead = gc[-1]
-    r = list(fc)
-    while len(r) - 1 >= db:
-        top = r[-1]
-        dr = len(r) - 1
-        new = [lead * c for c in r[:-1]]
-        off = dr - db
-        for j in range(db):
-            new[off + j] = new[off + j] - top * gc[j]
-        while new and new[-1].is_zero():
-            new.pop()
-        r = new
-        if not r:
-            break
-    return r
 
 
 def _int_primitive(p: MPoly) -> MPoly:

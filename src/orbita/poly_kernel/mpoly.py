@@ -607,11 +607,6 @@ class RatPoly:
     def __neg__(self):
         return RatPoly(u_neg(self.coeffs), self.var)
 
-    def derivative(self) -> "RatPoly":
-        return RatPoly(
-            [c * i for i, c in enumerate(self.coeffs)][1:], self.var
-        )
-
     # -------------------------------------------------------- evaluation
 
     def eval_q(self, x):

@@ -12,16 +12,14 @@ the shape of the inputs, and every path computes the same exact value:
   ``Res(Av+C, G) = sum_j G_j (-C)^j A^(g-j)``, with the sign flip
   ``(-1)^(deg p * deg q)`` when the linear argument is the second;
 - degree 2 in ``var`` (either argument): closed form through the
-  pseudo-remainder of the other polynomial by the quadratic, with a
-  dedicated even/odd split when the quadratic has no middle term;
+  pseudo-remainder of the other polynomial by the quadratic;
 - otherwise, coefficients constant: integer Bareiss elimination;
 - one remaining active variable: Bareiss over dense integer univariate
   entries;
 - two or more remaining active variables: evaluate one variable at small
   integer nodes (skipping nodes that drop either leading coefficient),
-  recurse per node, and reconstruct by exact Newton interpolation
-  (:func:`newton_interpolate`), with one spare node verifying the
-  reconstruction.
+  recurse per node, and reconstruct with :func:`interpolate_checked`
+  (exact Newton interpolation, one spare node verifying the result).
 
 Rational coefficients are cleared up front and the exact scale restored at
 the end via ``Res(c*P, Q) = c**deg(Q) * Res(P, Q)``.
@@ -31,14 +29,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .dense import bareiss_det, u_trim
+from .dense import bareiss_det, u_eval, u_trim
 from .errors import DegenerateInput
 from .mpoly import MPoly, unpack
 
 __all__ = [
-    "integer_nodes",
+    "interpolate_checked",
     "newton_interpolate",
     "sylvester_degree_bound",
     "sylvester_resultant",
@@ -119,83 +117,52 @@ def _two_coeffs(lin: MPoly, var: str) -> tuple[MPoly, MPoly]:
 
 
 def _res_quadratic(quad: MPoly, g: MPoly, var: str) -> MPoly:
-    """``Res(Av^2+Bv+C, G)``; no sign flip is ever needed because the
-    quadratic contributes an even factor to ``(-1)^(deg p * deg q)``."""
-    cs = quad.coeffs_in(var)
-    a, b, c = cs[2], cs[1], cs[0]
-    gc = g.coeffs_in(var)
-    gdeg = len(gc) - 1
-    if b.is_zero():
-        return _res_quad_binomial(a, c, gc, gdeg)
-    return _res_quad_general(a, b, c, gc, gdeg)
-
-
-def _res_quad_binomial(a: MPoly, c: MPoly, gc: list[MPoly], gdeg: int) -> MPoly:
-    """Middle term absent: split G by parity of the exponent.
-
-    With ``u = v^2`` and ``G = E(u) + v*O(u)``,
-    ``Res = A*Ehat^2 + C*Ohat^2`` (odd ``deg G``) or
-    ``Res = Ehat^2 + C*A*Ohat^2`` (even ``deg G``), where ``Ehat`` and
-    ``Ohat`` are the denominator-cleared values of ``E`` and ``O`` at
-    ``u = -C/A``.
-    """
-    e = gc[0::2]
-    o = gc[1::2]
-    h = (gdeg - 1) // 2 if gdeg % 2 else gdeg // 2
-    neg_c = -c
-    ehat = _horner_cleared(e, neg_c, a, h)
-    ohat = _horner_cleared(o, neg_c, a, h if gdeg % 2 else h - 1)
-    if gdeg % 2:
-        return a * ehat * ehat + c * ohat * ohat
-    return ehat * ehat + c * a * ohat * ohat
-
-
-def _horner_cleared(coeffs: list[MPoly], value: MPoly, denom: MPoly, top: int) -> MPoly:
-    """``denom^top * P(value/denom)`` for ``P`` given by ``coeffs``
-    (lowest first, length <= top+1), all polynomial arithmetic."""
-    if not coeffs:
-        return MPoly(value.vars)
-    acc = MPoly(value.vars)
-    dp = MPoly.const(1, value.vars)
-    dpow = [dp]
-    for _ in range(top):
-        dp = dp * denom
-        dpow.append(dp)
-    for j in range(len(coeffs) - 1, -1, -1):
-        acc = acc * value + coeffs[j] * dpow[top - j]
-    return acc
-
-
-def _res_quad_general(a: MPoly, b: MPoly, c: MPoly, gc: list[MPoly], gdeg: int) -> MPoly:
-    """Pseudo-divide G by the quadratic, then evaluate the product of G at
-    the two roots through the symmetric functions ``r1+r2 = -B/A``,
-    ``r1*r2 = C/A``:
+    """``Res(Av^2+Bv+C, G)``: pseudo-divide G by the quadratic, then
+    evaluate the product of G at the two roots through the symmetric
+    functions ``r1+r2 = -B/A``, ``r1*r2 = C/A``:
 
     ``A^k G = Q*(Av^2+Bv+C) + R1 v + R0``  implies
     ``Res = A^(g-2k-1) * (C R1^2 - B R1 R0 + A R0^2)``
-    (a division when the exponent is negative; always exact).
+    (a division when the exponent is negative; always exact).  No sign
+    flip is ever needed because the quadratic contributes an even factor
+    to ``(-1)^(deg p * deg q)``.
     """
-    r = list(gc)
+    qc = quad.coeffs_in(var)
+    c, b, a = qc
+    gc = g.coeffs_in(var)
+    r, k = _prem_coeffs(gc, qc)
+    r0 = r[0] if len(r) > 0 else MPoly(a.vars)
+    r1 = r[1] if len(r) > 1 else MPoly(a.vars)
+    core = c * r1 * r1 - b * r1 * r0 + a * r0 * r0
+    exp = len(gc) - 2 * k - 2
+    if exp >= 0:
+        return core * a**exp
+    return core.divexact(a ** -exp)
+
+
+def _prem_coeffs(fc: list[MPoly], gc: list[MPoly]) -> tuple[list[MPoly], int]:
+    """Pseudo-remainder of coefficient lists (lowest first) in one
+    variable; entries are polynomials in the other variables.
+
+    Returns ``(r, k)`` with ``lead(g)^k * f = q*g + r`` and
+    ``deg r < deg g``; ``k`` counts the reduction steps taken.
+    """
+    db = len(gc) - 1
+    lead = gc[-1]
+    r = list(fc)
     k = 0
-    while len(r) - 1 >= 2:
+    while len(r) - 1 >= db:
         top = r[-1]
         dr = len(r) - 1
-        new = [a * cf for cf in r[:-1]]
-        new[dr - 1] = new[dr - 1] - top * b
-        new[dr - 2] = new[dr - 2] - top * c
+        new = [lead * cf for cf in r[:-1]]
+        off = dr - db
+        for j in range(db):
+            new[off + j] = new[off + j] - top * gc[j]
         k += 1
         while new and new[-1].is_zero():
             new.pop()
         r = new
-        if not r:
-            break
-    r0 = r[0] if len(r) > 0 else MPoly(a.vars)
-    r1 = r[1] if len(r) > 1 else MPoly(a.vars)
-    core = c * r1 * r1 - b * r1 * r0 + a * r0 * r0
-    exp = gdeg - 2 * k - 1
-    if exp >= 0:
-        return core * a**exp
-    return core.divexact(a ** -exp)
+    return r, k
 
 
 # ----------------------------------------------- univariate coefficients ---
@@ -304,50 +271,63 @@ def _res_interpolated(
     bound (fewest leftover degrees per node)."""
     bounds = {v: _row_degree_bound(pc, qc, {v: 1}) for v in active}
     t = max(active, key=lambda v: (bounds[v], active.index(v) * -1))
-    bound = bounds[t]
     lead_p, lead_q = pc[-1], qc[-1]
 
-    nodes: list[int] = []
-    values: list[MPoly] = []
-    for cand in integer_nodes():
-        if len(nodes) == bound + 2:  # bound + 1 nodes and one spare node
-            break
+    def value_at(cand: int) -> MPoly | None:
         if lead_p.subs(t, cand).is_zero() or lead_q.subs(t, cand).is_zero():
-            continue
+            return None
         pc_t = [c.subs(t, cand) for c in pc]
         qc_t = [c.subs(t, cand) for c in qc]
-        rem_active = [v for v in active if v != t]
         rem_active = [
             v
-            for v in rem_active
-            if any(c.degree(v) > 0 for c in pc_t + qc_t)
+            for v in active
+            if v != t and any(c.degree(v) > 0 for c in pc_t + qc_t)
         ]
         if len(rem_active) <= 1:
-            val = _res_bareiss_univariate(
+            return _res_bareiss_univariate(
                 pc_t, qc_t, variables, rem_active[0] if rem_active else None
             )
-        else:
-            val = _res_interpolated(pc_t, qc_t, variables, rem_active)
-        nodes.append(cand)
-        values.append(val)
+        return _res_interpolated(pc_t, qc_t, variables, rem_active)
 
-    spare_node, spare_value = nodes.pop(), values.pop()
-    coeffs = newton_interpolate(nodes, values)
+    coeffs = interpolate_checked(value_at, bounds[t])
     sh = _shift_of(variables, t)
     result = MPoly(variables)
     for e, cf in enumerate(coeffs):
         for k, c in cf.terms.items():
             result.terms[k + (e << sh)] = c
-    if result.subs(t, spare_node) != spare_value:
-        raise DegenerateInput(
-            "interpolation self-check failed (degree bound violated)"
-        )
     return result
 
 
-def integer_nodes() -> Iterator[int]:
-    """Interpolation nodes 0, 1, -1, 2, -2, ...: smallest magnitude first,
-    which keeps the evaluated values small."""
+def interpolate_checked(value_at: Callable[[int], object], bound: int) -> list:
+    """Coefficients, lowest degree first, of a polynomial of degree at most
+    ``bound`` from its values ``value_at(c)`` at integer nodes ``c``.
+
+    The nodes run 0, 1, -1, 2, -2, ...: smallest magnitude first, which
+    keeps the values small.  A node where ``value_at`` returns None is
+    skipped.  The first ``bound + 1`` values are interpolated by
+    :func:`newton_interpolate`, and the next node is a spare that checks
+    the result: raises ``DegenerateInput`` when the polynomial misses it,
+    i.e. when the values do not lie on a polynomial of degree <= ``bound``.
+    """
+    nodes: list[int] = []
+    values: list = []
+    for c in _integer_nodes():
+        if len(nodes) == bound + 2:  # bound + 1 nodes and one spare node
+            break
+        v = value_at(c)
+        if v is not None:
+            nodes.append(c)
+            values.append(v)
+    coeffs = newton_interpolate(nodes[:-1], values[:-1])
+    if u_eval(coeffs, nodes[-1]) != values[-1]:
+        raise DegenerateInput(
+            f"interpolation misses its spare node {nodes[-1]} "
+            f"(degree bound {bound} violated)"
+        )
+    return coeffs
+
+
+def _integer_nodes() -> Iterator[int]:
     yield 0
     for x in itertools.count(1):
         yield x

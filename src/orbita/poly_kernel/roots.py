@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dense import divexact, prem, primitive, sign_at, squarefree_part, u_trim
+from .dense import divexact, prem, primitive, sign_at, squarefree_part, u_derivative, u_trim
 from .errors import DegenerateInput
 from .mpoly import RatPoly
 
@@ -67,7 +67,7 @@ def sturm_chain(coeffs: list[int]) -> list[list[int]]:
     chain = [f]
     if len(f) == 1:
         return chain
-    g, _ = primitive(_derivative(f))
+    g, _ = primitive(u_derivative(f))
     chain.append(g)
     while True:
         r, lead, k = prem(chain[-2], chain[-1])
@@ -208,10 +208,6 @@ def _decompose(coeffs: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
     per polynomial.  Shared through the cache: never mutated."""
     sqf, _ = squarefree_part(list(coeffs))
     return sqf, sturm_chain(sqf)
-
-
-def _derivative(a: list[int]) -> list[int]:
-    return u_trim([c * i for i, c in enumerate(a)][1:])
 
 
 # ----------------------------------------------------- known-factor strip ---

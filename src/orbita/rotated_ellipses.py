@@ -21,10 +21,13 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
 - ``case2a_axis`` / ``case2a_general``   burns mirror-symmetric across the
   x axis (``x1 = x0``, ``y1 = -y0``, forcing ``s1x = 0``).  The axis
   subfamily (burns on the y axis) is closed form.  The general subfamily is
-  solved exactly: two stationarity polynomials are reduced by Sylvester
-  resultants to a univariate of degree 48 in ``y0`` which always factors
-  into known spurious factors and a degree-20 core; the core's real roots
-  in (-1, 1) are isolated and refined, then back-substituted.
+  solved exactly: the l resultant of two stationarity polynomials splits
+  by parity in ``x0`` as ``E + x0 O``, reduced on the burn circle
+  ``x0^2 = u = 1 - y0^2``, and the eliminant ``E^2 - u O^2`` (the x0
+  resultant with the circle) is a univariate of degree 48 in ``y0`` which
+  always factors into known spurious factors and a degree-20 core; the
+  core's real roots in (-1, 1) are isolated and refined, then
+  back-substituted.
 - ``case2b_closed`` / ``case2b_general``   burns antipodal (``x1 = -x0``,
   ``y1 = -y0``).  Two closed-form families exist (prograde ``l = 1`` with a
   free ``s1x`` interval, retrograde ``l = -1``, always dominated).  The
@@ -64,13 +67,13 @@ import numpy as np
 from .kepler import NotElliptic, Orbit, Vec3, orbit_geometry
 from .poly_kernel import (
     ChainCollapse,
+    DegenerateInput,
     MPoly,
     NotAFactor,
     RatPoly,
     euclidean_last_linear,
-    integer_nodes,
+    interpolate_checked,
     isolate_real_roots,
-    newton_interpolate,
     refine_root,
     strip_known_factors,
     sylvester_degree_bound,
@@ -137,6 +140,13 @@ def _to_rational(value, name: str):
         raise ValueError(f"{name} must be an exact rational, got {value!r}") from exc
 
 
+def _snap(v: float) -> Fraction:
+    """The closest fraction with denominator at most 10**6 when it lies
+    within 1e-12 of ``v``, else the float's exact binary value."""
+    r = Fraction(v).limit_denominator(10**6)
+    return r if abs(float(r) - v) <= 1e-12 else Fraction(v)
+
+
 @dataclass(frozen=True)
 class RotatedInput:
     """Exact description of a rotated-ellipse pair.
@@ -169,22 +179,10 @@ class RotatedInput:
         object.__setattr__(self, "s0y", sy)
 
     @classmethod
-    def from_floats(
-        cls, s0x: float, s0y: float, max_denominator: int = 10**6
-    ) -> "RotatedInput":
-        """Build an input from floats, rationalized to small denominators.
-
-        Each component is replaced by the closest fraction with denominator
-        at most ``max_denominator`` when that fraction is within 1e-12 of
-        the float; otherwise the float's exact binary value is kept.  Small
-        denominators keep the exact elimination pipelines fast.
-        """
-
-        def snap(v: float):
-            r = Fraction(v).limit_denominator(max_denominator)
-            return Fraction(r) if abs(float(r) - v) <= 1e-12 else Fraction(v)
-
-        return cls(s0x=snap(s0x), s0y=snap(s0y))
+    def from_floats(cls, s0x: float, s0y: float) -> "RotatedInput":
+        """Build an input from floats, each rationalized by :func:`_snap`.
+        Small denominators keep the exact elimination pipelines fast."""
+        return cls(s0x=_snap(s0x), s0y=_snap(s0y))
 
     # --- derived views -----------------------------------------------------
 
@@ -225,17 +223,6 @@ class RotatedInput:
     @property
     def orbit2(self) -> Orbit:
         return Orbit(Vec3(0.0, 0.0, 1.0), Vec3(-self.s0x_float, self.s0y_float, 0.0))
-
-    def as_dict(self) -> dict:
-        return {
-            "s0x": str(self.s0x),
-            "s0y": str(self.s0y),
-            "eccentricity": self.eccentricity,
-            "alpha_deg": self.alpha_deg,
-            "e": self.e,
-            "a": self.a,
-            "b": self.b,
-        }
 
 
 @dataclass(frozen=True)
@@ -423,17 +410,15 @@ def params_from_angle(e: float, alpha_deg: float) -> RotatedInput:
     maps to ``b = 0`` (``s0y = 0``) and ``alpha = 0`` to ``a = b``
     (``s0x = 0``) exactly.  ``e`` itself is rationalized to denominator at
     most 10**6 when that loses less than 1e-12, else kept as the float's
-    exact binary value.  ``e = 0`` returns the circular-degenerate input.
+    exact binary value (:func:`_snap`).  ``e = 0`` returns the
+    circular-degenerate input.
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e!r}")
     if not (0.0 <= alpha_deg <= 180.0):
         raise ValueError(f"alpha_deg must be in [0, 180], got {alpha_deg!r}")
 
-    er = Fraction(e).limit_denominator(10**6)
-    if abs(float(er) - e) > 1e-12:
-        er = Fraction(e)
-    eq = Fraction(er)
+    eq = _snap(e)
 
     if eq == 0:
         return RotatedInput(s0x=Fraction(0), s0y=Fraction(0), e=e, a=1, b=1)
@@ -525,8 +510,8 @@ class _MirrorPipeline:
     stat_l: MPoly  # d(cost)/dl, denominators cleared; vars (l, x0, y0)
     stat_t: MPoly  # tangential derivative along the burn circle, cleared
     core: RatPoly  # degree-20 eliminant core in y0
-    even_part: RatPoly  # q0: even-in-x0 part of the pair resultant, on the circle
-    odd_part: RatPoly  # q1: odd-in-x0 part (zero polynomial when s0y = 0)
+    even_part: RatPoly  # E: even-in-x0 part of the cleared pair resultant, on the circle
+    odd_part: RatPoly  # O: odd-in-x0 part (zero polynomial when s0y = 0)
     degree_full: int  # 48
     degree_core: int  # 20
 
@@ -552,10 +537,18 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
         x0 * cost_num.partial("x0") - 2 * cost_num
     )
 
-    pair = sylvester_resultant(stat_l, stat_t, "l")
-    circle = x0 * x0 + y0 * y0 - one
-    elim = sylvester_resultant(circle, pair, "x0")
-    full = elim.to_ratpoly("y0")
+    # split the pair resultant into even/odd parts in x0, E + x0*O, and
+    # reduce even powers x0^(2j) -> u^j on the burn circle x0^2 = u = 1 - y0^2;
+    # the circle is monic in x0, so Res_x0(circle, pair) = E^2 - u*O^2
+    pair, _ = sylvester_resultant(stat_l, stat_t, "l").clear_denominators()
+    u = RatPoly([1, 0, -1], "y0")
+    coeffs = [c.to_ratpoly("y0") for c in pair.coeffs_in("x0")]
+    even = odd = RatPoly([], "y0")
+    for c in reversed(coeffs[0::2]):
+        even = even * u + c
+    for c in reversed(coeffs[1::2]):
+        odd = odd * u + c
+    full = even * even - u * odd * odd
     if full.degree() != 48:
         raise PipelineDegreeMismatch(
             f"mirror-family eliminant has degree {full.degree()}, expected 48"
@@ -576,29 +569,12 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
             f"mirror-family core has degree {core.degree()}, expected 20"
         )
 
-    # split the pair resultant into even/odd parts in x0 and reduce even
-    # powers x0^(2j) -> (1 - y0^2)^j on the burn circle
-    coeffs = pair.coeffs_in("x0")
-    circ_pow = [MPoly.const(1, V)]
-    for _ in range((len(coeffs) - 1) // 2 + 1):
-        circ_pow.append(circ_pow[-1] * (one - y0 * y0))
-    even = MPoly.zero(V)
-    odd = MPoly.zero(V)
-    for i, c in enumerate(coeffs):
-        red = c * circ_pow[i // 2]
-        if i % 2 == 0:
-            even = even + red
-        else:
-            odd = odd + red
-    even_part = even.to_ratpoly("y0")
-    odd_part = odd.to_ratpoly("y0")
-
     return _MirrorPipeline(
         stat_l=stat_l,
         stat_t=stat_t,
         core=core,
-        even_part=even_part,
-        odd_part=odd_part,
+        even_part=even,
+        odd_part=odd,
         degree_full=48,
         degree_core=20,
     )
@@ -673,13 +649,15 @@ def case2a_general(inp: RotatedInput) -> list[RotatedCandidate]:
     """Interior critical points of the mirror-symmetric family, exactly.
 
     Pipeline: resultant of the two cleared stationarity polynomials in
-    ``l``, then resultant with the burn-circle relation in ``x0``, giving a
-    degree-48 univariate in ``y0``; stripping the always-present factors
+    ``l``, split by parity in ``x0`` as ``E + x0 O`` and reduced on the
+    burn circle ``x0^2 = u = 1 - y0^2``; the eliminant ``E^2 - u O^2``
+    (the x0 resultant with the circle, which is monic in ``x0``) is a
+    degree-48 univariate in ``y0``.  Stripping the always-present factors
     ``y0^8 (y0-1)^6 (y0+1)^6 q(y0)^4`` (with ``q`` the known spurious
     quadratic) leaves the degree-20 core whose real roots in (-1, 1) are
-    isolated and refined exactly, then back-substituted through the
-    even/odd split of the pair resultant (ratio when available, both signs
-    of ``x0 = +-sqrt(1-y0^2)`` when the split degenerates) and the
+    isolated and refined exactly, then back-substituted through the same
+    parity parts (``x0 = -E/O`` when available, both signs of
+    ``x0 = +-sqrt(1-y0^2)`` when the split degenerates) and the
     stationarity fiber in ``l``.  Candidates failing the tangential
     stationarity gate, plan validation, or ellipticity are logged and
     dropped.
@@ -813,21 +791,13 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     first_int, _ = first.clear_denominators()
     second_int, _ = second.clear_denominators()
 
-    # evaluate at bound + 1 nodes and one spare node that checks the result
-    nodes: list[int] = []
-    values: list[int] = []
-    for c in integer_nodes():
-        if len(nodes) == bound + 2:
-            break
-        v = _antipodal_node_value(first_int, second_int, radius, top, c)
-        if v is not None:
-            nodes.append(c)
-            values.append(v)
-    coeffs = newton_interpolate(nodes[:-1], values[:-1])
-    if u_eval(coeffs, nodes[-1]) != values[-1]:
-        raise PipelineDegreeMismatch(
-            f"antipodal eliminant misses its spare node l = {nodes[-1]}"
+    try:
+        coeffs = interpolate_checked(
+            lambda c: _antipodal_node_value(first_int, second_int, radius, top, c),
+            bound,
         )
+    except DegenerateInput as exc:
+        raise PipelineDegreeMismatch(f"antipodal eliminant: {exc}") from exc
     h = RatPoly(coeffs, "l")
     if h.degree() != 69:
         raise PipelineDegreeMismatch(

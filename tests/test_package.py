@@ -54,3 +54,44 @@ def test_no_unused_imports():
         assert not unused, (name, unused)
         checked += 1
     assert checked >= 10
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _referenced_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            for item in ast.walk(node.value):
+                if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                    yield item.value
+
+
+def test_no_dead_definitions():
+    # every function or method defined in the package is used somewhere in
+    # the package, its tests or the benchmark
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    used = {name for tree in trees.values() for name in _referenced_names(tree)}
+    package = ROOT / "src" / "orbita"
+    defined = {
+        node.name
+        for path, tree in trees.items()
+        if package in path.parents
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    assert len(defined) > 100
+    assert sorted(defined - used) == []

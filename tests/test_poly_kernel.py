@@ -15,13 +15,13 @@ from orbita.poly_kernel import (
     RootInterval,
     euclidean_last_linear,
     isolate_real_roots,
-    newton_interpolate,
     refine_root,
     strip_known_factors,
     sturm_chain,
     sylvester_resultant,
 )
 from orbita.poly_kernel import roots as roots_mod
+from orbita.poly_kernel.resultant import interpolate_checked, newton_interpolate
 from orbita.poly_kernel.mpoly import pack, unpack
 
 V2 = ("x", "y")
@@ -267,6 +267,26 @@ class TestNewtonInterpolate:
     def test_repeated_node_rejected(self):
         with pytest.raises(DegenerateInput):
             newton_interpolate([0, 1, 1], [1, 2, 3])
+
+
+class TestInterpolateChecked:
+    def test_skips_nodes_and_recovers_the_polynomial(self):
+        coeffs = [4, 0, -3, 2**65 + 7]
+        seen = []
+
+        def value_at(c):
+            seen.append(c)
+            return None if c == 1 else sum(a * c**e for e, a in enumerate(coeffs))
+
+        assert interpolate_checked(value_at, 3) == coeffs
+        assert seen == [0, 1, -1, 2, -2, 3]  # node 1 skipped, 3 is the spare
+
+    def test_degree_above_the_bound_misses_the_spare_node(self):
+        coeffs = [1, -2, 0, 5]  # degree 3 = bound + 1
+        with pytest.raises(DegenerateInput, match="spare node"):
+            interpolate_checked(
+                lambda c: sum(a * c**e for e, a in enumerate(coeffs)), 2
+            )
 
 
 def _random_univar_in_x(rng, deg, rational=False):

@@ -267,6 +267,27 @@ class TestMirrorGeneral:
             assert abs(c.s1y) == pytest.approx(1.2702982351392564, abs=1e-11)
         assert cands[0].burn0.x == pytest.approx(-cands[1].burn0.x, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "inp",
+        [REF, params_from_angle(0.7, 37), REF180],
+        ids=["REF", "e0.7-a37", "alpha-180"],
+    )
+    def test_parity_eliminant_is_the_circle_resultant(self, inp):
+        # the generic route, kept as an oracle: the x0 resultant of the
+        # burn circle with the pair resultant equals E^2 - u O^2 from the
+        # pipeline's parity parts, up to the pair's cleared denominators
+        pipe = rotated_ellipses._mirror_pipeline(inp.s0x, inp.s0y)
+        pair = sylvester_resultant(pipe.stat_l, pipe.stat_t, "l")
+        x0, y0 = (MPoly.variable(v, pair.vars) for v in ("x0", "y0"))
+        circle = x0 * x0 + y0 * y0 - 1
+        generic = sylvester_resultant(circle, pair, "x0").to_ratpoly("y0")
+        _, scale = pair.clear_denominators()
+        u = RatPoly([1, 0, -1], "y0")
+        parts = pipe.even_part * pipe.even_part - u * pipe.odd_part * pipe.odd_part
+        assert parts == generic * scale**2
+        assert parts.degree() == pipe.degree_full
+        assert pipe.odd_part.is_zero() == (inp.s0y == 0)
+
     def test_identical_orbits_rejected(self):
         with pytest.raises(DegenerateGeometry):
             case2a_general(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)))
