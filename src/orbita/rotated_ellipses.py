@@ -509,7 +509,7 @@ class _MirrorPipeline:
 
     stat_l: MPoly  # d(cost)/dl, denominators cleared; vars (l, x0, y0)
     stat_t: MPoly  # tangential derivative along the burn circle, cleared
-    core: RatPoly  # degree-20 eliminant core in y0
+    core: RatPoly  # degree-20 primitive integer eliminant core in y0
     even_part: RatPoly  # E: even-in-x0 part of the cleared pair resultant, on the circle
     odd_part: RatPoly  # O: odd-in-x0 part (zero polynomial when s0y = 0)
     degree_full: int  # 48
@@ -564,6 +564,8 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
             (spur, 4),
         ],
     )
+    ints, _ = primitive(core.to_int_coeffs()[0])
+    core = RatPoly(ints, "y0")
     if core.degree() != 20:
         raise PipelineDegreeMismatch(
             f"mirror-family core has degree {core.degree()}, expected 20"
