@@ -5,6 +5,8 @@ Public surface:
 - types: ``MPoly``, ``RatPoly`` (arithmetic as operators, ``partial``,
   ``subs`` and ``divexact`` as methods), ``RootInterval``
 - elimination: ``sylvester_resultant``, ``sylvester_degree_bound``,
+  ``quadratic_resultant`` (the degree-2 closed form on coefficient lists
+  over any exact ring, e.g. ``QuadPair``, an element of ``Z[X]/(X^2 - m)``),
   ``interpolate_checked`` (exact interpolation at integer nodes, checked
   at one spare node), ``euclidean_last_linear``
 - roots: ``strip_known_factors`` (exact division by known factors, the
@@ -24,7 +26,9 @@ from .errors import ChainCollapse, DegenerateInput, NotAFactor, PolyKernelError
 from .euclid import euclidean_last_linear
 from .mpoly import MPoly, RatPoly
 from .resultant import (
+    QuadPair,
     interpolate_checked,
+    quadratic_resultant,
     sylvester_degree_bound,
     sylvester_resultant,
 )
@@ -40,8 +44,10 @@ __all__ = [
     "MPoly",
     "RatPoly",
     "RootInterval",
+    "QuadPair",
     "sylvester_resultant",
     "sylvester_degree_bound",
+    "quadratic_resultant",
     "interpolate_checked",
     "euclidean_last_linear",
     "strip_known_factors",

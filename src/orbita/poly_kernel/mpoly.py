@@ -377,13 +377,38 @@ class MPoly:
                 acc = terms_add(acc, g)
         return MPoly(self.vars, acc)
 
-    def eval_exact(self, assignment: Mapping[str, object]):
-        """Fully evaluate with exact rationals; returns an exact number."""
-        p = self
-        for v in self.vars:
-            if v in assignment:
-                p = p.subs(v, Fraction(assignment[v]) if isinstance(assignment[v], float) else assignment[v])
-        return p.constant()
+    def eval_exact(self, assignment: Mapping[str, object]) -> Fraction:
+        """Fully evaluate at exact rationals (floats convert exactly).
+
+        Integer arithmetic throughout: the coefficient denominators are
+        cleared once, and each variable, last first, is summed out at
+        ``p/q`` in homogenised form, ``sum_k c_k p^k q^(d-k)`` with ``d``
+        the variable's degree, so one ``Fraction`` is built at the end.
+        An active variable missing from ``assignment`` raises
+        ``DegenerateInput``.
+        """
+        cleared, den = self.clear_denominators()
+        terms = cleared.terms
+        for v in reversed(self.vars):
+            deg = max((k & MASK for k in terms), default=0)
+            if v not in assignment:
+                if deg:
+                    raise DegenerateInput(f"no value for the active variable {v!r}")
+                terms = {k >> SHIFT: c for k, c in terms.items()}
+                continue
+            p, q = Fraction(assignment[v]).as_integer_ratio()
+            p_pow, q_pow = [1], [1]
+            for _ in range(deg):
+                p_pow.append(p_pow[-1] * p)
+                q_pow.append(q_pow[-1] * q)
+            weights = [p_pow[k] * q_pow[deg - k] for k in range(deg + 1)]
+            summed: dict = {}
+            for k, c in terms.items():
+                rest = k >> SHIFT
+                summed[rest] = summed.get(rest, 0) + c * weights[k & MASK]
+            terms = summed
+            den *= q_pow[deg]
+        return Fraction(terms.get(0, 0), den)
 
     def eval_float(self, assignment: Mapping[str, float]) -> float:
         """Evaluate at floats, exactly, then round once at the end.
@@ -392,8 +417,7 @@ class MPoly:
         converted to exact rationals, the evaluation is exact, and only the
         final value is rounded.
         """
-        exact = {v: Fraction(x) for v, x in assignment.items()}
-        return float(self.eval_exact(exact))
+        return float(self.eval_exact(assignment))
 
     def coeffs_in(self, var: str) -> list["MPoly"]:
         """Dense coefficient list with respect to one variable, lowest first.
@@ -459,18 +483,12 @@ class MPoly:
 
     def clear_denominators(self) -> tuple["MPoly", int]:
         """Return ``(M * self, M)`` with integer coefficients, M a positive int."""
-        m = 1
-        for c in self.terms.values():
-            d = int(c.denominator) if not isinstance(c, int) else 1
-            m = m * d // math.gcd(m, d)
+        m = math.lcm(*(c.denominator for c in self.terms.values()))
         if m == 1:
-            out = MPoly(self.vars, {k: int(c) for k, c in self.terms.items()})
-            return out, 1
-        out = MPoly(self.vars)
-        for k, c in self.terms.items():
-            num, den = int(c.numerator), int(c.denominator)
-            out.terms[k] = num * (m // den)
-        return out, m
+            return MPoly(self.vars, {k: int(c) for k, c in self.terms.items()}), 1
+        return MPoly(
+            self.vars, {k: c.numerator * (m // c.denominator) for k, c in self.terms.items()}
+        ), m
 
     def content_int(self) -> int:
         """GCD of all (integer) coefficients; 0 for the zero polynomial."""

@@ -12,7 +12,9 @@ the shape of the inputs, and every path computes the same exact value:
   ``Res(Av+C, G) = sum_j G_j (-C)^j A^(g-j)``, with the sign flip
   ``(-1)^(deg p * deg q)`` when the linear argument is the second;
 - degree 2 in ``var`` (either argument): closed form through the
-  pseudo-remainder of the other polynomial by the quadratic;
+  pseudo-remainder of the other polynomial by the quadratic
+  (:func:`quadratic_resultant`, which also runs on coefficients in the
+  quotient ring ``Z[X]/(X^2 - m)`` of :class:`QuadPair`);
 - otherwise, coefficients constant: integer Bareiss elimination;
 - one remaining active variable: Bareiss over dense integer univariate
   entries;
@@ -32,12 +34,14 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .dense import bareiss_det, u_eval, u_trim
-from .errors import DegenerateInput
+from .errors import DegenerateInput, NotAFactor
 from .mpoly import MPoly, unpack
 
 __all__ = [
+    "QuadPair",
     "interpolate_checked",
     "newton_interpolate",
+    "quadratic_resultant",
     "sylvester_degree_bound",
     "sylvester_resultant",
 ]
@@ -73,9 +77,9 @@ def _resultant_int(p: MPoly, q: MPoly, var: str, dp: int, dq: int) -> MPoly:
     if dq == 1:
         return _res_linear(q, p, var, flip=(dp * dq) % 2 == 1)
     if dp == 2:
-        return _res_quadratic(p, q, var)
+        return quadratic_resultant(p.coeffs_in(var), q.coeffs_in(var))
     if dq == 2:
-        return _res_quadratic(q, p, var)
+        return quadratic_resultant(q.coeffs_in(var), p.coeffs_in(var))
 
     pc = [c for c in p.coeffs_in(var)]
     qc = [c for c in q.coeffs_in(var)]
@@ -116,33 +120,94 @@ def _two_coeffs(lin: MPoly, var: str) -> tuple[MPoly, MPoly]:
 # ---------------------------------------------------------- quadratic ---
 
 
-def _res_quadratic(quad: MPoly, g: MPoly, var: str) -> MPoly:
-    """``Res(Av^2+Bv+C, G)``: pseudo-divide G by the quadratic, then
-    evaluate the product of G at the two roots through the symmetric
-    functions ``r1+r2 = -B/A``, ``r1*r2 = C/A``:
+def quadratic_resultant(qc: list, gc: list):
+    """``Res(Av^2+Bv+C, G)`` from coefficient lists, lowest first, over any
+    commutative ring whose elements have ``+ - *``, ``is_zero()`` and
+    ``divexact()`` (``MPoly``, or :class:`QuadPair`).
+
+    Pseudo-divide G by the quadratic, then evaluate the product of G at the
+    two roots through the symmetric functions ``r1+r2 = -B/A``,
+    ``r1*r2 = C/A``:
 
     ``A^k G = Q*(Av^2+Bv+C) + R1 v + R0``  implies
     ``Res = A^(g-2k-1) * (C R1^2 - B R1 R0 + A R0^2)``
     (a division when the exponent is negative; always exact).  No sign
     flip is ever needed because the quadratic contributes an even factor
-    to ``(-1)^(deg p * deg q)``.
+    to ``(-1)^(deg p * deg q)``.  ``g = len(gc) - 1`` is the formal degree
+    of G: its top coefficient may be zero in the ring.
     """
-    qc = quad.coeffs_in(var)
     c, b, a = qc
-    gc = g.coeffs_in(var)
     r, k = _prem_coeffs(gc, qc)
-    r0 = r[0] if len(r) > 0 else MPoly(a.vars)
-    r1 = r[1] if len(r) > 1 else MPoly(a.vars)
+    zero = a - a
+    r0 = r[0] if len(r) > 0 else zero
+    r1 = r[1] if len(r) > 1 else zero
     core = c * r1 * r1 - b * r1 * r0 + a * r0 * r0
     exp = len(gc) - 2 * k - 2
-    if exp >= 0:
-        return core * a**exp
-    return core.divexact(a ** -exp)
+    if exp > 0:
+        return core * _power(a, exp)
+    if exp < 0:
+        return core.divexact(_power(a, -exp))
+    return core
 
 
-def _prem_coeffs(fc: list[MPoly], gc: list[MPoly]) -> tuple[list[MPoly], int]:
+def _power(x, n: int):
+    """``x**n`` for ``n >= 1`` by repeated squaring, with ring ``*`` only."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
+class QuadPair:
+    """``e + o*X`` in ``Z[X]/(X^2 - m)``: a pair of ints with the quotient
+    ring's ``+ - *``.
+
+    ``divexact`` multiplies by the conjugate ``e - o*X`` and divides both
+    parts by the norm ``e^2 - m*o^2``; it raises ``NotAFactor`` when that
+    division leaves a remainder and ``DegenerateInput`` on norm 0.
+    """
+
+    __slots__ = ("e", "o", "m")
+
+    def __init__(self, e: int, o: int, m: int):
+        self.e, self.o, self.m = e, o, m
+
+    def __add__(self, other: "QuadPair") -> "QuadPair":
+        return QuadPair(self.e + other.e, self.o + other.o, self.m)
+
+    def __sub__(self, other: "QuadPair") -> "QuadPair":
+        return QuadPair(self.e - other.e, self.o - other.o, self.m)
+
+    def __mul__(self, other: "QuadPair") -> "QuadPair":
+        ee, oo = self.e * other.e, self.o * other.o
+        cross = (self.e + self.o) * (other.e + other.o) - ee - oo
+        return QuadPair(ee + self.m * oo, cross, self.m)
+
+    def is_zero(self) -> bool:
+        return not self.e and not self.o
+
+    def norm(self) -> int:
+        return self.e * self.e - self.m * self.o * self.o
+
+    def divexact(self, other: "QuadPair") -> "QuadPair":
+        n = other.norm()
+        if not n:
+            raise DegenerateInput("division by an element of norm 0")
+        e, r_e = divmod(self.e * other.e - self.m * self.o * other.o, n)
+        o, r_o = divmod(self.o * other.e - self.e * other.o, n)
+        if r_e or r_o:
+            raise NotAFactor("norm division leaves a nonzero remainder")
+        return QuadPair(e, o, self.m)
+
+
+def _prem_coeffs(fc: list, gc: list) -> tuple[list, int]:
     """Pseudo-remainder of coefficient lists (lowest first) in one
-    variable; entries are polynomials in the other variables.
+    variable; entries are ring elements as for :func:`quadratic_resultant`
+    (polynomials in the other variables, or :class:`QuadPair`).
 
     Returns ``(r, k)`` with ``lead(g)^k * f = q*g + r`` and
     ``deg r < deg g``; ``k`` counts the reduction steps taken.

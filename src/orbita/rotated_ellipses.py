@@ -35,10 +35,15 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   of the two reduced stationarity polynomials is ``x0^7 H(l, x0^2)``, and
   on the burn circle ``x0^2 = r(l) = 1 - (1-l^2)^2/s0x^2`` it becomes
   ``h(l) = H(l, r(l))`` of degree 69.  ``h`` is built by evaluation at
-  integer ``l``-nodes (one univariate resultant per node) and exact
-  interpolation, with the node count taken from a weighted degree bound
-  and one spare node checking the result (Collins, J. ACM 1971).  It
-  always factors as ``l^11 (l-1)^10 (l+1)^10`` times a degree-38 core; the
+  integer ``l``-nodes and exact interpolation, with the node count taken
+  from a weighted degree bound and one spare node checking the result
+  (Collins, J. ACM 1971).  Each node value is one quadratic-resultant
+  formula on integer pairs in ``Z[X]/(X^2 - N(c) D)``, where
+  ``x0 = X/D`` and ``r(c) = N(c)/D``: resultants commute with this ring
+  map, so the burn circle holds by construction; its even part must
+  vanish (odd in x0).  One node per input also takes the s1y resultant
+  over ``Z[x0]``, asserting the ``x0^7`` signature and x0-degree bound
+  and that both routes agree.  ``h`` always factors as ``l^11 (l-1)^10 (l+1)^10`` times a degree-38 core; the
   known factors are divided out exactly, and the core's real roots in the
   feasibility window are isolated and back-substituted.
   When ``s0y = 0`` (``alpha = 180``) the two reduced stationarity
@@ -55,6 +60,7 @@ below 1e-9) and the elliptic-transfer requirement ``|s1| < |l|``.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -70,10 +76,12 @@ from .poly_kernel import (
     DegenerateInput,
     MPoly,
     NotAFactor,
+    QuadPair,
     RatPoly,
     euclidean_last_linear,
     interpolate_checked,
     isolate_real_roots,
+    quadratic_resultant,
     refine_root,
     strip_known_factors,
     sylvester_degree_bound,
@@ -686,11 +694,11 @@ class _AntipodalPipeline:
     """Exact elimination data for the antipodal family, per input."""
 
     d_first: MPoly  # squared-gap balance, degree 2 in s1y; vars (l, x0, s1y)
-    d_second: MPoly  # tangential balance, degree 5 in s1y
+    d_second: MPoly  # tangential balance, degree 5 in s1y; its s1y chain
+    # with d_first is computed only to break a tie (_linear_seed)
     core: RatPoly  # degree-38 primitive integer core of h(l) = H(l, r(l))
-    lin_s: tuple[MPoly, MPoly] | None  # (u1, u0): last linear element in s1y
     degree_bound: int  # weighted Sylvester row bound on deg h (102 so far)
-    degree_full: int  # 69: deg h, interpolated from degree_bound + 1 nodes
+    degree_full: int  # 69: deg h, from degree_bound + 1 ring node values
     degree_core: int  # 38: h with l^11 (l-1)^10 (l+1)^10 stripped
 
 
@@ -738,16 +746,82 @@ def _antipodal_equations(s0x, s0y):
 _X0_LOW = 7
 
 
-def _antipodal_node_value(first: MPoly, second: MPoly, radius, top: int, c: int):
-    """A fixed multiple of ``h(c) = H(c, r(c))`` at the integer node ``c``,
-    or None when ``l = c`` drops the s1y-degree of either polynomial.
+def _node_rows(p: MPoly) -> list[list[list[int]]]:
+    """``rows[j][k]``: the integer coefficients, lowest first, of the
+    polynomial in ``l`` multiplying ``s1y^j x0^k`` in ``p``."""
+    return [
+        [cx.to_ratpoly("l").coeffs for cx in cs.coeffs_in("x0")]
+        for cs in p.coeffs_in("s1y")
+    ]
 
-    ``first`` and ``second`` have integer coefficients, so the node is
-    evaluated in integer arithmetic.  ``radius = (N, D)`` gives
-    ``r(c) = N(c)/D`` with ``N`` an integer polynomial in ``l``; the value
-    is ``D^top * sum_j a_j r(c)^j`` for ``a_j`` the x0^(7+2j) coefficient
-    of ``Res_s1y`` at the node, an integer, so the values lie on an integer
-    polynomial in ``c``.
+
+def _ring_coeffs(rows: list[list[list[int]]], c: int, n: int, d: int) -> list[QuadPair] | None:
+    """The s1y-coefficients of ``D^dx p(l = c, x0 = X/D)`` in
+    ``Z[X]/(X^2 - N*D)``, ``dx`` the x0-degree of ``p``, or None when
+    ``l = c`` drops the s1y-degree."""
+    if not any(u_eval(cf, c) for cf in rows[-1]):
+        return None
+    dx = max(len(row) for row in rows) - 1
+    m = n * d
+    # X^k D^(dx-k) reduced: m^(k//2) D^(dx-k) times X^(k%2)
+    scale = [m ** (k // 2) * d ** (dx - k) for k in range(dx + 1)]
+    out = []
+    for row in rows:
+        values = [u_eval(cf, c) for cf in row]
+        out.append(
+            QuadPair(
+                sum(v * w for v, w in zip(values[::2], scale[::2])),
+                sum(v * w for v, w in zip(values[1::2], scale[1::2])),
+                m,
+            )
+        )
+    return out
+
+
+def _antipodal_node_value(first_rows, second_rows, radius, top: int, c: int):
+    """A fixed multiple of ``h(c) = H(c, r(c))`` at the integer node ``c``,
+    or None when ``l = c`` drops the s1y-degree of either polynomial or
+    the norm of first's leading coefficient vanishes.
+
+    Computed in the ring where ``x0^2 = r(c)`` holds: with
+    ``r(c) = N(c)/D`` (``radius = (N, D)``) put ``x0 = X/D``, so
+    ``X^2 = N(c) D``; resultants commute with this homomorphism (Collins,
+    J. ACM 1971).  ``first_rows``/``second_rows`` are the :func:`_node_rows`
+    of the integer polynomials.  The s1y resultant of the scaled
+    polynomials is ``E + O X`` with ``E = 0`` (odd in x0) and
+    ``O = D^s N^3 S / D^4``, where ``s`` is the scaling exponent and
+    ``S = sum_j a_j r(c)^j`` for ``a_j`` the x0^(7+2j) coefficient of
+    ``Res_s1y``.  The value returned is the integer ``D^top S``, the same
+    as :func:`_antipodal_node_value_poly` gives, so the values lie on an
+    integer polynomial in ``c``.
+    """
+    n, d = u_eval(radius[0], c), radius[1]
+    f = _ring_coeffs(first_rows, c, n, d)
+    g = _ring_coeffs(second_rows, c, n, d) if f is not None else None
+    if g is None or not f[-1].norm():
+        return None
+    res = quadratic_resultant(f, g)
+    if res.e:
+        raise PipelineDegreeMismatch(
+            f"Res_s1y at l = {c} is not odd in x0 (even part nonzero at x0^2 = r(l))"
+        )
+    dxf = max(len(row) for row in first_rows) - 1
+    dxg = max(len(row) for row in second_rows) - 1
+    scaled = dxf * (len(g) - 1) + dxg * (len(f) - 1)
+    value, rest = divmod(res.o * d ** (top + 4), d**scaled * n**3)
+    if rest:
+        raise PipelineDegreeMismatch(
+            f"Res_s1y at l = {c} has no factor x0^{_X0_LOW} at x0^2 = r(l)"
+        )
+    return value
+
+
+def _antipodal_node_value_poly(first: MPoly, second: MPoly, radius, top: int, c: int):
+    """:func:`_antipodal_node_value` through ``Z[x0]``: the univariate s1y
+    resultant of the integer polynomials ``first`` and ``second`` at
+    ``l = c``, checked to be odd in x0 with lowest power 7 and within the
+    x0-degree bound ``7 + 2 top``, then reduced at ``x0^2 = r(c)``: the
+    value is ``D^top * sum_j a_j r(c)^j``.
     """
     f = first.subs("l", c)
     g = second.subs("l", c)
@@ -771,6 +845,26 @@ def _antipodal_node_value(first: MPoly, second: MPoly, radius, top: int, c: int)
     return acc
 
 
+def _check_node(first: MPoly, second: MPoly, radius, top: int, h: list[int]) -> None:
+    """Compare ``h`` with :func:`_antipodal_node_value_poly` at the first
+    node ``c = 2, -2, 3, ...`` where ``h(c) != 0`` (h vanishes at 0 and
+    +-1) and neither s1y-degree drops.  This asserts the ``x0^7 H(x0^2)``
+    signature and the x0-degree bound, which the ring values cannot show,
+    and that the ring route agrees with the polynomial route."""
+    for c in (s * k for k in itertools.count(2) for s in (1, -1)):
+        hc = u_eval(h, c)
+        if not hc:
+            continue
+        v = _antipodal_node_value_poly(first, second, radius, top, c)
+        if v is None:
+            continue
+        if v != hc:
+            raise PipelineDegreeMismatch(
+                f"antipodal eliminant: ring value at l = {c} differs from Res_s1y over Z[x0]"
+            )
+        return
+
+
 @lru_cache(maxsize=32)
 def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     if s0y == 0:
@@ -787,15 +881,17 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
             f"antipodal degree bound is {bound}, below the expected degree 69"
         )
     top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - _X0_LOW) // 2
-    # r(l) = N(l)/D with s0x = num/den: N = num^2 - den^2 (1 - l^2)^2, D = num^2
+    # r(l) = N(l)/D with s0x = num/den: N = num^2 - den^2 (1 - l^2)^2, D = num^2;
+    # N(c) != 0 at every integer c, as 0 < |s0x| < 1
     num, den = s0x.numerator, s0x.denominator
     radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
     first_int, _ = first.clear_denominators()
     second_int, _ = second.clear_denominators()
+    first_rows, second_rows = _node_rows(first_int), _node_rows(second_int)
 
     try:
         coeffs = interpolate_checked(
-            lambda c: _antipodal_node_value(first_int, second_int, radius, top, c),
+            lambda c: _antipodal_node_value(first_rows, second_rows, radius, top, c),
             bound,
         )
     except DegenerateInput as exc:
@@ -812,19 +908,12 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
         raise PipelineDegreeMismatch(
             f"antipodal core has degree {core.degree()}, expected 38"
         )
-
-    try:
-        u1, u0 = euclidean_last_linear(first, second, "s1y")
-        lin_s = (u1, u0)
-    except ChainCollapse:
-        logger.info("antipodal family: euclidean chain collapsed; fiber-only recovery")
-        lin_s = None
+    _check_node(first_int, second_int, radius, top, h.coeffs)
 
     return _AntipodalPipeline(
         d_first=first,
         d_second=second,
         core=core,
-        lin_s=lin_s,
         degree_bound=bound,
         degree_full=69,
         degree_core=38,
@@ -865,13 +954,19 @@ def _antipodal_window(s0x) -> tuple[Fraction, Fraction]:
 
 
 def _linear_seed(pipe: _AntipodalPipeline, lQ: Fraction, xQ: Fraction) -> float | None:
-    """``s1y = -u0/u1`` from the chain's linear element at ``(l, x0)``."""
-    if pipe.lin_s is None:
+    """``s1y = -u0/u1`` at ``(l, x0)`` from the linear element ``u1 s1y + u0``
+    of the s1y remainder chain of the pipeline's two polynomials; None when
+    the chain collapses or ``u1`` vanishes there.  The chain is computed
+    per call: only an exact tie of the fiber residuals reads it."""
+    try:
+        u1, u0 = euclidean_last_linear(pipe.d_first, pipe.d_second, "s1y")
+    except ChainCollapse:
+        logger.info("antipodal family: euclidean chain collapsed; fiber-only recovery")
         return None
-    u1v = pipe.lin_s[0].eval_exact({"l": lQ, "x0": xQ})
+    u1v = u1.eval_exact({"l": lQ, "x0": xQ})
     if u1v == 0:
         return None
-    return float(-pipe.lin_s[1].eval_exact({"l": lQ, "x0": xQ}) / u1v)
+    return float(-u0.eval_exact({"l": lQ, "x0": xQ}) / u1v)
 
 
 def _antipodal_backsub(
@@ -1002,8 +1097,10 @@ def case2b_solutions(
     The general family (tag ``case2b_general``) comes from the degree-38
     core of the degree-69 eliminant ``h(l) = H(l, r(l))``, left after the
     exact strip of ``l^11 (l-1)^10 (l+1)^10``; ``h`` is interpolated from
-    its values at integer ``l``-nodes, each one univariate s1y resultant
-    reduced modulo ``x0^2 = r(l)``.  Roots are isolated only inside the
+    its values at integer ``l``-nodes, each the s1y resultant taken with
+    integer arithmetic in the ring where ``x0^2 = r(l)`` holds
+    (``Z[X]/(X^2 - N D)``, ``x0 = X/D``), and one node is checked against
+    the s1y resultant over ``Z[x0]``.  Roots are isolated only inside the
     window ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real
     burn latitude.  For ``s0y = 0`` the eliminant degenerates (both reduced
     polynomials are odd in ``s1y``); the split solver then verifies in

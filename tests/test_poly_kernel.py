@@ -11,10 +11,12 @@ from orbita.poly_kernel import (
     DegenerateInput,
     MPoly,
     NotAFactor,
+    QuadPair,
     RatPoly,
     RootInterval,
     euclidean_last_linear,
     isolate_real_roots,
+    quadratic_resultant,
     refine_root,
     strip_known_factors,
     sturm_chain,
@@ -229,6 +231,122 @@ class TestResultant:
         base = sylvester_resultant(p, q, "x")
         scaled = sylvester_resultant(p * Fraction(3, 7), q, "x")
         assert scaled == base * (Fraction(3, 7) ** 2)
+
+
+class TestQuadraticResultantRing:
+    """The quadratic-resultant formula on coefficients in Z[X]/(X^2 - m)."""
+
+    @staticmethod
+    def _pair(coeff, sx, m):
+        # an integer polynomial in x reduced mod x^2 - m, as e + o X
+        rem = sp.rem(sp.Poly(coeff, sx), sp.Poly(sx**2 - m, sx))
+        c = rem.all_coeffs()[::-1] + [0, 0]
+        return QuadPair(int(c[0]), int(c[1]), m)
+
+    @pytest.mark.parametrize("dg", [2, 3, 5])
+    def test_matches_sympy_mod_x2_minus_m(self, dg):
+        rng = random.Random(dg)
+        sx, sv = sp.symbols("x v")
+        checked = 0
+        for m in (2, -3, 7, 9, 13):  # 9: a square, the ring has zero divisors
+            for _ in range(4):
+                qc = [sum(rng.randrange(-4, 5) * sx**e for e in range(3)) for _ in range(3)]
+                gc = [sum(rng.randrange(-4, 5) * sx**e for e in range(4)) for _ in range(dg + 1)]
+                if qc[-1] == 0 or gc[-1] == 0:
+                    continue
+                fq = [self._pair(c, sx, m) for c in qc]
+                fg = [self._pair(c, sx, m) for c in gc]
+                if not fq[-1].norm():
+                    continue
+                got = quadratic_resultant(fq, fg)
+                quad = sum(c * sv**j for j, c in enumerate(qc))
+                g = sum(c * sv**j for j, c in enumerate(gc))
+                ref = self._pair(sp.resultant(quad, g, sv), sx, m)
+                assert (got.e, got.o) == (ref.e, ref.o)
+                checked += 1
+        assert checked >= 15
+
+    def test_mpoly_and_pair_rings_agree(self):
+        # the same formula over MPoly, then reduced, equals the formula over
+        # pairs: one implementation serves both rings
+        rng = random.Random(5)
+        for _ in range(5):
+            quad = _random_univar_in_x(rng, 2)
+            g = _random_univar_in_x(rng, 4)
+            res = sylvester_resultant(quad, g, "x").to_ratpoly("y").coeffs
+            m = 3
+            want = QuadPair(
+                sum(c * m ** (e // 2) for e, c in enumerate(res) if e % 2 == 0),
+                sum(c * m ** (e // 2) for e, c in enumerate(res) if e % 2 == 1),
+                m,
+            )
+
+            def pairs(p):
+                out = []
+                for c in p.coeffs_in("x"):
+                    cy = c.to_ratpoly("y").coeffs
+                    out.append(QuadPair(
+                        sum(int(v) * m ** (e // 2) for e, v in enumerate(cy) if e % 2 == 0),
+                        sum(int(v) * m ** (e // 2) for e, v in enumerate(cy) if e % 2 == 1),
+                        m,
+                    ))
+                return out
+
+            fq = pairs(quad)
+            if not fq[-1].norm():
+                continue
+            got = quadratic_resultant(fq, pairs(g))
+            assert (got.e, got.o) == (want.e, want.o)
+
+    def test_pair_arithmetic(self):
+        a, b = QuadPair(3, -2, 5), QuadPair(-1, 4, 5)
+        prod = a * b
+        assert (prod.e, prod.o) == (3 * -1 + 5 * -2 * 4, 3 * 4 + -2 * -1)
+        assert ((prod - a).e, (prod + a).o) == (prod.e - 3, prod.o - 2)
+        back = prod.divexact(b)
+        assert (back.e, back.o) == (3, -2)
+        assert QuadPair(0, 0, 5).is_zero() and not a.is_zero()
+
+    def test_inexact_norm_division_raises(self):
+        with pytest.raises(NotAFactor):
+            QuadPair(1, 0, 2).divexact(QuadPair(3, 0, 2))
+        with pytest.raises(NotAFactor):
+            QuadPair(4, 1, 3).divexact(QuadPair(2, 0, 3))  # even part divides, odd not
+        with pytest.raises(DegenerateInput):
+            QuadPair(1, 0, 4).divexact(QuadPair(2, 1, 4))  # norm 4 - 4 = 0
+
+
+class TestEvalExact:
+    def test_matches_sympy_at_negative_zero_and_dyadic_points(self):
+        rng = random.Random(17)
+        V3 = ("x", "y", "z")
+        syms = sp.symbols("x y z")
+        points = [
+            {"x": -0.375, "y": 0.0, "z": 2.5},
+            {"x": Fraction(-7, 3), "y": 1.25, "z": -3},
+            {"x": 0, "y": -0.0078125, "z": Fraction(5, 11)},
+            {"x": 1e-300, "y": -2.0**60, "z": 0.1},
+        ]
+        for _ in range(8):
+            p = _random_mpoly(rng, V3, max_deg=4, max_terms=8, rational=True)
+            expr = _to_sympy(p, syms)
+            for pt in points:
+                subs = {s: sp.Rational(*Fraction(pt[str(s)]).as_integer_ratio()) for s in syms}
+                ref = sp.Rational(expr.subs(subs))
+                got = p.eval_exact(pt)
+                assert isinstance(got, Fraction)
+                assert (got.numerator, got.denominator) == (int(ref.p), int(ref.q))
+                assert p.eval_float(pt) == float(got)
+
+    def test_partial_assignment_raises(self):
+        p = X * X * Fraction(1, 3) - Y
+        with pytest.raises(DegenerateInput):
+            p.eval_exact({"x": 0.5})
+        with pytest.raises(DegenerateInput):
+            p.eval_float({"y": 2.0})
+        # an unassigned variable that does not occur is fine
+        assert (X * Fraction(2, 3)).eval_exact({"x": 3}) == 2
+        assert MPoly.zero(V2).eval_exact({}) == 0
 
 
 class TestNewtonInterpolate:

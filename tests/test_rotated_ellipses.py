@@ -16,7 +16,15 @@ import pytest
 from orbita import rotated_ellipses
 from orbita.kepler import Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
-from orbita.poly_kernel import MPoly, NotAFactor, RatPoly, strip_known_factors, sylvester_resultant
+from orbita.poly_kernel import (
+    ChainCollapse,
+    MPoly,
+    NotAFactor,
+    RatPoly,
+    strip_known_factors,
+    sylvester_resultant,
+    sylvester_degree_bound,
+)
 from orbita.poly_kernel.dense import primitive, squarefree_part
 from orbita.rotated_ellipses import (
     SWEEP_COLUMNS,
@@ -409,7 +417,7 @@ class TestAntipodalSolutions:
         assert record.case2b_best_f1 == pytest.approx(2 * abs(float(inp.s0x)), abs=1e-12)
 
     def test_linear_seed_recovers_s1y(self, ref_antipodal):
-        # the chain's linear element, read only to break an exact tie
+        # the chain's linear element, computed only to break an exact tie
         # between the two fiber roots, points at the candidate's s1y
         pipe = rotated_ellipses._antipodal_pipeline(REF.s0x, REF.s0y)
         general = [c for c in ref_antipodal if c.case_tag == "case2b_general"]
@@ -417,6 +425,15 @@ class TestAntipodalSolutions:
         for c in general:
             seed = rotated_ellipses._linear_seed(pipe, Fraction(c.l1z), Fraction(c.burn0.x))
             assert seed == pytest.approx(c.s1y, abs=1e-9)
+
+    def test_linear_seed_is_none_on_chain_collapse(self, monkeypatch):
+        pipe = rotated_ellipses._antipodal_pipeline(REF.s0x, REF.s0y)
+
+        def collapsed(*args):
+            raise ChainCollapse("remainder chain skipped degree 1")
+
+        monkeypatch.setattr(rotated_ellipses, "euclidean_last_linear", collapsed)
+        assert rotated_ellipses._linear_seed(pipe, Fraction(-1, 2), Fraction(1, 2)) is None
 
     def test_include_general_flag(self):
         cands = case2b_solutions(REF, include_general=False)
@@ -840,6 +857,81 @@ class TestLargeCoefficientGolden:
         monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", perturbed)
         with pytest.raises(PipelineDegreeMismatch, match=message):
             rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
+
+
+def _node_inputs(inp):
+    """The integer polynomials, their node rows, r(l) = N/D and ``top``,
+    as ``_antipodal_pipeline`` builds them."""
+    _, first, second, _ = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
+    top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - 7) // 2
+    num, den = inp.s0x.numerator, inp.s0x.denominator
+    radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
+    first, _ = first.clear_denominators()
+    second, _ = second.clear_denominators()
+    rows = (rotated_ellipses._node_rows(first), rotated_ellipses._node_rows(second))
+    return first, second, rows, radius, top
+
+
+class TestAntipodalNodeRing:
+    """Node values of h computed in Z[X]/(X^2 - N D) against the Z[x0]
+    route: the s1y resultant over Z[x0], reduced at x0^2 = r(c)."""
+
+    @pytest.mark.parametrize(
+        "inp",
+        [
+            REF,
+            BIG,
+            RotatedInput.from_floats(0.123457, 0.654321),
+            RotatedInput(s0x=Fraction(-3, 10), s0y=Fraction(2, 5)),
+        ],
+        ids=["REF", "e0.7-a37", "from-floats-1e6", "negative-s0x"],
+    )
+    def test_ring_values_equal_polynomial_values(self, inp):
+        first, second, rows, radius, top = _node_inputs(inp)
+        nodes = [0] + [s * k for k in range(1, 53) for s in (1, -1)]  # 105 nodes
+        for c in nodes:
+            ring = rotated_ellipses._antipodal_node_value(*rows, radius, top, c)
+            poly = rotated_ellipses._antipodal_node_value_poly(first, second, radius, top, c)
+            assert ring == poly, c
+
+    def test_ring_route_rejects_even_part(self):
+        # a factor x0 + 2 in second breaks the x0-parity of Res_s1y at
+        # every node; the ring value shows it as a nonzero even part E
+        inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
+        first, second, _, radius, _ = _node_inputs(inp)
+        second = second * (MPoly.variable("x0", second.vars) + 2)
+        top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - 7) // 2
+        rows = (rotated_ellipses._node_rows(first), rotated_ellipses._node_rows(second))
+        for c in (2, -3, 7):
+            with pytest.raises(PipelineDegreeMismatch, match="not odd in x0"):
+                rotated_ellipses._antipodal_node_value(*rows, radius, top, c)
+
+    def test_check_node_compares_the_routes(self, monkeypatch):
+        inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
+        node_value = rotated_ellipses._antipodal_node_value_poly
+
+        def perturbed(*args):
+            v = node_value(*args)
+            return None if v is None else v + 1
+
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value_poly", perturbed)
+        with pytest.raises(PipelineDegreeMismatch, match="differs"):
+            rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
+
+    def test_pipeline_takes_at_most_two_resultants(self, monkeypatch):
+        # the node values come from the ring route; a fall-back to one
+        # polynomial resultant per node would make this about 100
+        calls = []
+        resultant = rotated_ellipses.sylvester_resultant
+
+        def counted(*args):
+            calls.append(args[-1])
+            return resultant(*args)
+
+        monkeypatch.setattr(rotated_ellipses, "sylvester_resultant", counted)
+        inp = params_from_angle(0.3, 120)
+        rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
+        assert 1 <= len(calls) <= 2
 
 
 def _symbolic_known_factors(s0x):
