@@ -183,9 +183,8 @@ class QuadPair:
         return QuadPair(self.e - other.e, self.o - other.o, self.m)
 
     def __mul__(self, other: "QuadPair") -> "QuadPair":
-        ee, oo = self.e * other.e, self.o * other.o
-        cross = (self.e + self.o) * (other.e + other.o) - ee - oo
-        return QuadPair(ee + self.m * oo, cross, self.m)
+        e, o = self.e * other.e + self.m * self.o * other.o, self.e * other.o + self.o * other.e
+        return QuadPair(e, o, self.m)
 
     def is_zero(self) -> bool:
         return not self.e and not self.o
