@@ -808,7 +808,8 @@ def _antipodal_node_value(first_rows, second_rows, radius, top: int, c: int):
     dxf = max(len(row) for row in first_rows) - 1
     dxg = max(len(row) for row in second_rows) - 1
     scaled = dxf * (len(g) - 1) + dxg * (len(f) - 1)
-    value, rest = divmod(res.o * d ** (top + 4), d**scaled * n**3)
+    half = _X0_LOW // 2  # x0^7 = X^7 / D^7 = X N^3 / D^4
+    value, rest = divmod(res.o * d ** (top + half + 1), d**scaled * n**half)
     if rest:
         raise PipelineDegreeMismatch(
             f"Res_s1y at l = {c} has no factor x0^{_X0_LOW} at x0^2 = r(l)"

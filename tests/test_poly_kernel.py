@@ -266,38 +266,6 @@ class TestQuadraticResultantRing:
                 checked += 1
         assert checked >= 15
 
-    def test_mpoly_and_pair_rings_agree(self):
-        # the same formula over MPoly, then reduced, equals the formula over
-        # pairs: one implementation serves both rings
-        rng = random.Random(5)
-        for _ in range(5):
-            quad = _random_univar_in_x(rng, 2)
-            g = _random_univar_in_x(rng, 4)
-            res = sylvester_resultant(quad, g, "x").to_ratpoly("y").coeffs
-            m = 3
-            want = QuadPair(
-                sum(c * m ** (e // 2) for e, c in enumerate(res) if e % 2 == 0),
-                sum(c * m ** (e // 2) for e, c in enumerate(res) if e % 2 == 1),
-                m,
-            )
-
-            def pairs(p):
-                out = []
-                for c in p.coeffs_in("x"):
-                    cy = c.to_ratpoly("y").coeffs
-                    out.append(QuadPair(
-                        sum(int(v) * m ** (e // 2) for e, v in enumerate(cy) if e % 2 == 0),
-                        sum(int(v) * m ** (e // 2) for e, v in enumerate(cy) if e % 2 == 1),
-                        m,
-                    ))
-                return out
-
-            fq = pairs(quad)
-            if not fq[-1].norm():
-                continue
-            got = quadratic_resultant(fq, pairs(g))
-            assert (got.e, got.o) == (want.e, want.o)
-
     def test_pair_arithmetic(self):
         a, b = QuadPair(3, -2, 5), QuadPair(-1, 4, 5)
         prod = a * b

@@ -22,8 +22,8 @@ from orbita.poly_kernel import (
     NotAFactor,
     RatPoly,
     strip_known_factors,
-    sylvester_resultant,
     sylvester_degree_bound,
+    sylvester_resultant,
 )
 from orbita.poly_kernel.dense import primitive, squarefree_part
 from orbita.rotated_ellipses import (
