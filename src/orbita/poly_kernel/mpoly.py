@@ -483,12 +483,18 @@ class MPoly:
 
     def clear_denominators(self) -> tuple["MPoly", int]:
         """Return ``(M * self, M)`` with integer coefficients, M a positive int."""
-        m = math.lcm(*(c.denominator for c in self.terms.values()))
+        m = 1
+        for c in self.terms.values():
+            d = int(c.denominator) if not isinstance(c, int) else 1
+            m = m * d // math.gcd(m, d)
         if m == 1:
-            return MPoly(self.vars, {k: int(c) for k, c in self.terms.items()}), 1
-        return MPoly(
-            self.vars, {k: c.numerator * (m // c.denominator) for k, c in self.terms.items()}
-        ), m
+            out = MPoly(self.vars, {k: int(c) for k, c in self.terms.items()})
+            return out, 1
+        out = MPoly(self.vars)
+        for k, c in self.terms.items():
+            num, den = int(c.numerator), int(c.denominator)
+            out.terms[k] = num * (m // den)
+        return out, m
 
     def content_int(self) -> int:
         """GCD of all (integer) coefficients; 0 for the zero polynomial."""
