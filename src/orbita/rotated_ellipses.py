@@ -40,12 +40,13 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   (Collins, J. ACM 1971).  Each node value is one quadratic-resultant
   formula on integer pairs in ``Z[X]/(X^2 - N(c) D)``, where
   ``x0 = X/D`` and ``r(c) = N(c)/D``: resultants commute with this ring
-  map, so the burn circle holds by construction; its even part must
-  vanish (odd in x0).  One node per input also takes the s1y resultant
-  over ``Z[x0]``, asserting the ``x0^7`` signature and x0-degree bound
-  and that both routes agree.  ``h`` always factors as ``l^11 (l-1)^10 (l+1)^10`` times a degree-38 core; the
-  known factors are divided out exactly, and the core's real roots in the
-  feasibility window are isolated and back-substituted.
+  map, so the burn circle holds by construction, and the even part of
+  the value must vanish (odd in x0).  One node per input also takes the
+  s1y resultant over ``Z[x0]``, asserting the ``x0^7`` signature and the
+  x0-degree bound and that both routes agree.  ``h`` always factors as
+  ``l^11 (l-1)^10 (l+1)^10`` times a degree-38 core; the known factors
+  are divided out exactly, and the core's real roots in the feasibility
+  window are isolated and back-substituted.
   When ``s0y = 0`` (``alpha = 180``) the two reduced stationarity
   polynomials become odd in ``s1y`` and the eliminant degenerates; the
   module switches to a dedicated split (``s1y = 0`` branch and
