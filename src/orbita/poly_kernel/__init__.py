@@ -3,7 +3,9 @@
 Public surface:
 
 - types: ``MPoly``, ``RatPoly`` (arithmetic as operators, ``partial``,
-  ``subs`` and ``divexact`` as methods), ``RootInterval``
+  ``subs`` and ``divexact`` as methods; ``MPoly`` also splits by parity in
+  one variable, ``parity_parts``, and returns its primitive integer
+  multiple, ``primitive``), ``RootInterval``
 - elimination: ``sylvester_resultant``, ``sylvester_degree_bound``,
   ``quadratic_resultant`` (the degree-2 closed form on coefficient lists
   over any exact ring, e.g. ``QuadPair``, an element of ``Z[X]/(X^2 - m)``),

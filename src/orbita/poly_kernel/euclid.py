@@ -38,8 +38,8 @@ def euclidean_last_linear(p: MPoly, q: MPoly, var: str) -> tuple[MPoly, MPoly]:
         raise DegenerateInput(
             f"both inputs must have positive degree in {var!r}"
         )
-    f = _int_primitive(p).coeffs_in(var)
-    g = _int_primitive(q).coeffs_in(var)
+    f = p.primitive().coeffs_in(var)
+    g = q.primitive().coeffs_in(var)
     if len(f) - 1 < len(g) - 1:
         f, g = g, f
     while True:
@@ -58,14 +58,6 @@ def euclidean_last_linear(p: MPoly, q: MPoly, var: str) -> tuple[MPoly, MPoly]:
                 "remainder chain skipped degree 1 (nonzero constant remainder)"
             )
         f, g = g, r
-
-
-def _int_primitive(p: MPoly) -> MPoly:
-    cleared, _ = p.clear_denominators()
-    g = cleared.content_int()
-    if g > 1:
-        return MPoly(cleared.vars, {k: c // g for k, c in cleared.terms.items()})
-    return cleared
 
 
 def _primitive_coeffs(r: list[MPoly]) -> list[MPoly]:

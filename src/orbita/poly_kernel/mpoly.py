@@ -419,6 +419,15 @@ class MPoly:
         """
         return float(self.eval_exact(assignment))
 
+    def parity_parts(self, var: str) -> tuple["MPoly", "MPoly"]:
+        """``(even, odd)`` with ``self = even + odd``: the terms of even
+        and of odd degree in ``var``, so ``self(-var) = even - odd``."""
+        sh = self._var_shift(var)
+        parts: tuple[dict, dict] = ({}, {})
+        for k, c in self.terms.items():
+            parts[(k >> sh) & 1][k] = c
+        return MPoly(self.vars, parts[0]), MPoly(self.vars, parts[1])
+
     def coeffs_in(self, var: str) -> list["MPoly"]:
         """Dense coefficient list with respect to one variable, lowest first.
 
@@ -495,6 +504,16 @@ class MPoly:
             num, den = int(c.numerator), int(c.denominator)
             out.terms[k] = num * (m // den)
         return out, m
+
+    def primitive(self) -> "MPoly":
+        """The primitive integer multiple of ``self``: denominators
+        cleared, then the positive integer content divided out, so the
+        sign is kept."""
+        cleared, _ = self.clear_denominators()
+        g = cleared.content_int()
+        if g > 1:
+            return MPoly(cleared.vars, {k: c // g for k, c in cleared.terms.items()})
+        return cleared
 
     def content_int(self) -> int:
         """GCD of all (integer) coefficients; 0 for the zero polynomial."""

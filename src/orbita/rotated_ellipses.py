@@ -31,8 +31,13 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
 - ``case2b_closed`` / ``case2b_general``   burns antipodal (``x1 = -x0``,
   ``y1 = -y0``).  Two closed-form families exist (prograde ``l = 1`` with a
   free ``s1x`` interval, retrograde ``l = -1``, always dominated).  The
-  rest of the family reduces to one eliminant in ``l``: the s1y resultant
-  of the two reduced stationarity polynomials is ``x0^7 H(l, x0^2)``, and
+  rest of the family reduces to one eliminant in ``l``.  The two reduced
+  stationarity polynomials balance the two burns, and the second burn is
+  the first reflected in ``x0``, so each is twice the odd-in-x0 part of a
+  product taken from the first burn's gap alone; they are built from its
+  even and odd parts in integer arithmetic and kept as primitive integer
+  polynomials: rational multiples of the balances, a constant factor no
+  later step depends on.  Their s1y resultant is ``x0^7 H(l, x0^2)``, and
   on the burn circle ``x0^2 = r(l) = 1 - (1-l^2)^2/s0x^2`` it becomes
   ``h(l) = H(l, r(l))`` of degree 69.  ``h`` is built by evaluation at
   integer ``l``-nodes and exact interpolation, with the node count taken
@@ -694,9 +699,11 @@ def case2a_general(inp: RotatedInput) -> list[RotatedCandidate]:
 class _AntipodalPipeline:
     """Exact elimination data for the antipodal family, per input."""
 
-    d_first: MPoly  # squared-gap balance, degree 2 in s1y; vars (l, x0, s1y)
-    d_second: MPoly  # tangential balance, degree 5 in s1y; its s1y chain
-    # with d_first is computed only to break a tie (_linear_seed)
+    # the pair as _antipodal_equations returns it, primitive integer
+    # polynomials in (l, x0, s1y), shared by the node rows, the node check,
+    # the fiber, the residual gate and the tie-break chain (_linear_seed)
+    d_first: MPoly  # squared-gap balance, degree 2 in s1y
+    d_second: MPoly  # tangential balance, degree 5 in s1y
     core: RatPoly  # degree-38 primitive integer core of h(l) = H(l, r(l))
     degree_bound: int  # weighted Sylvester row bound on deg h (102 so far)
     degree_full: int  # 69: deg h, from degree_bound + 1 ring node values
@@ -704,7 +711,23 @@ class _AntipodalPipeline:
 
 
 def _antipodal_equations(s0x, s0y):
-    """Build the reduced antipodal-system polynomials in (l, x0, s1y)."""
+    """Build the reduced antipodal-system polynomials in (l, x0, s1y).
+
+    ``p0`` is the first burn's squared gap and ``t0`` its tangential
+    derivative, both times powers of ``d = l (1 - l^2)``.  The second burn
+    is the first reflected in x0: ``p1(x0) = p0(-x0)`` and
+    ``t1(x0) = -t0(-x0)``.  So for ``w = (dp0/ds1y)^2`` or ``w = t0^2``
+    the balance ``w p1 - w(-x0) p0`` is ``K(x0) - K(-x0)`` with
+    ``K = w p1``, that is ``2 (w_o p0_e - w_e p0_o)`` in the even and odd
+    parts in x0.  Only ``p0`` and ``t0`` are built over Q; every larger
+    product runs on integers.  ``first`` (degree 2 in s1y), ``second``
+    (degree 5) and ``t0`` come back as primitive integer polynomials,
+    positive rational multiples of ``t0`` and of the balances
+    ``(p0_s^2 p1 - p1_s^2 p0) / (l^3 (l-1)^4 (l+1)^2)`` and
+    ``(t0^2 p1 - t1^2 p0) / (l^2 (l-1)^3 (l+1)^2)``.  No consumer (node
+    values, fiber roots, residual gate, chain seed, s0y = 0 proof)
+    depends on that factor.
+    """
     V = ("l", "x0", "s1y")
     l = MPoly.variable("l", V)
     x0 = MPoly.variable("x0", V)
@@ -721,26 +744,21 @@ def _antipodal_equations(s0x, s0y):
         + ((one - l) * d) ** 2
         + 2 * (one - l) * d * ((s0y - s1y) * x0 * d - (s0x * d - s1x_num) * y0_num / s0x)
     )
-    p1 = (
-        (s0x * d + s1x_num) ** 2
-        + (s0y * d - s1y * d) ** 2
-        + ((one - l) * d) ** 2
-        + 2 * (one - l) * d * ((s1y - s0y) * x0 * d - (s0x * d + s1x_num) * y0_num / s0x)
+    t0 = 2 * p0.partial("x0") * d * d + s0x * s0x * x0 * (
+        p0.partial("l") * d - 2 * p0 * d.partial("l")
     )
+    p0, t0 = p0.primitive(), t0.primitive()
+    p0_e, p0_o = p0.parity_parts("x0")
 
-    first = (p0.partial("s1y") ** 2 * p1 - p1.partial("s1y") ** 2 * p0).divexact(
-        l**3 * (l - one) ** 4 * (l + one) ** 2
-    )
+    def balance(w: MPoly) -> MPoly:
+        w_e, w_o = w.parity_parts("x0")
+        return w_o * p0_e - w_e * p0_o
 
-    d_l = d.partial("l")
-    t0 = 2 * p0.partial("x0") * d * d + s0x * s0x * x0 * (p0.partial("l") * d - 2 * p0 * d_l)
-    t1 = 2 * p1.partial("x0") * d * d + s0x * s0x * x0 * (p1.partial("l") * d - 2 * p1 * d_l)
-    second = (t0 * t0 * p1 - t1 * t1 * p0).divexact(
-        l**2 * (l - one) ** 3 * (l + one) ** 2
-    )
+    first = balance(p0.partial("s1y") ** 2).divexact(l**3 * (l - one) ** 4 * (l + one) ** 2)
+    second = balance(t0 * t0).divexact(l**2 * (l - one) ** 3 * (l + one) ** 2)
 
     radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
-    return radius_pair, first, second, t0
+    return radius_pair, first.primitive(), second.primitive(), t0
 
 
 # Res_s1y(first, second) = x0^7 H(l, x0^2): odd in x0, lowest power 7
@@ -887,9 +905,7 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     # N(c) != 0 at every integer c, as 0 < |s0x| < 1
     num, den = s0x.numerator, s0x.denominator
     radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
-    first_int, _ = first.clear_denominators()
-    second_int, _ = second.clear_denominators()
-    first_rows, second_rows = _node_rows(first_int), _node_rows(second_int)
+    first_rows, second_rows = _node_rows(first), _node_rows(second)
 
     try:
         coeffs = interpolate_checked(
@@ -910,7 +926,7 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
         raise PipelineDegreeMismatch(
             f"antipodal core has degree {core.degree()}, expected 38"
         )
-    _check_node(first_int, second_int, radius, top, h.coeffs)
+    _check_node(first, second, radius, top, h.coeffs)
 
     return _AntipodalPipeline(
         d_first=first,

@@ -123,6 +123,22 @@ class TestMPolyArithmetic:
         assert m == 12
         assert cleared == X * 2 + Y * 9
 
+    def test_primitive_keeps_the_sign(self):
+        p = -(X * Fraction(2, 3) + Y * Fraction(4, 9))
+        prim = p.primitive()
+        assert prim == -(X * 3 + Y * 2)
+        assert all(type(c) is int for c in prim.terms.values())
+        assert (X * 4 - 6).primitive() == X * 2 - 3
+
+    def test_parity_parts(self):
+        p = X**3 * Y + X * X * 5 - X * Y * Fraction(1, 2) + Y * Y - 7
+        even, odd = p.parity_parts("x")
+        assert even == X * X * 5 + Y * Y - 7
+        assert odd == X**3 * Y - X * Y * Fraction(1, 2)
+        point = {"x": Fraction(-2, 3), "y": Fraction(5)}
+        assert (even - odd).eval_exact({"x": Fraction(2, 3), "y": Fraction(5)}) == p.eval_exact(point)
+        assert p.parity_parts("y") == (X * X * 5 + Y * Y - 7, X**3 * Y - X * Y * Fraction(1, 2))
+
     def test_coeffs_in(self):
         p = X * X * Y + X * 3 + 7
         cs = p.coeffs_in("x")

@@ -866,8 +866,6 @@ def _node_inputs(inp):
     top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - 7) // 2
     num, den = inp.s0x.numerator, inp.s0x.denominator
     radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
-    first, _ = first.clear_denominators()
-    second, _ = second.clear_denominators()
     rows = (rotated_ellipses._node_rows(first), rotated_ellipses._node_rows(second))
     return first, second, rows, radius, top
 
@@ -932,6 +930,96 @@ class TestAntipodalNodeRing:
         inp = params_from_angle(0.3, 120)
         rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
         assert 1 <= len(calls) <= 2
+
+
+def _reference_equations(s0x, s0y):
+    """The antipodal pair built term by term in ``Fraction`` arithmetic,
+    with the second burn's gap ``p1`` and tangential term ``t1`` written
+    out: ``(first, second, t0, p0, p1, t1)``.  The production build must
+    give positive rational multiples of ``first``, ``second`` and ``t0``."""
+    V = ("l", "x0", "s1y")
+    l = MPoly.variable("l", V)
+    x0 = MPoly.variable("x0", V)
+    s1y = MPoly.variable("s1y", V)
+    one = MPoly.const(1, V)
+
+    d = l * (one - l * l)
+    s1x_num = x0 * (l * s1y - s0y) * s0x
+    y0_num = one - l * l
+
+    p0 = (
+        (s0x * d - s1x_num) ** 2
+        + (s0y * d - s1y * d) ** 2
+        + ((one - l) * d) ** 2
+        + 2 * (one - l) * d * ((s0y - s1y) * x0 * d - (s0x * d - s1x_num) * y0_num / s0x)
+    )
+    p1 = (
+        (s0x * d + s1x_num) ** 2
+        + (s0y * d - s1y * d) ** 2
+        + ((one - l) * d) ** 2
+        + 2 * (one - l) * d * ((s1y - s0y) * x0 * d - (s0x * d + s1x_num) * y0_num / s0x)
+    )
+    first = (p0.partial("s1y") ** 2 * p1 - p1.partial("s1y") ** 2 * p0).divexact(
+        l**3 * (l - one) ** 4 * (l + one) ** 2
+    )
+    d_l = d.partial("l")
+    t0 = 2 * p0.partial("x0") * d * d + s0x * s0x * x0 * (p0.partial("l") * d - 2 * p0 * d_l)
+    t1 = 2 * p1.partial("x0") * d * d + s0x * s0x * x0 * (p1.partial("l") * d - 2 * p1 * d_l)
+    second = (t0 * t0 * p1 - t1 * t1 * p0).divexact(
+        l**2 * (l - one) ** 3 * (l + one) ** 2
+    )
+    return first, second, t0, p0, p1, t1
+
+
+def _reflect_x0(p: MPoly) -> MPoly:
+    even, odd = p.parity_parts("x0")
+    return even - odd
+
+
+def _single_ratio(p: MPoly, ref: MPoly) -> Fraction:
+    """The one rational ``q`` with ``p = q * ref``, term by term."""
+    assert set(p.terms) == set(ref.terms)
+    ratios = {Fraction(c) / ref.terms[k] for k, c in p.terms.items()}
+    assert len(ratios) == 1
+    return ratios.pop()
+
+
+class TestAntipodalEquations:
+    """The pair built over Z through the x0 reflection against the
+    ``Fraction`` build with explicit ``p1`` and ``t1``."""
+
+    @pytest.mark.parametrize(
+        "inp",
+        [
+            REF,
+            BIG,
+            RotatedInput(s0x=Fraction(-3, 10), s0y=Fraction(2, 5)),
+            RotatedInput.from_floats(0.123457, 0.654321),
+            params_from_angle(0.5, 179.9),
+            REF180,
+        ],
+        ids=["REF", "e0.7-a37", "negative-s0x", "from-floats-1e6", "alpha-179.9", "REF180"],
+    )
+    def test_pair_is_a_multiple_of_the_reference(self, inp):
+        radius_pair, first, second, t0 = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
+        ref_first, ref_second, ref_t0, p0, p1, t1 = _reference_equations(inp.s0x, inp.s0y)
+        # the reflection symmetry the production build relies on
+        assert p1 == _reflect_x0(p0)
+        assert t1 == -_reflect_x0(ref_t0)
+        for got, ref in ((first, ref_first), (second, ref_second), (t0, ref_t0)):
+            assert _single_ratio(got, ref) > 0
+        one = MPoly.const(1, radius_pair.vars)
+        l, x0 = (MPoly.variable(v, radius_pair.vars) for v in ("l", "x0"))
+        assert radius_pair == inp.s0x**2 * (x0 * x0 - one) + (one - l * l) ** 2
+
+    def test_pair_is_primitive_over_z(self):
+        # a fall-back to Fraction arithmetic shows here as a Fraction
+        # coefficient or a content above 1, with no timing involved
+        inp = RotatedInput.from_floats(0.123457, 0.654321)
+        _, first, second, t0 = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
+        for p in (first, second, t0):
+            assert all(type(c) is int for c in p.terms.values())
+            assert p.content_int() == 1
 
 
 def _symbolic_known_factors(s0x):
