@@ -491,7 +491,13 @@ class MPoly:
     # ------------------------------------------------------ denominators
 
     def clear_denominators(self) -> tuple["MPoly", int]:
-        """Return ``(M * self, M)`` with integer coefficients, M a positive int."""
+        """Return ``(M * self, M)`` with integer coefficients, M a positive int.
+
+        A polynomial whose coefficients are all ``int`` already comes back
+        as itself with ``M = 1``, not copied; callers only read the result.
+        """
+        if all(type(c) is int for c in self.terms.values()):
+            return self, 1
         m = 1
         for c in self.terms.values():
             d = int(c.denominator) if not isinstance(c, int) else 1

@@ -50,8 +50,12 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   s1y resultant over ``Z[x0]``, asserting the ``x0^7`` signature and the
   x0-degree bound and that both routes agree.  ``h`` always factors as
   ``l^11 (l-1)^10 (l+1)^10`` times a degree-38 core; the known factors
-  are divided out exactly, and the core's real roots in the feasibility
-  window are isolated and back-substituted.
+  are divided out exactly.  The core is closed form: with
+  ``a = s0y^2/(s0x^2 + s0y^2)`` and ``k = 1 - s0x^2`` it is a constant
+  times ``q2 c3 c3' q4 C^4 Q5 Q5'``, seven factors of degree at most 5
+  built in exact rationals from ``a`` and ``k``.  Each input proves this
+  by exact division, and the real roots in the feasibility window are
+  isolated and refined on the factors, then back-substituted.
   When ``s0y = 0`` (``alpha = 180``) the two reduced stationarity
   polynomials become odd in ``s1y`` and the eliminant degenerates; the
   module switches to a dedicated split (``s1y = 0`` branch and
@@ -704,7 +708,12 @@ class _AntipodalPipeline:
     # the fiber, the residual gate and the tie-break chain (_linear_seed)
     d_first: MPoly  # squared-gap balance, degree 2 in s1y
     d_second: MPoly  # tangential balance, degree 5 in s1y
-    core: RatPoly  # degree-38 primitive integer core of h(l) = H(l, r(l))
+    # degree-38 primitive integer core of h(l) = H(l, r(l)), proven per
+    # input to be a constant times the product of ``factors``
+    core: RatPoly
+    # (factor, multiplicity) from _antipodal_factors, q2 first: the roots
+    # are isolated on these, not on ``core``
+    factors: tuple[tuple[RatPoly, int], ...]
     degree_bound: int  # weighted Sylvester row bound on deg h (102 so far)
     degree_full: int  # 69: deg h, from degree_bound + 1 ring node values
     degree_core: int  # 38: h with l^11 (l-1)^10 (l+1)^10 stripped
@@ -885,6 +894,30 @@ def _check_node(first: MPoly, second: MPoly, radius, top: int, h: list[int]) -> 
         return
 
 
+def _antipodal_factors(a, k) -> tuple[tuple[RatPoly, int], ...]:
+    """The closed-form factors of the degree-38 antipodal core as
+    ``(factor, multiplicity)`` pairs in ``l``, coefficients lowest first,
+    with ``a = s0y^2 / (s0x^2 + s0y^2)`` (that is ``cos^2(alpha/2)``) and
+    ``k = 1 - s0x^2``; :func:`case2b_solutions` writes them out.  Degrees
+    2 + 3 + 3 + 4 + 4*4 + 5 + 5 = 38; :func:`_antipodal_pipeline` proves
+    per input that the core is a constant times their product.
+    """
+    half = Fraction(1, 2)
+
+    def poly(*coeffs) -> RatPoly:
+        return RatPoly(list(coeffs), "l")
+
+    return (
+        (poly(a, -2 * a, 1), 1),  # q2
+        (poly(k, -1, -1, 1), 1),  # c3
+        (poly(k * half, 0, -3 * half, 1), 1),  # c3'
+        (poly(-k, 2 * k, 0, -2, 1), 1),  # q4
+        (poly(a * k, 0, -2 * a, 0, 1), 4),  # C
+        (poly(a * k * half, a * half, -a * half, -3 * a * half, 0, 1), 1),  # Q5
+        (poly(a * k * half, 0, 0, -a, 1 - 3 * a * half, 1), 1),  # Q5'
+    )
+
+
 @lru_cache(maxsize=32)
 def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     if s0y == 0:
@@ -922,9 +955,18 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     ints, _ = primitive(h.to_int_coeffs()[0])
     l = RatPoly([0, 1], "l")
     core = strip_known_factors(RatPoly(ints, "l"), [(l, 11), (l - 1, 10), (l + 1, 10)])
-    if core.degree() != 38:
+    # the degree-38 signature, proven exactly: core / (q2 c3 c3' q4 C^4 Q5 Q5')
+    # is a nonzero constant
+    factors = _antipodal_factors(s0y * s0y / (s0x * s0x + s0y * s0y), 1 - s0x * s0x)
+    try:
+        rest = strip_known_factors(core, list(factors))
+    except NotAFactor as exc:
         raise PipelineDegreeMismatch(
-            f"antipodal core has degree {core.degree()}, expected 38"
+            f"antipodal core of degree {core.degree()} is not q2 c3 c3' q4 C^4 Q5 Q5': {exc}"
+        ) from exc
+    if rest.degree() != 0:
+        raise PipelineDegreeMismatch(
+            f"antipodal core has degree {core.degree()}, expected 38 = q2 c3 c3' q4 C^4 Q5 Q5'"
         )
     _check_node(first, second, radius, top, h.coeffs)
 
@@ -932,6 +974,7 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
         d_first=first,
         d_second=second,
         core=core,
+        factors=factors,
         degree_bound=bound,
         degree_full=69,
         degree_core=38,
@@ -969,6 +1012,29 @@ def _antipodal_window(s0x) -> tuple[Fraction, Fraction]:
     lo = max(math.sqrt(max(1.0 - a, 0.0)) - 1e-6, 1e-9)
     hi = math.sqrt(1.0 + a) + 1e-6
     return Fraction(lo), Fraction(hi)
+
+
+def _antipodal_roots(pipe: _AntipodalPipeline, s0x) -> list[float]:
+    """The real core roots in the two feasibility windows, positive window
+    first and increasing within each, isolated and refined on the factors.
+
+    q2 is skipped: its discriminant is ``4a^2 - 4a = 4a(a - 1)``, negative
+    for ``0 < a < 1``, which holds whenever ``s0x != 0`` and ``s0y != 0``,
+    so q2 has no real root.  The others have degree at most 5 and need no
+    square-free step of the core.  A root shared by two factors comes back
+    once per factor; :func:`_sorted_unique` drops the repeated candidates.
+    """
+    lo, hi = _antipodal_window(s0x)
+    out: list[float] = []
+    for window in ((lo, hi), (-hi, -lo)):
+        out.extend(
+            sorted(
+                refine_root(factor, iv)
+                for factor, _ in pipe.factors[1:]
+                for iv in isolate_real_roots(factor, window[0], window[1])
+            )
+        )
+    return out
 
 
 def _linear_seed(pipe: _AntipodalPipeline, lQ: Fraction, xQ: Fraction) -> float | None:
@@ -1118,12 +1184,32 @@ def case2b_solutions(
     its values at integer ``l``-nodes, each the s1y resultant taken with
     integer arithmetic in the ring where ``x0^2 = r(l)`` holds
     (``Z[X]/(X^2 - N D)``, ``x0 = X/D``), and one node is checked against
-    the s1y resultant over ``Z[x0]``.  Roots are isolated only inside the
-    window ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real
-    burn latitude.  For ``s0y = 0`` the eliminant degenerates (both reduced
-    polynomials are odd in ``s1y``); the split solver then verifies in
-    exact arithmetic that the general family is empty away from the axis,
-    and raises ``PipelineDegreeMismatch`` if it cannot.
+    the s1y resultant over ``Z[x0]``.  The core is the paper's general
+    formula on this branch: with ``a = s0y^2/(s0x^2 + s0y^2)`` and
+    ``k = 1 - s0x^2`` it is a constant times the product of seven closed
+    forms (:func:`_antipodal_factors`), proven per input by exact division:
+
+    - ``q2 = l^2 - 2a l + a`` has no real root (discriminant
+      ``4a(a - 1) < 0``) and is not isolated;
+    - ``c3 = l^3 - l^2 - l + k`` gave candidates with ``s1x = 0`` (to
+      rounding) on every input checked;
+    - ``c3' = l^3 - (3/2) l^2 + k/2`` and ``C = l^4 - 2a l^2 + a k``
+      (four times in the core) had no root in the window on any input
+      checked;
+    - ``q4 = l^4 - 2 l^3 + 2k l - k``,
+      ``Q5 = l^5 - (3a/2) l^3 - (a/2) l^2 + (a/2) l + a k/2`` and
+      ``Q5' = l^5 + (1 - 3a/2) l^4 - a l^3 + a k/2`` gave the other
+      candidates; with c3 they are the only factors that had roots in the
+      window on the inputs checked.
+
+    Each factor but q2 is isolated and refined on its own, only inside
+    the window ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real
+    burn latitude; no square-free part of the core is taken.
+
+    For ``s0y = 0`` the eliminant degenerates (both reduced polynomials
+    are odd in ``s1y``); the split solver then verifies in exact
+    arithmetic that the general family is empty away from the axis, and
+    raises ``PipelineDegreeMismatch`` if it cannot.
     ``include_general=False`` skips the heavy elimination and returns the
     closed forms only.
     """
@@ -1177,11 +1263,8 @@ def case2b_solutions(
             _prove_antipodal_symmetric_empty(inp)
         else:
             pipe = _antipodal_pipeline(inp.s0x, inp.s0y)
-            lo, hi = _antipodal_window(inp.s0x)
-            for window in ((lo, hi), (-hi, -lo)):
-                for iv in isolate_real_roots(pipe.core, window[0], window[1]):
-                    lv = refine_root(pipe.core, iv)
-                    out.extend(_antipodal_backsub(inp, pipe, lv))
+            for lv in _antipodal_roots(pipe, inp.s0x):
+                out.extend(_antipodal_backsub(inp, pipe, lv))
     return _sorted_unique(out)
 
 
@@ -1434,7 +1517,9 @@ def elimination_degrees(inp: RotatedInput) -> dict[str, int]:
     ``s0y != 0`` so the generic antipodal elimination applies —
     ``antipodal_full`` (69, the degree of ``h(l) = H(l, r(l))``) and
     ``antipodal_core`` (38, after the exact strip of
-    ``l^11 (l-1)^10 (l+1)^10``).
+    ``l^11 (l-1)^10 (l+1)^10``).  The core's 38 is the signature
+    ``q2 c3 c3' q4 C^4 Q5 Q5'`` (degrees 2, 3, 3, 4, 4*4, 5, 5), proven
+    per input by exact division.
     """
     if inp.s0x == 0:
         raise DegenerateGeometry("identical orbits have no elimination pipeline")

@@ -123,6 +123,21 @@ class TestMPolyArithmetic:
         assert m == 12
         assert cleared == X * 2 + Y * 9
 
+    def test_clear_denominators_returns_an_integer_polynomial_itself(self):
+        p = X**3 * Y * 4 - X * Y * 7 + Y * Y + 3
+        point = {"x": Fraction(-2, 3), "y": Fraction(5, 7)}
+        before = p.eval_exact(point)
+        cleared, m = p.clear_denominators()
+        assert cleared is p and m == 1
+        x, y = point["x"], point["y"]
+        assert p.eval_exact(point) == before == x**3 * y * 4 - x * y * 7 + y * y + 3
+        # a Fraction of denominator 1 is still converted to int
+        q = MPoly(V2, {k: Fraction(c) for k, c in p.terms.items()})
+        cleared, m = q.clear_denominators()
+        assert cleared is not q and m == 1
+        assert all(type(c) is int for c in cleared.terms.values())
+        assert cleared == p and q.eval_exact(point) == before
+
     def test_primitive_keeps_the_sign(self):
         p = -(X * Fraction(2, 3) + Y * Fraction(4, 9))
         prim = p.primitive()

@@ -8,6 +8,7 @@ check on the winners.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from orbita.poly_kernel import (
     MPoly,
     NotAFactor,
     RatPoly,
+    isolate_real_roots,
+    refine_root,
     strip_known_factors,
     sylvester_degree_bound,
     sylvester_resultant,
@@ -786,12 +789,15 @@ class TestLargeCoefficientGolden:
         _assert_core_signature(core38, BIG.s0x)
 
     @pytest.mark.parametrize(
-        "e, alpha", [(0.5, 179.9), (0.5, 0.5), (0.97, 60)], ids=["alpha-179.9", "alpha-0.5", "e-0.97"]
+        "e, alpha",
+        [(0.5, 179.9), (0.5, 0.5), (0.97, 60), (0.05, 2), (0.95, 179.9)],
+        ids=["alpha-179.9", "alpha-0.5", "e-0.97", "e0.05-a2", "e0.95-a179.9"],
     )
     def test_core_signature_at_edge_geometries(self, e, alpha):
         inp = params_from_angle(e, alpha)
-        core = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y).core
-        _assert_core_signature(core, inp.s0x)
+        pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+        _assert_core_signature(pipe.core, inp.s0x)
+        _assert_factors_make_the_core(pipe, inp)
 
     @pytest.mark.parametrize(
         "inp",
@@ -805,6 +811,55 @@ class TestLargeCoefficientGolden:
         pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
         assert (pipe.degree_bound, pipe.degree_full, pipe.degree_core) == (102, 69, 38)
         _assert_core_signature(pipe.core, inp.s0x)
+        _assert_factors_make_the_core(pipe, inp)
+
+    def test_wrong_factor_fails_the_signature(self, monkeypatch):
+        # k off by 1e-6: c3, c3', q4 and the a*k terms no longer divide
+        # the core, and the strip's NotAFactor surfaces as a mismatch
+        inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
+        factors = rotated_ellipses._antipodal_factors
+
+        def perturbed(a, k):
+            return factors(a, k + Fraction(1, 10**6))
+
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_factors", perturbed)
+        with pytest.raises(PipelineDegreeMismatch, match="q2 c3 c3' q4 C\\^4 Q5 Q5'"):
+            rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
+
+    def test_q2_has_no_real_root(self):
+        # the production isolation skips q2 = l^2 - 2a l + a: its
+        # discriminant 4a(a - 1) is negative for every rational 0 < a < 1
+        rng = random.Random(5)
+        for a in [Fraction(rng.randrange(1, d), d) for d in rng.sample(range(2, 10**9), 40)]:
+            (q2, mult), *_ = rotated_ellipses._antipodal_factors(a, Fraction(1, 2))
+            c0, c1, c2 = q2.coeffs
+            assert mult == 1 and c2 == 1
+            disc = c1 * c1 - 4 * c0 * c2
+            assert disc == 4 * a * (a - 1) < 0
+        for inp in (REF, BIG):
+            a = inp.s0y**2 / (inp.s0x**2 + inp.s0y**2)
+            pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+            assert 0 < a < 1 and pipe.factors[0][0] == RatPoly([a, -2 * a, 1], "l")
+
+    @pytest.mark.parametrize(
+        "inp",
+        [REF, BIG] + [params_from_angle(e, alpha) for e, alpha in ((0.3, 120), (0.81, 141), (0.9, 90))],
+        ids=["REF", "e0.7-a37", "e0.3-a120", "e0.81-a141", "e0.9-a90"],
+    )
+    def test_factor_roots_match_the_core_roots(self, inp):
+        # the degree-38 route, kept here as the oracle: isolate and refine
+        # the core itself, in the same windows and order
+        pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+        lo, hi = rotated_ellipses._antipodal_window(inp.s0x)
+        want = [
+            refine_root(pipe.core, iv)
+            for window in ((lo, hi), (-hi, -lo))
+            for iv in isolate_real_roots(pipe.core, *window)
+        ]
+        got = rotated_ellipses._antipodal_roots(pipe, inp.s0x)
+        assert want and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, abs=1e-12)
 
     def test_missing_unit_factor_raises(self, monkeypatch):
         # node values of h (l^2 + 4) / (l (l - 1)): still degree 69 and
@@ -1030,6 +1085,19 @@ def _symbolic_known_factors(s0x):
 def _boundary(s0x):
     l = RatPoly([0, 1], "l")
     return (1 - l * l) * (1 - l * l) - s0x * s0x
+
+
+def _assert_factors_make_the_core(pipe, inp):
+    """``pipe.factors`` are the closed forms in a and k, and their product
+    is the core up to a constant."""
+    a = inp.s0y**2 / (inp.s0x**2 + inp.s0y**2)
+    assert pipe.factors == rotated_ellipses._antipodal_factors(a, 1 - inp.s0x**2)
+    product = RatPoly([1], "l")
+    for factor, mult in pipe.factors:
+        for _ in range(mult):
+            product = product * factor
+    assert product.degree() == 38
+    assert pipe.core == product * (Fraction(pipe.core.leading()) / product.leading())
 
 
 def _assert_core_signature(core, s0x):
