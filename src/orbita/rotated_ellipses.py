@@ -17,7 +17,10 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
 - ``case1``            burns without a mirror symmetry (``y0 + y1 != 0``);
   located numerically by a deterministic multi-start damped Newton run on
   the full Lagrange system (16 unknowns after adding a deflation variable
-  that excludes the symmetric families).
+  that excludes the symmetric families).  The system is polynomial, so its
+  Jacobian is analytic: the constraint gradients and the hand-written
+  Hessian of the Lagrangian.  One stacked residual call per iteration
+  serves every seed and every line-search step size.
 - ``case2a_axis`` / ``case2a_general``   burns mirror-symmetric across the
   x axis (``x1 = x0``, ``y1 = -y0``, forcing ``s1x = 0``).  The axis
   subfamily (burns on the y axis) is closed form.  The general subfamily is
@@ -1388,7 +1391,58 @@ def _case1_seeds(sx: float, sy: float, count: int) -> np.ndarray:
     return Z
 
 
-_LINE_SEARCH_STEPS = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3)
+_LINE_SEARCH_STEPS = np.array((1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3))
+
+
+def _case1_jacobian(sx: float, sy: float, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian (n, 16, 16) of the case-1 residuals at states Z.
+
+    ``G`` is the constraint gradient block that ``_case1_system`` returns
+    for the same states.  The stationarity rows differentiate to the
+    Lagrangian Hessian ``W = sum(lam_i H_i)`` in the primal unknowns and
+    ``-G^T`` in the multipliers (Nocedal & Wright 2006, ch. 18); every
+    constraint is at most quadratic, so ``W`` is written out entry by entry.
+    """
+    x0, y0, x1, y1 = Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3]
+    s1x, s1y, l = Z[:, 4], Z[:, 5], Z[:, 6]
+    lam0, lam1, lam2, lam3, lam4, lam5 = Z[:, 9:15].T
+    k = Z[:, 15]
+    n = Z.shape[0]
+
+    dxs = sx - s1x
+    dys = sy - s1y
+    sxs = sx + s1x
+    ml = 1.0 - l
+
+    W = np.zeros((n, 9, 9))
+    W[:, 0, 0] = W[:, 1, 1] = 2.0 * lam0
+    W[:, 2, 2] = W[:, 3, 3] = 2.0 * lam1
+    W[:, 4, 4] = W[:, 5, 5] = -2.0 * (lam4 + lam5)
+    W[:, 6, 6] = 2.0 * (lam2 + lam3 - lam4 - lam5)
+    W[:, 7, 7] = 2.0 * lam4
+    W[:, 8, 8] = 2.0 * lam5
+    off = (
+        (0, 5, lam2 * l + 2.0 * lam4 * ml),
+        (0, 6, lam2 * s1y + 2.0 * lam4 * dys),
+        (1, 4, -lam2 * l - 2.0 * lam4 * ml),
+        (1, 6, -lam2 * s1x - 2.0 * lam4 * dxs),
+        (2, 5, lam3 * l + 2.0 * lam5 * ml),
+        (2, 6, lam3 * s1y + 2.0 * lam5 * dys),
+        (3, 4, -lam3 * l - 2.0 * lam5 * ml),
+        (3, 6, -lam3 * s1x + 2.0 * lam5 * sxs),
+        (4, 6, (2.0 * lam4 - lam2) * y0 + (2.0 * lam5 - lam3) * y1),
+        (5, 6, (lam2 - 2.0 * lam4) * x0 + (lam3 - 2.0 * lam5) * x1),
+    )
+    for i, j, v in off:
+        W[:, i, j] = W[:, j, i] = v
+
+    J = np.zeros((n, _N_UNKNOWNS, _N_UNKNOWNS))
+    J[:, 0:6, 0:9] = G
+    J[:, 6:15, 0:9] = -W
+    J[:, 6:15, 9:15] = -G.transpose(0, 2, 1)
+    J[:, 15, 1] = J[:, 15, 3] = -k
+    J[:, 15, 15] = -(y0 + y1)
+    return J
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1416,48 +1470,43 @@ def _case1_newton(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton from ``seed_count`` seeds: final states, alive, converged.
 
-    All active seeds move together: one stacked call for the forward
-    difference Jacobian, one batched solve, and one call per line-search
-    step size for the seeds still waiting for an acceptable step.  Seeds
-    never interact and every operation works row by row, so the result is
-    the same, bit for bit, as running each seed on its own.
+    All active seeds move together, and each iteration makes one
+    ``_case1_system`` call.  The analytic Jacobian is built from the
+    constraint gradients of each seed's current point, kept from the call
+    that accepted it, and solved in one batch.  The line search evaluates
+    every step size of ``_LINE_SEARCH_STEPS`` for every seed in one stacked
+    call; each seed takes the first size that lowers its residual norm
+    enough, or stops.  Seeds never interact and every operation works row
+    by row, so the result is the same, bit for bit, as running each seed on
+    its own and trying the step sizes in order.
     """
     Z = _case1_seeds(sx, sy, seed_count)
     alive = np.ones(seed_count, dtype=bool)
     done = np.zeros(seed_count, dtype=bool)
-    F, _ = _case1_system(sx, sy, Z)
+    F, G = _case1_system(sx, sy, Z)
     norms = np.max(np.abs(F), axis=1)
-    cols = np.arange(_N_UNKNOWNS)
 
     for _ in range(60):
         idx = np.flatnonzero(alive & ~done)
         if idx.size == 0:
             break
-        Za = Z[idx]
-        Fa, _ = _case1_system(sx, sy, Za)
-        # Zp[j] is Za with column j perturbed by h[:, j]
-        h = 1e-7 * np.maximum(1.0, np.abs(Za))
-        Zp = np.repeat(Za[None, :, :], _N_UNKNOWNS, axis=0)
-        Zp[cols, :, cols] += h.T
-        Fp, _ = _case1_system(sx, sy, Zp.reshape(-1, _N_UNKNOWNS))
-        Fp = Fp.reshape(_N_UNKNOWNS, -1, _N_UNKNOWNS)
-        J = ((Fp - Fa[None, :, :]) / h.T[:, :, None]).transpose(1, 2, 0)
-        steps, ok = _newton_steps(J, Fa)
+        steps, ok = _newton_steps(_case1_jacobian(sx, sy, Z[idx], G[idx]), F[idx])
         alive[idx[~ok]] = False
 
+        # row t*m + i of the stack is seed tried[i] moved by step size t
         tried = idx[ok]
-        pending, rows = tried, np.flatnonzero(ok)
-        for t in _LINE_SEARCH_STEPS:
-            if pending.size == 0:
-                break
-            Znew = Z[pending] + t * steps[rows]
-            Fn, _ = _case1_system(sx, sy, Znew)
-            nn = np.max(np.abs(Fn), axis=1)
-            acc = np.isfinite(nn) & (nn < norms[pending] * (1.0 - 1e-4 * t))
-            Z[pending[acc]] = Znew[acc]
-            norms[pending[acc]] = nn[acc]
-            pending, rows = pending[~acc], rows[~acc]
-        alive[pending] = False
+        m = tried.size
+        ts = _LINE_SEARCH_STEPS[:, None]
+        Zc = (Z[tried] + ts[:, :, None] * steps[ok]).reshape(-1, _N_UNKNOWNS)
+        Fc, Gc = _case1_system(sx, sy, Zc)
+        nc = np.max(np.abs(Fc), axis=1).reshape(ts.shape[0], m)
+        acc = np.isfinite(nc) & (nc < norms[tried][None, :] * (1.0 - 1e-4 * ts))
+        took = acc.any(axis=0)
+        rows = (np.argmax(acc, axis=0) * m + np.arange(m))[took]
+        dest = tried[took]
+        Z[dest], F[dest], G[dest] = Zc[rows], Fc[rows], Gc[rows]
+        norms[dest] = nc.reshape(-1)[rows]
+        alive[tried[~took]] = False
         alive[tried[norms[tried] > 1e10]] = False
         done[tried[alive[tried] & (norms[tried] < 1e-12)]] = True
     return Z, alive, done
@@ -1469,11 +1518,14 @@ def case1_numeric(inp: RotatedInput, seed_count: int = 64) -> list[RotatedCandid
     The full first-order system (six constraints, nine stationarity rows,
     one deflation row ``1 - k*(y0+y1)`` that excludes the symmetric
     families) is solved by a damped Newton iteration from ``seed_count``
-    low-discrepancy seeds, batched across seeds; the states equal those of
-    running each seed on its own, bit for bit.  Converged states (residual
+    low-discrepancy seeds, with the analytic Jacobian of ``_case1_jacobian``,
+    batched across seeds and line-search step sizes; the states equal those
+    of running each seed on its own, bit for bit.  Converged states (residual
     below 1e-12) are filtered: positive burn sizes, ``|y0+y1| > 1e-6``,
     elliptic transfer, plan residuals below 1e-9.  The list is often
-    empty — for many inputs this family has no real solution.
+    empty — for many inputs this family has no real solution.  The seeds do
+    not make the list complete: on ``params_from_angle(0.9, 90)`` the
+    default 64 miss a pair at f1 = 3.6076 that 256 seeds find.
 
     Raises ``ValueError`` unless ``seed_count`` is a positive int.
     """

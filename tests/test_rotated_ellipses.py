@@ -35,6 +35,7 @@ from orbita.rotated_ellipses import (
     PipelineDegreeMismatch,
     RotatedCandidate,
     RotatedInput,
+    _case1_jacobian,
     _case1_newton,
     _case1_seeds,
     _case1_system,
@@ -509,9 +510,68 @@ class TestCase1Numeric:
                 fd = (lagrangian(Zp) - lagrangian(Zm)) / (2.0 * h)
                 assert abs(fd - F[i, 6 + j]) < 1e-5
 
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(13)
+        Z = rng.normal(scale=0.8, size=(5, 16))
+        Z[:, 6] += 1.5  # keep l away from 0
+        Z[:, 7:9] = np.abs(Z[:, 7:9]) + 0.5
+        sx, sy = 0.3, 0.4
+        _, G = _case1_system(sx, sy, Z)
+        J = _case1_jacobian(sx, sy, Z, G)
+        h = 1e-6
+        for j in range(16):  # primal, multiplier and deflation columns
+            Zp = Z.copy()
+            Zm = Z.copy()
+            Zp[:, j] += h
+            Zm[:, j] -= h
+            Fp, _ = _case1_system(sx, sy, Zp)
+            Fm, _ = _case1_system(sx, sy, Zm)
+            fd = (Fp - Fm) / (2.0 * h)
+            assert np.max(np.abs(fd - J[:, :, j])) < 1e-5
+
 
 def _reference_newton(sx, sy, seed_count):
     """The per-seed Newton loop that ``_case1_newton`` batches."""
+    Z = _case1_seeds(sx, sy, seed_count)
+    alive = np.ones(seed_count, dtype=bool)
+    done = np.zeros(seed_count, dtype=bool)
+    F, G = _case1_system(sx, sy, Z)
+    norms = np.max(np.abs(F), axis=1)
+
+    for _ in range(60):
+        act = alive & ~done
+        if not act.any():
+            break
+        for i in np.flatnonzero(act):
+            J = _case1_jacobian(sx, sy, Z[i][None, :], G[i][None, :, :])[0]
+            try:
+                step = np.linalg.solve(J, -F[i])
+            except np.linalg.LinAlgError:
+                alive[i] = False
+                continue
+            accepted = False
+            for t in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3):
+                Znew = Z[i] + t * step
+                Fn, Gn = _case1_system(sx, sy, Znew[None, :])
+                nn = float(np.max(np.abs(Fn)))
+                if math.isfinite(nn) and nn < norms[i] * (1.0 - 1e-4 * t):
+                    Z[i], F[i], G[i] = Znew, Fn[0], Gn[0]
+                    norms[i] = nn
+                    accepted = True
+                    break
+            if not accepted or norms[i] > 1e10:
+                alive[i] = False
+            elif norms[i] < 1e-12:
+                done[i] = True
+    return Z, alive, done
+
+
+def _fd_reference_newton(sx, sy, seed_count):
+    """The per-seed Newton loop with a forward-difference Jacobian.
+
+    This was the production route before the analytic Jacobian; it stays
+    here as an oracle for the converged points.
+    """
     n_unk = 16
     Z = _case1_seeds(sx, sy, seed_count)
     alive = np.ones(seed_count, dtype=bool)
@@ -580,6 +640,46 @@ class TestCase1Batched:
         assert np.array_equal(alive, alive_ref)
         assert np.array_equal(done, done_ref)
 
+    @pytest.mark.parametrize("seed_count", [64, 7])
+    @pytest.mark.parametrize("name", sorted(_NEWTON_INPUTS))
+    def test_analytic_route_matches_forward_differences(self, name, seed_count):
+        inp = _NEWTON_INPUTS[name]
+        sx, sy = inp.s0x_float, inp.s0y_float
+        Z_fd, _, done_fd = _fd_reference_newton(sx, sy, seed_count)
+        Z, _, done = _case1_newton(sx, sy, seed_count)
+        assert np.array_equal(done, done_fd)
+        cost = Z[done, 7] + Z[done, 8]
+        cost_fd = Z_fd[done, 7] + Z_fd[done, 8]
+        assert np.max(np.abs(cost - cost_fd), initial=0.0) < 1e-12
+
+    def test_one_system_call_per_iteration(self, monkeypatch):
+        counts = {"system": 0, "iterations": 0}
+        system, steps = rotated_ellipses._case1_system, rotated_ellipses._newton_steps
+
+        def counted_system(*args):
+            counts["system"] += 1
+            return system(*args)
+
+        def counted_steps(*args):
+            counts["iterations"] += 1
+            return steps(*args)
+
+        monkeypatch.setattr(rotated_ellipses, "_case1_system", counted_system)
+        monkeypatch.setattr(rotated_ellipses, "_newton_steps", counted_steps)
+        _case1_newton(REF.s0x_float, REF.s0y_float, 64)
+        # two calls inside _case1_seeds and one for the seeds' residuals
+        assert 0 < counts["iterations"] <= 60
+        assert counts["system"] <= counts["iterations"] + 3
+
+    def test_all_rows_singular_stops_every_seed(self, monkeypatch):
+        def all_singular(J, F):
+            return np.zeros_like(F), np.zeros(J.shape[0], dtype=bool)
+
+        monkeypatch.setattr(rotated_ellipses, "_newton_steps", all_singular)
+        Z, alive, done = _case1_newton(REF.s0x_float, REF.s0y_float, 7)
+        assert Z.tobytes() == _case1_seeds(REF.s0x_float, REF.s0y_float, 7).tobytes()
+        assert not alive.any() and not done.any()
+
     def test_singular_row_is_the_only_failure(self):
         rng = np.random.default_rng(3)
         J = rng.normal(size=(5, 16, 16))
@@ -619,6 +719,16 @@ class TestCase1Batched:
         assert few <= {round(c.f1, 9) for c in many}
         mirror_best = min(c.f1 for c in case2a_axis_solutions(inp) + case2a_general(inp))
         assert all(c.f1 >= mirror_best for c in many)
+
+    # a case-1 point that 256 seeds find; see ROADMAP item 4
+    @pytest.mark.xfail(strict=True, reason="64 seeds miss the f1 = 3.607616 point on (0.9, 90)")
+    def test_default_seeds_find_the_e09_a90_point(self):
+        f1s = [c.f1 for c in case1_numeric(params_from_angle(0.9, 90))]
+        assert any(f == pytest.approx(3.6076163453931, abs=1e-9) for f in f1s)
+
+    def test_256_seeds_find_the_e09_a90_point(self):
+        f1s = [c.f1 for c in case1_numeric(params_from_angle(0.9, 90), seed_count=256)]
+        assert sum(f == pytest.approx(3.6076163453931, abs=1e-9) for f in f1s) == 2
 
 
 # --------------------------------------------------------------------------
