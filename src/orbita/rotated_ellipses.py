@@ -24,13 +24,19 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
 - ``case2a_axis`` / ``case2a_general``   burns mirror-symmetric across the
   x axis (``x1 = x0``, ``y1 = -y0``, forcing ``s1x = 0``).  The axis
   subfamily (burns on the y axis) is closed form.  The general subfamily is
-  solved exactly: the l resultant of two stationarity polynomials splits
-  by parity in ``x0`` as ``E + x0 O``, reduced on the burn circle
-  ``x0^2 = u = 1 - y0^2``, and the eliminant ``E^2 - u O^2`` (the x0
-  resultant with the circle) is a univariate of degree 48 in ``y0`` which
-  always factors into known spurious factors and a degree-20 core; the
-  core's real roots in (-1, 1) are isolated and refined, then
-  back-substituted.
+  solved exactly: the l resultant of two stationarity polynomials, kept
+  as primitive integer polynomials, splits by parity in ``x0`` as
+  ``E + x0 O``, reduced on the burn circle ``x0^2 = u = 1 - y0^2``.  ``E``
+  and ``O`` are built by evaluation at integer ``y0``-nodes ``c`` with
+  ``|c| >= 2`` and exact interpolation: at each node ``x0 = X`` in the
+  integral domain ``Z[X]/(X^2 - (1 - c^2))``, where the circle holds, and
+  the resultant there is the 4x4 Bezout determinant of the two
+  polynomials, ``E(c) + X O(c)``; the node count comes from a degree
+  bound, with one spare node checking each part.  The eliminant
+  ``E^2 - u O^2`` (the x0 resultant with the circle) is a univariate of
+  degree 48 in ``y0`` which always factors into known spurious factors and
+  a degree-20 core; the core's real roots in (-1, 1) are isolated and
+  refined, then back-substituted.
 - ``case2b_closed`` / ``case2b_general``   burns antipodal (``x1 = -x0``,
   ``y1 = -y0``).  Two closed-form families exist (prograde ``l = 1`` with a
   free ``s1x`` interval, retrograde ``l = -1``, always dominated).  The
@@ -91,6 +97,7 @@ from .poly_kernel import (
     NotAFactor,
     QuadPair,
     RatPoly,
+    bezout_resultant,
     euclidean_last_linear,
     interpolate_checked,
     isolate_real_roots,
@@ -528,13 +535,38 @@ def case2a_axis_solutions(inp: RotatedInput) -> list[RotatedCandidate]:
 class _MirrorPipeline:
     """Exact elimination data for the mirror-symmetric family, per input."""
 
-    stat_l: MPoly  # d(cost)/dl, denominators cleared; vars (l, x0, y0)
-    stat_t: MPoly  # tangential derivative along the burn circle, cleared
+    # the pair, primitive integer polynomials in (l, x0, y0) of degree 4 in
+    # l, shared by the ring nodes, the fiber and the residual gate
+    stat_l: MPoly  # d(cost)/dl
+    stat_t: MPoly  # tangential derivative along the burn circle
     core: RatPoly  # degree-20 primitive integer eliminant core in y0
-    even_part: RatPoly  # E: even-in-x0 part of the cleared pair resultant, on the circle
-    odd_part: RatPoly  # O: odd-in-x0 part (zero polynomial when s0y = 0)
+    # E and O of Res_l(stat_l, stat_t) = E + x0 O on the burn circle,
+    # interpolated from 4x4 Bezout determinants at the ring nodes |c| >= 2,
+    # each checked at one spare node
+    even_part: RatPoly  # E, degree <= the Sylvester row bound (28)
+    odd_part: RatPoly  # O, degree <= 27 (zero polynomial when s0y = 0)
     degree_full: int  # 48
     degree_core: int  # 20
+
+
+def _mirror_node_value(l_rows, t_rows, c: int) -> QuadPair | None:
+    """``E(c) + X O(c)``: the pair resultant ``Res_l(stat_l, stat_t)`` at
+    ``y0 = c`` with ``x0 = X`` in ``Z[X]/(X^2 - (1 - c^2))``, where the burn
+    circle ``x0^2 = 1 - y0^2`` holds, taken as the 4x4 Bezout determinant
+    of the :func:`_node_rows` ``l_rows``/``t_rows`` of the pair.
+
+    None at ``c`` in {0, +-1}, where ``X^2 = 1`` or ``0`` makes the ring
+    no domain, so Bareiss division is not exact (for ``|c| >= 2`` the ring
+    is ``Z[sqrt(1 - c^2)]`` with ``1 - c^2 < 0``), and where ``y0 = c``
+    drops the l-degree of either polynomial or a leading pair has norm 0.
+    """
+    if abs(c) < 2:
+        return None
+    f = _ring_coeffs(l_rows, c, 1 - c * c, 1)
+    g = _ring_coeffs(t_rows, c, 1 - c * c, 1) if f is not None else None
+    if g is None or not f[-1].norm() or not g[-1].norm():
+        return None
+    return bezout_resultant(f, g)
 
 
 @lru_cache(maxsize=64)
@@ -553,22 +585,33 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
         + 2 * (one - l) * (x0 * s0y - y0 * s0x) * l * l * x0 * x0
         - 2 * (one - l) * (one + x0 * s0y - y0 * s0x - l * l) * l * x0 * x0
     )
-    stat_l = l * cost_num.partial("l") - 2 * cost_num
-    stat_t = x0 * x0 * cost_num.partial("y0") - y0 * (
-        x0 * cost_num.partial("x0") - 2 * cost_num
-    )
+    stat_l = (l * cost_num.partial("l") - 2 * cost_num).primitive()
+    stat_t = (
+        x0 * x0 * cost_num.partial("y0") - y0 * (x0 * cost_num.partial("x0") - 2 * cost_num)
+    ).primitive()
 
-    # split the pair resultant into even/odd parts in x0, E + x0*O, and
-    # reduce even powers x0^(2j) -> u^j on the burn circle x0^2 = u = 1 - y0^2;
-    # the circle is monic in x0, so Res_x0(circle, pair) = E^2 - u*O^2
-    pair, _ = sylvester_resultant(stat_l, stat_t, "l").clear_denominators()
+    # the pair resultant R = Res_l(stat_l, stat_t) splits by parity in x0 as
+    # E(y0) + x0 O(y0) on the burn circle x0^2 = u = 1 - y0^2; at y0 = c
+    # put x0 = X in Z[X]/(X^2 - (1 - c^2)), so each node value is
+    # E(c) + X O(c) by the ring map (Collins, J. ACM 1971); a total degree
+    # of R in (x0, y0) bounds deg E, one less bounds deg O
+    bound = sylvester_degree_bound(stat_l, stat_t, "l", {"x0": 1, "y0": 1})
+    rows = (_node_rows(stat_l, "l", "x0", "y0"), _node_rows(stat_t, "l", "x0", "y0"))
+    values: dict[int, QuadPair | None] = {}
+
+    def part_at(c: int, odd: bool) -> int | None:
+        if c not in values:
+            values[c] = _mirror_node_value(*rows, c)
+        v = values[c]
+        return None if v is None else (v.o if odd else v.e)
+
+    try:
+        even = RatPoly(interpolate_checked(lambda c: part_at(c, False), bound), "y0")
+        odd = RatPoly(interpolate_checked(lambda c: part_at(c, True), bound - 1), "y0")
+    except DegenerateInput as exc:
+        raise PipelineDegreeMismatch(f"mirror eliminant: {exc}") from exc
+    # the circle is monic in x0, so Res_x0(circle, R) = E^2 - u*O^2
     u = RatPoly([1, 0, -1], "y0")
-    coeffs = [c.to_ratpoly("y0") for c in pair.coeffs_in("x0")]
-    even = odd = RatPoly([], "y0")
-    for c in reversed(coeffs[0::2]):
-        even = even * u + c
-    for c in reversed(coeffs[1::2]):
-        odd = odd * u + c
     full = even * even - u * odd * odd
     if full.degree() != 48:
         raise PipelineDegreeMismatch(
@@ -671,9 +714,13 @@ def _mirror_backsub(
 def case2a_general(inp: RotatedInput) -> list[RotatedCandidate]:
     """Interior critical points of the mirror-symmetric family, exactly.
 
-    Pipeline: resultant of the two cleared stationarity polynomials in
-    ``l``, split by parity in ``x0`` as ``E + x0 O`` and reduced on the
-    burn circle ``x0^2 = u = 1 - y0^2``; the eliminant ``E^2 - u O^2``
+    Pipeline: resultant of the two stationarity polynomials (primitive
+    integer polynomials of degree 4) in ``l``, split by parity in ``x0`` as
+    ``E + x0 O`` and reduced on the burn circle ``x0^2 = u = 1 - y0^2``.
+    ``E`` and ``O`` come from ring nodes: at ``y0 = c`` with ``|c| >= 2``,
+    ``x0 = X`` in ``Z[X]/(X^2 - (1 - c^2))`` makes the 4x4 Bezout
+    determinant of the pair ``E(c) + X O(c)``, and exact interpolation
+    checks each part at one spare node.  The eliminant ``E^2 - u O^2``
     (the x0 resultant with the circle, which is monic in ``x0``) is a
     degree-48 univariate in ``y0``.  Stripping the always-present factors
     ``y0^8 (y0-1)^6 (y0+1)^6 q(y0)^4`` (with ``q`` the known spurious
@@ -777,19 +824,20 @@ def _antipodal_equations(s0x, s0y):
 _X0_LOW = 7
 
 
-def _node_rows(p: MPoly) -> list[list[list[int]]]:
+def _node_rows(p: MPoly, elim: str, ring: str, node: str) -> list[list[list[int]]]:
     """``rows[j][k]``: the integer coefficients, lowest first, of the
-    polynomial in ``l`` multiplying ``s1y^j x0^k`` in ``p``."""
+    polynomial in ``node`` multiplying ``elim^j ring^k`` in ``p``."""
     return [
-        [cx.to_ratpoly("l").coeffs for cx in cs.coeffs_in("x0")]
-        for cs in p.coeffs_in("s1y")
+        [cx.to_ratpoly(node).coeffs for cx in cs.coeffs_in(ring)]
+        for cs in p.coeffs_in(elim)
     ]
 
 
 def _ring_coeffs(rows: list[list[list[int]]], c: int, n: int, d: int) -> list[QuadPair] | None:
-    """The s1y-coefficients of ``D^dx p(l = c, x0 = X/D)`` in
-    ``Z[X]/(X^2 - N*D)``, ``dx`` the x0-degree of ``p``, or None when
-    ``l = c`` drops the s1y-degree."""
+    """The coefficients in the eliminated variable of ``D^dx p`` at
+    ``node = c``, ``ring = X/D`` in ``Z[X]/(X^2 - N*D)``, for ``rows`` from
+    :func:`_node_rows` and ``dx`` the ring-variable degree of ``p``, or None
+    when ``node = c`` drops the degree in the eliminated variable."""
     if not any(u_eval(cf, c) for cf in rows[-1]):
         return None
     dx = max(len(row) for row in rows) - 1
@@ -941,7 +989,8 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     # N(c) != 0 at every integer c, as 0 < |s0x| < 1
     num, den = s0x.numerator, s0x.denominator
     radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
-    first_rows, second_rows = _node_rows(first), _node_rows(second)
+    first_rows = _node_rows(first, "s1y", "x0", "l")
+    second_rows = _node_rows(second, "s1y", "x0", "l")
 
     try:
         coeffs = interpolate_checked(

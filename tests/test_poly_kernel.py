@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbita.poly_kernel import (
     ChainCollapse,
@@ -14,6 +16,7 @@ from orbita.poly_kernel import (
     QuadPair,
     RatPoly,
     RootInterval,
+    bezout_resultant,
     euclidean_last_linear,
     isolate_real_roots,
     quadratic_resultant,
@@ -313,6 +316,61 @@ class TestQuadraticResultantRing:
             QuadPair(4, 1, 3).divexact(QuadPair(2, 0, 3))  # even part divides, odd not
         with pytest.raises(DegenerateInput):
             QuadPair(1, 0, 4).divexact(QuadPair(2, 1, 4))  # norm 4 - 4 = 0
+
+
+# two polynomials of one degree 1-4 in x with nonzero tops, as coefficient
+# lists in x of coefficient lists in y (degree <= 2)
+_COEFFS_IN_Y = st.lists(st.integers(-5, 5), min_size=1, max_size=3)
+_EQUAL_DEGREE_PAIRS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(_COEFFS_IN_Y, min_size=n + 1, max_size=n + 1)] * 2)
+).filter(lambda fg: any(fg[0][-1]) and any(fg[1][-1]))
+
+
+class TestBezoutResultant:
+    """Res(f, g) as the n x n Bezout determinant, by Bareiss with row swaps."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_quadpair_matches_sympy_mod_x2_minus_m(self, n):
+        rng = random.Random(100 + n)
+        sx, sv = sp.symbols("x v")
+        pair = TestQuadraticResultantRing._pair
+        checked = 0
+        for m in (-3, -8, -15, 7):  # not squares: Z[X]/(X^2 - m) is a domain
+            for _ in range(3):
+                fc = [sum(rng.randrange(-4, 5) * sx**e for e in range(3)) for _ in range(n + 1)]
+                gc = [sum(rng.randrange(-4, 5) * sx**e for e in range(3)) for _ in range(n + 1)]
+                if fc[-1] == 0 or gc[-1] == 0:
+                    continue
+                got = bezout_resultant([pair(c, sx, m) for c in fc], [pair(c, sx, m) for c in gc])
+                f = sum(c * sv**j for j, c in enumerate(fc))
+                g = sum(c * sv**j for j, c in enumerate(gc))
+                ref = pair(sp.resultant(f, g, sv), sx, m)
+                assert (got.e, got.o) == (ref.e, ref.o)
+                checked += 1
+        assert checked >= 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(_EQUAL_DEGREE_PAIRS)
+    def test_mpoly_matches_sylvester(self, fg):
+        def poly(coeffs):
+            return MPoly.from_dict(
+                V2, {(i, j): c for i, cy in enumerate(coeffs) for j, c in enumerate(cy) if c}
+            )
+
+        fc, gc = ([poly([cy]) for cy in side] for side in fg)
+        assert bezout_resultant(fc, gc) == sylvester_resultant(poly(fg[0]), poly(fg[1]), "x")
+
+    def test_zero_first_pivot_takes_a_row_swap(self):
+        f, g = [1, 2, 0, 1], [2, 4, 1, 1]  # B[0][0] = f1 g0 - f0 g1 = 0
+        assert f[1] * g[0] - f[0] * g[1] == 0
+        got = bezout_resultant([QuadPair(c, 0, -3) for c in f], [QuadPair(c, 0, -3) for c in g])
+        v = sp.symbols("v")
+        ref = sp.resultant(sum(c * v**j for j, c in enumerate(f)), sum(c * v**j for j, c in enumerate(g)), v)
+        assert ref != 0 and (got.e, got.o) == (int(ref), 0)
+
+    def test_unequal_degrees_rejected(self):
+        with pytest.raises(DegenerateInput):
+            bezout_resultant([QuadPair(1, 0, -3)] * 3, [QuadPair(1, 0, -3)] * 4)
 
 
 class TestEvalExact:

@@ -21,6 +21,7 @@ from orbita.poly_kernel import (
     ChainCollapse,
     MPoly,
     NotAFactor,
+    QuadPair,
     RatPoly,
     isolate_real_roots,
     refine_root,
@@ -299,6 +300,65 @@ class TestMirrorGeneral:
         assert parts == generic * scale**2
         assert parts.degree() == pipe.degree_full
         assert pipe.odd_part.is_zero() == (inp.s0y == 0)
+
+    @pytest.mark.parametrize(
+        "inp",
+        [
+            REF,
+            params_from_angle(0.7, 37),
+            RotatedInput(s0x=Fraction(-3, 10), s0y=Fraction(0)),
+            RotatedInput.from_floats(0.123457, 0.654321),
+            params_from_angle(0.95, 179.9),
+        ],
+        ids=["REF", "e0.7-a37", "alpha-180-negative-s0x", "from-floats-1e6", "e0.95-a179.9"],
+    )
+    def test_ring_parts_equal_the_pair_resultant(self, inp):
+        # the symbolic route, kept as an oracle: the pair resultant over
+        # Z[x0, y0], split by parity in x0 and reduced on the burn circle
+        pipe = rotated_ellipses._mirror_pipeline(inp.s0x, inp.s0y)
+        pair = sylvester_resultant(pipe.stat_l, pipe.stat_t, "l")
+        u = RatPoly([1, 0, -1], "y0")
+        coeffs = [c.to_ratpoly("y0") for c in pair.coeffs_in("x0")]
+        even = odd = RatPoly([], "y0")
+        for c in reversed(coeffs[0::2]):
+            even = even * u + c
+        for c in reversed(coeffs[1::2]):
+            odd = odd * u + c
+        assert pipe.even_part == even
+        assert pipe.odd_part == odd
+
+    @pytest.mark.parametrize("bump", [(1, 0), (0, 1)], ids=["even", "odd"])
+    def test_off_node_value_fails_the_spare_node(self, monkeypatch, bump):
+        node_value = rotated_ellipses._mirror_node_value
+
+        def perturbed(l_rows, t_rows, c):
+            v = node_value(l_rows, t_rows, c)
+            return v + QuadPair(*bump, v.m) if c == 5 else v
+
+        monkeypatch.setattr(rotated_ellipses, "_mirror_node_value", perturbed)
+        with pytest.raises(PipelineDegreeMismatch, match="spare node"):
+            rotated_ellipses._mirror_pipeline.__wrapped__(REF.s0x, REF.s0y)
+
+    def test_node_value_skips_the_non_domain_nodes(self):
+        # X^2 = 1 - c^2 is 1 or 0 at c = 0, +-1: zero divisors in the ring
+        pipe = rotated_ellipses._mirror_pipeline(REF.s0x, REF.s0y)
+        rows = [rotated_ellipses._node_rows(p, "l", "x0", "y0") for p in (pipe.stat_l, pipe.stat_t)]
+        for c in (0, 1, -1):
+            assert rotated_ellipses._mirror_node_value(*rows, c) is None
+        assert rotated_ellipses._mirror_node_value(*rows, 2) is not None
+
+    def test_pipeline_takes_no_symbolic_resultant(self, monkeypatch):
+        calls = []
+        resultant = rotated_ellipses.sylvester_resultant
+
+        def counted(*args):
+            calls.append(args[-1])
+            return resultant(*args)
+
+        monkeypatch.setattr(rotated_ellipses, "sylvester_resultant", counted)
+        inp = params_from_angle(0.3, 120)
+        rotated_ellipses._mirror_pipeline.__wrapped__(inp.s0x, inp.s0y)
+        assert calls == []
 
     def test_identical_orbits_rejected(self):
         with pytest.raises(DegenerateGeometry):
@@ -1031,7 +1091,10 @@ def _node_inputs(inp):
     top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - 7) // 2
     num, den = inp.s0x.numerator, inp.s0x.denominator
     radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
-    rows = (rotated_ellipses._node_rows(first), rotated_ellipses._node_rows(second))
+    rows = (
+        rotated_ellipses._node_rows(first, "s1y", "x0", "l"),
+        rotated_ellipses._node_rows(second, "s1y", "x0", "l"),
+    )
     return first, second, rows, radius, top
 
 
@@ -1064,7 +1127,10 @@ class TestAntipodalNodeRing:
         first, second, _, radius, _ = _node_inputs(inp)
         second = second * (MPoly.variable("x0", second.vars) + 2)
         top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - 7) // 2
-        rows = (rotated_ellipses._node_rows(first), rotated_ellipses._node_rows(second))
+        rows = (
+            rotated_ellipses._node_rows(first, "s1y", "x0", "l"),
+            rotated_ellipses._node_rows(second, "s1y", "x0", "l"),
+        )
         for c in (2, -3, 7):
             with pytest.raises(PipelineDegreeMismatch, match="not odd in x0"):
                 rotated_ellipses._antipodal_node_value(*rows, radius, top, c)
