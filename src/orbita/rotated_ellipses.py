@@ -1434,9 +1434,8 @@ def _case1_seeds(sx: float, sy: float, count: int) -> np.ndarray:
     grad_f[7] = 1.0
     grad_f[8] = 1.0
     _, G = _case1_system(sx, sy, Z)
-    for j in range(count):
-        lam, *_ = np.linalg.lstsq(G[j].T, grad_f, rcond=None)
-        Z[j, 9:15] = lam
+    # least-squares multipliers of every seed, one stacked pseudo-inverse
+    Z[:, 9:15] = np.linalg.pinv(np.swapaxes(G, 1, 2)) @ grad_f
     return Z
 
 
