@@ -590,11 +590,11 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
         x0 * x0 * cost_num.partial("y0") - y0 * (x0 * cost_num.partial("x0") - 2 * cost_num)
     ).primitive()
 
-    # the pair resultant R = Res_l(stat_l, stat_t) splits by parity in x0 as
-    # E(y0) + x0 O(y0) on the burn circle x0^2 = u = 1 - y0^2; at y0 = c
-    # put x0 = X in Z[X]/(X^2 - (1 - c^2)), so each node value is
-    # E(c) + X O(c) by the ring map (Collins, J. ACM 1971); a total degree
-    # of R in (x0, y0) bounds deg E, one less bounds deg O
+    # R = Res_l(stat_l, stat_t) is E(y0) + x0 O(y0) on the burn circle
+    # x0^2 = u = 1 - y0^2, and E(c) + X O(c) is R in the ring of
+    # _mirror_node_value (Collins, J. ACM 1971).  A term x0^k y0^j of R
+    # becomes (1 - c^2)^(k//2) c^j X^(k%2), so the total degree of R in
+    # (x0, y0) bounds deg E and one less bounds deg O.
     bound = sylvester_degree_bound(stat_l, stat_t, "l", {"x0": 1, "y0": 1})
     rows = (_node_rows(stat_l, "l", "x0", "y0"), _node_rows(stat_t, "l", "x0", "y0"))
     values: dict[int, QuadPair | None] = {}
