@@ -15,8 +15,9 @@ Public surface:
   at one spare node), ``euclidean_last_linear``
 - roots: ``strip_known_factors`` (exact division by known factors, the
   one place repeated factors are removed), ``isolate_real_roots`` and
-  ``refine_root`` (on the square-free part; no multiplicities),
-  ``sturm_chain``
+  ``refine_root`` (on the square-free part; no multiplicities; bisection
+  on integer numerators over one shared denominator, ``Fraction`` only at
+  the interval endpoints), ``sturm_chain``
 - errors: ``PolyKernelError``, ``DegenerateInput``, ``ChainCollapse``,
   ``NotAFactor``
 

@@ -6,11 +6,18 @@ points, and bisection until each root sits alone in a half-open rational
 interval ``(lo, hi]``.  The square-free part is isolated, so a multiple
 root is found once; its multiplicity is not reported (callers strip known
 repeated factors exactly first, with :func:`strip_known_factors`).  The
-square-free part and its Sturm chain are computed once per polynomial and
-shared by every isolation window and by refinement.
+square-free part, its Sturm chain and the float coefficients of the Newton
+polish are computed once per polynomial and shared by every isolation
+window and by refinement.
 
-Refinement is exact dyadic bisection on the isolating interval down to
-the requested width, followed by a float Newton polish safeguarded by the
+Inside the kernel a bracket is a pair of integer numerators over one
+shared positive integer denominator, ``(na/den, nb/den]``: a midpoint is
+``(na + nb)/(2 den)``, every sign is :func:`sign_at` on integers, and no
+``Fraction`` is built per step.  ``Fraction`` appears only at the API
+boundary (the window arguments and the :class:`RootInterval` endpoints).
+
+Refinement is exact bisection on the isolating interval down to the
+requested width, followed by a float Newton polish safeguarded by the
 bracket.
 """
 
@@ -111,7 +118,7 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
     if len(coeffs) == 1:
         return []
 
-    full_sqf, full_chain = _decompose(tuple(coeffs))
+    full_sqf, full_chain, _, _ = _decompose(tuple(coeffs))
     sqf = full_sqf
 
     if lo is None or hi is None:
@@ -123,91 +130,90 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
     if not lo < hi:
         raise DegenerateInput("empty isolation interval")
 
-    out: list[RootInterval] = []
-
     # roots exactly at the endpoints: lo is excluded by the half-open
     # interval, hi must be reported; both are deflated out so the Sturm
     # chain below sees only the remaining roots
-    if _sign_q(sqf, lo) == 0:
-        sqf = _deflate_rational_root(sqf, lo)
-    hi_is_root = _sign_q(sqf, hi) == 0
+    if sign_at(sqf, lo.numerator, lo.denominator) == 0:
+        sqf = divexact(sqf, [-lo.numerator, lo.denominator])
+    hi_is_root = sign_at(sqf, hi.numerator, hi.denominator) == 0
     if hi_is_root:
-        sqf = _deflate_rational_root(sqf, hi)
+        sqf = divexact(sqf, [-hi.numerator, hi.denominator])
 
     chain = full_chain if sqf is full_sqf else sturm_chain(sqf)
-    interior_hi = hi
+    na, nb, den = _common_denominator(lo, hi)
     if hi_is_root:
-        # reserve a slice (interior_hi, hi] holding no other root, so the
-        # appended interval for the hi root stays disjoint
-        v_hi = _var_q(chain, hi)
-        delta = (hi - lo) / 1024
-        while _var_q(chain, hi - delta) != v_hi:
-            delta = delta / 2
-        interior_hi = hi - delta
+        # reserve a slice (hi - (hi - lo)/s, hi] holding no other root, for
+        # s = 1024, 2048, ..., so the appended interval for the hi root
+        # stays disjoint; the interior then ends at nb/den
+        v_hi = _variations(chain, nb, den)
+        scale = 1024
+        while _variations(chain, nb * scale - (nb - na), den * scale) != v_hi:
+            scale *= 2
+        na, nb, den = na * scale, nb * scale - (nb - na), den * scale
 
-    stack = [(lo, interior_hi, _var_q(chain, lo), _var_q(chain, interior_hi))]
+    out: list[RootInterval] = []
+    stack = [(na, nb, den, _variations(chain, na, den), _variations(chain, nb, den))]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, d, va, vb = stack.pop()
         n = va - vb
         if n <= 0:
             continue
         if n == 1:
-            out.append(RootInterval(a, b))
+            out.append(RootInterval(Fraction(a, d), Fraction(b, d)))
             continue
-        mid = _split_point(sqf, a, b)
-        vm = _var_q(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
+        m, k = _split_point(sqf, a, b, d)
+        vm = _variations(chain, m, d * k)
+        stack.append((a * k, m, d * k, va, vm))
+        stack.append((m, b * k, d * k, vm, vb))
 
     if hi_is_root:
-        out.append(RootInterval(interior_hi, hi))
+        out.append(RootInterval(Fraction(nb, den), hi))
 
-    out.sort(key=lambda iv: Fraction(iv.lo))
+    out.sort(key=lambda iv: iv.lo)
     return out
 
 
-def _cauchy_bound(coeffs: list[int]) -> object:
+def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """``(na, nb, den)`` with ``a = na/den`` and ``b = nb/den``."""
+    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+
+
+def _cauchy_bound(coeffs: list[int]) -> Fraction:
     lead = abs(coeffs[-1])
     top = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
     return Fraction(1 + (top + lead - 1) // lead)
 
 
-def _sign_q(coeffs: list[int], x) -> int:
-    num, den = Fraction(x).as_integer_ratio()
-    return sign_at(coeffs, num, den)
-
-
-def _var_q(chain: list[list[int]], x) -> int:
-    num, den = Fraction(x).as_integer_ratio()
-    return _variations(chain, num, den)
-
-
-def _split_point(sqf: list[int], a, b):
-    """A point strictly between a and b that is not a root (the midpoint,
-    nudged through a fixed sequence of interior fractions if needed)."""
-    for num, den in ((1, 2), (1, 3), (2, 5), (3, 7), (5, 11), (7, 13)):
-        mid = a + (b - a) * Fraction(num, den)
-        if _sign_q(sqf, mid) != 0:
-            return mid
+def _split_point(sqf: list[int], na: int, nb: int, den: int) -> tuple[int, int]:
+    """A point strictly between na/den and nb/den that is not a root, as
+    ``(m, k)`` for the point ``m/(den k)``: the midpoint, nudged through a
+    fixed sequence of interior fractions if needed."""
+    for num, k in ((1, 2), (1, 3), (2, 5), (3, 7), (5, 11), (7, 13)):
+        m = na * k + (nb - na) * num
+        if sign_at(sqf, m, den * k) != 0:
+            return m, k
     raise DegenerateInput("could not find a non-root split point")
-
-
-def _deflate_rational_root(coeffs: list[int], r) -> list[int]:
-    """Exact division by (den*x - num) for the rational root r = num/den."""
-    num, den = Fraction(r).as_integer_ratio()
-    return divexact(coeffs, [-num, den])
 
 
 # ------------------------------------------------ square-free part ---
 
 
 @lru_cache(maxsize=32)
-def _decompose(coeffs: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
+def _decompose(
+    coeffs: tuple[int, ...],
+) -> tuple[list[int], list[list[int]], list[float], list[float]]:
     """Square-free part of the integer polynomial ``coeffs`` (as
-    :func:`squarefree_part` returns it) and its Sturm chain, computed once
-    per polynomial.  Shared through the cache: never mutated."""
+    :func:`squarefree_part` returns it), its Sturm chain, and the
+    max-normalized float coefficients of the square-free part and of its
+    derivative for the Newton polish, computed once per polynomial.
+    Shared through the cache: never mutated."""
     sqf, _ = squarefree_part(list(coeffs))
-    return sqf, sturm_chain(sqf)
+    scale = max(abs(c) for c in sqf)
+    # int / int is correctly rounded, also beyond float range
+    fc = [c / scale for c in sqf]
+    dfc = [c * i for i, c in enumerate(fc)][1:]
+    return sqf, sturm_chain(sqf), fc, dfc
 
 
 # ----------------------------------------------------- known-factor strip ---
@@ -247,79 +253,72 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
     """Shrink an isolating interval around its root and return the root
     as a float, accurate to ``tol`` (relative for roots above 1 in size).
 
-    Bisection is exact (integer sign evaluation at rational points) on
-    the square-free part, so even roots of high multiplicity and
-    polynomials with coefficients far beyond float range refine reliably;
-    a safeguarded float Newton polish sharpens the last digits.
+    Bisection is exact on the square-free part: the bracket is
+    ``(na/den, nb/den]`` on integers, each halving doubles ``den`` and
+    takes the sign of the square-free part at ``(na + nb)/(2 den)``, and
+    with ``tol = tn/td`` the width test ``b - a > tol max(1, |a + b|/2)``
+    is the integer comparison ``2 td (nb - na) > tn max(2 den, |na + nb|)``.
+    So even roots of high multiplicity and polynomials with coefficients
+    far beyond float range refine reliably; a safeguarded float Newton
+    polish sharpens the last digits.
+
+    When the open end ``lo`` is itself a root (a window end that
+    :func:`isolate_real_roots` excluded), it is a simple root of the
+    square-free part, so the sign just right of it is the sign of the
+    derivative there.
     """
     if p.is_zero():
         raise DegenerateInput("cannot refine a root of the zero polynomial")
     coeffs, _ = p.to_int_coeffs()
-    sqf, _ = _decompose(tuple(u_trim(coeffs)))
-    a, b = Fraction(interval.lo), Fraction(interval.hi)
-    sb = _sign_q(sqf, b)
+    sqf, chain, fc, dfc = _decompose(tuple(u_trim(coeffs)))
+    na, nb, den = _common_denominator(Fraction(interval.lo), Fraction(interval.hi))
+    sb = sign_at(sqf, nb, den)
     if sb == 0:
-        return float(b)
-    sa = _sign_q(sqf, a)
+        return nb / den
+    sa = sign_at(sqf, na, den)
     if sa == 0:
-        # the root is strictly inside; step the left end inward until the
-        # sign shows up
-        step = (b - a) / 65536
-        while sa == 0:
-            a = a + step
-            sa = _sign_q(sqf, a)
+        # chain[1] is the primitive derivative, with its sign
+        sa = sign_at(chain[1], na, den)
     if sa == sb:
         raise DegenerateInput("interval does not bracket a sign change")
 
-    target = Fraction(tol)
-    while b - a > target * _qmax(1, abs(a + b) / 2):
-        mid = (a + b) / 2
-        sm = _sign_q(sqf, mid)
+    tn, td = Fraction(tol).as_integer_ratio()
+    while 2 * td * (nb - na) > tn * max(2 * den, abs(na + nb)):
+        mid = na + nb
+        den *= 2
+        sm = sign_at(sqf, mid, den)
         if sm == 0:
-            return float(mid)
+            return mid / den
         if sm == sa:
-            a = mid
+            na, nb = mid, 2 * nb
         else:
-            b = mid
-
-    root = float((a + b) / 2)
-    return _newton_polish(sqf, root, float(a), float(b))
+            na, nb = 2 * na, mid
+    return _newton_polish(fc, dfc, (na + nb) / (2 * den), na / den, nb / den)
 
 
-def _qmax(a, b):
-    a, b = Fraction(a), Fraction(b)
-    return a if a >= b else b
+def _horner(cs: list[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
-def _newton_polish(sqf: list[int], x0: float, lo: float, hi: float) -> float:
-    """Two float Newton steps on max-normalized coefficients, kept inside
-    the bracket; fall back to the bisection value if they do not help."""
-    scale = max(abs(c) for c in sqf)
-    fc = [_float_ratio(c, scale) for c in sqf]
-    dfc = [c * i for i, c in enumerate(fc)][1:]
-
-    def ev(cs: list[float], x: float) -> float:
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
+def _newton_polish(fc: list[float], dfc: list[float], x0: float, lo: float, hi: float) -> float:
+    """Two float Newton steps on the max-normalized coefficients ``fc``
+    (derivative ``dfc``), kept inside the bracket; fall back to the
+    bisection value if they do not help."""
     best = x0
-    best_val = abs(ev(fc, x0))
+    best_val = abs(_horner(fc, x0))
     x = x0
     for _ in range(2):
-        d = ev(dfc, x)
+        d = _horner(dfc, x)
         if d == 0.0 or not math.isfinite(d):
             break
-        x_new = x - ev(fc, x) / d
+        x_new = x - _horner(fc, x) / d
         if not (lo <= x_new <= hi) or not math.isfinite(x_new):
             break
         x = x_new
-        v = abs(ev(fc, x))
+        v = abs(_horner(fc, x))
         if v < best_val:
             best, best_val = x, v
     return best
-
-
-def _float_ratio(num: int, den: int) -> float:
-    return float(Fraction(num, den))

@@ -591,6 +591,25 @@ class TestSolveDispatch:
             assert max(dw0, dw1) < 1e-11
 
 
+# ``solve`` on four seeded random instances (``random.Random(1414)``): per
+# solution the case tag, f2 and the refined root l_z, frozen bit for bit.
+# Root refinement is exact bisection followed by a float Newton polish, so a
+# change to its arithmetic that alters any decision moves these floats.
+FROZEN_SOLVE = (
+    (("general", 0.3645145764205894, 1.3312443371738207), ("general", 6.835473712803009, -4.01296430765507)),
+    (("general", 0.03276030812180069, 0.8297831532003391), ("general", 5.301711871212304, -0.8870458372854859)),
+    (("general", 0.6948743831276649, 1.1245588685908798), ("general", 5.693446979929322, -1.9984195178659112)),
+    (("general", 0.04473245953164108, 0.9885294961340678), ("general", 7.002028901424868, -1.1240496820244426)),
+)
+
+
+def test_frozen_solve_outputs():
+    rng = random.Random(1414)
+    for want in FROZEN_SOLVE:
+        sols = solve(_random_instance(rng))
+        assert tuple((s.case_tag, s.f2, s.orbit1.l.z) for s in sols) == want
+
+
 class TestInvariantBattery:
     def test_two_hundred_random_instances(self):
         rng = random.Random(20260822)

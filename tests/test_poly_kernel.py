@@ -1,11 +1,12 @@
 """Kernel tests: exact arithmetic, resultants, chains, root isolation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbita.poly_kernel import (
@@ -26,6 +27,7 @@ from orbita.poly_kernel import (
     sylvester_resultant,
 )
 from orbita.poly_kernel import roots as roots_mod
+from orbita.poly_kernel.dense import divexact, sign_at, squarefree_part, u_trim
 from orbita.poly_kernel.resultant import interpolate_checked, newton_interpolate
 from orbita.poly_kernel.mpoly import pack, unpack
 
@@ -644,6 +646,193 @@ class TestSharedDecomposition:
         isolate_real_roots(p, Fraction(1), Fraction(4))
         isolate_real_roots(scaled, Fraction(1), Fraction(4))
         assert roots_mod._decompose.cache_info().misses == 1
+
+
+# ------------------------------------------- Fraction reference bisection ---
+#
+# The isolation and refinement loops as they ran on ``Fraction`` objects
+# before the kernel moved to integer numerators over a shared denominator.
+# Kept as the oracle: the kernel must take the same decisions, so its
+# intervals must be equal and its floats repr-identical.
+
+
+def _ref_sign(coeffs, x):
+    num, den = Fraction(x).as_integer_ratio()
+    return sign_at(coeffs, num, den)
+
+
+def _ref_var(chain, x):
+    num, den = Fraction(x).as_integer_ratio()
+    return roots_mod._variations(chain, num, den)
+
+
+def _ref_split_point(sqf, a, b):
+    for num, den in ((1, 2), (1, 3), (2, 5), (3, 7), (5, 11), (7, 13)):
+        mid = a + (b - a) * Fraction(num, den)
+        if _ref_sign(sqf, mid) != 0:
+            return mid
+    raise DegenerateInput("could not find a non-root split point")
+
+
+def _ref_sqf_and_chain(p):
+    coeffs = u_trim(p.to_int_coeffs()[0])
+    sqf, _ = squarefree_part(coeffs)
+    return coeffs, sqf, sturm_chain(sqf)
+
+
+def _ref_isolate_real_roots(p, lo=None, hi=None):
+    coeffs, sqf, full_chain = _ref_sqf_and_chain(p)
+    if len(coeffs) == 1:
+        return []
+    full_sqf = sqf
+    if lo is None or hi is None:
+        bound = roots_mod._cauchy_bound(coeffs)
+        lo = -bound if lo is None else Fraction(lo)
+        hi = bound if hi is None else Fraction(hi)
+    else:
+        lo, hi = Fraction(lo), Fraction(hi)
+    out = []
+    if _ref_sign(sqf, lo) == 0:
+        sqf = divexact(sqf, [-lo.numerator, lo.denominator])
+    hi_is_root = _ref_sign(sqf, hi) == 0
+    if hi_is_root:
+        sqf = divexact(sqf, [-hi.numerator, hi.denominator])
+    chain = full_chain if sqf is full_sqf else sturm_chain(sqf)
+    interior_hi = hi
+    if hi_is_root:
+        v_hi = _ref_var(chain, hi)
+        delta = (hi - lo) / 1024
+        while _ref_var(chain, hi - delta) != v_hi:
+            delta = delta / 2
+        interior_hi = hi - delta
+    stack = [(lo, interior_hi, _ref_var(chain, lo), _ref_var(chain, interior_hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb
+        if n <= 0:
+            continue
+        if n == 1:
+            out.append(RootInterval(a, b))
+            continue
+        mid = _ref_split_point(sqf, a, b)
+        vm = _ref_var(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
+    if hi_is_root:
+        out.append(RootInterval(interior_hi, hi))
+    out.sort(key=lambda iv: Fraction(iv.lo))
+    return out
+
+
+def _ref_refine_root(p, interval, tol=1e-13):
+    _, sqf, chain = _ref_sqf_and_chain(p)
+    a, b = Fraction(interval.lo), Fraction(interval.hi)
+    sb = _ref_sign(sqf, b)
+    if sb == 0:
+        return float(b)
+    sa = _ref_sign(sqf, a)
+    if sa == 0:
+        # a simple root at the open end: the sign just right of it is the
+        # derivative's
+        sa = _ref_sign(chain[1], a)
+    if sa == sb:
+        raise DegenerateInput("interval does not bracket a sign change")
+    target = Fraction(tol)
+    while b - a > target * max(Fraction(1), abs(a + b) / 2):
+        mid = (a + b) / 2
+        sm = _ref_sign(sqf, mid)
+        if sm == 0:
+            return float(mid)
+        if sm == sa:
+            a = mid
+        else:
+            b = mid
+    return _ref_newton_polish(sqf, float((a + b) / 2), float(a), float(b))
+
+
+def _ref_newton_polish(sqf, x0, lo, hi):
+    scale = max(abs(c) for c in sqf)
+    fc = [float(Fraction(c, scale)) for c in sqf]
+    dfc = [c * i for i, c in enumerate(fc)][1:]
+
+    def ev(cs, x):
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    best, best_val, x = x0, abs(ev(fc, x0)), x0
+    for _ in range(2):
+        d = ev(dfc, x)
+        if d == 0.0 or not math.isfinite(d):
+            break
+        x_new = x - ev(fc, x) / d
+        if not (lo <= x_new <= hi) or not math.isfinite(x_new):
+            break
+        x = x_new
+        v = abs(ev(fc, x))
+        if v < best_val:
+            best, best_val = x, v
+    return best
+
+
+# Square-free integer polynomials with some rational roots (so that window
+# ends land on roots), rational windows with non-dyadic ends, and a
+# tolerance from 1e-13 to 1e-6.
+_SMALL_Q = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+_REF_CASES = st.tuples(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=7),
+    st.lists(_SMALL_Q, max_size=4),
+    st.tuples(_SMALL_Q, _SMALL_Q),
+    st.sampled_from([1e-13, 1e-10, 3e-8, 1e-6]),
+)
+
+
+def _ref_case(cofactor, rational_roots, ends):
+    if not any(cofactor):
+        cofactor = [1]
+    p = RatPoly(cofactor, "x")
+    for r in rational_roots:
+        p = p * RatPoly([-r, 1], "x")
+    sqf, _ = squarefree_part(u_trim(p.to_int_coeffs()[0]))
+    lo, hi = sorted(ends)
+    if lo == hi:
+        hi = lo + Fraction(7, 3)
+    return RatPoly(sqf, "x"), lo, hi
+
+
+class TestIntegerBisectionMatchesFractionReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_REF_CASES)
+    # a second root inside the first slice (hi - (hi - lo)/1024, hi] that
+    # isolation reserves for a root at hi
+    @example(([1], [Fraction(1), Fraction(4999, 5000)], (Fraction(0), Fraction(1)), 1e-13))
+    # a root at the open end lo, next to a root inside
+    @example(([1], [Fraction(-1, 3), Fraction(-1, 3) + Fraction(1, 10**6)], (Fraction(-1, 3), Fraction(2)), 1e-13))
+    def test_same_intervals_and_floats(self, case):
+        cofactor, rational_roots, ends, tol = case
+        p, lo, hi = _ref_case(cofactor, rational_roots, ends)
+        for window in ((lo, hi), (None, None)):
+            got = isolate_real_roots(p, *window)
+            assert got == _ref_isolate_real_roots(p, *window)
+            sqf = u_trim(p.to_int_coeffs()[0])
+            for iv in got:
+                x = refine_root(p, iv, tol)
+                assert repr(x) == repr(_ref_refine_root(p, iv, tol))
+                # an exact sign change across x -+ tol max(1, |x|)
+                fx = Fraction(x)
+                delta = Fraction(tol) * max(Fraction(1), abs(fx))
+                assert _ref_sign(sqf, fx - delta) * _ref_sign(sqf, fx + delta) < 0
+
+    def test_root_at_the_open_end(self):
+        # x (x - 1e-6): the root 0 is the open end of (0, 1]; the old fixed
+        # inward step (b - a)/65536 jumped past the root at 1e-6
+        p = RatPoly([0, Fraction(-1, 10**6), 1], "x")
+        ivs = isolate_real_roots(p, 0, 1)
+        assert ivs == [RootInterval(Fraction(0), Fraction(1))]
+        x = refine_root(p, ivs[0])
+        assert abs(x - 1e-6) < 1e-13
+        assert repr(x) == repr(_ref_refine_root(p, ivs[0]))
 
 
 class TestStripKnownFactors:
