@@ -48,23 +48,22 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   polynomials: rational multiples of the balances, a constant factor no
   later step depends on.  Their s1y resultant is ``x0^7 H(l, x0^2)``, and
   on the burn circle ``x0^2 = r(l) = 1 - (1-l^2)^2/s0x^2`` it becomes
-  ``h(l) = H(l, r(l))`` of degree 69.  ``h`` is built by evaluation at
-  integer ``l``-nodes and exact interpolation, with the node count taken
-  from a weighted degree bound and one spare node checking the result
-  (Collins, J. ACM 1971).  Each node value is one quadratic-resultant
-  formula on integer pairs in ``Z[X]/(X^2 - N(c) D)``, where
-  ``x0 = X/D`` and ``r(c) = N(c)/D``: resultants commute with this ring
-  map, so the burn circle holds by construction, and the even part of
-  the value must vanish (odd in x0).  One node per input also takes the
-  s1y resultant over ``Z[x0]``, asserting the ``x0^7`` signature and the
-  x0-degree bound and that both routes agree.  ``h`` always factors as
-  ``l^11 (l-1)^10 (l+1)^10`` times a degree-38 core; the known factors
-  are divided out exactly.  The core is closed form: with
+  ``h(l) = H(l, r(l))`` of degree 69.  ``h`` is closed form: with
   ``a = s0y^2/(s0x^2 + s0y^2)`` and ``k = 1 - s0x^2`` it is a constant
-  times ``q2 c3 c3' q4 C^4 Q5 Q5'``, seven factors of degree at most 5
-  built in exact rationals from ``a`` and ``k``.  Each input proves this
-  by exact division, and the real roots in the feasibility window are
-  isolated and refined on the factors, then back-substituted.
+  times ``l^11 (l-1)^10 (l+1)^10`` times a degree-38 core
+  ``q2 c3 c3' q4 C^4 Q5 Q5'``, seven factors of degree at most 5 built in
+  exact rationals from ``a`` and ``k``.  This is certified once
+  (``CERT_antipodal.json``), guarded per input at two nodes: the
+  identity holds in ``(l, s0x, s0y)``, proven by specializing on a grid
+  larger than its degree bounds (``tests/antipodal_certificate.py``;
+  Collins, J. ACM 1971).  Per input, ``h`` is evaluated at two integer
+  ``l``-nodes only, each one quadratic-resultant formula on integer pairs
+  in ``Z[X]/(X^2 - N(c) D)``, where ``x0 = X/D`` and ``r(c) = N(c)/D``
+  (resultants commute with this ring map, so the burn circle holds by
+  construction, and the even part of the value must vanish: odd in x0),
+  and must be a nonzero constant times the closed form there.  The real
+  roots in the feasibility window are isolated and refined on the
+  factors, then back-substituted.
   When ``s0y = 0`` (``alpha = 180``) the two reduced stationarity
   polynomials become odd in ``s1y`` and the eliminant degenerates; the
   module switches to a dedicated split (``s1y = 0`` branch and
@@ -79,7 +78,6 @@ below 1e-9) and the elliptic-transfer requirement ``|s1| < |l|``.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -158,10 +156,14 @@ class DegenerateGeometry(ValueError):
 # --------------------------------------------------------------------------
 
 
-def _to_rational(value, name: str):
-    """Coerce to an exact rational; floats convert exactly (no rounding)."""
+def _require_finite(value, name: str) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _to_rational(value, name: str):
+    """Coerce to an exact rational; floats convert exactly (no rounding)."""
+    _require_finite(value, name)
     try:
         return Fraction(value)
     except (TypeError, ValueError) as exc:
@@ -209,7 +211,10 @@ class RotatedInput:
     @classmethod
     def from_floats(cls, s0x: float, s0y: float) -> "RotatedInput":
         """Build an input from floats, each rationalized by :func:`_snap`.
-        Small denominators keep the exact elimination pipelines fast."""
+        Small denominators keep the exact elimination pipelines fast.
+        Raises ``ValueError`` for a non-finite coordinate."""
+        _require_finite(s0x, "s0x")
+        _require_finite(s0y, "s0y")
         return cls(s0x=_snap(s0x), s0y=_snap(s0y))
 
     # --- derived views -----------------------------------------------------
@@ -754,19 +759,17 @@ class _AntipodalPipeline:
     """Exact elimination data for the antipodal family, per input."""
 
     # the pair as _antipodal_equations returns it, primitive integer
-    # polynomials in (l, x0, s1y), shared by the node rows, the node check,
-    # the fiber, the residual gate and the tie-break chain (_linear_seed)
+    # polynomials in (l, x0, s1y), shared by the guard nodes, the fiber,
+    # the residual gate and the tie-break chain (_linear_seed)
     d_first: MPoly  # squared-gap balance, degree 2 in s1y
     d_second: MPoly  # tangential balance, degree 5 in s1y
-    # degree-38 primitive integer core of h(l) = H(l, r(l)), proven per
-    # input to be a constant times the product of ``factors``
-    core: RatPoly
-    # (factor, multiplicity) from _antipodal_factors, q2 first: the roots
-    # are isolated on these, not on ``core``
+    # (factor, multiplicity) from _antipodal_factors, q2 first: h(l) =
+    # H(l, r(l)) is a constant times l^11 (l-1)^10 (l+1)^10 times their
+    # product, certified once (CERT_antipodal.json), guarded per input at
+    # two nodes; the roots are isolated on these
     factors: tuple[tuple[RatPoly, int], ...]
-    degree_bound: int  # weighted Sylvester row bound on deg h (102 so far)
-    degree_full: int  # 69: deg h, from degree_bound + 1 ring node values
-    degree_core: int  # 38: h with l^11 (l-1)^10 (l+1)^10 stripped
+    degree_full: int  # 69: deg h, degree_core plus 31 for the l-units
+    degree_core: int  # 38: sum of the factor degrees times multiplicities
 
 
 def _antipodal_equations(s0x, s0y):
@@ -870,9 +873,8 @@ def _antipodal_node_value(first_rows, second_rows, radius, top: int, c: int):
     polynomials is ``E + O X`` with ``E = 0`` (odd in x0) and
     ``O = D^s N^3 S / D^4``, where ``s`` is the scaling exponent and
     ``S = sum_j a_j r(c)^j`` for ``a_j`` the x0^(7+2j) coefficient of
-    ``Res_s1y``.  The value returned is the integer ``D^top S``, the same
-    as :func:`_antipodal_node_value_poly` gives, so the values lie on an
-    integer polynomial in ``c``.
+    ``Res_s1y``.  The value returned is the integer ``D^top S``, so the
+    values lie on an integer polynomial in ``c``.
     """
     n, d = u_eval(radius[0], c), radius[1]
     f = _ring_coeffs(first_rows, c, n, d)
@@ -896,62 +898,14 @@ def _antipodal_node_value(first_rows, second_rows, radius, top: int, c: int):
     return value
 
 
-def _antipodal_node_value_poly(first: MPoly, second: MPoly, radius, top: int, c: int):
-    """:func:`_antipodal_node_value` through ``Z[x0]``: the univariate s1y
-    resultant of the integer polynomials ``first`` and ``second`` at
-    ``l = c``, checked to be odd in x0 with lowest power 7 and within the
-    x0-degree bound ``7 + 2 top``, then reduced at ``x0^2 = r(c)``: the
-    value is ``D^top * sum_j a_j r(c)^j``.
-    """
-    f = first.subs("l", c)
-    g = second.subs("l", c)
-    if f.degree("s1y") < first.degree("s1y") or g.degree("s1y") < second.degree("s1y"):
-        return None
-    inner = sylvester_resultant(f, g, "s1y").to_ratpoly("x0").coeffs
-    if any(inner[:_X0_LOW]) or any(inner[_X0_LOW + 1 :: 2]):
-        raise PipelineDegreeMismatch(
-            f"Res_s1y at l = {c} is not odd in x0 with lowest power >= {_X0_LOW}"
-        )
-    odd = inner[_X0_LOW::2]
-    if len(odd) > top + 1:
-        raise PipelineDegreeMismatch(
-            f"Res_s1y at l = {c} exceeds its x0-degree bound {_X0_LOW + 2 * top}"
-        )
-    n, d = u_eval(radius[0], c), radius[1]
-    acc, d_pow = 0, 1
-    for j in range(top, -1, -1):
-        acc = acc * n + (odd[j] * d_pow if j < len(odd) else 0)
-        d_pow *= d
-    return acc
-
-
-def _check_node(first: MPoly, second: MPoly, radius, top: int, h: list[int]) -> None:
-    """Compare ``h`` with :func:`_antipodal_node_value_poly` at the first
-    node ``c = 2, -2, 3, ...`` where ``h(c) != 0`` (h vanishes at 0 and
-    +-1) and neither s1y-degree drops.  This asserts the ``x0^7 H(x0^2)``
-    signature and the x0-degree bound, which the ring values cannot show,
-    and that the ring route agrees with the polynomial route."""
-    for c in (s * k for k in itertools.count(2) for s in (1, -1)):
-        hc = u_eval(h, c)
-        if not hc:
-            continue
-        v = _antipodal_node_value_poly(first, second, radius, top, c)
-        if v is None:
-            continue
-        if v != hc:
-            raise PipelineDegreeMismatch(
-                f"antipodal eliminant: ring value at l = {c} differs from Res_s1y over Z[x0]"
-            )
-        return
-
-
 def _antipodal_factors(a, k) -> tuple[tuple[RatPoly, int], ...]:
     """The closed-form factors of the degree-38 antipodal core as
     ``(factor, multiplicity)`` pairs in ``l``, coefficients lowest first,
     with ``a = s0y^2 / (s0x^2 + s0y^2)`` (that is ``cos^2(alpha/2)``) and
     ``k = 1 - s0x^2``; :func:`case2b_solutions` writes them out.  Degrees
-    2 + 3 + 3 + 4 + 4*4 + 5 + 5 = 38; :func:`_antipodal_pipeline` proves
-    per input that the core is a constant times their product.
+    2 + 3 + 3 + 4 + 4*4 + 5 + 5 = 38.  That the core is a constant times
+    their product is certified once (``CERT_antipodal.json``), guarded per
+    input at two nodes (:func:`_guard_antipodal`).
     """
     half = Fraction(1, 2)
 
@@ -969,67 +923,93 @@ def _antipodal_factors(a, k) -> tuple[tuple[RatPoly, int], ...]:
     )
 
 
+# h(l) = H(l, r(l)) is a constant times these l-units times the product of
+# _antipodal_factors; the certificate's Res_s1y takes (first, second) at
+# their s1y-degrees
+_ANTIPODAL_UNITS = (
+    (RatPoly([0, 1], "l"), 11),
+    (RatPoly([-1, 1], "l"), 10),
+    (RatPoly([1, 1], "l"), 10),
+)
+_S1Y_DEGREES = (2, 5)
+# candidate guard nodes l = c (h vanishes at 0 and +-1); positive only, so a
+# stray factor even in l cannot agree with F at both nodes by symmetry
+_GUARD_NODES = range(2, 10)
+
+
+def _antipodal_node_setup(first: MPoly, second: MPoly, s0x):
+    """``(first_rows, second_rows, radius, top)`` for
+    :func:`_antipodal_node_value`: the :func:`_node_rows` of the pair,
+    ``r(l) = N(l)/D`` and the x0-degree bound ``7 + 2 top`` of Res_s1y.
+
+    A real burn latitude ``y0 = (1 - l^2)/s0x`` puts the burn on the circle
+    ``x0^2 = r(l) = 1 - (1 - l^2)^2/s0x^2``; with ``s0x = num/den``,
+    ``N = num^2 - den^2 (1 - l^2)^2`` and ``D = num^2``.  ``N(c) != 0`` at
+    every integer ``c``, as ``0 < |s0x| < 1``.
+    """
+    top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - _X0_LOW) // 2
+    num, den = s0x.numerator, s0x.denominator
+    radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
+    return _node_rows(first, "s1y", "x0", "l"), _node_rows(second, "s1y", "x0", "l"), radius, top
+
+
+def _guard_antipodal(first: MPoly, second: MPoly, s0x, known) -> None:
+    """Check ``h(l) = H(l, r(l))`` against ``F``, the product of the
+    ``(factor, multiplicity)`` pairs ``known``, at two integer nodes.
+
+    ``h = lc(s0x, s0y) F`` holds as a polynomial identity in
+    ``(l, s0x, s0y)``, certified once on a grid larger than its degree
+    bounds (``tests/antipodal_certificate.py``, ``CERT_antipodal.json``).
+    The certificate cannot exclude an input where ``lc`` vanishes or an
+    s1y-degree drops.  So at the first two nodes ``c1, c2`` of
+    ``_GUARD_NODES`` with ``F(c) != 0`` and a ring value,
+    ``h(c1) F(c2) = h(c2) F(c1) != 0`` must hold; otherwise, or when fewer
+    than two such nodes exist, ``PipelineDegreeMismatch`` is raised.
+    """
+    if (first.degree("s1y"), second.degree("s1y")) != _S1Y_DEGREES:
+        raise PipelineDegreeMismatch(
+            f"antipodal pair has s1y-degrees {first.degree('s1y')}, "
+            f"{second.degree('s1y')}, expected {_S1Y_DEGREES}"
+        )
+    setup = _antipodal_node_setup(first, second, s0x)
+    nodes = []
+    for c in _GUARD_NODES:
+        fc = math.prod(factor.eval_q(c) ** mult for factor, mult in known)
+        hc = _antipodal_node_value(*setup, c) if fc else None
+        if hc is None:
+            continue
+        if not hc:
+            raise PipelineDegreeMismatch(f"antipodal eliminant vanishes at the guard node l = {c}")
+        nodes.append((c, hc, fc))
+        if len(nodes) == 2:
+            break
+    else:
+        raise PipelineDegreeMismatch(
+            f"antipodal eliminant: fewer than two guard nodes in l = {_GUARD_NODES.start}"
+            f"..{_GUARD_NODES.stop - 1}"
+        )
+    (c1, h1, f1), (c2, h2, f2) = nodes
+    if h1 * f2 != h2 * f1:
+        raise PipelineDegreeMismatch(
+            f"antipodal eliminant at l = {c1}, {c2} is not a constant times "
+            "l^11 (l-1)^10 (l+1)^10 q2 c3 c3' q4 C^4 Q5 Q5'"
+        )
+
+
 @lru_cache(maxsize=32)
 def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     if s0y == 0:
         raise ValueError("use the symmetric split for s0y = 0")
     _, first, second, _ = _antipodal_equations(s0x, s0y)
-
-    # a real burn latitude y0 = (1 - l^2)/s0x puts the burn on the circle
-    # x0^2 = r(l) = 1 - (1 - l^2)^2/s0x^2; with weight 2 on x0, r(l) keeps
-    # the weight of x0^2, so the weighted row bound less 14 (for x0^7)
-    # bounds the degree of h(l) = H(l, r(l))
-    bound = sylvester_degree_bound(first, second, "s1y", {"l": 1, "x0": 2}) - 2 * _X0_LOW
-    if bound < 69:
-        raise PipelineDegreeMismatch(
-            f"antipodal degree bound is {bound}, below the expected degree 69"
-        )
-    top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - _X0_LOW) // 2
-    # r(l) = N(l)/D with s0x = num/den: N = num^2 - den^2 (1 - l^2)^2, D = num^2;
-    # N(c) != 0 at every integer c, as 0 < |s0x| < 1
-    num, den = s0x.numerator, s0x.denominator
-    radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
-    first_rows = _node_rows(first, "s1y", "x0", "l")
-    second_rows = _node_rows(second, "s1y", "x0", "l")
-
-    try:
-        coeffs = interpolate_checked(
-            lambda c: _antipodal_node_value(first_rows, second_rows, radius, top, c),
-            bound,
-        )
-    except DegenerateInput as exc:
-        raise PipelineDegreeMismatch(f"antipodal eliminant: {exc}") from exc
-    h = RatPoly(coeffs, "l")
-    if h.degree() != 69:
-        raise PipelineDegreeMismatch(
-            f"antipodal eliminant has degree {h.degree()}, expected 69"
-        )
-    ints, _ = primitive(h.to_int_coeffs()[0])
-    l = RatPoly([0, 1], "l")
-    core = strip_known_factors(RatPoly(ints, "l"), [(l, 11), (l - 1, 10), (l + 1, 10)])
-    # the degree-38 signature, proven exactly: core / (q2 c3 c3' q4 C^4 Q5 Q5')
-    # is a nonzero constant
     factors = _antipodal_factors(s0y * s0y / (s0x * s0x + s0y * s0y), 1 - s0x * s0x)
-    try:
-        rest = strip_known_factors(core, list(factors))
-    except NotAFactor as exc:
-        raise PipelineDegreeMismatch(
-            f"antipodal core of degree {core.degree()} is not q2 c3 c3' q4 C^4 Q5 Q5': {exc}"
-        ) from exc
-    if rest.degree() != 0:
-        raise PipelineDegreeMismatch(
-            f"antipodal core has degree {core.degree()}, expected 38 = q2 c3 c3' q4 C^4 Q5 Q5'"
-        )
-    _check_node(first, second, radius, top, h.coeffs)
-
+    _guard_antipodal(first, second, s0x, _ANTIPODAL_UNITS + factors)
+    degree_core = sum(factor.degree() * mult for factor, mult in factors)
     return _AntipodalPipeline(
         d_first=first,
         d_second=second,
-        core=core,
         factors=factors,
-        degree_bound=bound,
-        degree_full=69,
-        degree_core=38,
+        degree_full=degree_core + sum(unit.degree() * mult for unit, mult in _ANTIPODAL_UNITS),
+        degree_core=degree_core,
     )
 
 
@@ -1231,15 +1211,14 @@ def case2b_solutions(
     ``2*sqrt(4 + s0x^2) > 4`` — always dominated, flagged in its note.
 
     The general family (tag ``case2b_general``) comes from the degree-38
-    core of the degree-69 eliminant ``h(l) = H(l, r(l))``, left after the
-    exact strip of ``l^11 (l-1)^10 (l+1)^10``; ``h`` is interpolated from
-    its values at integer ``l``-nodes, each the s1y resultant taken with
-    integer arithmetic in the ring where ``x0^2 = r(l)`` holds
-    (``Z[X]/(X^2 - N D)``, ``x0 = X/D``), and one node is checked against
-    the s1y resultant over ``Z[x0]``.  The core is the paper's general
-    formula on this branch: with ``a = s0y^2/(s0x^2 + s0y^2)`` and
+    core of the degree-69 eliminant ``h(l) = H(l, r(l))``, what is left
+    of ``h`` without ``l^11 (l-1)^10 (l+1)^10``.  The core is the paper's
+    general formula on this branch: with ``a = s0y^2/(s0x^2 + s0y^2)`` and
     ``k = 1 - s0x^2`` it is a constant times the product of seven closed
-    forms (:func:`_antipodal_factors`), proven per input by exact division:
+    forms (:func:`_antipodal_factors`), certified once
+    (``CERT_antipodal.json``), guarded per input at two nodes (``h`` taken
+    there as the s1y resultant with integer arithmetic in the ring where
+    ``x0^2 = r(l)`` holds, ``Z[X]/(X^2 - N D)``, ``x0 = X/D``):
 
     - ``q2 = l^2 - 2a l + a`` has no real root (discriminant
       ``4a(a - 1) < 0``) and is not isolated;
@@ -1262,7 +1241,7 @@ def case2b_solutions(
     are odd in ``s1y``); the split solver then verifies in exact
     arithmetic that the general family is empty away from the axis, and
     raises ``PipelineDegreeMismatch`` if it cannot.
-    ``include_general=False`` skips the heavy elimination and returns the
+    ``include_general=False`` skips the general family and returns the
     closed forms only.
     """
     if inp.s0x == 0:
@@ -1616,10 +1595,11 @@ def elimination_degrees(inp: RotatedInput) -> dict[str, int]:
     Keys: ``mirror_full`` (48), ``mirror_core`` (20), and — when
     ``s0y != 0`` so the generic antipodal elimination applies —
     ``antipodal_full`` (69, the degree of ``h(l) = H(l, r(l))``) and
-    ``antipodal_core`` (38, after the exact strip of
-    ``l^11 (l-1)^10 (l+1)^10``).  The core's 38 is the signature
-    ``q2 c3 c3' q4 C^4 Q5 Q5'`` (degrees 2, 3, 3, 4, 4*4, 5, 5), proven
-    per input by exact division.
+    ``antipodal_core`` (38, ``h`` without ``l^11 (l-1)^10 (l+1)^10``).
+    Both are summed from the degrees of the closed-form factors: the
+    core's 38 is the signature ``q2 c3 c3' q4 C^4 Q5 Q5'`` (degrees 2, 3,
+    3, 4, 4*4, 5, 5), certified once (``CERT_antipodal.json``), guarded
+    per input at two nodes.
     """
     if inp.s0x == 0:
         raise DegenerateGeometry("identical orbits have no elimination pipeline")

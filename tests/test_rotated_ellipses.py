@@ -7,13 +7,17 @@ them.  The brute-force grid oracle provides a second, fully independent
 check on the winners.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import antipodal_certificate
 from orbita import rotated_ellipses
 from orbita.kepler import Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
@@ -118,6 +122,13 @@ class TestRotatedInput:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RotatedInput(s0x=float("nan"), s0y=0.0)
+        # from_floats checks before snapping: no OverflowError from inf and
+        # no generic "cannot convert NaN" message
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="s0x must be finite"):
+                RotatedInput.from_floats(bad, 0.1)
+            with pytest.raises(ValueError, match="s0y must be finite"):
+                RotatedInput.from_floats(0.1, bad)
 
     def test_from_floats_snaps_to_small_denominators(self):
         inp = RotatedInput.from_floats(0.3, 0.4)
@@ -950,7 +961,7 @@ class TestLargeCoefficientGolden:
             for _ in range(n):
                 known = known * factor
         assert core76 * known == big_eliminant
-        core38 = rotated_ellipses._antipodal_pipeline(BIG.s0x, BIG.s0y).core
+        _, core38, _ = antipodal_certificate.oracle(BIG.s0x, BIG.s0y)
         square = core38 * core38
         assert core76 == square * (Fraction(core76.leading()) / square.leading())
         sqf76, _ = squarefree_part(core76.to_int_coeffs()[0])
@@ -966,8 +977,9 @@ class TestLargeCoefficientGolden:
     def test_core_signature_at_edge_geometries(self, e, alpha):
         inp = params_from_angle(e, alpha)
         pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
-        _assert_core_signature(pipe.core, inp.s0x)
-        _assert_factors_make_the_core(pipe, inp)
+        _, core, _ = antipodal_certificate.oracle(inp.s0x, inp.s0y)
+        _assert_core_signature(core, inp.s0x)
+        _assert_factors_make_the_core(pipe, core, inp)
 
     @pytest.mark.parametrize(
         "inp",
@@ -979,13 +991,15 @@ class TestLargeCoefficientGolden:
     )
     def test_node_signature_on_other_inputs(self, inp):
         pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
-        assert (pipe.degree_bound, pipe.degree_full, pipe.degree_core) == (102, 69, 38)
-        _assert_core_signature(pipe.core, inp.s0x)
-        _assert_factors_make_the_core(pipe, inp)
+        h, core, bound = antipodal_certificate.oracle(inp.s0x, inp.s0y)
+        assert (bound, h.degree(), core.degree()) == (102, 69, 38)
+        assert (pipe.degree_full, pipe.degree_core) == (69, 38)
+        _assert_core_signature(core, inp.s0x)
+        _assert_factors_make_the_core(pipe, core, inp)
 
     def test_wrong_factor_fails_the_signature(self, monkeypatch):
         # k off by 1e-6: c3, c3', q4 and the a*k terms no longer divide
-        # the core, and the strip's NotAFactor surfaces as a mismatch
+        # h, so the guard's two node values disagree with F
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
         factors = rotated_ellipses._antipodal_factors
 
@@ -1020,11 +1034,12 @@ class TestLargeCoefficientGolden:
         # the degree-38 route, kept here as the oracle: isolate and refine
         # the core itself, in the same windows and order
         pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+        _, core, _ = antipodal_certificate.oracle(inp.s0x, inp.s0y)
         lo, hi = rotated_ellipses._antipodal_window(inp.s0x)
         want = [
-            refine_root(pipe.core, iv)
+            refine_root(core, iv)
             for window in ((lo, hi), (-hi, -lo))
-            for iv in isolate_real_roots(pipe.core, *window)
+            for iv in isolate_real_roots(core, *window)
         ]
         got = rotated_ellipses._antipodal_roots(pipe, inp.s0x)
         assert want and len(got) == len(want)
@@ -1032,9 +1047,9 @@ class TestLargeCoefficientGolden:
             assert g == pytest.approx(w, abs=1e-12)
 
     def test_missing_unit_factor_raises(self, monkeypatch):
-        # node values of h (l^2 + 4) / (l (l - 1)): still degree 69 and
-        # consistent at the spare node, but one power of l and of l - 1
-        # short, so the unit strip must fail
+        # node values of h (l^2 + 4) / (l (l - 1)): still degree 69, but
+        # one power of l and of l - 1 short, so the guard nodes disagree
+        # with F
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
         node_value = rotated_ellipses._antipodal_node_value
 
@@ -1045,26 +1060,27 @@ class TestLargeCoefficientGolden:
             return v * (c * c + 4) // (c * (c - 1))
 
         monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value", perturbed)
-        with pytest.raises(NotAFactor):
+        with pytest.raises(PipelineDegreeMismatch, match="not a constant times"):
             rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
 
-    def test_perturbed_node_fails_the_spare_check(self, monkeypatch):
+    def test_perturbed_node_fails_the_guard(self, monkeypatch):
+        # l = 3 is the second guard node (l = 2 the first)
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
         node_value = rotated_ellipses._antipodal_node_value
 
         def perturbed(*args):
             v = node_value(*args)
-            return v + 1 if args[-1] == 5 and v is not None else v
+            return v + 1 if args[-1] == 3 and v is not None else v
 
         monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value", perturbed)
-        with pytest.raises(PipelineDegreeMismatch, match="spare node"):
+        with pytest.raises(PipelineDegreeMismatch, match="l = 2, 3 is not a constant times"):
             rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
 
     @pytest.mark.parametrize(
         "perturb, message",
         [
-            # (l^2 + 4)^5 in h: degree 79, not 69
-            (lambda first, second, l, x0: (first * (l * l + 4), second), "degree 79"),
+            # (l^2 + 4)^5 in h: even in l, so only nodes of unequal |l| see it
+            (lambda first, second, l, x0: (first * (l * l + 4), second), "not a constant times"),
             # (x0 + 2)^2 in Res_s1y breaks its parity in x0
             (lambda first, second, l, x0: (first, second * (x0 + 2)), "not odd in x0"),
         ],
@@ -1088,14 +1104,10 @@ def _node_inputs(inp):
     """The integer polynomials, their node rows, r(l) = N/D and ``top``,
     as ``_antipodal_pipeline`` builds them."""
     _, first, second, _ = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
-    top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - 7) // 2
-    num, den = inp.s0x.numerator, inp.s0x.denominator
-    radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
-    rows = (
-        rotated_ellipses._node_rows(first, "s1y", "x0", "l"),
-        rotated_ellipses._node_rows(second, "s1y", "x0", "l"),
+    first_rows, second_rows, radius, top = rotated_ellipses._antipodal_node_setup(
+        first, second, inp.s0x
     )
-    return first, second, rows, radius, top
+    return first, second, (first_rows, second_rows), radius, top
 
 
 class TestAntipodalNodeRing:
@@ -1117,7 +1129,7 @@ class TestAntipodalNodeRing:
         nodes = [0] + [s * k for k in range(1, 53) for s in (1, -1)]  # 105 nodes
         for c in nodes:
             ring = rotated_ellipses._antipodal_node_value(*rows, radius, top, c)
-            poly = rotated_ellipses._antipodal_node_value_poly(first, second, radius, top, c)
+            poly = antipodal_certificate._antipodal_node_value_poly(first, second, radius, top, c)
             assert ring == poly, c
 
     def test_ring_route_rejects_even_part(self):
@@ -1136,31 +1148,128 @@ class TestAntipodalNodeRing:
                 rotated_ellipses._antipodal_node_value(*rows, radius, top, c)
 
     def test_check_node_compares_the_routes(self, monkeypatch):
+        # the oracle route compares its interpolated h with Res_s1y over
+        # Z[x0] at one node
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
-        node_value = rotated_ellipses._antipodal_node_value_poly
+        node_value = antipodal_certificate._antipodal_node_value_poly
 
         def perturbed(*args):
             v = node_value(*args)
             return None if v is None else v + 1
 
-        monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value_poly", perturbed)
+        monkeypatch.setattr(antipodal_certificate, "_antipodal_node_value_poly", perturbed)
         with pytest.raises(PipelineDegreeMismatch, match="differs"):
-            rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
+            antipodal_certificate.oracle(inp.s0x, inp.s0y)
 
-    def test_pipeline_takes_at_most_two_resultants(self, monkeypatch):
-        # the node values come from the ring route; a fall-back to one
-        # polynomial resultant per node would make this about 100
-        calls = []
+    def test_pipeline_takes_no_resultant_and_two_node_values(self, monkeypatch):
+        # the factors are built directly; a fall-back to the per-input
+        # eliminant would take about 100 node values and a resultant
+        calls, values = [], []
         resultant = rotated_ellipses.sylvester_resultant
+        node_value = rotated_ellipses._antipodal_node_value
 
         def counted(*args):
             calls.append(args[-1])
             return resultant(*args)
 
+        def counted_value(*args):
+            v = node_value(*args)
+            if v is not None:
+                values.append(args[-1])
+            return v
+
         monkeypatch.setattr(rotated_ellipses, "sylvester_resultant", counted)
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value", counted_value)
         inp = params_from_angle(0.3, 120)
         rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
-        assert 1 <= len(calls) <= 2
+        assert calls == []
+        assert 1 <= len(values) <= 2
+
+
+def _coordinate():
+    """Nonzero rationals in (-1, 1), some with denominators near 10^6."""
+    den = st.one_of(st.integers(2, 1000), st.integers(10**6 - 1000, 10**6))
+    return den.flatmap(lambda d: st.integers(1 - d, d - 1).filter(bool).map(lambda n: Fraction(n, d)))
+
+
+class TestAntipodalCertificate:
+    """The one-time certificate of the antipodal factorization
+    (``tests/antipodal_certificate.py``, ``CERT_antipodal.json``) against
+    the current code, and the per-input guard that replaces the proof."""
+
+    def test_saved_certificate_matches_the_current_pair(self):
+        # an edit to the symbolic pair or to the factor list changes the
+        # bounds or the digest: re-run the certificate script
+        cert = json.loads(antipodal_certificate.CERT_PATH.read_text())
+        bounds = antipodal_certificate.degree_bounds()
+        assert bounds == cert["bounds"]
+        assert (bounds["D_x"], bounds["D_y"]) == (cert["D_x"], cert["D_y"])
+        assert antipodal_certificate.digest() == cert["digest"]
+        antipodal_certificate.check_symbolic_structure()
+        s_x, s_y = antipodal_certificate.grid(bounds)
+        assert [str(v) for v in s_x] == cert["S_x"] and [str(v) for v in s_y] == cert["S_y"]
+        assert len(set(s_x)) == len(s_x) > cert["D_x"]
+        assert len(set(s_y)) == len(s_y) > cert["D_y"]
+        assert cert["failed"] == []
+        assert cert["passed"] == cert["points"] == len(s_x) * len(s_y)
+
+    @pytest.mark.parametrize(
+        "inp",
+        [
+            REF,
+            RotatedInput(s0x=Fraction(-3, 10), s0y=Fraction(2, 5)),
+            RotatedInput.from_floats(0.123457, 0.654321),
+        ],
+        ids=["REF", "negative-s0x", "from-floats-1e6"],
+    )
+    def test_symbolic_pair_specializes_to_the_production_pair(self, inp):
+        _, first, second, _ = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
+        for got, symbolic in zip((first, second), antipodal_certificate.symbolic_pair()):
+            specialized = antipodal_certificate.specialize(symbolic, inp.s0x, inp.s0y)
+            assert _single_ratio(got, specialized) > 0
+
+    @settings(
+        max_examples=6,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_coordinate(), _coordinate())
+    def test_identity_on_random_inputs(self, s0x, s0y):
+        # a sample of the certified identity: the oracle's degree-38 core
+        # is a constant times the product of the closed-form factors
+        assume(s0x * s0x + s0y * s0y < 1)
+        _, core, _ = antipodal_certificate.oracle(s0x, s0y)
+        product = _factor_product(antipodal_certificate.factors_at(s0x, s0y))
+        assert core == product * (Fraction(core.leading()) / product.leading())
+
+    def test_guard_rejects_a_vanishing_eliminant(self, monkeypatch):
+        node_value = rotated_ellipses._antipodal_node_value
+
+        def vanishing(*args):
+            v = node_value(*args)
+            return None if v is None else 0
+
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value", vanishing)
+        with pytest.raises(PipelineDegreeMismatch, match="vanishes at the guard node"):
+            rotated_ellipses._antipodal_pipeline.__wrapped__(REF.s0x, REF.s0y)
+
+    def test_guard_needs_two_nodes(self, monkeypatch):
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value", lambda *args: None)
+        with pytest.raises(PipelineDegreeMismatch, match="fewer than two guard nodes"):
+            rotated_ellipses._antipodal_pipeline.__wrapped__(REF.s0x, REF.s0y)
+
+    def test_guard_rejects_an_s1y_degree_drop(self, monkeypatch):
+        equations = rotated_ellipses._antipodal_equations
+
+        def dropped(s0x, s0y):
+            radius_pair, first, second, t0 = equations(s0x, s0y)
+            s1y = MPoly.variable("s1y", first.vars)
+            return radius_pair, first - first.coeffs_in("s1y")[-1] * s1y * s1y, second, t0
+
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", dropped)
+        with pytest.raises(PipelineDegreeMismatch, match="s1y-degrees 1, 5"):
+            rotated_ellipses._antipodal_pipeline.__wrapped__(REF.s0x, REF.s0y)
 
 
 def _reference_equations(s0x, s0y):
@@ -1263,17 +1372,22 @@ def _boundary(s0x):
     return (1 - l * l) * (1 - l * l) - s0x * s0x
 
 
-def _assert_factors_make_the_core(pipe, inp):
-    """``pipe.factors`` are the closed forms in a and k, and their product
-    is the core up to a constant."""
-    a = inp.s0y**2 / (inp.s0x**2 + inp.s0y**2)
-    assert pipe.factors == rotated_ellipses._antipodal_factors(a, 1 - inp.s0x**2)
+def _factor_product(factors) -> RatPoly:
     product = RatPoly([1], "l")
-    for factor, mult in pipe.factors:
+    for factor, mult in factors:
         for _ in range(mult):
             product = product * factor
+    return product
+
+
+def _assert_factors_make_the_core(pipe, core, inp):
+    """``pipe.factors`` are the closed forms in a and k, and their product
+    is the oracle ``core`` up to a constant."""
+    a = inp.s0y**2 / (inp.s0x**2 + inp.s0y**2)
+    assert pipe.factors == rotated_ellipses._antipodal_factors(a, 1 - inp.s0x**2)
+    product = _factor_product(pipe.factors)
     assert product.degree() == 38
-    assert pipe.core == product * (Fraction(pipe.core.leading()) / product.leading())
+    assert core == product * (Fraction(core.leading()) / product.leading())
 
 
 def _assert_core_signature(core, s0x):
