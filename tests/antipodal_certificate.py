@@ -223,7 +223,8 @@ def check_symbolic_structure() -> None:
 
 
 def specialize(p: MPoly, s0x, s0y) -> MPoly:
-    """``p`` at ``sx = s0x``, ``sy = s0y``, as a polynomial in (l, x0, s1y)."""
+    """``p`` at ``sx = s0x``, ``sy = s0y``, as a polynomial in (l, x0, s1y)
+    (``sx`` and ``sy`` lead ``SYMBOLS``, so the other exponents stay)."""
     q = p.subs("sx", Fraction(s0x)).subs("sy", Fraction(s0y))
     return MPoly.from_dict(PAIR_VARS, {unpack(key, 5)[2:]: c for key, c in q.terms.items()})
 
