@@ -30,7 +30,6 @@ from orbita.poly_kernel import (
     isolate_real_roots,
     refine_root,
     strip_known_factors,
-    sylvester_degree_bound,
     sylvester_resultant,
 )
 from orbita.poly_kernel.dense import primitive, squarefree_part
@@ -1136,16 +1135,12 @@ class TestAntipodalNodeRing:
         # a factor x0 + 2 in second breaks the x0-parity of Res_s1y at
         # every node; the ring value shows it as a nonzero even part E
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
-        first, second, _, radius, _ = _node_inputs(inp)
+        first, second, _, _, _ = _node_inputs(inp)
         second = second * (MPoly.variable("x0", second.vars) + 2)
-        top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - 7) // 2
-        rows = (
-            rotated_ellipses._node_rows(first, "s1y", "x0", "l"),
-            rotated_ellipses._node_rows(second, "s1y", "x0", "l"),
-        )
+        setup = rotated_ellipses._antipodal_node_setup(first, second, inp.s0x)
         for c in (2, -3, 7):
             with pytest.raises(PipelineDegreeMismatch, match="not odd in x0"):
-                rotated_ellipses._antipodal_node_value(*rows, radius, top, c)
+                rotated_ellipses._antipodal_node_value(*setup, c)
 
     def test_check_node_compares_the_routes(self, monkeypatch):
         # the oracle route compares its interpolated h with Res_s1y over
