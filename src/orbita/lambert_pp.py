@@ -23,12 +23,15 @@ orbit's inverse-length vector as ``(0, 0, l)`` and its velocity offset as
 
 with ``k0 = 1/|r0|``, ``k1 = 1/|r1|`` and ``(x1, y1)`` the unit direction of
 ``r1``.  Critical points of ``f2`` on this constraint surface satisfy a third
-polynomial (a 3x3 Jacobian determinant), and eliminating ``sx`` and ``sy``
-with exact Sylvester resultants collapses the system to a single univariate
-quartic in ``l`` whose real roots enumerate every candidate transfer.  The
-whole elimination runs over exact rationals, so no roots are lost or invented
-by rounding; candidates are then screened by a float stationarity check and
-by ellipticity of the recovered orbit.
+polynomial (a 3x3 Jacobian determinant).  Eliminating ``sx`` and ``sy`` with
+Sylvester resultants leaves ``l^3`` times a quartic with no ``l^2`` term,
+``c4*l^4 + c3*l^3 + c1*l + c0``, whose coefficients the solver evaluates in
+closed form over the rationals (:func:`critical_eliminant_exact`; the tests
+prove the identity symbolically).  No further power of ``l`` divides it:
+``c0 = -4*y1*((k0*x1 - k1)^2 + k0^2*y1^2)`` is nonzero for ``y1 > 0``.  Its
+real roots enumerate every candidate transfer, none lost or invented by
+rounding; candidates are then screened by a float stationarity check and by
+ellipticity of the recovered orbit.
 
 Two degenerate geometries fall outside the planar frame and get closed forms
 instead: endpoint positions along the same ray (``aligned_same``) and along
@@ -44,11 +47,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .kepler import DegenerateOrbit, Orbit, Vec3
 from .poly_kernel import (
-    MPoly,
     RatPoly,
     isolate_real_roots,
     refine_root,
@@ -89,6 +89,9 @@ _MIN_ROOT_L = 1e-9
 # absolute tolerance; resultant side-roots (solutions of the eliminant that do
 # not extend to the full system) fail it by many orders of magnitude.
 _STATIONARITY_TOL = 1e-8
+
+# Unused by the solver; bound only because perfbench/spans.py wraps them here.
+_WRAPPED_BY_PERFBENCH = (sylvester_resultant, strip_known_factors)
 
 
 class CollinearInput(ValueError):
@@ -300,89 +303,69 @@ def critical_eliminant_exact(k0, k1, x1, y1, w0, w1s) -> RatPoly:
 
     Accepts anything the rational constructor does (ints, fractions, floats)
     for the inverse radii ``k0``/``k1``, the arrival direction ``(x1, y1)``
-    and the two velocity triples.  Builds the two radius constraints and the
-    squared-impulse cost as exact rational polynomials in ``(l, sx, sy)``,
-    forms the 3x3 Jacobian determinant of ``(cost, q1, q2)``, and eliminates
-    ``sx`` then ``sy`` with Sylvester resultants.  The surviving univariate
-    polynomial in ``l`` carries a spurious power of ``l`` from the
-    elimination; stripping it leaves a quartic whose real roots enumerate the
-    candidate transfers.
+    and the velocity triples ``w0``/``w1s``.  Eliminating ``sx`` from ``q2``
+    and the Jacobian determinant, then ``sy`` with ``q1``, gives ``l^3``
+    times ``c4*l^4 + c3*l^3 + c1*l + c0`` (no ``l^2`` term), where
+
+        c4 =  2*y1*(x1^2*y1^2 + 2*x1^2 - 4*x1 + y1^4 - y1^2 + 2)
+        c3 = -2*y1^2*(w0x*(1 - x1) + w1x*(1 - x1 - y1^2) + w1y*y1*(x1 - 1))
+        c1 =  2*y1^2*(k0*(w0x*x1 + w0y*y1 + w1x*x1 + w1y*y1) - k1*(w0x + w1x))
+        c0 = -4*y1*((k0*x1 - k1)^2 + k0^2*y1^2)
+
+    for all rationals, on the unit circle or off it.  The out-of-plane
+    components only shift the cost by a constant.  Nothing needs stripping:
+    for ``y1 != 0``, ``c0`` vanishes only at ``k0 = k1 = 0``.  Each
+    coefficient is one integer over ``d**5``, ``d`` the common denominator.
     """
-    V = ("l", "sx", "sy")
-    lv = MPoly.variable("l", V)
-    sx = MPoly.variable("sx", V)
-    sy = MPoly.variable("sy", V)
-
-    def c(value) -> MPoly:
-        return MPoly.const(Fraction(value), V)
-
-    w0x, w0y, w0z = w0
-    w1x, w1y, w1z = w1s
-
-    q1 = lv * lv + lv * sy - c(k0)
-    q2 = lv * lv + lv * (c(x1) * sy - c(y1) * sx) - c(k1)
-    # Departure burn (w0star - w0) and arrival burn (w1star - w1) with
-    # w0star = (sx, sy + l, 0) and w1 = (sx - l*y1, sy + l*x1, 0); the
-    # out-of-plane velocity components contribute fixed offsets.
-    d0x = sx - c(w0x)
-    d0y = sy + lv - c(w0y)
-    d1x = c(w1x) - sx + lv * c(y1)
-    d1y = c(w1y) - sy - lv * c(x1)
-    cost = (
-        d0x * d0x + d0y * d0y + c(w0z) * c(w0z)
-        + d1x * d1x + d1y * d1y + c(w1z) * c(w1z)
+    values = [Fraction(v) for v in (k0, k1, x1, y1, w0[0], w0[1], w1s[0], w1s[1])]
+    d = math.lcm(*(v.denominator for v in values))
+    c0, c1, c3, c4 = _quartic_numerators(
+        *(v.numerator * (d // v.denominator) for v in values), d
     )
+    d5 = d**5
+    coeffs = [Fraction(c0, d5), Fraction(c1, d5), Fraction(0), Fraction(c3, d5), Fraction(c4, d5)]
+    return RatPoly(coeffs, "l")
 
-    rows = [[p.partial(v) for v in ("sx", "sy", "l")] for p in (cost, q1, q2)]
-    jac = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
 
-    r1 = sylvester_resultant(q2, jac, "sx")
-    r2 = sylvester_resultant(q1, r1, "sy")
-    eliminant = r2.to_ratpoly("l")
+def _quartic_numerators(K0, K1, X, Y, A0, B0, A1, B1, d):
+    """``d**5 * (c0, c1, c3, c4)`` from the parameters' numerators over ``d``.
 
-    # Strip the trailing power of l (number of vanishing low-order
-    # coefficients) rather than assuming its multiplicity.
-    power = 0
-    while power <= eliminant.degree() and not eliminant.coeffs[power]:
-        power += 1
-    if power:
-        eliminant = strip_known_factors(
-            eliminant, [(RatPoly([0, 1], "l"), power)]
-        )
-    return eliminant
+    Plain ring arithmetic, so the tests can run it on symbols.
+    """
+    dd = d * d
+    YY = Y * Y
+    c4 = 2 * Y * (X * X * (YY + 2 * dd) - 4 * X * dd * d + YY * (YY - dd) + 2 * dd * dd)
+    c3 = -2 * YY * (A0 * (d - X) * d + A1 * (dd - X * d - YY) + B1 * Y * (X - d))
+    c1 = 2 * YY * (K0 * ((A0 + A1) * X + (B0 + B1) * Y) - K1 * (A0 + A1) * d)
+    c0 = -4 * Y * ((K0 * X - K1 * d) ** 2 + K0 * K0 * YY)
+    return c0, c1, c3, c4
 
 
 def _stationarity_residual(
-    inp: LambertInput, lz: float, sx: float, sy: float
+    lz: float, sx: float, sy: float, x1: float, y1: float, w0: Vec3, w1s: Vec3
 ) -> float:
-    """Norm of the cost gradient minus its best constraint-gradient fit.
+    """Distance from the cost gradient to the span of the constraint gradients.
 
-    At a genuine critical point the cost gradient is a linear combination of
-    the two constraint gradients; the least-squares defect of that fit is a
-    frame-free measure of first-order optimality.
+    At a genuine critical point the cost gradient in ``(sx, sy, l)`` is a
+    linear combination of the two constraint gradients.  In three dimensions
+    the distance to their span is the gradient's component along the normal
+    ``n = grad q1 x grad q2``, whose z component ``l^2 * y1`` is nonzero on
+    every root the solver keeps, so the span is always a plane.
     """
-    k0, k1, x1, y1 = inp.k0, inp.k1, inp.x1, inp.y1
-    w0, w1s = inp.w0, inp.w1star
     b0x = sx - w0.x
     b0y = sy + lz - w0.y
     b1x = w1s.x - sx + lz * y1
     b1y = w1s.y - sy - lz * x1
-    grad_cost = np.array(
-        [
-            2.0 * b0x - 2.0 * b1x,
-            2.0 * b0y - 2.0 * b1y,
-            2.0 * b0y + 2.0 * y1 * b1x - 2.0 * x1 * b1y,
-        ]
-    )
-    grad_q1 = np.array([0.0, lz, 2.0 * lz + sy])
-    grad_q2 = np.array([-lz * y1, lz * x1, 2.0 * lz + x1 * sy - y1 * sx])
-    basis = np.column_stack([grad_q1, grad_q2])
-    coeffs, *_ = np.linalg.lstsq(basis, grad_cost, rcond=None)
-    return float(np.linalg.norm(grad_cost - basis @ coeffs))
+    gx = 2.0 * b0x - 2.0 * b1x
+    gy = 2.0 * b0y - 2.0 * b1y
+    gl = 2.0 * b0y + 2.0 * y1 * b1x - 2.0 * x1 * b1y
+    # grad q1 = (0, l, t1) and grad q2 = (-l*y1, l*x1, t2).
+    t1 = 2.0 * lz + sy
+    t2 = 2.0 * lz + x1 * sy - y1 * sx
+    nx = lz * t2 - t1 * lz * x1
+    ny = -t1 * lz * y1
+    nz = lz * lz * y1
+    return abs(gx * nx + gy * ny + gl * nz) / math.hypot(nx, ny, nz)
 
 
 def solve_general(
@@ -409,7 +392,8 @@ def solve_general(
             "solve_general expects canonical-frame input with r1 in the "
             f"x-y plane; got direction {rhat1}"
         )
-    y1 = inp.y1
+    # The shape parameters, read once: inp.x1 and inp.y1 are these components.
+    k0, k1, x1, y1 = inp.k0, inp.k1, rhat1.x, rhat1.y
     if abs(y1) <= _COLLINEAR_SIN:
         raise CollinearInput(
             "endpoint directions are (anti)parallel; use the aligned-case solvers"
@@ -423,7 +407,6 @@ def solve_general(
     roots = [refine_root(quartic, iv) for iv in isolate_real_roots(quartic)]
 
     out_frame = frame if frame is not None else CanonicalFrame.identity()
-    k0, k1, x1 = inp.k0, inp.k1, inp.x1
     w0, w1s = inp.w0, inp.w1star
     stationary = 0
     candidates: list[LambertSolution] = []
@@ -433,7 +416,7 @@ def solve_general(
             continue
         sy = (k0 - lz * lz) / lz
         sx = (lz * lz + lz * x1 * sy - k1) / (lz * y1)
-        residual = _stationarity_residual(inp, lz, sx, sy)
+        residual = _stationarity_residual(lz, sx, sy, x1, y1, w0, w1s)
         if residual >= _STATIONARITY_TOL:
             logger.info(
                 "discarding eliminant root l = %.6g: stationarity residual "

@@ -4,8 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from orbita import lambert_pp
 from orbita.kepler import (
     DegenerateOrbit,
     NotElliptic,
@@ -31,7 +36,7 @@ from orbita.lambert_pp import (
     solve_general,
 )
 from orbita.oracle import OracleConfig, fixed_endpoint_min
-from orbita.poly_kernel import MPoly, RatPoly
+from orbita.poly_kernel import MPoly, RatPoly, strip_known_factors, sylvester_resultant
 
 # Brute-force scan settings: ~1e5 grid points over l, then local polish.
 ORACLE_CFG = OracleConfig(grid_points_per_dim=317, refine_iterations=2)
@@ -146,6 +151,85 @@ def _independent_quartic(k0, k1, x1, y1, w0, w1s) -> RatPoly:
         + 4 * k1**2 * x1 - 2 * k1**2 * y1**2 + 4 * k1**2
     )
     return RatPoly([c0, c1, Fraction(0), c3, c4], "l")
+
+
+def _ref_critical_eliminant_exact(k0, k1, x1, y1, w0, w1s) -> RatPoly:
+    """The eliminant by generic elimination: the oracle for the closed form.
+
+    Builds the two radius constraints and the squared-impulse cost as exact
+    rational polynomials in ``(l, sx, sy)``, forms the 3x3 Jacobian
+    determinant of ``(cost, q1, q2)``, eliminates ``sx`` then ``sy`` with
+    Sylvester resultants and strips the trailing power of ``l``.
+    """
+    V = ("l", "sx", "sy")
+    lv = MPoly.variable("l", V)
+    sx = MPoly.variable("sx", V)
+    sy = MPoly.variable("sy", V)
+
+    def c(value) -> MPoly:
+        return MPoly.const(Fraction(value), V)
+
+    w0x, w0y, w0z = w0
+    w1x, w1y, w1z = w1s
+
+    q1 = lv * lv + lv * sy - c(k0)
+    q2 = lv * lv + lv * (c(x1) * sy - c(y1) * sx) - c(k1)
+    # Departure burn (w0star - w0) and arrival burn (w1star - w1) with
+    # w0star = (sx, sy + l, 0) and w1 = (sx - l*y1, sy + l*x1, 0); the
+    # out-of-plane velocity components contribute fixed offsets.
+    d0x = sx - c(w0x)
+    d0y = sy + lv - c(w0y)
+    d1x = c(w1x) - sx + lv * c(y1)
+    d1y = c(w1y) - sy - lv * c(x1)
+    cost = (
+        d0x * d0x + d0y * d0y + c(w0z) * c(w0z)
+        + d1x * d1x + d1y * d1y + c(w1z) * c(w1z)
+    )
+
+    rows = [[p.partial(v) for v in ("sx", "sy", "l")] for p in (cost, q1, q2)]
+    jac = (
+        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+    )
+
+    r1 = sylvester_resultant(q2, jac, "sx")
+    r2 = sylvester_resultant(q1, r1, "sy")
+    eliminant = r2.to_ratpoly("l")
+
+    power = 0
+    while power <= eliminant.degree() and not eliminant.coeffs[power]:
+        power += 1
+    if power:
+        eliminant = strip_known_factors(
+            eliminant, [(RatPoly([0, 1], "l"), power)]
+        )
+    return eliminant
+
+
+def _shape(inp: LambertInput) -> tuple:
+    """The arguments of ``critical_eliminant_exact`` for a canonical input."""
+    return (inp.k0, inp.k1, inp.x1, inp.y1, inp.w0.as_tuple(), inp.w1star.as_tuple())
+
+
+def _lstsq_residual(lz, sx, sy, x1, y1, w0, w1s) -> float:
+    """Least-squares defect of the cost gradient against the constraint
+    gradients: the oracle for the closed-form stationarity residual."""
+    b0x, b0y = sx - w0.x, sy + lz - w0.y
+    b1x, b1y = w1s.x - sx + lz * y1, w1s.y - sy - lz * x1
+    grad_cost = 2.0 * np.array(
+        [b0x - b1x, b0y - b1y, b0y + y1 * b1x - x1 * b1y]
+    )
+    basis = np.column_stack([
+        [0.0, lz, 2.0 * lz + sy],
+        [-lz * y1, lz * x1, 2.0 * lz + x1 * sy - y1 * sx],
+    ])
+    coeffs, *_ = np.linalg.lstsq(basis, grad_cost, rcond=None)
+    return float(np.linalg.norm(grad_cost - basis @ coeffs))
+
+
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+_POSITIVE = st.fractions(min_value=Fraction(1, 10), max_value=3, max_denominator=10**6)
 
 
 class TestLambertInput:
@@ -305,6 +389,77 @@ class TestEliminant:
         minor = (q1.partial("sx") * q2.partial("sy")
                  - q1.partial("sy") * q2.partial("sx"))
         assert minor == lv * lv * MPoly.const(y1, V)
+
+
+    def test_closed_form_matches_elimination_on_seeded_instances(self):
+        rng = random.Random(7)
+        for _ in range(8):
+            args = _shape(_random_instance(rng))
+            assert (critical_eliminant_exact(*args).coeffs
+                    == _ref_critical_eliminant_exact(*args).coeffs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k0=_POSITIVE, k1=_POSITIVE, x1=_RATIONAL, y1=_RATIONAL,
+           w0=st.tuples(_RATIONAL, _RATIONAL, _RATIONAL),
+           w1s=st.tuples(_RATIONAL, _RATIONAL, _RATIONAL))
+    def test_closed_form_matches_elimination_off_the_circle(self, k0, k1, x1, y1, w0, w1s):
+        # The closed form holds for all rationals with y1 != 0, not only on
+        # the unit circle; x1^2 + y1^2 = 1 is excluded to show it.
+        assume(y1 and x1 * x1 + y1 * y1 != 1)
+        assert (critical_eliminant_exact(k0, k1, x1, y1, w0, w1s).coeffs
+                == _ref_critical_eliminant_exact(k0, k1, x1, y1, w0, w1s).coeffs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_closed_form_matches_elimination_on_random_floats(self, seed):
+        args = _shape(_random_instance(random.Random(seed)))
+        assert (critical_eliminant_exact(*args).coeffs
+                == _ref_critical_eliminant_exact(*args).coeffs)
+
+    def test_closed_form_is_the_symbolic_resultant(self):
+        # With every parameter a symbol, Res_sy(q1, Res_sx(q2, jac)) is
+        # l^3 times the quartic that the production numerators give over
+        # d^5, for every common denominator d: an identity, not a sample.
+        (k0, k1, x1, y1, w0x, w0y, w0z, w1x, w1y, w1z,
+         l, sx, sy, d) = sp.symbols("k0 k1 x1 y1 w0x w0y w0z w1x w1y w1z l sx sy d")
+        q1 = l**2 + l * sy - k0
+        q2 = l**2 + l * (x1 * sy - y1 * sx) - k1
+        cost = ((sx - w0x) ** 2 + (sy + l - w0y) ** 2 + w0z**2
+                + (w1x - sx + l * y1) ** 2 + (w1y - sy - l * x1) ** 2 + w1z**2)
+        jac = sp.Matrix([[sp.diff(p, v) for v in (sx, sy, l)]
+                         for p in (cost, q1, q2)]).det()
+        eliminant = sp.resultant(q1, sp.resultant(q2, sp.expand(jac), sx), sy)
+        params = (k0, k1, x1, y1, w0x, w0y, w1x, w1y)
+        c0, c1, c3, c4 = lambert_pp._quartic_numerators(*(d * p for p in params), d)
+        quartic = sp.expand(c4 * l**4 + c3 * l**3 + c1 * l + c0)
+        assert sp.expand(d**5 * eliminant - l**3 * quartic) == 0
+
+
+class TestStationarityResidual:
+    def test_matches_least_squares_defect(self):
+        # Arbitrary points, not only critical ones, so the residual is often
+        # large; the cross-product form must equal the least-squares defect.
+        rng = random.Random(16)
+        for _ in range(200):
+            inp = _random_instance(rng)
+            x1, y1 = inp.x1, inp.y1
+            lz = rng.choice((-1, 1)) * rng.uniform(0.05, 3.0)
+            sx, sy = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            args = (lz, sx, sy, x1, y1, inp.w0, inp.w1star)
+            want = _lstsq_residual(*args)
+            got = lambert_pp._stationarity_residual(*args)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-13)
+
+    def test_vanishes_at_the_solver_roots(self):
+        rng = random.Random(17)
+        for _ in range(25):
+            inp = _random_instance(rng)
+            for sol in solve_general(inp):
+                lz = sol.orbit1.l.z
+                sx, sy = sol.orbit1.s.x, sol.orbit1.s.y
+                want = _lstsq_residual(lz, sx, sy, inp.x1, inp.y1, inp.w0, inp.w1star)
+                assert sol.stationarity_residual == pytest.approx(want, abs=1e-13)
+                assert want < 1e-8
 
 
 class TestGeneralCase:

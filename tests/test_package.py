@@ -1,9 +1,12 @@
-"""Package surface: every module imports, every ``__all__`` resolves, and
-no module imports a name it never reads."""
+"""Package surface: every module imports, every ``__all__`` resolves, no
+module imports a name it never reads, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import orbita
@@ -95,3 +98,18 @@ def test_no_dead_definitions():
     }
     assert len(defined) > 100
     assert sorted(defined - used) == []
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    # perfbench/spans.py replaces these attributes while it traces a run;
+    # a renamed or dropped one would fail only inside the benchmark
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module_name, attr, *_ in spans.TARGETS:
+        assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
