@@ -207,11 +207,6 @@ def _ref_critical_eliminant_exact(k0, k1, x1, y1, w0, w1s) -> RatPoly:
     return eliminant
 
 
-def _shape(inp: LambertInput) -> tuple:
-    """The arguments of ``critical_eliminant_exact`` for a canonical input."""
-    return (inp.k0, inp.k1, inp.x1, inp.y1, inp.w0.as_tuple(), inp.w1star.as_tuple())
-
-
 def _lstsq_residual(lz, sx, sy, x1, y1, w0, w1s) -> float:
     """Least-squares defect of the cost gradient against the constraint
     gradients: the oracle for the closed-form stationarity residual."""
@@ -405,9 +400,10 @@ class TestEliminant:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_closed_form_matches_elimination_on_random_floats(self, seed):
-        args = _shape(_random_instance(random.Random(seed)))
-        assert (critical_eliminant_exact(*args).coeffs
-                == _ref_critical_eliminant_exact(*args).coeffs)
+        inp = _random_instance(random.Random(seed))
+        ref = _ref_critical_eliminant_exact(
+            inp.k0, inp.k1, inp.x1, inp.y1, inp.w0.as_tuple(), inp.w1star.as_tuple())
+        assert critical_eliminant(inp).coeffs == ref.coeffs
 
     def test_closed_form_is_the_symbolic_resultant(self):
         # With every parameter a symbol, Res_sy(q1, Res_sx(q2, jac)) is
