@@ -34,6 +34,7 @@ from .poly_kernel import RatPoly, isolate_real_roots, refine_root
 from .transfer_model import TransferPlan
 
 __all__ = [
+    "BranchSignMismatch",
     "HohmannInput",
     "HohmannBranchSolution",
     "OUT_OF_PLANE_WINDOW",
@@ -58,6 +59,14 @@ def _out_of_plane_window() -> tuple[float, float]:
 #: ``l2z/l0z`` must fall strictly inside this (negative) interval for the
 #: out-of-plane branch to exist.
 OUT_OF_PLANE_WINDOW: tuple[float, float] = _out_of_plane_window()
+
+class BranchSignMismatch(ArithmeticError):
+    """The cheaper coplanar transfer does not rotate with ``l0z + l2z``.
+
+    The closed form guarantees that it does, so this signals a broken
+    invariant, not bad input.
+    """
+
 
 _FIRST_BURN_DIR = Vec3(1.0, 0.0, 0.0)
 _SECOND_BURN_DIR = Vec3(-1.0, 0.0, 0.0)
@@ -132,7 +141,11 @@ def solve_coplanar(inp: HohmannInput) -> list[HohmannBranchSolution]:
     out.sort(key=lambda sol: sol.f1)
     if not tie:
         best_sign = math.copysign(1.0, out[0].plan.orbits[1].l.z)
-        assert best_sign == math.copysign(1.0, l0z + l2z)
+        if best_sign != math.copysign(1.0, l0z + l2z):
+            raise BranchSignMismatch(
+                f"cheaper coplanar l1z has sign {best_sign:+.0f}, "
+                f"l0z + l2z = {l0z + l2z!r}"
+            )
     return out
 
 

@@ -17,7 +17,8 @@ Public surface:
   one place repeated factors are removed), ``isolate_real_roots`` and
   ``refine_root`` (on the square-free part; no multiplicities; bisection
   on integer numerators over one shared denominator, ``Fraction`` only at
-  the interval endpoints), ``sturm_chain``
+  the interval endpoints; refinement predicts its bisection cell from a
+  float root and confirms it with two exact signs), ``sturm_chain``
 - errors: ``PolyKernelError``, ``DegenerateInput``, ``ChainCollapse``,
   ``NotAFactor``
 

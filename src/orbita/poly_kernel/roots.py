@@ -8,7 +8,9 @@ root is found once; its multiplicity is not reported (callers strip known
 repeated factors exactly first, with :func:`strip_known_factors`).  The
 square-free part, its Sturm chain and the float coefficients of the Newton
 polish are computed once per polynomial and shared by every isolation
-window and by refinement.
+window and by refinement.  For a square-free input one pseudo-remainder
+chain is both the square-free test and the Sturm chain: it ends in a
+constant.
 
 Inside the kernel a bracket is a pair of integer numerators over one
 shared positive integer denominator, ``(na/den, nb/den]``: a midpoint is
@@ -16,9 +18,12 @@ shared positive integer denominator, ``(na/den, nb/den]``: a midpoint is
 ``Fraction`` is built per step.  ``Fraction`` appears only at the API
 boundary (the window arguments and the :class:`RootInterval` endpoints).
 
-Refinement is exact bisection on the isolating interval down to the
-requested width, followed by a float Newton polish safeguarded by the
-bracket.
+Refinement takes the decisions of exact bisection on the isolating
+interval down to the requested width, then sharpens the last digits with a
+float Newton polish safeguarded by the bracket.  The bisection decisions
+are predicted from a float root and confirmed by two exact signs at the
+ends of the last cell; only when that fails does the bisection run exactly,
+step by step.  Either way the returned float is the same.
 """
 
 from __future__ import annotations
@@ -207,13 +212,27 @@ def _decompose(
     :func:`squarefree_part` returns it), its Sturm chain, and the
     max-normalized float coefficients of the square-free part and of its
     derivative for the Newton polish, computed once per polynomial.
-    Shared through the cache: never mutated."""
-    sqf, _ = squarefree_part(list(coeffs))
+    Shared through the cache: never mutated.
+
+    The Sturm chain of the primitive input with positive leading
+    coefficient is built first.  Its last element is ``gcd(f, f')`` up to
+    a constant, so when that element is constant the input is square-free,
+    its square-free part is that same primitive polynomial and the chain is
+    already the one wanted: one pseudo-remainder chain in place of two.
+    Otherwise the square-free part is taken and its chain built.
+    """
+    sqf, _ = primitive(list(coeffs))
+    if sqf[-1] < 0:
+        sqf = [-c for c in sqf]
+    chain = sturm_chain(sqf)
+    if len(chain[-1]) > 1:
+        sqf, _ = squarefree_part(list(coeffs))
+        chain = sturm_chain(sqf)
     scale = max(abs(c) for c in sqf)
     # int / int is correctly rounded, also beyond float range
     fc = [c / scale for c in sqf]
     dfc = [c * i for i, c in enumerate(fc)][1:]
-    return sqf, sturm_chain(sqf), fc, dfc
+    return sqf, chain, fc, dfc
 
 
 # ----------------------------------------------------- known-factor strip ---
@@ -253,14 +272,30 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
     """Shrink an isolating interval around its root and return the root
     as a float, accurate to ``tol`` (relative for roots above 1 in size).
 
-    Bisection is exact on the square-free part: the bracket is
-    ``(na/den, nb/den]`` on integers, each halving doubles ``den`` and
-    takes the sign of the square-free part at ``(na + nb)/(2 den)``, and
-    with ``tol = tn/td`` the width test ``b - a > tol max(1, |a + b|/2)``
-    is the integer comparison ``2 td (nb - na) > tn max(2 den, |na + nb|)``.
-    So even roots of high multiplicity and polynomials with coefficients
-    far beyond float range refine reliably; a safeguarded float Newton
-    polish sharpens the last digits.
+    Precondition: ``(lo, hi]`` holds exactly one distinct real root of
+    ``p``, as every interval :func:`isolate_real_roots` returns does.
+
+    The decisions are those of exact bisection on the square-free part:
+    the bracket is ``(na/den, nb/den]`` on integers, each halving doubles
+    ``den`` and keeps the half where the sign changes, and with
+    ``tol = tn/td`` the width test ``b - a > tol max(1, |a + b|/2)`` is the
+    integer comparison ``2 td (nb - na) > tn max(2 den, |na + nb|)``.  The
+    last cell seeds a safeguarded float Newton polish that sharpens the
+    last digits.
+
+    The halvings are first predicted: a safeguarded float Newton on the
+    cached float coefficients finds a root ``x`` in the bracket, and the
+    same levels and width test are walked choosing each half by the exact
+    comparison of ``x`` with the midpoint.  Then the square-free part is
+    signed exactly at both ends of the last cell.  If both signs are
+    nonzero and differ, the one root of the interval lies strictly inside
+    that cell; at every level the exact bisection keeps the half holding
+    the root, and no midpoint on the way is the root (each is an end of a
+    later cell or outside it), so it reaches the same cell and the polish
+    returns the same float.  Otherwise (a wrong prediction, a root at a
+    dyadic midpoint, a float overflow) the bisection runs exactly, sign by
+    sign.  So even roots of high multiplicity and polynomials with
+    coefficients far beyond float range refine reliably.
 
     When the open end ``lo`` is itself a root (a window end that
     :func:`isolate_real_roots` excluded), it is a simple root of the
@@ -283,17 +318,117 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
         raise DegenerateInput("interval does not bracket a sign change")
 
     tn, td = Fraction(tol).as_integer_ratio()
-    while 2 * td * (nb - na) > tn * max(2 * den, abs(na + nb)):
-        mid = na + nb
-        den *= 2
-        sm = sign_at(sqf, mid, den)
-        if sm == 0:
-            return mid / den
-        if sm == sa:
-            na, nb = mid, 2 * nb
-        else:
-            na, nb = 2 * na, mid
+    cell = _predicted_cell(sqf, fc, dfc, na, nb, den, sa, sb, tn, td)
+    if cell is not None:
+        na, nb, den = cell
+    else:
+        while 2 * td * (nb - na) > tn * max(2 * den, abs(na + nb)):
+            mid = na + nb
+            den *= 2
+            sm = sign_at(sqf, mid, den)
+            if sm == 0:
+                return mid / den
+            if sm == sa:
+                na, nb = mid, 2 * nb
+            else:
+                na, nb = 2 * na, mid
     return _newton_polish(fc, dfc, (na + nb) / (2 * den), na / den, nb / den)
+
+
+def _predicted_cell(
+    sqf: list[int],
+    fc: list[float],
+    dfc: list[float],
+    na: int,
+    nb: int,
+    den: int,
+    sa: int,
+    sb: int,
+    tn: int,
+    td: int,
+) -> tuple[int, int, int] | None:
+    """The last cell ``(na, nb, den)`` of the exact bisection in
+    :func:`refine_root`, predicted from a float root ``x`` and confirmed
+    by the exact signs at its ends; None when they do not confirm it.
+
+    ``sa`` is the sign just right of ``na/den`` and ``sb`` the sign at
+    ``nb/den``; an end that never moved keeps its known sign.
+
+    The bisection keeps the width numerator ``w = nb - na`` and doubles
+    ``den`` per level, and keeps the right half exactly when ``x`` is
+    above the midpoint.  With ``x = p/q`` and ``r = p den - na q``, that
+    is ``2 r > w q``, after which ``r`` becomes ``2 r - w q`` (right) or
+    ``2 r`` (left): binary long division of ``r`` by ``w q``.  So after
+    ``k`` levels the right halves taken, read as binary digits, make
+    ``j = ceil(2^k r / (w q)) - 1`` clamped to ``[0, 2^k - 1]``, and the
+    cell is ``na 2^k + j w`` over ``den 2^k``.  No level below ``k0`` can
+    end the loop (its width test compares with at most
+    ``2^(k+1) max(den, |na| + w)``), so the width test runs from ``k0``.
+    """
+    try:
+        x = _float_root(fc, dfc, na / den, nb / den, sa, tn / td)
+    except OverflowError:
+        return None
+    if not math.isfinite(x):
+        return None
+    p, q = x.as_integer_ratio()
+    w = nb - na
+    wq = w * q
+    r = p * den - na * q
+    lhs = 2 * td * w
+
+    def cell(k: int) -> tuple[int, int]:
+        j = min(max(-(-(r << k) // wq) - 1, 0), (1 << k) - 1)
+        return j, (na << k) + j * w
+
+    a, b = td * w, tn * max(den, abs(na) + w)
+    k = max(a.bit_length() - b.bit_length() - 1, 0)
+    j, lo = cell(k)
+    while lhs > tn * max(2 * (den << k), abs(2 * lo + w)):
+        k += 1
+        j, lo = cell(k)
+    s_lo = sign_at(sqf, lo, den << k) if j > 0 else sa
+    if s_lo == 0:
+        return None
+    s_hi = sign_at(sqf, lo + w, den << k) if j < (1 << k) - 1 else sb
+    if s_hi != -s_lo:
+        return None
+    return lo, lo + w, den << k
+
+
+_FLOAT_ROOT_STEPS = 64
+
+
+def _float_root(
+    fc: list[float], dfc: list[float], lo: float, hi: float, sa: int, tol: float
+) -> float:
+    """A float root of ``fc`` in ``[lo, hi]``: Newton steps from the
+    midpoint, with a bisection step whenever Newton would leave the
+    bracket, which the float sign of ``fc`` shrinks (``sa`` is the sign
+    just right of ``lo``).  Stops once a Newton step is below ``tol/16``
+    relative: the next error is of the order of its square.  A prediction
+    only: nothing here is exact."""
+    a, b = lo, hi
+    x = 0.5 * a + 0.5 * b
+    step_tol = tol / 16
+    for _ in range(_FLOAT_ROOT_STEPS):
+        f = _horner(fc, x)
+        if f == 0.0:
+            return x
+        if (f > 0.0) == (sa > 0):
+            a = x
+        else:
+            b = x
+        d = _horner(dfc, x)
+        x_new = x - f / d if d else math.nan
+        if abs(x_new - x) <= step_tol * max(1.0, abs(x)):
+            return x_new if a <= x_new <= b else x
+        if not a < x_new < b:
+            x_new = 0.5 * a + 0.5 * b
+            if x_new == x:
+                return x
+        x = x_new
+    return x
 
 
 def _horner(cs: list[float], x: float) -> float:

@@ -106,6 +106,7 @@ from .poly_kernel import (
     sylvester_resultant,
 )
 from .poly_kernel.dense import primitive, u_eval
+from .poly_kernel.mpoly import unpack
 from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
 
 __all__ = [
@@ -420,12 +421,114 @@ def _rel_residual(poly: MPoly, point: dict[str, float]) -> float:
 
     Both the value and the normalizer are evaluated exactly (floats convert
     to exact rationals), so the ratio is a faithful relative residual even
-    for polynomials with astronomically large integer coefficients.
+    for polynomials with astronomically large integer coefficients.  The
+    gate decides on this ratio; :class:`_ResidualGate` bounds it in floats
+    first and calls this only when the bounds cannot decide.
     """
     value = abs(poly.eval_float(point))
     mag_terms = MPoly(poly.vars, {k: abs(c) for k, c in poly.terms.items()})
     scale = mag_terms.eval_float({v: abs(x) for v, x in point.items()})
     return value / max(scale, 1e-300)
+
+
+# the unit roundoff 2^-53, raised by a margin far above the 1 + O(2^-53)
+# factors that the residual bound neglects
+_ERROR_SCALE = 1.001 * 2.0**-53
+_FLOAT_EXPONENT_ROOM = 1000  # powers of two kept away from under- and overflow
+
+
+class _ResidualGate:
+    """An integer polynomial with its float image, for the residual gate.
+
+    :meth:`bounds` evaluates every term ``c x^a y^b z^c`` in floats, with
+    the powers from tables built by repeated multiplication, so the term
+    carries at most ``d + 1`` roundings for ``d = a + b + c`` (the
+    coefficient, ``a - 1`` for the power and one for its product, and so
+    on).  The terms are padded with zeros to ``2^L`` and summed pairwise,
+    ``L`` more roundings each, and so are their magnitudes.  So the float
+    value and the float magnitude sum are each within
+    ``u sum (d_i + 1 + L) |t_i|`` (times ``1 + O(u)``) of the exact value
+    ``V`` and magnitude sum ``S``, with ``u = 2^-53`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, sections 3.1 and 4.2).
+    That holds when no partial product leaves the normal float range,
+    which :meth:`bounds` checks from the exponents of the point and of the
+    largest coefficient; outside it, or with a coefficient that is no
+    integer, it returns ``(0, inf)``.
+    """
+
+    __slots__ = ("poly", "coeffs", "exps", "weights", "degrees", "total", "top_bits")
+
+    def __init__(self, poly: MPoly) -> None:
+        self.poly = poly
+        n = len(poly.vars)
+        values = list(poly.terms.values())
+        exps = [unpack(k, n) for k in poly.terms]
+        pad = (1 << max(len(exps) - 1, 0).bit_length()) - len(exps)
+        levels = (len(exps) + pad).bit_length() - 1
+        self.exps = tuple(np.array([e[i] for e in exps] + [0] * pad, dtype=np.intp) for i in range(n))
+        self.weights = np.array([sum(e) + 1 + levels for e in exps] + [0] * pad, dtype=float)
+        self.degrees = tuple(max((e[i] for e in exps), default=0) for i in range(n))
+        self.total = max((sum(e) for e in exps), default=0)
+        self.top_bits = max((abs(c).bit_length() for c in values), default=0)
+        # integers, so every nonzero |c| >= 1, and small enough to leave
+        # exponent room for the products
+        if all(isinstance(c, int) for c in values) and self.top_bits <= _FLOAT_EXPONENT_ROOM:
+            self.coeffs = np.array([float(c) for c in values] + [0.0] * pad)
+        else:
+            self.coeffs = None
+
+    def bounds(self, point: dict[str, float]) -> tuple[float, float]:
+        """Floats ``lo <= _rel_residual(self.poly, point) <= hi``.
+
+        ``_rel_residual`` rounds the exact ``|V|`` and ``S`` once each and
+        divides, all monotone in ``|V|`` and ``S``, so float bounds on
+        ``|V|`` and ``S``, each rounded outward by one ``nextafter``, bound
+        its result.
+        """
+        if self.coeffs is None:
+            return 0.0, math.inf
+        values = [point[v] for v in self.poly.vars]
+        low = high = 0
+        for x in values:
+            if not math.isfinite(x):
+                return 0.0, math.inf
+            if x:
+                e = math.frexp(x)[1]
+                low, high = min(low, e - 1), max(high, e)
+        if (
+            low * self.total < -_FLOAT_EXPONENT_ROOM
+            or high * self.total + self.top_bits + len(self.coeffs).bit_length()
+            > _FLOAT_EXPONENT_ROOM
+        ):
+            return 0.0, math.inf
+        terms = self.coeffs
+        for x, deg, e in zip(values, self.degrees, self.exps):
+            if deg:
+                table = [1.0, x]
+                for _ in range(deg - 1):
+                    table.append(table[-1] * x)
+                terms = terms * np.array(table)[e]
+        mags = np.abs(terms)
+        err = _ERROR_SCALE * float(self.weights @ mags)
+        pair = np.stack((terms, mags))
+        while pair.shape[1] > 1:
+            pair = pair[:, 0::2] + pair[:, 1::2]
+        value, scale = abs(float(pair[0, 0])), float(pair[1, 0])
+        v_lo = max(math.nextafter(value - err, -math.inf), 0.0)
+        v_hi = math.nextafter(value + err, math.inf)
+        s_lo = math.nextafter(scale - err, -math.inf)
+        s_hi = math.nextafter(scale + err, math.inf)
+        return v_lo / max(s_hi, 1e-300), v_hi / max(s_lo, 1e-300)
+
+    def exceeds(self, point: dict[str, float], bounds: tuple[float, float] | None = None) -> bool:
+        """``_rel_residual(self.poly, point) > _GATE_TOL``, from the float
+        bounds when they decide it, else exactly."""
+        lo, hi = self.bounds(point) if bounds is None else bounds
+        if lo > _GATE_TOL:
+            return True
+        if hi <= _GATE_TOL:
+            return False
+        return _rel_residual(self.poly, point) > _GATE_TOL
 
 
 # --------------------------------------------------------------------------
@@ -544,6 +647,7 @@ class _MirrorPipeline:
     # l, shared by the ring nodes, the fiber and the residual gate
     stat_l: MPoly  # d(cost)/dl
     stat_t: MPoly  # tangential derivative along the burn circle
+    stat_t_gate: _ResidualGate  # stat_t with its float image
     core: RatPoly  # degree-20 primitive integer eliminant core in y0
     # E and O of Res_l(stat_l, stat_t) = E + x0 O on the burn circle,
     # interpolated from 4x4 Bezout determinants at the ring nodes |c| >= 2,
@@ -643,6 +747,7 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
     return _MirrorPipeline(
         stat_l=stat_l,
         stat_t=stat_t,
+        stat_t_gate=_ResidualGate(stat_t),
         core=core,
         even_part=even,
         odd_part=odd,
@@ -671,7 +776,7 @@ def _mirror_backsub(
             if abs(lv) < 1e-9:
                 continue
             point = {"l": lv, "x0": x0v, "y0": y0r}
-            if _rel_residual(pipe.stat_t, point) > _GATE_TOL:
+            if pipe.stat_t_gate.exceeds(point):
                 continue  # fiber root not paired with this y0 root
             s1y = (1.0 + x0v * s0yf - y0r * s0xf - lv * lv) / (lv * x0v)
             try:
@@ -763,6 +868,7 @@ class _AntipodalPipeline:
     # the residual gate and the tie-break chain (_linear_seed)
     d_first: MPoly  # squared-gap balance, degree 2 in s1y
     d_second: MPoly  # tangential balance, degree 5 in s1y
+    d_second_gate: _ResidualGate  # d_second with its float image
     # (factor, multiplicity) from _antipodal_factors, q2 first: h(l) =
     # H(l, r(l)) is a constant times l^11 (l-1)^10 (l+1)^10 times their
     # product, certified once (CERT_antipodal.json), guarded per input at
@@ -1007,6 +1113,7 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     return _AntipodalPipeline(
         d_first=first,
         d_second=second,
+        d_second_gate=_ResidualGate(second),
         factors=factors,
         degree_full=degree_core + sum(unit.degree() * mult for unit, mult in _ANTIPODAL_UNITS),
         degree_core=degree_core,
@@ -1103,47 +1210,58 @@ def _antipodal_backsub(
         roots = _quadratic_real_roots(fiber.coeffs)
         if not roots:
             continue
-        scored = []
-        for s1yv in roots:
-            rel = _rel_residual(
-                pipe.d_second, {"l": lv, "x0": x0v, "s1y": s1yv}
+        # only the fiber root with the smaller residual continues the
+        # solution branch; the other quadratic root belongs to a sign branch
+        # of the squared system.  Its residual is often larger by orders of
+        # magnitude, but both can sit below float rounding (the float bounds
+        # overlap in 40 of the 108 pairs met on REF and the first 16
+        # seed-7 rotated-sweep inputs), so the float bounds order the pair
+        # only when they are disjoint
+        gate = pipe.d_second_gate
+        points = [{"l": lv, "x0": x0v, "s1y": s1yv} for s1yv in roots]
+        bounds = [gate.bounds(point) for point in points]
+        if len(roots) == 2 and bounds[0][0] <= bounds[1][1] and bounds[1][0] <= bounds[0][1]:
+            scored = sorted(
+                ((_rel_residual(gate.poly, point), s1yv) for point, s1yv in zip(points, roots)),
+                key=lambda t: t[0],
             )
-            scored.append((rel, s1yv))
-        scored.sort(key=lambda t: t[0])
-        if len(scored) == 2 and scored[0][0] == scored[1][0]:
-            # an exact tie: the linear element of the remainder chain picks
-            # the root nearest its s1y = -u0/u1 (stable order without one)
-            seed = _linear_seed(pipe, lQ, xQ)
-            if seed is not None:
-                scored.sort(key=lambda t: abs(t[1] - seed))
-        # only the best-matching fiber root continues the solution branch;
-        # the other quadratic root belongs to a sign branch of the squared
-        # system and its residual is orders of magnitude larger
-        for rel, s1yv in scored[:1]:
+            if scored[0][0] == scored[1][0]:
+                # an exact tie: the linear element of the remainder chain
+                # picks the root nearest its s1y = -u0/u1 (stable order
+                # without one)
+                seed = _linear_seed(pipe, lQ, xQ)
+                if seed is not None:
+                    scored.sort(key=lambda t: abs(t[1] - seed))
+            rel, s1yv = scored[0]
             if rel > _GATE_TOL:
                 continue
-            s1xv = x0v * (lv * s1yv - s0yf) * s0xf / (lv * (1.0 - lv * lv))
-            try:
-                cand = _assemble(
-                    inp,
-                    "case2b_general",
-                    x0v,
-                    y0v,
-                    -x0v,
-                    -y0v,
-                    lv,
-                    s1xv,
-                    s1yv,
-                )
-            except EllipticityViolation:
-                logger.info(
-                    "case2b_general root l=%.12g rejected: transfer orbit not "
-                    "elliptic",
-                    lv,
-                )
+        else:
+            best = min(range(len(roots)), key=lambda i: bounds[i][0])
+            s1yv = roots[best]
+            if gate.exceeds(points[best], bounds[best]):
                 continue
-            if cand is not None:
-                out.append(cand)
+        s1xv = x0v * (lv * s1yv - s0yf) * s0xf / (lv * (1.0 - lv * lv))
+        try:
+            cand = _assemble(
+                inp,
+                "case2b_general",
+                x0v,
+                y0v,
+                -x0v,
+                -y0v,
+                lv,
+                s1xv,
+                s1yv,
+            )
+        except EllipticityViolation:
+            logger.info(
+                "case2b_general root l=%.12g rejected: transfer orbit not "
+                "elliptic",
+                lv,
+            )
+            continue
+        if cand is not None:
+            out.append(cand)
     return out
 
 

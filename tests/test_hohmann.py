@@ -28,8 +28,10 @@ from fractions import Fraction
 
 import pytest
 
+from orbita import hohmann
 from orbita.hohmann import (
     OUT_OF_PLANE_WINDOW,
+    BranchSignMismatch,
     HohmannInput,
     best_transfer,
     solve_coplanar,
@@ -147,6 +149,20 @@ class TestCoplanar:
                 assert math.copysign(1.0, best.plan.orbits[1].l.z) == math.copysign(
                     1.0, l0z + l2z
                 )
+
+    def test_sign_mismatch_raises_a_typed_error(self, monkeypatch):
+        # negating every f1 makes the sort put the wrong sign first; the
+        # check must survive python -O, so it is no assert
+        real = hohmann.HohmannBranchSolution
+
+        def flipped(plan, f1, *args):
+            return real(plan, -f1, *args)
+
+        monkeypatch.setattr(hohmann, "HohmannBranchSolution", flipped)
+        with pytest.raises(BranchSignMismatch):
+            solve_coplanar(HohmannInput(1.0, 0.5))
+        # at the tie the order is free, so nothing is checked
+        assert len(solve_coplanar(HohmannInput(1.0, -1.0))) == 2
 
     def test_agrees_with_classical_formula(self):
         # Module invariant: closed-form f1 equals the textbook cost to

@@ -870,3 +870,164 @@ class TestRootInterval:
         assert (iv.lo, iv.hi) == (Fraction(1, 2), Fraction(3, 4))
         assert iv.midpoint() == Fraction(5, 8)
         assert iv.width() == Fraction(1, 4)
+
+
+# ------------------------------- predicted bisection, one chain per input ---
+#
+# Oracles: the two-step decomposition (square-free part, then its Sturm
+# chain) that ran before the chain of the input came first, and the exact
+# bisection loop of ``refine_root`` forced by declining every predicted
+# cell, besides the ``Fraction`` reference above.
+
+
+def _two_step_decompose(coeffs):
+    sqf, _ = squarefree_part(list(coeffs))
+    scale = max(abs(c) for c in sqf)
+    fc = [c / scale for c in sqf]
+    dfc = [c * i for i, c in enumerate(fc)][1:]
+    return sqf, sturm_chain(sqf), fc, dfc
+
+
+def _exact_bisection_refine(p, iv, tol=1e-13):
+    real = roots_mod._predicted_cell
+    roots_mod._predicted_cell = lambda *args: None
+    try:
+        return refine_root(p, iv, tol)
+    finally:
+        roots_mod._predicted_cell = real
+
+
+def _factored(roots_with_mult, cluster, quadratic, scale):
+    x = RatPoly([0, 1], "x")
+    p = RatPoly([scale], "x")
+    for r, m in roots_with_mult:
+        for _ in range(m):
+            p = p * (x - r)
+    if cluster is not None:
+        # a second root 10^-k away from the first
+        r, k = roots_with_mult[0][0], cluster
+        p = p * (x - (r + Fraction(1, 10**k)))
+    if quadratic:
+        p = p * (x * x + quadratic)
+    return p
+
+
+# rational roots on a grid with dyadic and non-dyadic points, repeated up
+# to three times; an optional cluster partner; an optional irreducible
+# quadratic; a scale beyond float range
+_KERNEL_CASES = st.tuples(
+    st.lists(
+        st.tuples(
+            st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 7, 8])),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda t: t[0],
+    ),
+    st.one_of(st.none(), st.sampled_from([3, 6, 9])),
+    st.sampled_from([0, 1, 2, 5]),
+    st.sampled_from([1, 10**400, 3**900]),
+    st.sampled_from([1e-13, 1e-10, 1e-6]),
+)
+
+
+class TestPredictedBisection:
+    @settings(max_examples=80, deadline=None)
+    @given(_KERNEL_CASES)
+    def test_one_chain_decomposition_matches_two_steps(self, case):
+        p = _factored(*case[:4])
+        coeffs = tuple(u_trim(p.to_int_coeffs()[0]))
+        got = roots_mod._decompose.__wrapped__(coeffs)
+        want = _two_step_decompose(coeffs)
+        assert got[:2] == want[:2]
+        assert repr(got[2:]) == repr(want[2:])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_KERNEL_CASES)
+    def test_same_floats_as_exact_bisection(self, case):
+        p = _factored(*case[:4])
+        tol = case[4]
+        ends = sorted(r for r, _ in case[0])
+        # the full line, and windows whose open end lo is a root
+        windows = [(None, None), (ends[0], ends[0] + 5), (ends[0] - 1, ends[-1])]
+        for window in windows:
+            for iv in isolate_real_roots(p, *window):
+                x = refine_root(p, iv, tol)
+                assert repr(x) == repr(_exact_bisection_refine(p, iv, tol))
+                assert repr(x) == repr(_ref_refine_root(p, iv, tol))
+
+    def _signs_and_cells(self, monkeypatch):
+        signs, cells = [], []
+        real_sign, real_cell = roots_mod.sign_at, roots_mod._predicted_cell
+
+        def counting_sign(*args):
+            signs.append(args[1:])
+            return real_sign(*args)
+
+        def recording_cell(*args):
+            cells.append(real_cell(*args))
+            return cells[-1]
+
+        monkeypatch.setattr(roots_mod, "sign_at", counting_sign)
+        monkeypatch.setattr(roots_mod, "_predicted_cell", recording_cell)
+        return signs, cells
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [-2, 0, 1],  # sqrt 2
+            [-6, 11, -6, 1],  # 1, 2, 3
+            [1, 2, 0, 2, 1],  # the out-of-plane window quartic
+            [-2 * 10**400, 0, 10**400],  # beyond float range
+            [Fraction(-7, 3), 5, 0, -11, 0, 1],
+        ],
+    )
+    def test_at_most_four_signs_per_root(self, monkeypatch, coeffs):
+        p = RatPoly(coeffs, "x")
+        ivs = isolate_real_roots(p)
+        assert ivs
+        signs, cells = self._signs_and_cells(monkeypatch)
+        for iv in ivs:
+            del signs[:]
+            x = refine_root(p, iv)
+            assert cells[-1] is not None
+            assert len(signs) <= 4
+            assert repr(x) == repr(_ref_refine_root(p, iv))
+
+    def test_root_at_a_dyadic_midpoint(self, monkeypatch):
+        # (2x - 1)(x - 3) on (0, 1]: the first midpoint is the root, where
+        # the exact loop stops with sm == 0; the predicted cell ends there,
+        # so its sign is 0 and the exact loop runs
+        p = RatPoly([3, -7, 2], "x")
+        iv = RootInterval(Fraction(0), Fraction(1))
+        _, cells = self._signs_and_cells(monkeypatch)
+        assert refine_root(p, iv) == 0.5
+        assert cells == [None]
+        assert repr(_ref_refine_root(p, iv)) == repr(0.5)
+
+    def test_root_at_the_open_lo_end(self, monkeypatch):
+        # x (x - 1/3) on (0, 1]: the sign just right of the root 0 is the
+        # derivative's there; the prediction still holds
+        p = RatPoly([0, Fraction(-1, 3), 1], "x")
+        iv = RootInterval(Fraction(0), Fraction(1))
+        _, cells = self._signs_and_cells(monkeypatch)
+        x = refine_root(p, iv)
+        assert cells[-1] is not None
+        assert repr(x) == repr(_exact_bisection_refine(p, iv)) == repr(_ref_refine_root(p, iv))
+
+    def test_clustered_roots_fall_back_to_exact_bisection(self, monkeypatch):
+        # (x - 1)(x - 1 - 2^-60): both roots round to the float 1.0.  At
+        # tol = 1e-13 the isolating intervals are already narrow enough; at
+        # tol = 1e-20 the float root cannot be placed in a cell that narrow,
+        # the prediction is declined and the exact loop gives the float
+        p = RatPoly([-1, 1], "x") * RatPoly([-(1 + Fraction(1, 2**60)), 1], "x")
+        ivs = isolate_real_roots(p)
+        assert len(ivs) == 2
+        _, cells = self._signs_and_cells(monkeypatch)
+        for iv in ivs:
+            for tol in (1e-13, 1e-20):
+                x = refine_root(p, iv, tol)
+                assert repr(x) == repr(_exact_bisection_refine(p, iv, tol))
+                assert repr(x) == repr(_ref_refine_root(p, iv, tol))
+        assert None in cells

@@ -1446,3 +1446,147 @@ class TestSweep:
         records = sweep_rotated([0.5], [180.0])
         d = sweep_record_as_dict(records[0])
         assert tuple(d) == SWEEP_COLUMNS
+
+
+# --------------------------------------------------------------------------
+# float-first residual gate
+# --------------------------------------------------------------------------
+
+
+def _count_exact_residuals(monkeypatch) -> list:
+    """Route ``_rel_residual`` through a recorder; returns the call list."""
+    calls = []
+    real = rotated_ellipses._rel_residual
+
+    def counting(poly, point):
+        calls.append(point)
+        return real(poly, point)
+
+    monkeypatch.setattr(rotated_ellipses, "_rel_residual", counting)
+    return calls
+
+
+E07 = params_from_angle(0.7, 37)
+# a case-2b root of E07 whose two fiber roots both have residuals at
+# rounding level, so their float bounds overlap
+E07_TIED_L = -0.9939073577389373
+
+
+class TestResidualGate:
+    """The gate bounds ``_rel_residual`` in floats and evaluates it exactly
+    only when the bounds cannot decide the gate or the fiber-root order."""
+
+    @pytest.fixture(scope="class")
+    def gates(self):
+        return (
+            rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y).d_second_gate,
+            rotated_ellipses._mirror_pipeline(E07.s0x, E07.s0y).stat_t_gate,
+        )
+
+    def test_bounds_contain_the_exact_ratio_at_random_points(self, gates):
+        rng = random.Random(1717)
+        for gate in gates:
+            for _ in range(60):
+                point = {
+                    v: rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-3, 1) for v in gate.poly.vars
+                }
+                lo, hi = gate.bounds(point)
+                assert lo <= rotated_ellipses._rel_residual(gate.poly, point) <= hi
+                assert hi - lo < 1e-13
+
+    def test_bounds_contain_the_exact_ratio_at_the_candidates(self, gates):
+        # the candidates are near-roots: heavy cancellation in the value
+        d_second, stat_t = gates
+        points = [
+            (d_second, {"l": c.l1z, "x0": c.burn0.x, "s1y": c.s1y})
+            for c in case2b_solutions(E07)
+            if c.case_tag == "case2b_general"
+        ] + [
+            (stat_t, {"l": c.l1z, "x0": c.burn0.x, "y0": c.burn0.y})
+            for c in case2a_general(E07)
+        ]
+        assert len(points) >= 4
+        for gate, point in points:
+            lo, hi = gate.bounds(point)
+            assert lo <= rotated_ellipses._rel_residual(gate.poly, point) <= hi
+            assert hi <= rotated_ellipses._GATE_TOL
+
+    def test_decided_points_take_no_exact_route(self, gates, monkeypatch):
+        calls = _count_exact_residuals(monkeypatch)
+        d_second, _ = gates
+        assert d_second.exceeds({"l": 0.5, "x0": 0.3, "s1y": 0.2})
+        assert not d_second.exceeds({"l": 0.0, "x0": 0.0, "s1y": 0.0})
+        assert calls == []
+
+    def test_straddling_point_takes_the_exact_route(self, monkeypatch):
+        # (x - 1)/(x + 1) is the tolerance at x = (1 + tol)/(1 - tol); one
+        # of the floats around it has bounds on both sides of the tolerance
+        tol = rotated_ellipses._GATE_TOL
+        gate = rotated_ellipses._ResidualGate(MPoly.variable("x", ("x",)) - 1)
+        centre = (1 + tol) / (1 - tol)
+        for k in range(-64, 65):
+            point = {"x": centre + k * 2.0**-52}
+            lo, hi = gate.bounds(point)
+            if lo <= tol < hi:
+                break
+        else:
+            pytest.fail("no float near the tolerance has straddling bounds")
+        want = rotated_ellipses._rel_residual(gate.poly, point) > tol
+        calls = _count_exact_residuals(monkeypatch)
+        assert gate.exceeds(point) == want
+        assert calls == [point]
+
+    @pytest.mark.parametrize("bits", [1030, 1023])
+    def test_coefficients_beyond_float_range_take_the_exact_route(self, monkeypatch, bits):
+        # 2^1030 has no float image; 2^1023 has one, but leaves no room
+        # below the float maximum for the products the bound is proven
+        # for.  top x - 1 stays in float range at x = 1/top and 2/top,
+        # where the exact ratio is 0 and 1/3
+        top = 2**bits
+        gate = rotated_ellipses._ResidualGate(MPoly.variable("x", ("x",)) * top - 1)
+        root, off = {"x": 2.0**-bits}, {"x": 2.0 ** (1 - bits)}
+        assert gate.bounds(root) == gate.bounds(off) == (0.0, math.inf)
+        calls = _count_exact_residuals(monkeypatch)
+        assert not gate.exceeds(root)
+        assert gate.exceeds(off)
+        assert calls == [root, off]
+
+    def test_overlapping_fiber_roots_take_the_exact_route(self, monkeypatch):
+        pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
+        assert E07_TIED_L in rotated_ellipses._antipodal_roots(pipe, E07.s0x)
+        calls = _count_exact_residuals(monkeypatch)
+        got = rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
+        assert got
+        assert len(calls) >= 2
+
+    def test_forced_exact_route_gives_the_same_candidates(self, monkeypatch):
+        pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
+        roots = rotated_ellipses._antipodal_roots(pipe, E07.s0x)
+        fast = [rotated_ellipses._antipodal_backsub(E07, pipe, lv) for lv in roots]
+        mirror_fast = case2a_general(E07)
+        monkeypatch.setattr(
+            rotated_ellipses._ResidualGate, "bounds", lambda self, point: (0.0, math.inf)
+        )
+        calls = _count_exact_residuals(monkeypatch)
+        exact = [rotated_ellipses._antipodal_backsub(E07, pipe, lv) for lv in roots]
+        assert repr(exact) == repr(fast)
+        assert repr(case2a_general(E07)) == repr(mirror_fast)
+        assert len(calls) > 2 * len(roots)
+
+    def test_exact_tie_still_reaches_the_linear_seed(self, monkeypatch):
+        # equal exact residuals for both fiber roots: the chain's linear
+        # element picks the root nearest its s1y, the true one
+        pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
+        want = rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
+        monkeypatch.setattr(rotated_ellipses, "_rel_residual", lambda poly, point: 0.0)
+        seeds = []
+        real_seed = rotated_ellipses._linear_seed
+
+        def recording(*args):
+            seeds.append(real_seed(*args))
+            return seeds[-1]
+
+        monkeypatch.setattr(rotated_ellipses, "_linear_seed", recording)
+        got = rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
+        assert seeds and all(s is not None for s in seeds)
+        assert repr(got) == repr(want)
