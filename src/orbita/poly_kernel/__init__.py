@@ -9,8 +9,6 @@ Public surface:
 - elimination: ``sylvester_resultant``, ``sylvester_degree_bound``,
   ``quadratic_resultant`` (the degree-2 closed form on coefficient lists
   over any exact ring, e.g. ``QuadPair``, an element of ``Z[X]/(X^2 - m)``),
-  ``bezout_resultant`` (the determinant of the n x n Bezout matrix of two
-  coefficient lists of equal degree n, by Bareiss over an integral domain),
   ``interpolate_checked`` (exact interpolation at integer nodes, checked
   at one spare node), ``euclidean_last_linear``
 - roots: ``strip_known_factors`` (exact division by known factors, the
@@ -33,7 +31,6 @@ from .euclid import euclidean_last_linear
 from .mpoly import MPoly, RatPoly
 from .resultant import (
     QuadPair,
-    bezout_resultant,
     interpolate_checked,
     quadratic_resultant,
     sylvester_degree_bound,
@@ -55,7 +52,6 @@ __all__ = [
     "sylvester_resultant",
     "sylvester_degree_bound",
     "quadratic_resultant",
-    "bezout_resultant",
     "interpolate_checked",
     "euclidean_last_linear",
     "strip_known_factors",

@@ -25,12 +25,6 @@ the shape of the inputs, and every path computes the same exact value:
 
 Rational coefficients are cleared up front and the exact scale restored at
 the end via ``Res(c*P, Q) = c**deg(Q) * Res(P, Q)``.
-
-``bezout_resultant(fc, gc)`` takes two coefficient lists of one equal
-formal degree ``n`` over any integral domain with exact division (such as
-``QuadPair`` in ``Z[X]/(X^2 - m)``, ``m`` not a square) and returns their
-resultant as the determinant of the ``n x n`` Bezout matrix, half the size
-of the Sylvester matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ from .mpoly import MPoly, unpack
 
 __all__ = [
     "QuadPair",
-    "bezout_resultant",
     "interpolate_checked",
     "newton_interpolate",
     "quadratic_resultant",
@@ -234,55 +227,6 @@ def _prem_coeffs(fc: list, gc: list) -> tuple[list, int]:
             new.pop()
         r = new
     return r, k
-
-
-# ------------------------------------------------------------- Bezout ---
-
-
-def bezout_resultant(fc: list, gc: list):
-    """``Res(f, g)`` from coefficient lists, lowest first, of one formal
-    degree ``n >= 1`` (either top coefficient may be zero), over an
-    integral domain whose elements have ``+ - *``, ``is_zero()`` and
-    ``divexact()`` (``MPoly``, or :class:`QuadPair` with ``m`` not a
-    square).
-
-    The Bezout matrix ``B`` holds the coefficients of
-    ``(f(x) g(y) - f(y) g(x)) / (x - y) = sum B[i][j] x^i y^j``: each pair
-    ``a > b`` adds ``f_a g_b - f_b g_a`` to the entries with
-    ``b <= i < a`` and ``i + j = a + b - 1``.  Its determinant, by Bareiss
-    elimination with row swaps (exact divisions, hence the domain), is
-    ``(-1)^(n(n-1)/2) Res(f, g)`` (Cox, Little & O'Shea, *Using Algebraic
-    Geometry*, ch. 3).
-    """
-    n = len(fc) - 1
-    if n < 1 or len(gc) != n + 1:
-        raise DegenerateInput(
-            f"Bezout resultant needs two lists of one degree >= 1 (got {n} and {len(gc) - 1})"
-        )
-    zero = fc[0] - fc[0]
-    mat = [[zero] * n for _ in range(n)]
-    for a in range(1, n + 1):
-        for b in range(a):
-            cross = fc[a] * gc[b] - fc[b] * gc[a]
-            for i in range(b, a):
-                mat[i][a + b - 1 - i] = mat[i][a + b - 1 - i] + cross
-    negate = (n * (n - 1) // 2) % 2 == 1
-    prev = None
-    for k in range(n - 1):
-        if mat[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not mat[i][k].is_zero()), None)
-            if swap is None:
-                return zero
-            mat[k], mat[swap] = mat[swap], mat[k]
-            negate = not negate
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                v = pivot * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = v if prev is None else v.divexact(prev)
-        prev = pivot
-    det = mat[n - 1][n - 1]
-    return zero - det if negate else det
 
 
 # ----------------------------------------------- univariate coefficients ---

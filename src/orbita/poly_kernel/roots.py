@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dense import divexact, prem, primitive, sign_at, squarefree_part, u_derivative, u_trim
+from .dense import divexact, prem, primitive, sign_at, u_derivative, u_trim
 from .errors import DegenerateInput
 from .mpoly import RatPoly
 
@@ -208,25 +208,28 @@ def _split_point(sqf: list[int], na: int, nb: int, den: int) -> tuple[int, int]:
 def _decompose(
     coeffs: tuple[int, ...],
 ) -> tuple[list[int], list[list[int]], list[float], list[float]]:
-    """Square-free part of the integer polynomial ``coeffs`` (as
-    :func:`squarefree_part` returns it), its Sturm chain, and the
-    max-normalized float coefficients of the square-free part and of its
-    derivative for the Newton polish, computed once per polynomial.
-    Shared through the cache: never mutated.
+    """Square-free part of the integer polynomial ``coeffs`` (primitive,
+    positive leading coefficient), its Sturm chain, and the max-normalized
+    float coefficients of the square-free part and of its derivative for
+    the Newton polish, computed once per polynomial.  Shared through the
+    cache: never mutated.
 
-    The Sturm chain of the primitive input with positive leading
+    The Sturm chain of the primitive input ``f`` with positive leading
     coefficient is built first.  Its last element is ``gcd(f, f')`` up to
-    a constant, so when that element is constant the input is square-free,
-    its square-free part is that same primitive polynomial and the chain is
-    already the one wanted: one pseudo-remainder chain in place of two.
-    Otherwise the square-free part is taken and its chain built.
+    a constant, and primitive, so when it is constant the input is
+    square-free, its square-free part is ``f`` and the chain is already the
+    one wanted: one pseudo-remainder chain.  Otherwise the square-free part
+    is ``f`` divided by that element, exact over the integers by Gauss's
+    lemma, and its chain is the second and last one.
     """
     sqf, _ = primitive(list(coeffs))
     if sqf[-1] < 0:
         sqf = [-c for c in sqf]
     chain = sturm_chain(sqf)
     if len(chain[-1]) > 1:
-        sqf, _ = squarefree_part(list(coeffs))
+        sqf, _ = primitive(divexact(sqf, chain[-1]))
+        if sqf[-1] < 0:
+            sqf = [-c for c in sqf]
         chain = sturm_chain(sqf)
     scale = max(abs(c) for c in sqf)
     # int / int is correctly rounded, also beyond float range

@@ -27,26 +27,31 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   solved exactly: the l resultant of two stationarity polynomials, kept
   as primitive integer polynomials, splits by parity in ``x0`` as
   ``E + x0 O``, reduced on the burn circle ``x0^2 = u = 1 - y0^2``.  ``E``
-  and ``O`` are built by evaluation at integer ``y0``-nodes ``c`` with
-  ``|c| >= 2`` and exact interpolation: at each node ``x0 = X`` in the
-  integral domain ``Z[X]/(X^2 - (1 - c^2))``, where the circle holds, and
-  the resultant there is the 4x4 Bezout determinant of the two
-  polynomials, ``E(c) + X O(c)``; the node count comes from a degree
-  bound, with one spare node checking each part.  The eliminant
-  ``E^2 - u O^2`` (the x0 resultant with the circle) is a univariate of
-  degree 48 in ``y0`` which always factors into known spurious factors and
-  a degree-20 core; the core's real roots in (-1, 1) are isolated and
-  refined, then back-substituted.
+  and ``O`` are closed form: with ``s0x`` and ``s0y`` as symbols they are
+  fixed integer polynomials in ``(y0, s0x, s0y)`` (217 and 171 terms, degree
+  24 and 23 in ``y0``, at most 10 in ``s0x`` and 8 in ``s0y``), the tables
+  ``MIRROR_EVEN`` and ``MIRROR_ODD`` of :mod:`orbita.elimination_tables`.
+  The l-leading coefficients of the pair, ``1 - x0^2`` and ``y0`` times a
+  constant, are free of ``s0x`` and ``s0y``, so the symbolic resultant
+  specializes exactly at every input (Collins, J. ACM 1971); per input the
+  tables are evaluated on integer numerators and scaled by the pair's
+  constants.  The eliminant ``E^2 - u O^2`` (the x0 resultant with the
+  circle) is a univariate of degree 48 in ``y0`` which always factors into
+  known spurious factors and a degree-20 core; the core's real roots in
+  (-1, 1) are isolated and refined, then back-substituted.
 - ``case2b_closed`` / ``case2b_general``   burns antipodal (``x1 = -x0``,
   ``y1 = -y0``).  Two closed-form families exist (prograde ``l = 1`` with a
   free ``s1x`` interval, retrograde ``l = -1``, always dominated).  The
   rest of the family reduces to one eliminant in ``l``.  The two reduced
   stationarity polynomials balance the two burns, and the second burn is
   the first reflected in ``x0``, so each is twice the odd-in-x0 part of a
-  product taken from the first burn's gap alone; they are built from its
-  even and odd parts in integer arithmetic and kept as primitive integer
-  polynomials: rational multiples of the balances, a constant factor no
-  later step depends on.  Their s1y resultant is ``x0^7 H(l, x0^2)``, and
+  product taken from the first burn's gap alone.  As polynomials in
+  ``(l, x0, s1y, s0x, s0y)`` they and the tangential derivative ``t0`` are
+  the integer tables ``ANTIPODAL_FIRST`` (87 terms), ``ANTIPODAL_SECOND``
+  (798) and ``ANTIPODAL_T0`` (51) of :mod:`orbita.elimination_tables`,
+  evaluated per input and kept as primitive integer polynomials: rational
+  multiples of the balances, a constant factor no later step depends on.
+  Their s1y resultant is ``x0^7 H(l, x0^2)``, and
   on the burn circle ``x0^2 = r(l) = 1 - (1-l^2)^2/s0x^2`` it becomes
   ``h(l) = H(l, r(l))`` of degree 69.  ``h`` is closed form: with
   ``a = s0y^2/(s0x^2 + s0y^2)`` and ``k = 1 - s0x^2`` it is a constant
@@ -70,6 +75,10 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   ``s1y != 0`` branch) and proves, in exact arithmetic per input, that both
   branches are empty away from the axis, so only the closed forms remain.
 
+The tables are generated with sympy by ``tests/generate_elimination_tables.py``,
+and the tests prove them equal to the constructions above with ``s0x`` and
+``s0y`` as symbols; the package itself does not import sympy.
+
 All elimination runs in exact rational arithmetic, which is why
 :class:`RotatedInput` requires exact rational ``s0x, s0y``.  Every candidate
 returned has been validated against the full plan equations (residuals
@@ -88,16 +97,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kepler import NotElliptic, Orbit, Vec3, orbit_geometry
+from .elimination_tables import (
+    ANTIPODAL_FIRST,
+    ANTIPODAL_SECOND,
+    ANTIPODAL_T0,
+    MIRROR_EVEN,
+    MIRROR_ODD,
+)
 from .poly_kernel import (
     ChainCollapse,
-    DegenerateInput,
     MPoly,
     NotAFactor,
     QuadPair,
     RatPoly,
-    bezout_resultant,
     euclidean_last_linear,
-    interpolate_checked,
     isolate_real_roots,
     quadratic_resultant,
     refine_root,
@@ -106,7 +119,7 @@ from .poly_kernel import (
     sylvester_resultant,
 )
 from .poly_kernel.dense import primitive, u_eval
-from .poly_kernel.mpoly import unpack
+from .poly_kernel.mpoly import pack, unpack
 from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
 
 __all__ = [
@@ -639,43 +652,65 @@ def case2a_axis_solutions(inp: RotatedInput) -> list[RotatedCandidate]:
     return _sorted_unique(out)
 
 
+def _powers(q, top: int) -> list[int]:
+    """``n^j d^(top - j)`` for ``j = 0..top``, with ``q = n/d`` in lowest
+    terms: a table term ``c q^j`` times ``d^top`` is ``c`` times entry ``j``."""
+    n, d = q.numerator, q.denominator
+    return [n**j * d ** (top - j) for j in range(top + 1)]
+
+
+def _table_degrees(*tables) -> tuple[int, int]:
+    """The largest ``s0x`` and ``s0y`` exponents in the rows of ``tables``."""
+    return (
+        max(row[-3] for table in tables for row in table),
+        max(row[-2] for table in tables for row in table),
+    )
+
+
+# one power base for E and O: scaling them apart breaks E^2 - u O^2
+_MIRROR_DEGREES = _table_degrees(MIRROR_EVEN, MIRROR_ODD)
+# the l^4 and l^4 y0 terms of the mirror pair in (l, x0, y0): the table
+# pair has l-leading coefficients 1 - x0^2 and y0, so these coefficients of
+# stat_l and stat_t are their scales against it
+_MIRROR_LEADS = (pack((4, 0, 0)), pack((4, 0, 1)))
+
+
+def _mirror_parts(s0x, s0y, scale: int) -> tuple[RatPoly, RatPoly]:
+    """``scale`` times ``E`` and ``O`` of the table module at
+    ``(s0x, s0y)``, in ``y0``: each table is summed on integer numerators
+    over the shared power base ``da^10 db^8`` (``s0x = na/da``,
+    ``s0y = nb/db``), then multiplied by ``scale`` and divided by the base
+    exactly."""
+    px, py = _powers(s0x, _MIRROR_DEGREES[0]), _powers(s0y, _MIRROR_DEGREES[1])
+    base = px[0] * py[0]
+    parts = []
+    for table in (MIRROR_EVEN, MIRROR_ODD):
+        coeffs = [0] * (table[-1][0] + 1)  # rows sorted by the y0 exponent
+        for j, a, b, c in table:
+            coeffs[j] += c * px[a] * py[b]
+        exact = [divmod(v * scale, base) for v in coeffs]
+        if any(rest for _, rest in exact):
+            raise PipelineDegreeMismatch("mirror parity parts are not integral")
+        parts.append(RatPoly([q for q, _ in exact], "y0"))
+    return parts[0], parts[1]
+
+
 @dataclass(frozen=True)
 class _MirrorPipeline:
     """Exact elimination data for the mirror-symmetric family, per input."""
 
     # the pair, primitive integer polynomials in (l, x0, y0) of degree 4 in
-    # l, shared by the ring nodes, the fiber and the residual gate
+    # l, shared by the parity parts, the fiber and the residual gate
     stat_l: MPoly  # d(cost)/dl
     stat_t: MPoly  # tangential derivative along the burn circle
     stat_t_gate: _ResidualGate  # stat_t with its float image
     core: RatPoly  # degree-20 primitive integer eliminant core in y0
-    # E and O of Res_l(stat_l, stat_t) = E + x0 O on the burn circle,
-    # interpolated from 4x4 Bezout determinants at the ring nodes |c| >= 2,
-    # each checked at one spare node
-    even_part: RatPoly  # E, degree <= the Sylvester row bound (28)
-    odd_part: RatPoly  # O, degree <= 27 (zero polynomial when s0y = 0)
+    # E and O of Res_l(stat_l, stat_t) = E + x0 O on the burn circle, from
+    # the closed-form tables MIRROR_EVEN and MIRROR_ODD
+    even_part: RatPoly  # E, degree <= 24
+    odd_part: RatPoly  # O, degree <= 23 (zero polynomial when s0y = 0)
     degree_full: int  # 48
     degree_core: int  # 20
-
-
-def _mirror_node_value(l_rows, t_rows, c: int) -> QuadPair | None:
-    """``E(c) + X O(c)``: the pair resultant ``Res_l(stat_l, stat_t)`` at
-    ``y0 = c`` with ``x0 = X`` in ``Z[X]/(X^2 - (1 - c^2))``, where the burn
-    circle ``x0^2 = 1 - y0^2`` holds, taken as the 4x4 Bezout determinant
-    of the :func:`_node_rows` ``l_rows``/``t_rows`` of the pair.
-
-    None at ``c`` in {0, +-1}, where ``X^2 = 1`` or ``0`` makes the ring
-    no domain, so Bareiss division is not exact (for ``|c| >= 2`` the ring
-    is ``Z[sqrt(1 - c^2)]`` with ``1 - c^2 < 0``), and where ``y0 = c``
-    drops the l-degree of either polynomial or a leading pair has norm 0.
-    """
-    if abs(c) < 2:
-        return None
-    f = _ring_coeffs(l_rows, c, 1 - c * c, 1)
-    g = _ring_coeffs(t_rows, c, 1 - c * c, 1) if f is not None else None
-    if g is None or not f[-1].norm() or not g[-1].norm():
-        return None
-    return bezout_resultant(f, g)
 
 
 @lru_cache(maxsize=64)
@@ -699,26 +734,12 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
         x0 * x0 * cost_num.partial("y0") - y0 * (x0 * cost_num.partial("x0") - 2 * cost_num)
     ).primitive()
 
-    # R = Res_l(stat_l, stat_t) is E(y0) + x0 O(y0) on the burn circle
-    # x0^2 = u = 1 - y0^2, and E(c) + X O(c) is R in the ring of
-    # _mirror_node_value (Collins, J. ACM 1971).  A term x0^k y0^j of R
-    # becomes (1 - c^2)^(k//2) c^j X^(k%2), so the total degree of R in
-    # (x0, y0) bounds deg E and one less bounds deg O.
-    bound = sylvester_degree_bound(stat_l, stat_t, "l", {"x0": 1, "y0": 1})
-    rows = (_node_rows(stat_l, "l", "x0", "y0"), _node_rows(stat_t, "l", "x0", "y0"))
-    values: dict[int, QuadPair | None] = {}
-
-    def part_at(c: int, odd: bool) -> int | None:
-        if c not in values:
-            values[c] = _mirror_node_value(*rows, c)
-        v = values[c]
-        return None if v is None else (v.o if odd else v.e)
-
-    try:
-        even = RatPoly(interpolate_checked(lambda c: part_at(c, False), bound), "y0")
-        odd = RatPoly(interpolate_checked(lambda c: part_at(c, True), bound - 1), "y0")
-    except DegenerateInput as exc:
-        raise PipelineDegreeMismatch(f"mirror eliminant: {exc}") from exc
+    # stat_l and stat_t are kappa_l and kappa_t times the table pair at
+    # (s0x, s0y), whose l-leading coefficients are free of s0x and s0y, so
+    # Res_l specializes exactly (Collins, J. ACM 1971) and, being of degree
+    # 4 in the coefficients of each, scales by (kappa_l kappa_t)^4
+    kappa = stat_l.terms[_MIRROR_LEADS[0]] * stat_t.terms[_MIRROR_LEADS[1]]
+    even, odd = _mirror_parts(s0x, s0y, kappa**4)
     # the circle is monic in x0, so Res_x0(circle, R) = E^2 - u*O^2
     u = RatPoly([1, 0, -1], "y0")
     full = even * even - u * odd * odd
@@ -827,10 +848,11 @@ def case2a_general(inp: RotatedInput) -> list[RotatedCandidate]:
     Pipeline: resultant of the two stationarity polynomials (primitive
     integer polynomials of degree 4) in ``l``, split by parity in ``x0`` as
     ``E + x0 O`` and reduced on the burn circle ``x0^2 = u = 1 - y0^2``.
-    ``E`` and ``O`` come from ring nodes: at ``y0 = c`` with ``|c| >= 2``,
-    ``x0 = X`` in ``Z[X]/(X^2 - (1 - c^2))`` makes the 4x4 Bezout
-    determinant of the pair ``E(c) + X O(c)``, and exact interpolation
-    checks each part at one spare node.  The eliminant ``E^2 - u O^2``
+    ``E`` and ``O`` are evaluated from the closed-form tables
+    ``MIRROR_EVEN`` and ``MIRROR_ODD`` (the symbolic resultant in
+    ``(y0, s0x, s0y)``) on integer numerators over one power base, times
+    ``(kappa_l kappa_t)^4`` for the pair's constants against the tables'
+    pair.  The eliminant ``E^2 - u O^2``
     (the x0 resultant with the circle, which is monic in ``x0``) is a
     degree-48 univariate in ``y0``.  Stripping the always-present factors
     ``y0^8 (y0-1)^6 (y0+1)^6 q(y0)^4`` (with ``q`` the known spurious
@@ -878,8 +900,35 @@ class _AntipodalPipeline:
     degree_core: int  # 38: sum of the factor degrees times multiplicities
 
 
+def _keyed_table(table) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
+    """Rows ``(l, x0, s1y, s0x, s0y, c)`` as ``(key, s0x, s0y, c)`` with the
+    packed ``MPoly`` key of ``l^i x0^j s1y^k``, and the table's largest
+    ``s0x`` and ``s0y`` exponents."""
+    return (
+        tuple((pack(row[:3]), *row[3:]) for row in table),
+        *_table_degrees(table),
+    )
+
+
+_ANTIPODAL_VARS = ("l", "x0", "s1y")
+_ANTIPODAL_TABLES = tuple(
+    _keyed_table(table) for table in (ANTIPODAL_FIRST, ANTIPODAL_SECOND, ANTIPODAL_T0)
+)
+
+
+def _antipodal_table_poly(table, s0x, s0y) -> MPoly:
+    """The primitive integer multiple of a keyed antipodal table at
+    ``(s0x, s0y)``, summed on integer numerators over its power base."""
+    rows, dx, dy = table
+    px, py = _powers(s0x, dx), _powers(s0y, dy)
+    terms: dict[int, int] = {}
+    for key, a, b, c in rows:
+        terms[key] = terms.get(key, 0) + c * px[a] * py[b]
+    return MPoly(_ANTIPODAL_VARS, {k: v for k, v in terms.items() if v}).primitive()
+
+
 def _antipodal_equations(s0x, s0y):
-    """Build the reduced antipodal-system polynomials in (l, x0, s1y).
+    """The reduced antipodal-system polynomials in (l, x0, s1y).
 
     ``p0`` is the first burn's squared gap and ``t0`` its tangential
     derivative, both times powers of ``d = l (1 - l^2)``.  The second burn
@@ -887,46 +936,27 @@ def _antipodal_equations(s0x, s0y):
     ``t1(x0) = -t0(-x0)``.  So for ``w = (dp0/ds1y)^2`` or ``w = t0^2``
     the balance ``w p1 - w(-x0) p0`` is ``K(x0) - K(-x0)`` with
     ``K = w p1``, that is ``2 (w_o p0_e - w_e p0_o)`` in the even and odd
-    parts in x0.  Only ``p0`` and ``t0`` are built over Q; every larger
-    product runs on integers.  ``first`` (degree 2 in s1y), ``second``
-    (degree 5) and ``t0`` come back as primitive integer polynomials,
-    positive rational multiples of ``t0`` and of the balances
+    parts in x0.  ``first`` (degree 2 in s1y), ``second`` (degree 5) and
+    ``t0`` are fixed polynomials in ``(l, x0, s1y, s0x, s0y)``: positive
+    rational multiples of ``t0`` and of the balances
     ``(p0_s^2 p1 - p1_s^2 p0) / (l^3 (l-1)^4 (l+1)^2)`` and
-    ``(t0^2 p1 - t1^2 p0) / (l^2 (l-1)^3 (l+1)^2)``.  No consumer (node
-    values, fiber roots, residual gate, chain seed, s0y = 0 proof)
-    depends on that factor.
+    ``(t0^2 p1 - t1^2 p0) / (l^2 (l-1)^3 (l+1)^2)``, stored as the integer
+    tables ``ANTIPODAL_FIRST``, ``ANTIPODAL_SECOND`` and ``ANTIPODAL_T0``
+    (``tests/generate_elimination_tables.py`` builds them, and the tests
+    prove them equal to these formulas with ``s0x`` and ``s0y`` as
+    symbols).  Each comes back as the primitive integer polynomial of its
+    table at ``(s0x, s0y)``.  No consumer (node values, fiber roots,
+    residual gate, chain seed, s0y = 0 proof) depends on the positive
+    factor.  ``radius_pair`` is the burn circle ``x0^2 = r(l)`` times
+    ``s0x^2``.
     """
-    V = ("l", "x0", "s1y")
+    V = _ANTIPODAL_VARS
     l = MPoly.variable("l", V)
     x0 = MPoly.variable("x0", V)
-    s1y = MPoly.variable("s1y", V)
     one = MPoly.const(1, V)
-
-    d = l * (one - l * l)  # common denominator of the s1x and y0 substitutions
-    s1x_num = x0 * (l * s1y - s0y) * s0x  # s1x = s1x_num / d
-    y0_num = one - l * l  # y0 = y0_num / s0x
-
-    p0 = (
-        (s0x * d - s1x_num) ** 2
-        + (s0y * d - s1y * d) ** 2
-        + ((one - l) * d) ** 2
-        + 2 * (one - l) * d * ((s0y - s1y) * x0 * d - (s0x * d - s1x_num) * y0_num / s0x)
-    )
-    t0 = 2 * p0.partial("x0") * d * d + s0x * s0x * x0 * (
-        p0.partial("l") * d - 2 * p0 * d.partial("l")
-    )
-    p0, t0 = p0.primitive(), t0.primitive()
-    p0_e, p0_o = p0.parity_parts("x0")
-
-    def balance(w: MPoly) -> MPoly:
-        w_e, w_o = w.parity_parts("x0")
-        return w_o * p0_e - w_e * p0_o
-
-    first = balance(p0.partial("s1y") ** 2).divexact(l**3 * (l - one) ** 4 * (l + one) ** 2)
-    second = balance(t0 * t0).divexact(l**2 * (l - one) ** 3 * (l + one) ** 2)
-
     radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
-    return radius_pair, first.primitive(), second.primitive(), t0
+    first, second, t0 = (_antipodal_table_poly(table, s0x, s0y) for table in _ANTIPODAL_TABLES)
+    return radius_pair, first, second, t0
 
 
 # Res_s1y(first, second) = x0^7 H(l, x0^2): odd in x0, lowest power 7
@@ -1545,8 +1575,11 @@ def _case1_jacobian(sx: float, sy: float, Z: np.ndarray, G: np.ndarray) -> np.nd
     ``G`` is the constraint gradient block that ``_case1_system`` returns
     for the same states.  The stationarity rows differentiate to the
     Lagrangian Hessian ``W = sum(lam_i H_i)`` in the primal unknowns and
-    ``-G^T`` in the multipliers (Nocedal & Wright 2006, ch. 18); every
-    constraint is at most quadratic, so ``W`` is written out entry by entry.
+    ``-G^T`` in the multipliers (Nocedal & Wright 2006, ch. 18).  The
+    constraints are polynomials of degree at most 3 (g2-g5 have terms such
+    as ``l x0 s1y``), so every entry of ``W`` is a multiplier times a
+    constant or a term linear in the primal unknowns (``lam2 * l``, ...),
+    and ``W`` is written out entry by entry.
     """
     x0, y0, x1, y1 = Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3]
     s1x, s1y, l = Z[:, 4], Z[:, 5], Z[:, 6]
@@ -1710,14 +1743,16 @@ def case1_numeric(inp: RotatedInput, seed_count: int = 64) -> list[RotatedCandid
 def elimination_degrees(inp: RotatedInput) -> dict[str, int]:
     """Observed eliminant degrees for this input (asserted internally).
 
-    Keys: ``mirror_full`` (48), ``mirror_core`` (20), and — when
+    Keys: ``mirror_full`` (48, the degree of ``E^2 - u O^2`` with ``E`` and
+    ``O`` evaluated from the closed-form tables) and ``mirror_core`` (20,
+    what is left after stripping the known factors), and — when
     ``s0y != 0`` so the generic antipodal elimination applies —
     ``antipodal_full`` (69, the degree of ``h(l) = H(l, r(l))``) and
     ``antipodal_core`` (38, ``h`` without ``l^11 (l-1)^10 (l+1)^10``).
     Both are summed from the degrees of the closed-form factors: the
     core's 38 is the signature ``q2 c3 c3' q4 C^4 Q5 Q5'`` (degrees 2, 3,
     3, 4, 4*4, 5, 5), certified once (``CERT_antipodal.json``), guarded
-    per input at two nodes.
+    per input at two nodes on the pair evaluated from its tables.
     """
     if inp.s0x == 0:
         raise DegenerateGeometry("identical orbits have no elimination pipeline")

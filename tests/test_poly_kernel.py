@@ -9,6 +9,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from elimination_oracles import bezout_resultant
 from orbita.poly_kernel import (
     ChainCollapse,
     DegenerateInput,
@@ -17,7 +18,6 @@ from orbita.poly_kernel import (
     QuadPair,
     RatPoly,
     RootInterval,
-    bezout_resultant,
     euclidean_last_linear,
     isolate_real_roots,
     quadratic_resultant,
@@ -329,7 +329,8 @@ _EQUAL_DEGREE_PAIRS = st.integers(1, 4).flatmap(
 
 
 class TestBezoutResultant:
-    """Res(f, g) as the n x n Bezout determinant, by Bareiss with row swaps."""
+    """Res(f, g) as the n x n Bezout determinant, by Bareiss with row swaps:
+    the mirror ring route's oracle, kept in ``elimination_oracles``."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_quadpair_matches_sympy_mod_x2_minus_m(self, n):
@@ -601,14 +602,17 @@ class TestSharedDecomposition:
         assert self._got(p, lo, hi) == pytest.approx(self._expected(lo, hi), abs=1e-12)
 
     def test_computed_once(self, monkeypatch):
+        # one decomposition for both windows and every refinement, and in
+        # it two Sturm chains: the input's, whose last element gives the
+        # square-free part, and that part's
         calls = []
-        real = roots_mod.squarefree_part
+        real = roots_mod.sturm_chain
 
         def counting(a):
             calls.append(len(a) - 1)
             return real(a)
 
-        monkeypatch.setattr(roots_mod, "squarefree_part", counting)
+        monkeypatch.setattr(roots_mod, "sturm_chain", counting)
         roots_mod._decompose.cache_clear()
         p = self._poly()
         ivs = isolate_real_roots(p, Fraction(-4), Fraction(1)) + isolate_real_roots(
@@ -617,7 +621,8 @@ class TestSharedDecomposition:
         assert len(ivs) == 6
         for iv in ivs:
             refine_root(p, iv)
-        assert calls == [30]
+        assert roots_mod._decompose.cache_info().misses == 1
+        assert calls == [30, 6]
 
     def test_multiplicities_full_line(self):
         p = self._poly()

@@ -14,11 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+import sympy as sp
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import antipodal_certificate
-from orbita import rotated_ellipses
+import elimination_oracles
+import generate_elimination_tables
+from orbita import elimination_tables, rotated_ellipses
 from orbita.kepler import Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
 from orbita.poly_kernel import (
@@ -33,6 +36,7 @@ from orbita.poly_kernel import (
     sylvester_resultant,
 )
 from orbita.poly_kernel.dense import primitive, squarefree_part
+from orbita.poly_kernel.mpoly import pack, unpack
 from orbita.rotated_ellipses import (
     SWEEP_COLUMNS,
     DegenerateGeometry,
@@ -339,23 +343,40 @@ class TestMirrorGeneral:
 
     @pytest.mark.parametrize("bump", [(1, 0), (0, 1)], ids=["even", "odd"])
     def test_off_node_value_fails_the_spare_node(self, monkeypatch, bump):
-        node_value = rotated_ellipses._mirror_node_value
-
+        # the ring route is the oracle of the table route: its
+        # interpolation must still catch one wrong node value
         def perturbed(l_rows, t_rows, c):
-            v = node_value(l_rows, t_rows, c)
+            v = elimination_oracles.mirror_node_value(l_rows, t_rows, c)
             return v + QuadPair(*bump, v.m) if c == 5 else v
 
-        monkeypatch.setattr(rotated_ellipses, "_mirror_node_value", perturbed)
+        pipe = rotated_ellipses._mirror_pipeline(REF.s0x, REF.s0y)
         with pytest.raises(PipelineDegreeMismatch, match="spare node"):
-            rotated_ellipses._mirror_pipeline.__wrapped__(REF.s0x, REF.s0y)
+            elimination_oracles.ring_mirror_parts(pipe.stat_l, pipe.stat_t, perturbed)
 
     def test_node_value_skips_the_non_domain_nodes(self):
         # X^2 = 1 - c^2 is 1 or 0 at c = 0, +-1: zero divisors in the ring
         pipe = rotated_ellipses._mirror_pipeline(REF.s0x, REF.s0y)
         rows = [rotated_ellipses._node_rows(p, "l", "x0", "y0") for p in (pipe.stat_l, pipe.stat_t)]
         for c in (0, 1, -1):
-            assert rotated_ellipses._mirror_node_value(*rows, c) is None
-        assert rotated_ellipses._mirror_node_value(*rows, 2) is not None
+            assert elimination_oracles.mirror_node_value(*rows, c) is None
+        assert elimination_oracles.mirror_node_value(*rows, 2) is not None
+
+    @pytest.mark.parametrize("name", ["MIRROR_EVEN", "MIRROR_ODD"])
+    def test_perturbed_table_fails_the_pipeline(self, monkeypatch, name):
+        # one coefficient off in E or O: E^2 - u O^2 loses the known
+        # factors (or the parts are not integral), and the pipeline says so
+        table = list(getattr(rotated_ellipses, name))
+        *exps, c = table[len(table) // 2]
+        table[len(table) // 2] = (*exps, c + 1)
+        monkeypatch.setattr(rotated_ellipses, name, tuple(table))
+        with pytest.raises((NotAFactor, PipelineDegreeMismatch)):
+            rotated_ellipses._mirror_pipeline.__wrapped__(REF.s0x, REF.s0y)
+
+    def test_parts_off_the_pair_scale_are_not_integral(self):
+        # the power base 10^10 5^8 of REF divides the parts only with the
+        # pair's (kappa_l kappa_t)^4; a scale of 1 must not be floored
+        with pytest.raises(PipelineDegreeMismatch, match="not integral"):
+            rotated_ellipses._mirror_parts(REF.s0x, REF.s0y, 1)
 
     def test_pipeline_takes_no_symbolic_resultant(self, monkeypatch):
         calls = []
@@ -1355,6 +1376,111 @@ class TestAntipodalEquations:
         for p in (first, second, t0):
             assert all(type(c) is int for c in p.terms.values())
             assert p.content_int() == 1
+
+
+def _table_value(table, s0x, s0y) -> dict[tuple[int, ...], Fraction]:
+    """A table of ``orbita.elimination_tables`` at ``(s0x, s0y)`` in
+    ``Fraction`` arithmetic: ``{remaining exponents: coefficient}``."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for *exps, a, b, c in table:
+        key = tuple(exps)
+        out[key] = out.get(key, 0) + c * Fraction(s0x) ** a * Fraction(s0y) ** b
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_core(even: RatPoly, odd: RatPoly, s0x, s0y) -> RatPoly:
+    """The degree-20 mirror core from parity parts of another route."""
+    full = even * even - RatPoly([1, 0, -1], "y0") * odd * odd
+    spur = RatPoly([1 - s0y * s0y, -2 * s0x, s0x * s0x + s0y * s0y], "y0")
+    y0 = RatPoly([0, 1], "y0")
+    core = strip_known_factors(full, [(y0, 8), (y0 - 1, 6), (y0 + 1, 6), (spur, 4)])
+    return RatPoly(primitive(core.to_int_coeffs()[0])[0], "y0")
+
+
+def _table_rational():
+    """Rationals in (-1, 1) with small denominators or denominators near
+    10^6, so both signs, 0 and the ends of the range all come up."""
+    den = st.one_of(st.integers(1, 60), st.integers(10**6 - 1000, 10**6))
+    return den.flatmap(lambda d: st.integers(1 - d, d - 1).map(lambda n: Fraction(n, d)))
+
+
+class TestEliminationTables:
+    """The integer tables of ``orbita.elimination_tables`` against their
+    symbolic constructions (``tests/generate_elimination_tables.py``) and,
+    per input, against the routes they replace (``elimination_oracles``)."""
+
+    def test_mirror_tables_are_the_symbolic_resultant(self):
+        # with s0x and s0y symbols: Res_l(stat_l, stat_t) reduced on
+        # x0^2 = 1 - y0^2 is E + x0 O, term by term the committed tables
+        even, odd = generate_elimination_tables.mirror_parts()
+        assert elimination_tables.MIRROR_EVEN == generate_elimination_tables.rows(even)
+        assert elimination_tables.MIRROR_ODD == generate_elimination_tables.rows(odd)
+        # the leading coefficients the specialization argument needs
+        stat_l, stat_t = generate_elimination_tables.mirror_pair()
+        L, X0, Y0 = generate_elimination_tables.L, generate_elimination_tables.X0, generate_elimination_tables.Y0
+        assert sp.expand(stat_l.as_expr().coeff(L, 4) - (1 - X0**2)) == 0
+        assert sp.expand(stat_t.as_expr().coeff(L, 4) - Y0) == 0
+        assert (stat_l.degree(L), stat_t.degree(L)) == (4, 4)
+
+    def test_antipodal_tables_are_the_symbolic_construction(self):
+        # with s0x and s0y symbols, the two balances divided exactly by
+        # l^3 (l-1)^4 (l+1)^2 and l^2 (l-1)^3 (l+1)^2, and t0
+        first, second, t0 = generate_elimination_tables.antipodal_pair()
+        assert elimination_tables.ANTIPODAL_FIRST == generate_elimination_tables.rows(first)
+        assert elimination_tables.ANTIPODAL_SECOND == generate_elimination_tables.rows(second)
+        assert elimination_tables.ANTIPODAL_T0 == generate_elimination_tables.rows(t0)
+        # the certificate's symbolic pair is the same polynomial
+        sym = {"sx": "s0x", "sy": "s0y"}
+        for table, certified in zip(
+            (elimination_tables.ANTIPODAL_FIRST, elimination_tables.ANTIPODAL_SECOND),
+            antipodal_certificate.symbolic_pair(),
+        ):
+            names = [sym.get(v, v) for v in certified.vars]
+            order = [names.index(v) for v in ("l", "x0", "s1y", "s0x", "s0y")]
+            terms = {
+                tuple(unpack(k, len(names))[i] for i in order): c for k, c in certified.terms.items()
+            }
+            assert _single_ratio(
+                MPoly.from_dict(("l", "x0", "s1y", "s0x", "s0y"), terms),
+                MPoly.from_dict(("l", "x0", "s1y", "s0x", "s0y"), {row[:5]: row[5] for row in table}),
+            ) > 0
+
+    def test_generated_module_is_the_committed_one(self):
+        path = generate_elimination_tables.TABLE_PATH
+        assert path.read_text() == generate_elimination_tables.render()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_table_rational(), _table_rational())
+    @example(Fraction(-3, 10), Fraction(2, 5))
+    @example(Fraction(-3, 10), Fraction(0))
+    @example(Fraction(999999, 10**6), Fraction(0))
+    @example(Fraction(-1, 10**6), Fraction(1, 10**6))
+    @example(Fraction(-707106, 10**6), Fraction(707106, 10**6))
+    def test_table_routes_match_the_oracles(self, s0x, s0y):
+        assume(s0x != 0 and s0x * s0x + s0y * s0y < 1)
+        # the antipodal pair: equal MPolys, sign included
+        assert rotated_ellipses._antipodal_equations(
+            s0x, s0y
+        ) == elimination_oracles.built_antipodal_equations(s0x, s0y)
+        # E and O: the ring route's parts, and (kappa_l kappa_t)^4 times the
+        # tables evaluated in Fraction arithmetic
+        pipe = rotated_ellipses._mirror_pipeline.__wrapped__(s0x, s0y)
+        even, odd = elimination_oracles.ring_mirror_parts(pipe.stat_l, pipe.stat_t)
+        assert (pipe.even_part, pipe.odd_part) == (even, odd)
+        # kappa_l and kappa_t: the scales of the l-leading coefficients
+        # against the table pair's 1 - x0^2 and y0
+        x0, y0 = (MPoly.variable(v, pipe.stat_l.vars) for v in ("x0", "y0"))
+        lead_l, lead_t = (p.coeffs_in("l")[4] for p in (pipe.stat_l, pipe.stat_t))
+        kappa_l, kappa_t = lead_l.terms[0], lead_t.terms[pack((0, 0, 1))]
+        assert lead_l == kappa_l * (1 - x0 * x0) and lead_t == kappa_t * y0
+        kappa = kappa_l * kappa_t
+        for part, table in ((even, elimination_tables.MIRROR_EVEN), (odd, elimination_tables.MIRROR_ODD)):
+            values = _table_value(table, s0x, s0y)
+            assert part == RatPoly(
+                [kappa**4 * values.get((j,), 0) for j in range(25)], "y0"
+            )
+        # the core
+        assert pipe.core == _oracle_core(even, odd, s0x, s0y)
 
 
 def _symbolic_known_factors(s0x):
