@@ -2,7 +2,10 @@
 
 The identity.  Let ``first`` and ``second`` be the antipodal pair of
 ``rotated_ellipses._antipodal_equations`` with ``s0x`` and ``s0y`` kept as
-symbols ``sx`` and ``sy`` (the same formulas, without ``primitive()``):
+symbols ``sx`` and ``sy`` (the formulas of
+``elimination_oracles.built_antipodal_equations``, without ``primitive()``;
+the tables ``ANTIPODAL_FIRST`` and ``ANTIPODAL_SECOND`` that production
+evaluates are positive integer multiples of them, which the tests check):
 integer polynomials in ``(sx, sy, l, x0, s1y)``.  Both are odd in ``x0``, of
 s1y-degree 2 and 5, so ``R = Res_s1y(first, second)`` is ``x0^7`` times a
 polynomial in ``x0^2``: ``R = sum_j a_j(l, sx, sy) x0^(7 + 2j)`` for
@@ -118,7 +121,7 @@ GRID_DENOMINATORS = (211, 223)
 def symbolic_pair() -> tuple[MPoly, MPoly]:
     """``(first, second)`` of ``_antipodal_equations`` with ``s0x = sx``
     and ``s0y = sy`` symbolic, without ``primitive()``.  The ``/ s0x`` of the
-    production build is taken symbolically: ``(s0x d - s1x_num) / s0x`` is
+    ``MPoly`` build is taken symbolically: ``(s0x d - s1x_num) / s0x`` is
     ``d - x0 (l s1y - sy)``."""
     sx, sy, l, x0, s1y = (MPoly.variable(v, SYMBOLS) for v in SYMBOLS)
     one = MPoly.const(1, SYMBOLS)

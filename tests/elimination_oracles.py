@@ -15,14 +15,7 @@ The routes it used before are kept here as oracles:
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-
-from orbita.poly_kernel import (  # noqa: E402
+from orbita.poly_kernel import (
     DegenerateInput,
     MPoly,
     QuadPair,
@@ -30,11 +23,7 @@ from orbita.poly_kernel import (  # noqa: E402
     interpolate_checked,
     sylvester_degree_bound,
 )
-from orbita.rotated_ellipses import (  # noqa: E402
-    PipelineDegreeMismatch,
-    _node_rows,
-    _ring_coeffs,
-)
+from orbita.rotated_ellipses import PipelineDegreeMismatch, _node_rows, _ring_coeffs
 
 
 def bezout_resultant(fc: list, gc: list):

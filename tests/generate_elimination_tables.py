@@ -135,9 +135,11 @@ def tables() -> dict[str, tuple[tuple[int, ...], ...]]:
 HEADER = '''"""Integer coefficient tables of the symmetric-family elimination data.
 
 Generated by ``python tests/generate_elimination_tables.py``; do not edit.
-Each row is ``(*exponents, coefficient)``.  The tests prove, with ``s0x``
-and ``s0y`` as symbols, that every table equals its construction in that
-script.
+Each table is a tuple of rows ``(*exponents, coefficient)``, written one row
+per line in a string: a string compiles in a fraction of the time a tuple
+literal of this size takes when no bytecode cache is written.  The tests
+prove, with ``s0x`` and ``s0y`` as symbols, that every table equals its
+construction in that script.
 
 - ``MIRROR_EVEN`` and ``MIRROR_ODD``, rows ``(y0, s0x, s0y, c)``: the parity
   parts ``E`` and ``O`` of the mirror pair resultant.  With ``stat_l`` and
@@ -152,6 +154,11 @@ script.
   ``s0y`` kept as symbols.
 """
 
+
+def _table(text: str, width: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``text``, ``width`` integers each."""
+    values = map(int, text.split())
+    return tuple(zip(*[values] * width))
 '''
 
 
@@ -159,10 +166,10 @@ def render() -> str:
     """The text of the table module."""
     out = [HEADER]
     for name, table in tables().items():
-        out.append(f"{name} = (\n")
-        out.extend(f"    {row!r},\n" for row in table)
-        out.append(")\n\n")
-    return "".join(out).rstrip("\n") + "\n"
+        out.append(f'\n\n{name} = _table(\n    """\n')
+        out.extend(" ".join(map(str, row)) + "\n" for row in table)
+        out.append(f'""",\n    {len(table[0])},\n)\n')
+    return "".join(out)
 
 
 def main() -> int:

@@ -36,7 +36,7 @@ from orbita.poly_kernel import (
     sylvester_resultant,
 )
 from orbita.poly_kernel.dense import primitive, squarefree_part
-from orbita.poly_kernel.mpoly import pack, unpack
+from orbita.poly_kernel.mpoly import pack
 from orbita.rotated_ellipses import (
     SWEEP_COLUMNS,
     DegenerateGeometry,
@@ -1417,10 +1417,10 @@ class TestEliminationTables:
         assert elimination_tables.MIRROR_ODD == generate_elimination_tables.rows(odd)
         # the leading coefficients the specialization argument needs
         stat_l, stat_t = generate_elimination_tables.mirror_pair()
-        L, X0, Y0 = generate_elimination_tables.L, generate_elimination_tables.X0, generate_elimination_tables.Y0
-        assert sp.expand(stat_l.as_expr().coeff(L, 4) - (1 - X0**2)) == 0
-        assert sp.expand(stat_t.as_expr().coeff(L, 4) - Y0) == 0
-        assert (stat_l.degree(L), stat_t.degree(L)) == (4, 4)
+        l, x0, y0 = sp.symbols("l x0 y0")
+        assert (stat_l.degree(l), stat_t.degree(l)) == (4, 4)
+        assert sp.expand(stat_l.as_expr().coeff(l, 4) - (1 - x0**2)) == 0
+        assert sp.expand(stat_t.as_expr().coeff(l, 4) - y0) == 0
 
     def test_antipodal_tables_are_the_symbolic_construction(self):
         # with s0x and s0y symbols, the two balances divided exactly by
@@ -1429,21 +1429,14 @@ class TestEliminationTables:
         assert elimination_tables.ANTIPODAL_FIRST == generate_elimination_tables.rows(first)
         assert elimination_tables.ANTIPODAL_SECOND == generate_elimination_tables.rows(second)
         assert elimination_tables.ANTIPODAL_T0 == generate_elimination_tables.rows(t0)
-        # the certificate's symbolic pair is the same polynomial
-        sym = {"sx": "s0x", "sy": "s0y"}
+        # the certificate's symbolic pair, in (sx, sy, l, x0, s1y), is a
+        # positive multiple of the same polynomials
         for table, certified in zip(
             (elimination_tables.ANTIPODAL_FIRST, elimination_tables.ANTIPODAL_SECOND),
             antipodal_certificate.symbolic_pair(),
         ):
-            names = [sym.get(v, v) for v in certified.vars]
-            order = [names.index(v) for v in ("l", "x0", "s1y", "s0x", "s0y")]
-            terms = {
-                tuple(unpack(k, len(names))[i] for i in order): c for k, c in certified.terms.items()
-            }
-            assert _single_ratio(
-                MPoly.from_dict(("l", "x0", "s1y", "s0x", "s0y"), terms),
-                MPoly.from_dict(("l", "x0", "s1y", "s0x", "s0y"), {row[:5]: row[5] for row in table}),
-            ) > 0
+            rows = {(a, b, i, j, k): c for i, j, k, a, b, c in table}
+            assert _single_ratio(certified, MPoly.from_dict(certified.vars, rows)) > 0
 
     def test_generated_module_is_the_committed_one(self):
         path = generate_elimination_tables.TABLE_PATH
