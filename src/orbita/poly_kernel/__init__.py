@@ -11,8 +11,10 @@ Public surface:
   over any exact ring, e.g. ``QuadPair``, an element of ``Z[X]/(X^2 - m)``),
   ``interpolate_checked`` (exact interpolation at integer nodes, checked
   at one spare node), ``euclidean_last_linear``
-- roots: ``strip_known_factors`` (exact division by known factors, the
-  one place repeated factors are removed), ``isolate_real_roots`` and
+- roots: ``strip_known_factors`` (exact division by known factors, a
+  ``NotAFactor`` when one does not divide; the solvers take their cores
+  from closed forms, and the tests strip with it to check them),
+  ``isolate_real_roots`` and
   ``refine_root`` (on the square-free part; no multiplicities; bisection
   on integer numerators over one shared denominator, ``Fraction`` only at
   the interval endpoints; refinement predicts its bisection cell from a

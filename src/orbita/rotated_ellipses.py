@@ -26,19 +26,22 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   subfamily (burns on the y axis) is closed form.  The general subfamily is
   solved exactly: the l resultant of two stationarity polynomials, kept
   as primitive integer polynomials, splits by parity in ``x0`` as
-  ``E + x0 O``, reduced on the burn circle ``x0^2 = u = 1 - y0^2``.  ``E``
-  and ``O`` are closed form: with ``s0x`` and ``s0y`` as symbols they are
-  fixed integer polynomials in ``(y0, s0x, s0y)`` (217 and 171 terms, degree
-  24 and 23 in ``y0``, at most 10 in ``s0x`` and 8 in ``s0y``), the tables
-  ``MIRROR_EVEN`` and ``MIRROR_ODD`` of :mod:`orbita.elimination_tables`.
-  The l-leading coefficients of the pair, ``1 - x0^2`` and ``y0`` times a
-  constant, are free of ``s0x`` and ``s0y``, so the symbolic resultant
-  specializes exactly at every input (Collins, J. ACM 1971); per input the
-  tables are evaluated on integer numerators and scaled by the pair's
-  constants.  The eliminant ``E^2 - u O^2`` (the x0 resultant with the
-  circle) is a univariate of degree 48 in ``y0`` which always factors into
-  known spurious factors and a degree-20 core; the core's real roots in
-  (-1, 1) are isolated and refined, then back-substituted.
+  ``E + x0 O``, reduced on the burn circle ``x0^2 = u = 1 - y0^2``.  With
+  ``s0x`` and ``s0y`` as symbols, the pair (17 and 23 terms), ``E`` and
+  ``O`` (217 and 171 terms, degree 24 and 23 in ``y0``) and the core below
+  (214 terms) are fixed integer polynomials, the tables ``MIRROR_STAT_L``,
+  ``MIRROR_STAT_T``, ``MIRROR_EVEN``, ``MIRROR_ODD`` and ``MIRROR_CORE`` of
+  :mod:`orbita.elimination_tables`.  The l-leading coefficients of the
+  pair, ``1 - x0^2`` and ``y0`` times a constant, are free of ``s0x`` and
+  ``s0y``, so the symbolic resultant specializes exactly at every input
+  (Collins, J. ACM 1971).  The eliminant ``E^2 - u O^2`` (the x0 resultant
+  with the circle), of degree 48 in ``y0``, is a constant times the known
+  spurious factors ``y0^8 (y0-1)^6 (y0+1)^6 spur^4`` and a degree-20 core
+  whose ``y0^20`` coefficient is ``s0x^4 (s0x^2 + s0y^2)^4``.  Per input
+  the tables are evaluated on integer numerators, and the identity is
+  guarded at two nodes, the same check as the antipodal family's.  The
+  core's real roots in (-1, 1) are isolated and refined, then
+  back-substituted.
 - ``case2b_closed`` / ``case2b_general``   burns antipodal (``x1 = -x0``,
   ``y1 = -y0``).  Two closed-form families exist (prograde ``l = 1`` with a
   free ``s1x`` interval, retrograde ``l = -1``, always dominated).  The
@@ -96,14 +99,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import elimination_tables
 from .kepler import NotElliptic, Orbit, Vec3, orbit_geometry
-from .elimination_tables import (
-    ANTIPODAL_FIRST,
-    ANTIPODAL_SECOND,
-    ANTIPODAL_T0,
-    MIRROR_EVEN,
-    MIRROR_ODD,
-)
 from .poly_kernel import (
     ChainCollapse,
     MPoly,
@@ -118,9 +115,12 @@ from .poly_kernel import (
     sylvester_degree_bound,
     sylvester_resultant,
 )
-from .poly_kernel.dense import primitive, u_eval
+from .poly_kernel.dense import u_eval
 from .poly_kernel.mpoly import pack, unpack
 from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
+
+# Unused by the solver; bound only because perfbench/spans.py wraps it here.
+_WRAPPED_BY_PERFBENCH = (strip_known_factors,)
 
 __all__ = [
     "DegenerateGeometry",
@@ -659,40 +659,119 @@ def _powers(q, top: int) -> list[int]:
     return [n**j * d ** (top - j) for j in range(top + 1)]
 
 
-def _table_degrees(*tables) -> tuple[int, int]:
-    """The largest ``s0x`` and ``s0y`` exponents in the rows of ``tables``."""
+def _keyed(table) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
+    """Rows ``(*exponents, a, b, c)`` of a table (``c s0x^a s0y^b`` times
+    the monomial of the exponents) as ``(key, a, b, c)`` with the packed
+    ``MPoly`` key of the exponents, and the table's largest ``a`` and ``b``."""
     return (
-        max(row[-3] for table in tables for row in table),
-        max(row[-2] for table in tables for row in table),
+        tuple((pack(row[:-3]), *row[-3:]) for row in table),
+        max(row[-3] for row in table),
+        max(row[-2] for row in table),
     )
 
 
-# one power base for E and O: scaling them apart breaks E^2 - u O^2
-_MIRROR_DEGREES = _table_degrees(MIRROR_EVEN, MIRROR_ODD)
+# every symmetric-family table of elimination_tables, keyed once
+_TABLES = {
+    name: _keyed(getattr(elimination_tables, name))
+    for name in (
+        "MIRROR_STAT_L",
+        "MIRROR_STAT_T",
+        "MIRROR_EVEN",
+        "MIRROR_ODD",
+        "MIRROR_CORE",
+        "ANTIPODAL_FIRST",
+        "ANTIPODAL_SECOND",
+        "ANTIPODAL_T0",
+    )
+}
+
+
+def _table_values(name: str, s0x, s0y, scale: int | None = None) -> dict[int, int]:
+    """The table ``name`` at ``(s0x, s0y)`` as ``{packed key: integer}``.
+
+    The rows are summed on integer numerators over the table's power base
+    ``da^dx db^dy`` (``s0x = na/da``, ``s0y = nb/db``, ``dx`` and ``dy`` its
+    largest exponents).  With ``scale``, the sums are multiplied by it and
+    divided by the base exactly, giving ``scale`` times the table's value (a
+    remainder raises ``PipelineDegreeMismatch``); without, they are divided
+    by their positive gcd, giving the value's primitive integer multiple.
+    """
+    rows, dx, dy = _TABLES[name]
+    px, py = _powers(s0x, dx), _powers(s0y, dy)
+    sums: dict[int, int] = {}
+    for key, a, b, c in rows:
+        sums[key] = sums.get(key, 0) + c * px[a] * py[b]
+    sums = {k: v for k, v in sums.items() if v}
+    if scale is None:
+        g = math.gcd(*sums.values())
+        return {k: v // g for k, v in sums.items()}
+    base = px[0] * py[0]
+    exact = {k: divmod(v * scale, base) for k, v in sums.items()}
+    if any(rest for _, rest in exact.values()):
+        raise PipelineDegreeMismatch(f"{name} times {scale} is not integral at ({s0x}, {s0y})")
+    return {k: q for k, (q, _) in exact.items()}
+
+
+def _dense(values: dict[int, int], var: str) -> RatPoly:
+    """The univariate polynomial of :func:`_table_values` of a table in one
+    variable, whose packed keys are the exponents."""
+    return RatPoly([values.get(j, 0) for j in range(max(values, default=-1) + 1)], var)
+
+
+# candidate guard nodes c (both eliminants vanish at 0 and +-1); positive
+# only, so a stray factor even in the variable cannot agree with the known
+# product at both nodes by symmetry
+_GUARD_NODES = range(2, 10)
+
+
+def _guard_nodes(value_at, known, name: str, form: str) -> None:
+    """Check an eliminant ``h`` against ``K``, the product of the
+    ``(factor, multiplicity)`` pairs ``known``, at two integer nodes.
+
+    ``h = lc K`` holds as a polynomial identity in the node variable and
+    ``(s0x, s0y)``, proven once for each family, but that proof cannot
+    exclude an input where ``lc`` vanishes, nor a corrupted table.  So at the
+    first two nodes ``c1, c2`` of ``_GUARD_NODES`` with ``K(c) != 0`` and a
+    value ``value_at(c)`` (None skips the node),
+    ``h(c1) K(c2) = h(c2) K(c1) != 0`` must hold; otherwise, or when fewer
+    than two such nodes exist, ``PipelineDegreeMismatch`` is raised.
+    """
+    var = known[0][0].var
+    nodes = []
+    for c in _GUARD_NODES:
+        kc = math.prod(factor.eval_q(c) ** mult for factor, mult in known)
+        hc = value_at(c) if kc else None
+        if hc is None:
+            continue
+        if not hc:
+            raise PipelineDegreeMismatch(f"{name} vanishes at the guard node {var} = {c}")
+        nodes.append((c, hc, kc))
+        if len(nodes) == 2:
+            break
+    else:
+        raise PipelineDegreeMismatch(
+            f"{name}: fewer than two guard nodes in {var} = {_GUARD_NODES.start}"
+            f"..{_GUARD_NODES.stop - 1}"
+        )
+    (c1, h1, k1), (c2, h2, k2) = nodes
+    if h1 * k2 != h2 * k1:
+        raise PipelineDegreeMismatch(
+            f"{name} at {var} = {c1}, {c2} is not a constant times {form}"
+        )
+
+
+_MIRROR_VARS = ("l", "x0", "y0")
 # the l^4 and l^4 y0 terms of the mirror pair in (l, x0, y0): the table
 # pair has l-leading coefficients 1 - x0^2 and y0, so these coefficients of
 # stat_l and stat_t are their scales against it
 _MIRROR_LEADS = (pack((4, 0, 0)), pack((4, 0, 1)))
-
-
-def _mirror_parts(s0x, s0y, scale: int) -> tuple[RatPoly, RatPoly]:
-    """``scale`` times ``E`` and ``O`` of the table module at
-    ``(s0x, s0y)``, in ``y0``: each table is summed on integer numerators
-    over the shared power base ``da^10 db^8`` (``s0x = na/da``,
-    ``s0y = nb/db``), then multiplied by ``scale`` and divided by the base
-    exactly."""
-    px, py = _powers(s0x, _MIRROR_DEGREES[0]), _powers(s0y, _MIRROR_DEGREES[1])
-    base = px[0] * py[0]
-    parts = []
-    for table in (MIRROR_EVEN, MIRROR_ODD):
-        coeffs = [0] * (table[-1][0] + 1)  # rows sorted by the y0 exponent
-        for j, a, b, c in table:
-            coeffs[j] += c * px[a] * py[b]
-        exact = [divmod(v * scale, base) for v in coeffs]
-        if any(rest for _, rest in exact):
-            raise PipelineDegreeMismatch("mirror parity parts are not integral")
-        parts.append(RatPoly([q for q, _ in exact], "y0"))
-    return parts[0], parts[1]
+# E^2 - (1 - y0^2) O^2 is a constant times these y0-units times spur^4 times
+# the core (MIRROR_CORE)
+_MIRROR_UNITS = (
+    (RatPoly([0, 1], "y0"), 8),
+    (RatPoly([-1, 1], "y0"), 6),
+    (RatPoly([1, 1], "y0"), 6),
+)
 
 
 @dataclass(frozen=True)
@@ -700,70 +779,50 @@ class _MirrorPipeline:
     """Exact elimination data for the mirror-symmetric family, per input."""
 
     # the pair, primitive integer polynomials in (l, x0, y0) of degree 4 in
-    # l, shared by the parity parts, the fiber and the residual gate
+    # l from the tables MIRROR_STAT_L and MIRROR_STAT_T, shared by the
+    # fiber and the residual gate
     stat_l: MPoly  # d(cost)/dl
     stat_t: MPoly  # tangential derivative along the burn circle
     stat_t_gate: _ResidualGate  # stat_t with its float image
-    core: RatPoly  # degree-20 primitive integer eliminant core in y0
+    # the degree-20 primitive integer eliminant core in y0, from MIRROR_CORE
+    core: RatPoly
     # E and O of Res_l(stat_l, stat_t) = E + x0 O on the burn circle, from
-    # the closed-form tables MIRROR_EVEN and MIRROR_ODD
+    # the tables MIRROR_EVEN and MIRROR_ODD, for the back-substitution
     even_part: RatPoly  # E, degree <= 24
     odd_part: RatPoly  # O, degree <= 23 (zero polynomial when s0y = 0)
-    degree_full: int  # 48
+    degree_full: int  # 48: deg (E^2 - u O^2), degree_core plus 28 for the known factors
     degree_core: int  # 20
 
 
 @lru_cache(maxsize=64)
 def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
-    V = ("l", "x0", "y0")
-    l = MPoly.variable("l", V)
-    x0 = MPoly.variable("x0", V)
-    y0 = MPoly.variable("y0", V)
-    one = MPoly.const(1, V)
-
-    # squared single-burn gap times l^2 x0^2 (both burns have equal gaps here)
-    gap = s0y * l * x0 - (one + x0 * s0y - y0 * s0x - l * l)
-    cost_num = (
-        (s0x * s0x + (one - l) ** 2) * l * l * x0 * x0
-        + gap * gap
-        + 2 * (one - l) * (x0 * s0y - y0 * s0x) * l * l * x0 * x0
-        - 2 * (one - l) * (one + x0 * s0y - y0 * s0x - l * l) * l * x0 * x0
+    stat_l, stat_t = (
+        MPoly(_MIRROR_VARS, _table_values(name, s0x, s0y))
+        for name in ("MIRROR_STAT_L", "MIRROR_STAT_T")
     )
-    stat_l = (l * cost_num.partial("l") - 2 * cost_num).primitive()
-    stat_t = (
-        x0 * x0 * cost_num.partial("y0") - y0 * (x0 * cost_num.partial("x0") - 2 * cost_num)
-    ).primitive()
-
     # stat_l and stat_t are kappa_l and kappa_t times the table pair at
     # (s0x, s0y), whose l-leading coefficients are free of s0x and s0y, so
     # Res_l specializes exactly (Collins, J. ACM 1971) and, being of degree
     # 4 in the coefficients of each, scales by (kappa_l kappa_t)^4
     kappa = stat_l.terms[_MIRROR_LEADS[0]] * stat_t.terms[_MIRROR_LEADS[1]]
-    even, odd = _mirror_parts(s0x, s0y, kappa**4)
-    # the circle is monic in x0, so Res_x0(circle, R) = E^2 - u*O^2
-    u = RatPoly([1, 0, -1], "y0")
-    full = even * even - u * odd * odd
-    if full.degree() != 48:
-        raise PipelineDegreeMismatch(
-            f"mirror-family eliminant has degree {full.degree()}, expected 48"
-        )
-
-    spur = RatPoly([1 - s0y * s0y, -2 * s0x, s0x * s0x + s0y * s0y], "y0")
-    core = strip_known_factors(
-        full,
-        [
-            (RatPoly([0, 1], "y0"), 8),
-            (RatPoly([-1, 1], "y0"), 6),
-            (RatPoly([1, 1], "y0"), 6),
-            (spur, 4),
-        ],
+    even, odd = (
+        _dense(_table_values(name, s0x, s0y, kappa**4), "y0")
+        for name in ("MIRROR_EVEN", "MIRROR_ODD")
     )
-    ints, _ = primitive(core.to_int_coeffs()[0])
-    core = RatPoly(ints, "y0")
+    core = _dense(_table_values("MIRROR_CORE", s0x, s0y), "y0")
     if core.degree() != 20:
         raise PipelineDegreeMismatch(
             f"mirror-family core has degree {core.degree()}, expected 20"
         )
+    # the circle is monic in x0, so Res_x0(circle, E + x0 O) = E^2 - u O^2
+    spur = RatPoly([1 - s0y * s0y, -2 * s0x, s0x * s0x + s0y * s0y], "y0")
+    known = _MIRROR_UNITS + ((spur, 4), (core, 1))
+    _guard_nodes(
+        lambda c: u_eval(even.coeffs, c) ** 2 - (1 - c * c) * u_eval(odd.coeffs, c) ** 2,
+        known,
+        "mirror eliminant",
+        "y0^8 (y0-1)^6 (y0+1)^6 spur^4 core",
+    )
 
     return _MirrorPipeline(
         stat_l=stat_l,
@@ -772,8 +831,8 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
         core=core,
         even_part=even,
         odd_part=odd,
-        degree_full=48,
-        degree_core=20,
+        degree_full=sum(factor.degree() * mult for factor, mult in known),
+        degree_core=core.degree(),
     )
 
 
@@ -848,16 +907,17 @@ def case2a_general(inp: RotatedInput) -> list[RotatedCandidate]:
     Pipeline: resultant of the two stationarity polynomials (primitive
     integer polynomials of degree 4) in ``l``, split by parity in ``x0`` as
     ``E + x0 O`` and reduced on the burn circle ``x0^2 = u = 1 - y0^2``.
-    ``E`` and ``O`` are evaluated from the closed-form tables
-    ``MIRROR_EVEN`` and ``MIRROR_ODD`` (the symbolic resultant in
-    ``(y0, s0x, s0y)``) on integer numerators over one power base, times
+    The pair, ``E``, ``O`` and the core are evaluated from the closed-form
+    tables ``MIRROR_STAT_L``, ``MIRROR_STAT_T``, ``MIRROR_EVEN``,
+    ``MIRROR_ODD`` and ``MIRROR_CORE`` (polynomials in ``s0x`` and ``s0y``)
+    on integer numerators; ``E`` and ``O`` are scaled by
     ``(kappa_l kappa_t)^4`` for the pair's constants against the tables'
-    pair.  The eliminant ``E^2 - u O^2``
-    (the x0 resultant with the circle, which is monic in ``x0``) is a
-    degree-48 univariate in ``y0``.  Stripping the always-present factors
-    ``y0^8 (y0-1)^6 (y0+1)^6 q(y0)^4`` (with ``q`` the known spurious
-    quadratic) leaves the degree-20 core whose real roots in (-1, 1) are
-    isolated and refined exactly, then back-substituted through the same
+    pair.  The eliminant ``E^2 - u O^2`` (the x0 resultant with the
+    circle, which is monic in ``x0``), of degree 48 in ``y0``, is a
+    constant times ``y0^8 (y0-1)^6 (y0+1)^6 q(y0)^4`` (with ``q`` the known
+    spurious quadratic) and the degree-20 core; this is checked at two
+    integer nodes, never formed.  The core's real roots in (-1, 1) are
+    isolated and refined exactly, then back-substituted through the
     parity parts (``x0 = -E/O`` when available, both signs of
     ``x0 = +-sqrt(1-y0^2)`` when the split degenerates) and the
     stationarity fiber in ``l``.  Candidates failing the tangential
@@ -885,7 +945,7 @@ def case2a_general(inp: RotatedInput) -> list[RotatedCandidate]:
 class _AntipodalPipeline:
     """Exact elimination data for the antipodal family, per input."""
 
-    # the pair as _antipodal_equations returns it, primitive integer
+    # the pair as _antipodal_pair returns it, primitive integer
     # polynomials in (l, x0, s1y), shared by the guard nodes, the fiber,
     # the residual gate and the tie-break chain (_linear_seed)
     d_first: MPoly  # squared-gap balance, degree 2 in s1y
@@ -900,31 +960,16 @@ class _AntipodalPipeline:
     degree_core: int  # 38: sum of the factor degrees times multiplicities
 
 
-def _keyed_table(table) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
-    """Rows ``(l, x0, s1y, s0x, s0y, c)`` as ``(key, s0x, s0y, c)`` with the
-    packed ``MPoly`` key of ``l^i x0^j s1y^k``, and the table's largest
-    ``s0x`` and ``s0y`` exponents."""
-    return (
-        tuple((pack(row[:3]), *row[3:]) for row in table),
-        *_table_degrees(table),
-    )
-
-
 _ANTIPODAL_VARS = ("l", "x0", "s1y")
-_ANTIPODAL_TABLES = tuple(
-    _keyed_table(table) for table in (ANTIPODAL_FIRST, ANTIPODAL_SECOND, ANTIPODAL_T0)
-)
 
 
-def _antipodal_table_poly(table, s0x, s0y) -> MPoly:
-    """The primitive integer multiple of a keyed antipodal table at
-    ``(s0x, s0y)``, summed on integer numerators over its power base."""
-    rows, dx, dy = table
-    px, py = _powers(s0x, dx), _powers(s0y, dy)
-    terms: dict[int, int] = {}
-    for key, a, b, c in rows:
-        terms[key] = terms.get(key, 0) + c * px[a] * py[b]
-    return MPoly(_ANTIPODAL_VARS, {k: v for k, v in terms.items() if v}).primitive()
+def _antipodal_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
+    """``first`` and ``second`` of :func:`_antipodal_equations`."""
+    first, second = (
+        MPoly(_ANTIPODAL_VARS, _table_values(name, s0x, s0y))
+        for name in ("ANTIPODAL_FIRST", "ANTIPODAL_SECOND")
+    )
+    return first, second
 
 
 def _antipodal_equations(s0x, s0y):
@@ -955,8 +1000,8 @@ def _antipodal_equations(s0x, s0y):
     x0 = MPoly.variable("x0", V)
     one = MPoly.const(1, V)
     radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
-    first, second, t0 = (_antipodal_table_poly(table, s0x, s0y) for table in _ANTIPODAL_TABLES)
-    return radius_pair, first, second, t0
+    t0 = MPoly(V, _table_values("ANTIPODAL_T0", s0x, s0y))
+    return radius_pair, *_antipodal_pair(s0x, s0y), t0
 
 
 # Res_s1y(first, second) = x0^7 H(l, x0^2): odd in x0, lowest power 7
@@ -1068,9 +1113,6 @@ _ANTIPODAL_UNITS = (
     (RatPoly([1, 1], "l"), 10),
 )
 _S1Y_DEGREES = (2, 5)
-# candidate guard nodes l = c (h vanishes at 0 and +-1); positive only, so a
-# stray factor even in l cannot agree with F at both nodes by symmetry
-_GUARD_NODES = range(2, 10)
 
 
 def _antipodal_node_setup(first: MPoly, second: MPoly, s0x):
@@ -1097,10 +1139,9 @@ def _guard_antipodal(first: MPoly, second: MPoly, s0x, known) -> None:
     ``(l, s0x, s0y)``, certified once on a grid larger than its degree
     bounds (``tests/antipodal_certificate.py``, ``CERT_antipodal.json``).
     The certificate cannot exclude an input where ``lc`` vanishes or an
-    s1y-degree drops.  So at the first two nodes ``c1, c2`` of
-    ``_GUARD_NODES`` with ``F(c) != 0`` and a ring value,
-    ``h(c1) F(c2) = h(c2) F(c1) != 0`` must hold; otherwise, or when fewer
-    than two such nodes exist, ``PipelineDegreeMismatch`` is raised.
+    s1y-degree drops, so the s1y-degrees are checked and
+    :func:`_guard_nodes` compares ``h`` and ``F`` at two nodes where ``h``
+    has a ring value.
     """
     if (first.degree("s1y"), second.degree("s1y")) != _S1Y_DEGREES:
         raise PipelineDegreeMismatch(
@@ -1108,35 +1149,19 @@ def _guard_antipodal(first: MPoly, second: MPoly, s0x, known) -> None:
             f"{second.degree('s1y')}, expected {_S1Y_DEGREES}"
         )
     setup = _antipodal_node_setup(first, second, s0x)
-    nodes = []
-    for c in _GUARD_NODES:
-        fc = math.prod(factor.eval_q(c) ** mult for factor, mult in known)
-        hc = _antipodal_node_value(*setup, c) if fc else None
-        if hc is None:
-            continue
-        if not hc:
-            raise PipelineDegreeMismatch(f"antipodal eliminant vanishes at the guard node l = {c}")
-        nodes.append((c, hc, fc))
-        if len(nodes) == 2:
-            break
-    else:
-        raise PipelineDegreeMismatch(
-            f"antipodal eliminant: fewer than two guard nodes in l = {_GUARD_NODES.start}"
-            f"..{_GUARD_NODES.stop - 1}"
-        )
-    (c1, h1, f1), (c2, h2, f2) = nodes
-    if h1 * f2 != h2 * f1:
-        raise PipelineDegreeMismatch(
-            f"antipodal eliminant at l = {c1}, {c2} is not a constant times "
-            "l^11 (l-1)^10 (l+1)^10 q2 c3 c3' q4 C^4 Q5 Q5'"
-        )
+    _guard_nodes(
+        lambda c: _antipodal_node_value(*setup, c),
+        known,
+        "antipodal eliminant",
+        "l^11 (l-1)^10 (l+1)^10 q2 c3 c3' q4 C^4 Q5 Q5'",
+    )
 
 
 @lru_cache(maxsize=32)
 def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     if s0y == 0:
-        raise ValueError("use the symmetric split for s0y = 0")
-    _, first, second, _ = _antipodal_equations(s0x, s0y)
+        raise DegenerateGeometry("use the symmetric split for s0y = 0")
+    first, second = _antipodal_pair(s0x, s0y)
     factors = _antipodal_factors(s0y * s0y / (s0x * s0x + s0y * s0y), 1 - s0x * s0x)
     _guard_antipodal(first, second, s0x, _ANTIPODAL_UNITS + factors)
     degree_core = sum(factor.degree() * mult for factor, mult in factors)
@@ -1743,16 +1768,17 @@ def case1_numeric(inp: RotatedInput, seed_count: int = 64) -> list[RotatedCandid
 def elimination_degrees(inp: RotatedInput) -> dict[str, int]:
     """Observed eliminant degrees for this input (asserted internally).
 
-    Keys: ``mirror_full`` (48, the degree of ``E^2 - u O^2`` with ``E`` and
-    ``O`` evaluated from the closed-form tables) and ``mirror_core`` (20,
-    what is left after stripping the known factors), and — when
-    ``s0y != 0`` so the generic antipodal elimination applies —
+    Keys: ``mirror_full`` (48, the degree of ``E^2 - u O^2``) and
+    ``mirror_core`` (20, the degree of the core from ``MIRROR_CORE``), and
+    — when ``s0y != 0`` so the generic antipodal elimination applies —
     ``antipodal_full`` (69, the degree of ``h(l) = H(l, r(l))``) and
     ``antipodal_core`` (38, ``h`` without ``l^11 (l-1)^10 (l+1)^10``).
-    Both are summed from the degrees of the closed-form factors: the
-    core's 38 is the signature ``q2 c3 c3' q4 C^4 Q5 Q5'`` (degrees 2, 3,
-    3, 4, 4*4, 5, 5), certified once (``CERT_antipodal.json``), guarded
-    per input at two nodes on the pair evaluated from its tables.
+    Each full degree is summed from the degrees of the known factors and
+    the core, ``8 + 6 + 6 + 4*2 + 20`` and ``11 + 10 + 10 + 38``; the
+    antipodal core's 38 is the signature ``q2 c3 c3' q4 C^4 Q5 Q5'``
+    (degrees 2, 3, 3, 4, 4*4, 5, 5), certified once
+    (``CERT_antipodal.json``).  Both identities are guarded per input at
+    two nodes on the data evaluated from the tables.
     """
     if inp.s0x == 0:
         raise DegenerateGeometry("identical orbits have no elimination pipeline")

@@ -1,10 +1,13 @@
 """Reference routes for the closed-form elimination data of
 ``orbita.rotated_ellipses``.
 
-The solver evaluates the mirror parity parts ``E`` and ``O`` and the
-antipodal pair from the integer tables of ``orbita.elimination_tables``.
-The routes it used before are kept here as oracles:
+The solver evaluates the mirror pair, its parity parts ``E`` and ``O``,
+the mirror core and the antipodal pair from the integer tables of
+``orbita.elimination_tables``.  The routes it used before are kept here as
+oracles:
 
+- ``built_mirror_pair``: ``stat_l`` and ``stat_t`` built by ``MPoly``
+  products over the rationals;
 - ``ring_mirror_parts``: ``E`` and ``O`` interpolated from 4x4 Bezout
   determinants of the mirror pair at integer ``y0``-nodes ``c``, ``|c| >= 2``,
   with ``x0 = X`` in ``Z[X]/(X^2 - (1 - c^2))`` where the burn circle holds,
@@ -116,6 +119,31 @@ def ring_mirror_parts(stat_l: MPoly, stat_t: MPoly, node_value=mirror_node_value
     except DegenerateInput as exc:
         raise PipelineDegreeMismatch(f"mirror eliminant: {exc}") from exc
     return even, odd
+
+
+def built_mirror_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
+    """``(stat_l, stat_t)`` in ``(l, x0, y0)`` by ``MPoly`` products, as
+    primitive integer polynomials: ``d(cost)/dl`` and the tangential
+    derivative along the burn circle of the mirror family's cost."""
+    V = ("l", "x0", "y0")
+    l = MPoly.variable("l", V)
+    x0 = MPoly.variable("x0", V)
+    y0 = MPoly.variable("y0", V)
+    one = MPoly.const(1, V)
+
+    # squared single-burn gap times l^2 x0^2 (both burns have equal gaps here)
+    gap = s0y * l * x0 - (one + x0 * s0y - y0 * s0x - l * l)
+    cost_num = (
+        (s0x * s0x + (one - l) ** 2) * l * l * x0 * x0
+        + gap * gap
+        + 2 * (one - l) * (x0 * s0y - y0 * s0x) * l * l * x0 * x0
+        - 2 * (one - l) * (one + x0 * s0y - y0 * s0x - l * l) * l * x0 * x0
+    )
+    stat_l = (l * cost_num.partial("l") - 2 * cost_num).primitive()
+    stat_t = (
+        x0 * x0 * cost_num.partial("y0") - y0 * (x0 * cost_num.partial("x0") - 2 * cost_num)
+    ).primitive()
+    return stat_l, stat_t
 
 
 def built_antipodal_equations(s0x, s0y):

@@ -3,17 +3,23 @@
     python tests/generate_elimination_tables.py
 
 rewrites ``src/orbita/elimination_tables.py`` from the symbolic
-constructions below, in which ``s0x`` and ``s0y`` are symbols (about 15 s on
+constructions below, in which ``s0x`` and ``s0y`` are symbols (about 20 s on
 one core).  The tests import this module and prove that the committed
 literals equal these constructions term by term.
 
-- The mirror pair: ``stat_l`` and ``stat_t`` of
-  ``rotated_ellipses._mirror_pipeline``, each divided by its positive
-  integer content.  Their l-leading coefficients are ``1 - x0^2`` and
-  ``y0``, free of ``s0x`` and ``s0y``, so ``Res_l`` of the pair commutes with
-  every specialization of ``(s0x, s0y)`` (Collins, J. ACM 1971).  The
-  resultant, reduced on the burn circle ``x0^2 = 1 - y0^2``, is
-  ``E + x0 O`` with ``E`` and ``O`` polynomials in ``(y0, s0x, s0y)``.
+- The mirror pair: the stationarity polynomials ``stat_l`` and ``stat_t``
+  of the mirror-symmetric family in ``(l, x0, y0, s0x, s0y)``, each divided
+  by its positive integer content.  Their l-leading coefficients are
+  ``1 - x0^2`` and ``y0``, free of ``s0x`` and ``s0y``, so ``Res_l`` of the
+  pair commutes with every specialization of ``(s0x, s0y)`` (Collins,
+  J. ACM 1971).  The resultant, reduced on the burn circle
+  ``x0^2 = 1 - y0^2``, is ``E + x0 O`` with ``E`` and ``O`` polynomials in
+  ``(y0, s0x, s0y)``.
+- The mirror core: ``E^2 - (1 - y0^2) O^2`` divided exactly by the known
+  factors ``y0^8 (y0-1)^6 (y0+1)^6 spur^4``, with
+  ``spur = (1 - s0y^2) - 2 s0x y0 + (s0x^2 + s0y^2) y0^2`` (a nonzero
+  remainder raises), then by its positive integer content.  Its ``y0^20``
+  coefficient is ``s0x^4 (s0x^2 + s0y^2)^4``.
 - The antipodal pair: ``first``, ``second`` and ``t0`` of
   ``rotated_ellipses._antipodal_equations`` as polynomials in
   ``(l, x0, s1y, s0x, s0y)``: the same formulas, the two exact divisions by
@@ -76,6 +82,21 @@ def mirror_parts() -> tuple[sp.Poly, sp.Poly]:
     return even, odd
 
 
+def mirror_known_factors() -> sp.Poly:
+    """``y0^8 (y0-1)^6 (y0+1)^6 spur^4`` in ``(y0, s0x, s0y)``."""
+    spur = (1 - SY * SY) - 2 * SX * Y0 + (SX * SX + SY * SY) * Y0 * Y0
+    return sp.Poly(Y0**8 * (Y0 - 1) ** 6 * (Y0 + 1) ** 6 * spur**4, *MIRROR_VARS)
+
+
+@lru_cache(maxsize=1)
+def mirror_core() -> sp.Poly:
+    """The degree-20 core of ``E^2 - (1 - y0^2) O^2`` in ``(y0, s0x, s0y)``,
+    primitive over Z."""
+    even, odd = mirror_parts()
+    full = even * even - sp.Poly(1 - Y0 * Y0, *MIRROR_VARS) * odd * odd
+    return _primitive(full.exquo(mirror_known_factors()))
+
+
 @lru_cache(maxsize=1)
 def antipodal_pair() -> tuple[sp.Poly, sp.Poly, sp.Poly]:
     """``(first, second, t0)`` in ``(l, x0, s1y, s0x, s0y)``, primitive over Z."""
@@ -121,11 +142,15 @@ def rows(poly: sp.Poly) -> tuple[tuple[int, ...], ...]:
 
 def tables() -> dict[str, tuple[tuple[int, ...], ...]]:
     """Every table of the module, by name."""
+    stat_l, stat_t = mirror_pair()
     even, odd = mirror_parts()
     first, second, t0 = antipodal_pair()
     return {
+        "MIRROR_STAT_L": rows(stat_l),
+        "MIRROR_STAT_T": rows(stat_t),
         "MIRROR_EVEN": rows(even),
         "MIRROR_ODD": rows(odd),
+        "MIRROR_CORE": rows(mirror_core()),
         "ANTIPODAL_FIRST": rows(first),
         "ANTIPODAL_SECOND": rows(second),
         "ANTIPODAL_T0": rows(t0),
@@ -141,12 +166,19 @@ literal of this size takes when no bytecode cache is written.  The tests
 prove, with ``s0x`` and ``s0y`` as symbols, that every table equals its
 construction in that script.
 
+- ``MIRROR_STAT_L`` and ``MIRROR_STAT_T``, rows
+  ``(l, x0, y0, s0x, s0y, c)``: the mirror pair ``stat_l`` and ``stat_t``
+  of ``rotated_ellipses``, primitive integer polynomials with ``s0x`` and
+  ``s0y`` kept as symbols (l-leading coefficients ``1 - x0^2`` and ``y0``).
 - ``MIRROR_EVEN`` and ``MIRROR_ODD``, rows ``(y0, s0x, s0y, c)``: the parity
-  parts ``E`` and ``O`` of the mirror pair resultant.  With ``stat_l`` and
-  ``stat_t`` the primitive integer pair of ``rotated_ellipses`` with
-  ``s0x`` and ``s0y`` kept as symbols (l-leading coefficients ``1 - x0^2``
-  and ``y0``), ``Res_l(stat_l, stat_t) = E + x0 O`` on the burn circle
+  parts ``E`` and ``O`` of the pair resultant,
+  ``Res_l(stat_l, stat_t) = E + x0 O`` on the burn circle
   ``x0^2 = 1 - y0^2``.
+- ``MIRROR_CORE``, rows ``(y0, s0x, s0y, c)``: the degree-20 core,
+  ``E^2 - (1 - y0^2) O^2`` divided exactly by
+  ``y0^8 (y0-1)^6 (y0+1)^6 spur^4`` with
+  ``spur = (1 - s0y^2) - 2 s0x y0 + (s0x^2 + s0y^2) y0^2``; its ``y0^20``
+  coefficient is ``s0x^4 (s0x^2 + s0y^2)^4``.
 - ``ANTIPODAL_FIRST``, ``ANTIPODAL_SECOND`` and ``ANTIPODAL_T0``, rows
   ``(l, x0, s1y, s0x, s0y, c)``: the antipodal pair ``first`` and ``second``
   and the tangential derivative ``t0`` of ``rotated_ellipses``, each a

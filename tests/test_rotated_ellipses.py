@@ -361,35 +361,59 @@ class TestMirrorGeneral:
             assert elimination_oracles.mirror_node_value(*rows, c) is None
         assert elimination_oracles.mirror_node_value(*rows, 2) is not None
 
-    @pytest.mark.parametrize("name", ["MIRROR_EVEN", "MIRROR_ODD"])
+    @pytest.mark.parametrize("name", ["MIRROR_EVEN", "MIRROR_ODD", "MIRROR_CORE"])
     def test_perturbed_table_fails_the_pipeline(self, monkeypatch, name):
-        # one coefficient off in E or O: E^2 - u O^2 loses the known
-        # factors (or the parts are not integral), and the pipeline says so
-        table = list(getattr(rotated_ellipses, name))
+        # one coefficient off in E, O or the core: E^2 - u O^2 is no longer
+        # a constant times the known factors and the core at the guard
+        # nodes (or the parts are not integral), and the pipeline says so
+        table = list(getattr(elimination_tables, name))
         *exps, c = table[len(table) // 2]
         table[len(table) // 2] = (*exps, c + 1)
-        monkeypatch.setattr(rotated_ellipses, name, tuple(table))
-        with pytest.raises((NotAFactor, PipelineDegreeMismatch)):
+        monkeypatch.setitem(rotated_ellipses._TABLES, name, rotated_ellipses._keyed(table))
+        with pytest.raises(PipelineDegreeMismatch):
             rotated_ellipses._mirror_pipeline.__wrapped__(REF.s0x, REF.s0y)
 
     def test_parts_off_the_pair_scale_are_not_integral(self):
         # the power base 10^10 5^8 of REF divides the parts only with the
         # pair's (kappa_l kappa_t)^4; a scale of 1 must not be floored
         with pytest.raises(PipelineDegreeMismatch, match="not integral"):
-            rotated_ellipses._mirror_parts(REF.s0x, REF.s0y, 1)
+            rotated_ellipses._table_values("MIRROR_EVEN", REF.s0x, REF.s0y, 1)
 
     def test_pipeline_takes_no_symbolic_resultant(self, monkeypatch):
         calls = []
         resultant = rotated_ellipses.sylvester_resultant
+        strip = rotated_ellipses.strip_known_factors
 
         def counted(*args):
             calls.append(args[-1])
             return resultant(*args)
 
+        def counted_strip(*args):
+            calls.append("strip")
+            return strip(*args)
+
         monkeypatch.setattr(rotated_ellipses, "sylvester_resultant", counted)
+        monkeypatch.setattr(rotated_ellipses, "strip_known_factors", counted_strip)
         inp = params_from_angle(0.3, 120)
         rotated_ellipses._mirror_pipeline.__wrapped__(inp.s0x, inp.s0y)
         assert calls == []
+
+    def test_guard_skips_the_nodes_where_the_known_factors_vanish(self, monkeypatch):
+        # at (1/2, 0) spur = (1 - y0/2)^2 vanishes at y0 = 2, where h does
+        # too; the guard must compare the next two nodes, not 0 with 0
+        inp = RotatedInput(s0x=Fraction(1, 2), s0y=Fraction(0))
+        spur = RatPoly([1 - inp.s0y**2, -2 * inp.s0x, inp.s0x**2 + inp.s0y**2], "y0")
+        assert spur.eval_q(2) == 0
+        nodes = []
+        guard = rotated_ellipses._guard_nodes
+
+        def recorded(value_at, *args):
+            return guard(lambda c: nodes.append(c) or value_at(c), *args)
+
+        monkeypatch.setattr(rotated_ellipses, "_guard_nodes", recorded)
+        pipe = rotated_ellipses._mirror_pipeline.__wrapped__(inp.s0x, inp.s0y)
+        assert nodes == [3, 4]
+        assert (pipe.degree_full, pipe.degree_core) == (48, 20)
 
     def test_identical_orbits_rejected(self):
         with pytest.raises(DegenerateGeometry):
@@ -537,6 +561,13 @@ class TestAntipodalSolutions:
     def test_identical_orbits_rejected(self):
         with pytest.raises(DegenerateGeometry):
             case2b_solutions(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)))
+
+    def test_generic_pipeline_rejects_the_flat_geometry(self):
+        # at s0y = 0 the generic eliminant vanishes identically; the typed
+        # error is still a ValueError for callers that catch that
+        with pytest.raises(DegenerateGeometry, match="symmetric split"):
+            rotated_ellipses._antipodal_pipeline.__wrapped__(REF180.s0x, REF180.s0y)
+        assert issubclass(DegenerateGeometry, ValueError)
 
 
 # --------------------------------------------------------------------------
@@ -1108,14 +1139,14 @@ class TestLargeCoefficientGolden:
     )
     def test_perturbed_equations_fail_the_signature(self, monkeypatch, perturb, message):
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
-        equations = rotated_ellipses._antipodal_equations
+        pair = rotated_ellipses._antipodal_pair
 
         def perturbed(s0x, s0y):
-            radius_pair, first, second, t0 = equations(s0x, s0y)
+            first, second = pair(s0x, s0y)
             l, x0 = (MPoly.variable(v, first.vars) for v in ("l", "x0"))
-            return (radius_pair, *perturb(first, second, l, x0), t0)
+            return perturb(first, second, l, x0)
 
-        monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", perturbed)
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_pair", perturbed)
         with pytest.raises(PipelineDegreeMismatch, match=message):
             rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
 
@@ -1276,14 +1307,14 @@ class TestAntipodalCertificate:
             rotated_ellipses._antipodal_pipeline.__wrapped__(REF.s0x, REF.s0y)
 
     def test_guard_rejects_an_s1y_degree_drop(self, monkeypatch):
-        equations = rotated_ellipses._antipodal_equations
+        pair = rotated_ellipses._antipodal_pair
 
         def dropped(s0x, s0y):
-            radius_pair, first, second, t0 = equations(s0x, s0y)
+            first, second = pair(s0x, s0y)
             s1y = MPoly.variable("s1y", first.vars)
-            return radius_pair, first - first.coeffs_in("s1y")[-1] * s1y * s1y, second, t0
+            return first - first.coeffs_in("s1y")[-1] * s1y * s1y, second
 
-        monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", dropped)
+        monkeypatch.setattr(rotated_ellipses, "_antipodal_pair", dropped)
         with pytest.raises(PipelineDegreeMismatch, match="s1y-degrees 1, 5"):
             rotated_ellipses._antipodal_pipeline.__wrapped__(REF.s0x, REF.s0y)
 
@@ -1421,6 +1452,27 @@ class TestEliminationTables:
         assert (stat_l.degree(l), stat_t.degree(l)) == (4, 4)
         assert sp.expand(stat_l.as_expr().coeff(l, 4) - (1 - x0**2)) == 0
         assert sp.expand(stat_t.as_expr().coeff(l, 4) - y0) == 0
+        # the pair itself, term by term
+        assert elimination_tables.MIRROR_STAT_L == generate_elimination_tables.rows(stat_l)
+        assert elimination_tables.MIRROR_STAT_T == generate_elimination_tables.rows(stat_t)
+
+    def test_mirror_core_is_the_stripped_eliminant(self):
+        # with s0x and s0y symbols: E^2 - (1 - y0^2) O^2 is a nonzero
+        # constant times y0^8 (y0-1)^6 (y0+1)^6 spur^4 times MIRROR_CORE
+        gen = generate_elimination_tables
+        y0, s0x, s0y = gen.MIRROR_VARS
+        core = sp.Poly(
+            sum(c * y0**j * s0x**a * s0y**b for j, a, b, c in elimination_tables.MIRROR_CORE),
+            *gen.MIRROR_VARS,
+        )
+        even, odd = gen.mirror_parts()
+        full = even * even - sp.Poly(1 - y0 * y0, *gen.MIRROR_VARS) * odd * odd
+        content = full.exquo(gen.mirror_known_factors() * core)
+        assert content.is_ground and not content.is_zero
+        # the y0^20 coefficient, so the core has degree 20 whenever s0x != 0
+        assert core.degree(y0) == 20
+        lead = core.as_expr().coeff(y0, 20)
+        assert sp.expand(lead - s0x**4 * (s0x**2 + s0y**2) ** 4) == 0
 
     def test_antipodal_tables_are_the_symbolic_construction(self):
         # with s0x and s0y symbols, the two balances divided exactly by
@@ -1455,9 +1507,14 @@ class TestEliminationTables:
         assert rotated_ellipses._antipodal_equations(
             s0x, s0y
         ) == elimination_oracles.built_antipodal_equations(s0x, s0y)
+        # the mirror pair: the MPoly build's terms, integer coefficients
+        pipe = rotated_ellipses._mirror_pipeline.__wrapped__(s0x, s0y)
+        built = elimination_oracles.built_mirror_pair(s0x, s0y)
+        for got, want in zip((pipe.stat_l, pipe.stat_t), built):
+            assert got.vars == want.vars and got.terms == want.terms
+            assert all(type(c) is int for c in got.terms.values())
         # E and O: the ring route's parts, and (kappa_l kappa_t)^4 times the
         # tables evaluated in Fraction arithmetic
-        pipe = rotated_ellipses._mirror_pipeline.__wrapped__(s0x, s0y)
         even, odd = elimination_oracles.ring_mirror_parts(pipe.stat_l, pipe.stat_t)
         assert (pipe.even_part, pipe.odd_part) == (even, odd)
         # kappa_l and kappa_t: the scales of the l-leading coefficients
