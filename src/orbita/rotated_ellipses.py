@@ -712,10 +712,10 @@ def _table_values(name: str, s0x, s0y, scale: int | None = None) -> dict[int, in
     return {k: q for k, (q, _) in exact.items()}
 
 
-def _dense(values: dict[int, int], var: str) -> RatPoly:
-    """The univariate polynomial of :func:`_table_values` of a table in one
-    variable, whose packed keys are the exponents."""
-    return RatPoly([values.get(j, 0) for j in range(max(values, default=-1) + 1)], var)
+def _dense(values: dict[int, int]) -> RatPoly:
+    """The polynomial in ``y0`` of :func:`_table_values` of a mirror table
+    in ``y0`` alone, whose packed keys are the exponents."""
+    return RatPoly([values.get(j, 0) for j in range(max(values, default=-1) + 1)], "y0")
 
 
 # candidate guard nodes c (both eliminants vanish at 0 and +-1); positive
@@ -806,10 +806,10 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
     # 4 in the coefficients of each, scales by (kappa_l kappa_t)^4
     kappa = stat_l.terms[_MIRROR_LEADS[0]] * stat_t.terms[_MIRROR_LEADS[1]]
     even, odd = (
-        _dense(_table_values(name, s0x, s0y, kappa**4), "y0")
+        _dense(_table_values(name, s0x, s0y, kappa**4))
         for name in ("MIRROR_EVEN", "MIRROR_ODD")
     )
-    core = _dense(_table_values("MIRROR_CORE", s0x, s0y), "y0")
+    core = _dense(_table_values("MIRROR_CORE", s0x, s0y))
     if core.degree() != 20:
         raise PipelineDegreeMismatch(
             f"mirror-family core has degree {core.degree()}, expected 20"
