@@ -10,7 +10,11 @@ Public surface:
   ``quadratic_resultant`` (the degree-2 closed form on coefficient lists
   over any exact ring, e.g. ``QuadPair``, an element of ``Z[X]/(X^2 - m)``),
   ``interpolate_checked`` (exact interpolation at integer nodes, checked
-  at one spare node), ``euclidean_last_linear``
+  at one spare node), ``euclidean_last_linear``.  The solvers call neither
+  ``sylvester_degree_bound`` nor ``euclidean_last_linear``: the tests and
+  the antipodal certificate (``tests/antipodal_certificate.py``) read the
+  bound, and ``euclidean_last_linear`` is kept for its own tests and for
+  the benchmark tracer, which wraps that name in ``rotated_ellipses``
 - roots: ``strip_known_factors`` (exact division by known factors, a
   ``NotAFactor`` when one does not divide; the solvers take their cores
   from closed forms, and the tests strip with it to check them),

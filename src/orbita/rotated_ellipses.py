@@ -102,7 +102,6 @@ import numpy as np
 from . import elimination_tables
 from .kepler import NotElliptic, Orbit, Vec3, orbit_geometry
 from .poly_kernel import (
-    ChainCollapse,
     MPoly,
     NotAFactor,
     QuadPair,
@@ -112,15 +111,14 @@ from .poly_kernel import (
     quadratic_resultant,
     refine_root,
     strip_known_factors,
-    sylvester_degree_bound,
     sylvester_resultant,
 )
 from .poly_kernel.dense import u_eval
 from .poly_kernel.mpoly import pack, unpack
 from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
 
-# Unused by the solver; bound only because perfbench/spans.py wraps it here.
-_WRAPPED_BY_PERFBENCH = (strip_known_factors,)
+# Unused by the solver; bound only because perfbench/spans.py wraps them here.
+_WRAPPED_BY_PERFBENCH = (euclidean_last_linear, strip_known_factors)
 
 __all__ = [
     "DegenerateGeometry",
@@ -553,14 +551,13 @@ def params_from_angle(e: float, alpha_deg: float) -> RotatedInput:
     """Exact-rational input for eccentricity ``e`` and rotation ``alpha``.
 
     Uses the integer parametrization ``s0x = e*(a^2 - b^2)/(a^2 + b^2)``,
-    ``s0y = e*2ab/(a^2 + b^2)`` with ``1 <= b <= a <= 200``, which satisfies
-    ``s0x^2 + s0y^2 = e^2`` exactly; the pair ``(a, b)`` minimizing the
-    angle error is selected (always below 0.01 degrees).  ``alpha = 180``
-    maps to ``b = 0`` (``s0y = 0``) and ``alpha = 0`` to ``a = b``
-    (``s0x = 0``) exactly.  ``e`` itself is rationalized to denominator at
-    most 10**6 when that loses less than 1e-12, else kept as the float's
-    exact binary value (:func:`_snap`).  ``e = 0`` returns the
-    circular-degenerate input.
+    ``s0y = e*2ab/(a^2 + b^2)`` with ``0 <= b <= a``, which satisfies
+    ``s0x^2 + s0y^2 = e^2`` exactly; the angle error of ``(a, b)`` is below
+    0.01 degrees (:func:`_angle_pair`).  ``alpha = 180`` maps to ``b = 0``
+    (``s0y = 0``) and ``alpha = 0`` to ``a = b`` (``s0x = 0``) exactly.
+    ``e`` itself is rationalized to denominator at most 10**6 when that
+    loses less than 1e-12, else kept as the float's exact binary value
+    (:func:`_snap`).  ``e = 0`` returns the circular-degenerate input.
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e!r}")
@@ -571,33 +568,7 @@ def params_from_angle(e: float, alpha_deg: float) -> RotatedInput:
 
     if eq == 0:
         return RotatedInput(s0x=Fraction(0), s0y=Fraction(0), e=e, a=1, b=1)
-    if alpha_deg == 0.0:
-        return RotatedInput(s0x=Fraction(0), s0y=eq, e=e, a=1, b=1)
-    if alpha_deg == 180.0:
-        return RotatedInput(s0x=eq, s0y=Fraction(0), e=e, a=1, b=0)
-
-    # the pair must satisfy b/a ~ tan(45 deg - alpha/4); best rational
-    # approximations come from the continued fraction, growing the
-    # denominator bound until the angle error is below 0.01 degrees
-    target = math.tan(math.radians(45.0 - alpha_deg / 4.0))
-    best: tuple[float, int, int] | None = None
-    bound = 200
-    while True:
-        fr = Fraction(target).limit_denominator(bound)
-        if fr.numerator > 0:
-            b, a = fr.numerator, fr.denominator
-            ang = 2.0 * math.degrees(math.atan2(a * a - b * b, 2.0 * a * b))
-            err = abs(ang - alpha_deg)
-            if best is None or err < best[0]:
-                best = (err, a, b)
-        if best is not None and best[0] < 0.01:
-            break
-        if bound > 10**8:
-            raise ArithmeticError(
-                f"angle search did not converge for alpha={alpha_deg}"
-            )
-        bound *= 2
-    _, a, b = best
+    a, b = _angle_pair(alpha_deg)
     den = Fraction(a * a + b * b)
     return RotatedInput(
         s0x=eq * Fraction(a * a - b * b) / den,
@@ -606,6 +577,31 @@ def params_from_angle(e: float, alpha_deg: float) -> RotatedInput:
         a=a,
         b=b,
     )
+
+
+def _angle_pair(alpha_deg: float) -> tuple[int, int]:
+    """The pair ``(a, b)`` of :func:`params_from_angle`, angle error below
+    0.01 degrees: a continued-fraction approximation with ``b >= 1``, else
+    the exact end point ``(1, 1)`` (``alpha = 0``) or ``(1, 0)``
+    (``alpha = 180``)."""
+    end = (1, 1) if alpha_deg < 90.0 else (1, 0)
+    if alpha_deg in (0.0, 180.0):
+        return end
+    # the pair must satisfy b/a ~ tan(45 deg - alpha/4); best rational
+    # approximations come from the continued fraction, growing the
+    # denominator bound until the angle error is below 0.01 degrees
+    target = math.tan(math.radians(45.0 - alpha_deg / 4.0))
+    for k in range(20):  # denominator bounds 200 .. 200 * 2^19, about 10^8
+        fr = Fraction(target).limit_denominator(200 << k)
+        b, a = fr.numerator, fr.denominator
+        ang = 2.0 * math.degrees(math.atan2(a * a - b * b, 2.0 * a * b))
+        if b > 0 and abs(ang - alpha_deg) < 0.01:
+            return a, b
+    # close to 180 degrees every bound gives b = 0, which the search skips;
+    # that end point is then within the tolerance
+    if min(alpha_deg, 180.0 - alpha_deg) < 0.01:
+        return end
+    raise ArithmeticError(f"angle search did not converge for alpha={alpha_deg}")
 
 
 # --------------------------------------------------------------------------
@@ -946,8 +942,8 @@ class _AntipodalPipeline:
     """Exact elimination data for the antipodal family, per input."""
 
     # the pair as _antipodal_pair returns it, primitive integer
-    # polynomials in (l, x0, s1y), shared by the guard nodes, the fiber,
-    # the residual gate and the tie-break chain (_linear_seed)
+    # polynomials in (l, x0, s1y), shared by the guard nodes, the fiber
+    # and the residual gate
     d_first: MPoly  # squared-gap balance, degree 2 in s1y
     d_second: MPoly  # tangential balance, degree 5 in s1y
     d_second_gate: _ResidualGate  # d_second with its float image
@@ -964,16 +960,7 @@ _ANTIPODAL_VARS = ("l", "x0", "s1y")
 
 
 def _antipodal_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
-    """``first`` and ``second`` of :func:`_antipodal_equations`."""
-    first, second = (
-        MPoly(_ANTIPODAL_VARS, _table_values(name, s0x, s0y))
-        for name in ("ANTIPODAL_FIRST", "ANTIPODAL_SECOND")
-    )
-    return first, second
-
-
-def _antipodal_equations(s0x, s0y):
-    """The reduced antipodal-system polynomials in (l, x0, s1y).
+    """The reduced antipodal-system pair ``(first, second)`` in (l, x0, s1y).
 
     ``p0`` is the first burn's squared gap and ``t0`` its tangential
     derivative, both times powers of ``d = l (1 - l^2)``.  The second burn
@@ -991,17 +978,13 @@ def _antipodal_equations(s0x, s0y):
     prove them equal to these formulas with ``s0x`` and ``s0y`` as
     symbols).  Each comes back as the primitive integer polynomial of its
     table at ``(s0x, s0y)``.  No consumer (node values, fiber roots,
-    residual gate, chain seed, s0y = 0 proof) depends on the positive
-    factor.  ``radius_pair`` is the burn circle ``x0^2 = r(l)`` times
-    ``s0x^2``.
+    residual gate, s0y = 0 proof) depends on the positive factor.
     """
-    V = _ANTIPODAL_VARS
-    l = MPoly.variable("l", V)
-    x0 = MPoly.variable("x0", V)
-    one = MPoly.const(1, V)
-    radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
-    t0 = MPoly(V, _table_values("ANTIPODAL_T0", s0x, s0y))
-    return radius_pair, *_antipodal_pair(s0x, s0y), t0
+    first, second = (
+        MPoly(_ANTIPODAL_VARS, _table_values(name, s0x, s0y))
+        for name in ("ANTIPODAL_FIRST", "ANTIPODAL_SECOND")
+    )
+    return first, second
 
 
 # Res_s1y(first, second) = x0^7 H(l, x0^2): odd in x0, lowest power 7
@@ -1052,10 +1035,11 @@ def _antipodal_node_value(first_rows, second_rows, radius, top: int, c: int):
     J. ACM 1971).  ``first_rows``/``second_rows`` are the :func:`_node_rows`
     of the integer polynomials.  The s1y resultant of the scaled
     polynomials is ``E + O X`` with ``E = 0`` (odd in x0) and
-    ``O = D^s N^3 S / D^4``, where ``s`` is the scaling exponent and
-    ``S = sum_j a_j r(c)^j`` for ``a_j`` the x0^(7+2j) coefficient of
-    ``Res_s1y``.  The value returned is the integer ``D^top S``, so the
-    values lie on an integer polynomial in ``c``.
+    ``O = D^s N^3 S / D^4``, where ``s = 7 + 2 top`` is the scaling
+    exponent (:func:`_antipodal_node_setup`) and ``S = sum_j a_j r(c)^j``
+    for ``a_j`` the x0^(7+2j) coefficient of ``Res_s1y``.  The value
+    returned is the integer ``D^top S = O / (D^(top+3) N^3)``, so the values
+    lie on an integer polynomial in ``c``.
     """
     n, d = u_eval(radius[0], c), radius[1]
     f = _ring_coeffs(first_rows, c, n, d)
@@ -1067,11 +1051,8 @@ def _antipodal_node_value(first_rows, second_rows, radius, top: int, c: int):
         raise PipelineDegreeMismatch(
             f"Res_s1y at l = {c} is not odd in x0 (even part nonzero at x0^2 = r(l))"
         )
-    dxf = max(len(row) for row in first_rows) - 1
-    dxg = max(len(row) for row in second_rows) - 1
-    scaled = dxf * (len(g) - 1) + dxg * (len(f) - 1)
     half = _X0_LOW // 2  # x0^7 = X^7 / D^7 = X N^3 / D^4
-    value, rest = divmod(res.o * d ** (top + half + 1), d**scaled * n**half)
+    value, rest = divmod(res.o, d ** (top + half) * n**half)
     if rest:
         raise PipelineDegreeMismatch(
             f"Res_s1y at l = {c} has no factor x0^{_X0_LOW} at x0^2 = r(l)"
@@ -1120,15 +1101,24 @@ def _antipodal_node_setup(first: MPoly, second: MPoly, s0x):
     :func:`_antipodal_node_value`: the :func:`_node_rows` of the pair,
     ``r(l) = N(l)/D`` and the x0-degree bound ``7 + 2 top`` of Res_s1y.
 
+    With ``dxf`` and ``dxg`` the x0-degrees of first and second (the widths
+    of their rows), the bound is the weighted Sylvester row bound
+    ``5 dxf + 2 dxg`` (first has s1y-degree 2, second 5).  It is also the
+    exponent of ``D`` the ring values are scaled by.  first is odd in x0, so
+    ``dxf`` and the bound are odd.
+
     A real burn latitude ``y0 = (1 - l^2)/s0x`` puts the burn on the circle
     ``x0^2 = r(l) = 1 - (1 - l^2)^2/s0x^2``; with ``s0x = num/den``,
     ``N = num^2 - den^2 (1 - l^2)^2`` and ``D = num^2``.  ``N(c) != 0`` at
     every integer ``c``, as ``0 < |s0x| < 1``.
     """
-    top = (sylvester_degree_bound(first, second, "s1y", {"x0": 1}) - _X0_LOW) // 2
+    first_rows = _node_rows(first, "s1y", "x0", "l")
+    second_rows = _node_rows(second, "s1y", "x0", "l")
+    dxf, dxg = (max(len(row) for row in rows) - 1 for rows in (first_rows, second_rows))
+    top = ((len(second_rows) - 1) * dxf + (len(first_rows) - 1) * dxg - _X0_LOW) // 2
     num, den = s0x.numerator, s0x.denominator
     radius = ([num * num - den * den, 0, 2 * den * den, 0, -den * den], num * num)
-    return _node_rows(first, "s1y", "x0", "l"), _node_rows(second, "s1y", "x0", "l"), radius, top
+    return first_rows, second_rows, radius, top
 
 
 def _guard_antipodal(first: MPoly, second: MPoly, s0x, known) -> None:
@@ -1231,22 +1221,6 @@ def _antipodal_roots(pipe: _AntipodalPipeline, s0x) -> list[float]:
     return out
 
 
-def _linear_seed(pipe: _AntipodalPipeline, lQ: Fraction, xQ: Fraction) -> float | None:
-    """``s1y = -u0/u1`` at ``(l, x0)`` from the linear element ``u1 s1y + u0``
-    of the s1y remainder chain of the pipeline's two polynomials; None when
-    the chain collapses or ``u1`` vanishes there.  The chain is computed
-    per call: only an exact tie of the fiber residuals reads it."""
-    try:
-        u1, u0 = euclidean_last_linear(pipe.d_first, pipe.d_second, "s1y")
-    except ChainCollapse:
-        logger.info("antipodal family: euclidean chain collapsed; fiber-only recovery")
-        return None
-    u1v = u1.eval_exact({"l": lQ, "x0": xQ})
-    if u1v == 0:
-        return None
-    return float(-u0.eval_exact({"l": lQ, "x0": xQ}) / u1v)
-
-
 def _antipodal_backsub(
     inp: RotatedInput, pipe: _AntipodalPipeline, lv: float
 ) -> list[RotatedCandidate]:
@@ -1260,8 +1234,7 @@ def _antipodal_backsub(
     out: list[RotatedCandidate] = []
     for sign in (1.0, -1.0):
         x0v = sign * mag
-        lQ, xQ = Fraction(lv), Fraction(x0v)
-        fiber = pipe.d_first.subs("l", lQ).subs("x0", xQ).to_ratpoly("s1y")
+        fiber = pipe.d_first.subs("l", Fraction(lv)).subs("x0", Fraction(x0v)).to_ratpoly("s1y")
         roots = _quadratic_real_roots(fiber.coeffs)
         if not roots:
             continue
@@ -1276,18 +1249,11 @@ def _antipodal_backsub(
         points = [{"l": lv, "x0": x0v, "s1y": s1yv} for s1yv in roots]
         bounds = [gate.bounds(point) for point in points]
         if len(roots) == 2 and bounds[0][0] <= bounds[1][1] and bounds[1][0] <= bounds[0][1]:
-            scored = sorted(
+            # min keeps the first on an exact tie: the smaller root
+            rel, s1yv = min(
                 ((_rel_residual(gate.poly, point), s1yv) for point, s1yv in zip(points, roots)),
                 key=lambda t: t[0],
             )
-            if scored[0][0] == scored[1][0]:
-                # an exact tie: the linear element of the remainder chain
-                # picks the root nearest its s1y = -u0/u1 (stable order
-                # without one)
-                seed = _linear_seed(pipe, lQ, xQ)
-                if seed is not None:
-                    scored.sort(key=lambda t: abs(t[1] - seed))
-            rel, s1yv = scored[0]
             if rel > _GATE_TOL:
                 continue
         else:
@@ -1333,8 +1299,11 @@ def _prove_antipodal_symmetric_empty(inp: RotatedInput) -> None:
     zeros.  Both facts are verified here in exact arithmetic; a failed
     verification raises ``PipelineDegreeMismatch``.
     """
-    s0x = inp.s0x
-    radius_pair, first, second, t0 = _antipodal_equations(s0x, Fraction(0))
+    s0x, V = inp.s0x, _ANTIPODAL_VARS
+    first, t0 = (
+        MPoly(V, _table_values(name, s0x, Fraction(0)))
+        for name in ("ANTIPODAL_FIRST", "ANTIPODAL_T0")
+    )
 
     coeffs = first.coeffs_in("s1y")
     if len(coeffs) != 2 or not coeffs[0].is_zero():
@@ -1342,11 +1311,10 @@ def _prove_antipodal_symmetric_empty(inp: RotatedInput) -> None:
             "symmetric antipodal split: first polynomial is not odd in s1y"
         )
 
+    l, x0 = MPoly.variable("l", V), MPoly.variable("x0", V)
+    one = MPoly.const(1, V)
+
     def strip_monomials(p: MPoly) -> MPoly:
-        V = p.vars
-        l = MPoly.variable("l", V)
-        x0 = MPoly.variable("x0", V)
-        one = MPoly.const(1, V)
         for fac in (x0, l, l - one, l + one):
             while True:
                 try:
@@ -1363,7 +1331,9 @@ def _prove_antipodal_symmetric_empty(inp: RotatedInput) -> None:
         )
 
     quintic = strip_monomials(coeffs[1])
-    res = sylvester_resultant(radius_pair.subs("s1y", Fraction(0)), quintic, "x0")
+    # the burn circle x0^2 = r(l) times s0x^2
+    radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
+    res = sylvester_resultant(radius_pair, quintic, "x0")
     if not strip_monomials(res).is_const():
         raise PipelineDegreeMismatch(
             "symmetric antipodal split: branch s1y != 0 eliminant is not a "

@@ -1,7 +1,7 @@
 """Certificate: the antipodal eliminant factors in closed form on every input.
 
 The identity.  Let ``first`` and ``second`` be the antipodal pair of
-``rotated_ellipses._antipodal_equations`` with ``s0x`` and ``s0y`` kept as
+``rotated_ellipses._antipodal_pair`` with ``s0x`` and ``s0y`` kept as
 symbols ``sx`` and ``sy`` (the formulas of
 ``elimination_oracles.built_antipodal_equations``, without ``primitive()``;
 the tables ``ANTIPODAL_FIRST`` and ``ANTIPODAL_SECOND`` that production
@@ -98,10 +98,10 @@ from orbita.rotated_ellipses import (  # noqa: E402
     _S1Y_DEGREES,
     _X0_LOW,
     PipelineDegreeMismatch,
-    _antipodal_equations,
     _antipodal_factors,
     _antipodal_node_setup,
     _antipodal_node_value,
+    _antipodal_pair,
 )
 
 CERT_PATH = ROOT / "CERT_antipodal.json"
@@ -119,7 +119,7 @@ GRID_DENOMINATORS = (211, 223)
 
 @lru_cache(maxsize=1)
 def symbolic_pair() -> tuple[MPoly, MPoly]:
-    """``(first, second)`` of ``_antipodal_equations`` with ``s0x = sx``
+    """``(first, second)`` of ``_antipodal_pair`` with ``s0x = sx``
     and ``s0y = sy`` symbolic, without ``primitive()``.  The ``/ s0x`` of the
     ``MPoly`` build is taken symbolically: ``(s0x d - s1x_num) / s0x`` is
     ``d - x0 (l s1y - sy)``."""
@@ -347,7 +347,7 @@ def factors_at(s0x, s0y):
 def oracle(s0x, s0y) -> tuple[RatPoly, RatPoly, int]:
     """``(h, core, bound)`` by the per-input route on the production pair,
     with the factorization of the core proven exactly."""
-    _, first, second, _ = _antipodal_equations(s0x, s0y)
+    first, second = _antipodal_pair(s0x, s0y)
     h, bound = eliminant(first, second, s0x)
     core = core_of(h)
     prove_factorization(core, factors_at(s0x, s0y))

@@ -13,7 +13,8 @@ oracles:
   with ``x0 = X`` in ``Z[X]/(X^2 - (1 - c^2))`` where the burn circle holds,
   each part checked at one spare node;
 - ``built_antipodal_equations``: ``first``, ``second`` and ``t0`` built by
-  ``MPoly`` products over the rationals, with two exact divisions.
+  ``MPoly`` products over the rationals, with two exact divisions, and
+  ``table_antipodal_equations``, the same four from the tables.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from orbita.poly_kernel import (
     interpolate_checked,
     sylvester_degree_bound,
 )
-from orbita.rotated_ellipses import PipelineDegreeMismatch, _node_rows, _ring_coeffs
+from orbita.rotated_ellipses import (
+    _ANTIPODAL_VARS,
+    PipelineDegreeMismatch,
+    _antipodal_pair,
+    _node_rows,
+    _ring_coeffs,
+    _table_values,
+)
 
 
 def bezout_resultant(fc: list, gc: list):
@@ -185,3 +193,16 @@ def built_antipodal_equations(s0x, s0y):
 
     radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
     return radius_pair, first.primitive(), second.primitive(), t0
+
+
+def table_antipodal_equations(s0x, s0y):
+    """``(radius_pair, first, second, t0)`` from the tables: the solver's
+    pair (``rotated_ellipses._antipodal_pair``), ``t0`` from
+    ``ANTIPODAL_T0``, and ``radius_pair``, the burn circle ``x0^2 = r(l)``
+    times ``s0x^2``."""
+    l = MPoly.variable("l", _ANTIPODAL_VARS)
+    x0 = MPoly.variable("x0", _ANTIPODAL_VARS)
+    one = MPoly.const(1, _ANTIPODAL_VARS)
+    radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
+    t0 = MPoly(_ANTIPODAL_VARS, _table_values("ANTIPODAL_T0", s0x, s0y))
+    return radius_pair, *_antipodal_pair(s0x, s0y), t0

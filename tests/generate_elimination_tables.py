@@ -21,7 +21,7 @@ literals equal these constructions term by term.
   remainder raises), then by its positive integer content.  Its ``y0^20``
   coefficient is ``s0x^4 (s0x^2 + s0y^2)^4``.
 - The antipodal pair: ``first``, ``second`` and ``t0`` of
-  ``rotated_ellipses._antipodal_equations`` as polynomials in
+  ``elimination_oracles.built_antipodal_equations`` as polynomials in
   ``(l, x0, s1y, s0x, s0y)``: the same formulas, the two exact divisions by
   ``l^3 (l-1)^4 (l+1)^2`` and ``l^2 (l-1)^3 (l+1)^2`` taken symbolically
   (a nonzero remainder raises), each result divided by its positive integer

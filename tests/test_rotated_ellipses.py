@@ -21,11 +21,10 @@ from hypothesis import strategies as st
 import antipodal_certificate
 import elimination_oracles
 import generate_elimination_tables
-from orbita import elimination_tables, rotated_ellipses
+from orbita import elimination_tables, poly_kernel, rotated_ellipses
 from orbita.kepler import Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
 from orbita.poly_kernel import (
-    ChainCollapse,
     MPoly,
     NotAFactor,
     QuadPair,
@@ -191,6 +190,15 @@ class TestParamsFromAngle:
         for alpha in range(5, 180, 5):
             inp = params_from_angle(0.5, float(alpha))
             assert abs(inp.alpha_deg - alpha) < 0.01, alpha
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-7, 179.9999, 179.9999999, 179.99999999999])
+    def test_angles_near_the_end_points(self, alpha):
+        # close to 180 degrees the search finds no b >= 1 with a below
+        # about 10^8; the end point b = 0 is within the tolerance there
+        inp = params_from_angle(0.5, alpha)
+        assert abs(inp.alpha_deg - alpha) < 0.01
+        if alpha == 179.9999:
+            assert (inp.a, inp.b) == (1638400, 1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -508,15 +516,32 @@ class TestAntipodalSolutions:
         # a stationary branch s1y = 0 that is no longer a monomial times a
         # unit defeats the emptiness proof; the solver must say so instead
         # of returning the closed forms alone
-        equations = rotated_ellipses._antipodal_equations
+        table_values = rotated_ellipses._table_values
 
-        def perturbed(s0x, s0y):
-            radius_pair, first, second, t0 = equations(s0x, s0y)
-            return radius_pair, first, second, t0 + 1
+        def perturbed(name, *args):
+            values = table_values(name, *args)
+            if name == "ANTIPODAL_T0":  # t0 + 1
+                one = pack((0, 0, 0))
+                values[one] = values.get(one, 0) + 1
+            return values
 
-        monkeypatch.setattr(rotated_ellipses, "_antipodal_equations", perturbed)
-        with pytest.raises(PipelineDegreeMismatch):
+        monkeypatch.setattr(rotated_ellipses, "_table_values", perturbed)
+        with pytest.raises(PipelineDegreeMismatch, match="stationary branch"):
             case2b_solutions(REF180)
+
+    def test_flat_geometry_proof_reads_first_and_t0_only(self, monkeypatch):
+        # the proof needs first and t0; the 798-row ANTIPODAL_SECOND table
+        # would be summed for nothing
+        names = []
+        table_values = rotated_ellipses._table_values
+
+        def recording(name, *args):
+            names.append(name)
+            return table_values(name, *args)
+
+        monkeypatch.setattr(rotated_ellipses, "_table_values", recording)
+        rotated_ellipses._prove_antipodal_symmetric_empty(REF180)
+        assert sorted(names) == ["ANTIPODAL_FIRST", "ANTIPODAL_T0"]
 
     @pytest.mark.parametrize("e, alpha", [(0.1, 120), (0.9, 90)])
     def test_no_y_axis_burns_in_general_family(self, e, alpha):
@@ -534,25 +559,6 @@ class TestAntipodalSolutions:
         inp = params_from_angle(0.1, 120)
         record = sweep_rotated([0.1], [120])[0]
         assert record.case2b_best_f1 == pytest.approx(2 * abs(float(inp.s0x)), abs=1e-12)
-
-    def test_linear_seed_recovers_s1y(self, ref_antipodal):
-        # the chain's linear element, computed only to break an exact tie
-        # between the two fiber roots, points at the candidate's s1y
-        pipe = rotated_ellipses._antipodal_pipeline(REF.s0x, REF.s0y)
-        general = [c for c in ref_antipodal if c.case_tag == "case2b_general"]
-        assert general
-        for c in general:
-            seed = rotated_ellipses._linear_seed(pipe, Fraction(c.l1z), Fraction(c.burn0.x))
-            assert seed == pytest.approx(c.s1y, abs=1e-9)
-
-    def test_linear_seed_is_none_on_chain_collapse(self, monkeypatch):
-        pipe = rotated_ellipses._antipodal_pipeline(REF.s0x, REF.s0y)
-
-        def collapsed(*args):
-            raise ChainCollapse("remainder chain skipped degree 1")
-
-        monkeypatch.setattr(rotated_ellipses, "euclidean_last_linear", collapsed)
-        assert rotated_ellipses._linear_seed(pipe, Fraction(-1, 2), Fraction(1, 2)) is None
 
     def test_include_general_flag(self):
         cands = case2b_solutions(REF, include_general=False)
@@ -988,7 +994,9 @@ def big_eliminant():
     # the symbolic route, kept as an oracle: Res_s1y, then Res_x0 with the
     # burn-circle relation, a degree-166 eliminant equal to a unit times
     # B^7 h(l)^2 with h the pipeline's degree-69 node-built eliminant
-    radius_pair, first, second, _ = rotated_ellipses._antipodal_equations(BIG.s0x, BIG.s0y)
+    radius_pair, first, second, _ = elimination_oracles.table_antipodal_equations(
+        BIG.s0x, BIG.s0y
+    )
     inner = sylvester_resultant(first, second, "s1y")
     return sylvester_resultant(radius_pair, inner, "x0").to_ratpoly("l")
 
@@ -1154,7 +1162,7 @@ class TestLargeCoefficientGolden:
 def _node_inputs(inp):
     """The integer polynomials, their node rows, r(l) = N/D and ``top``,
     as ``_antipodal_pipeline`` builds them."""
-    _, first, second, _ = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
+    first, second = rotated_ellipses._antipodal_pair(inp.s0x, inp.s0y)
     first_rows, second_rows, radius, top = rotated_ellipses._antipodal_node_setup(
         first, second, inp.s0x
     )
@@ -1225,8 +1233,15 @@ class TestAntipodalNodeRing:
                 values.append(args[-1])
             return v
 
+        def no_bound(*args):
+            raise AssertionError("the pipeline took a Sylvester degree bound")
+
         monkeypatch.setattr(rotated_ellipses, "sylvester_resultant", counted)
         monkeypatch.setattr(rotated_ellipses, "_antipodal_node_value", counted_value)
+        # the bound comes from the node rows' widths, not from the kernel
+        assert not hasattr(rotated_ellipses, "sylvester_degree_bound")
+        monkeypatch.setattr(poly_kernel, "sylvester_degree_bound", no_bound)
+        monkeypatch.setattr(poly_kernel.resultant, "sylvester_degree_bound", no_bound)
         inp = params_from_angle(0.3, 120)
         rotated_ellipses._antipodal_pipeline.__wrapped__(inp.s0x, inp.s0y)
         assert calls == []
@@ -1270,7 +1285,7 @@ class TestAntipodalCertificate:
         ids=["REF", "negative-s0x", "from-floats-1e6"],
     )
     def test_symbolic_pair_specializes_to_the_production_pair(self, inp):
-        _, first, second, _ = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
+        first, second = rotated_ellipses._antipodal_pair(inp.s0x, inp.s0y)
         for got, symbolic in zip((first, second), antipodal_certificate.symbolic_pair()):
             specialized = antipodal_certificate.specialize(symbolic, inp.s0x, inp.s0y)
             assert _single_ratio(got, specialized) > 0
@@ -1388,7 +1403,9 @@ class TestAntipodalEquations:
         ids=["REF", "e0.7-a37", "negative-s0x", "from-floats-1e6", "alpha-179.9", "REF180"],
     )
     def test_pair_is_a_multiple_of_the_reference(self, inp):
-        radius_pair, first, second, t0 = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
+        radius_pair, first, second, t0 = elimination_oracles.table_antipodal_equations(
+            inp.s0x, inp.s0y
+        )
         ref_first, ref_second, ref_t0, p0, p1, t1 = _reference_equations(inp.s0x, inp.s0y)
         # the reflection symmetry the production build relies on
         assert p1 == _reflect_x0(p0)
@@ -1403,7 +1420,7 @@ class TestAntipodalEquations:
         # a fall-back to Fraction arithmetic shows here as a Fraction
         # coefficient or a content above 1, with no timing involved
         inp = RotatedInput.from_floats(0.123457, 0.654321)
-        _, first, second, t0 = rotated_ellipses._antipodal_equations(inp.s0x, inp.s0y)
+        _, first, second, t0 = elimination_oracles.table_antipodal_equations(inp.s0x, inp.s0y)
         for p in (first, second, t0):
             assert all(type(c) is int for c in p.terms.values())
             assert p.content_int() == 1
@@ -1504,7 +1521,7 @@ class TestEliminationTables:
     def test_table_routes_match_the_oracles(self, s0x, s0y):
         assume(s0x != 0 and s0x * s0x + s0y * s0y < 1)
         # the antipodal pair: equal MPolys, sign included
-        assert rotated_ellipses._antipodal_equations(
+        assert elimination_oracles.table_antipodal_equations(
             s0x, s0y
         ) == elimination_oracles.built_antipodal_equations(s0x, s0y)
         # the mirror pair: the MPoly build's terms, integer coefficients
@@ -1749,20 +1766,22 @@ class TestResidualGate:
         assert repr(case2a_general(E07)) == repr(mirror_fast)
         assert len(calls) > 2 * len(roots)
 
-    def test_exact_tie_still_reaches_the_linear_seed(self, monkeypatch):
-        # equal exact residuals for both fiber roots: the chain's linear
-        # element picks the root nearest its s1y, the true one
+    def test_exact_tie_keeps_the_smaller_fiber_root(self, monkeypatch):
+        # equal exact residuals for both fiber roots: the stable order
+        # keeps the first, the smaller root, and no other rule is consulted
         pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
-        want = rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
         monkeypatch.setattr(rotated_ellipses, "_rel_residual", lambda poly, point: 0.0)
-        seeds = []
-        real_seed = rotated_ellipses._linear_seed
+        assemble = rotated_ellipses._assemble
+        taken = []
 
-        def recording(*args):
-            seeds.append(real_seed(*args))
-            return seeds[-1]
+        def recording(inp, tag, x0, y0, x1, y1, l, s1x, s1y):
+            taken.append((x0, s1y))
+            return assemble(inp, tag, x0, y0, x1, y1, l, s1x, s1y)
 
-        monkeypatch.setattr(rotated_ellipses, "_linear_seed", recording)
-        got = rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
-        assert seeds and all(s is not None for s in seeds)
-        assert repr(got) == repr(want)
+        monkeypatch.setattr(rotated_ellipses, "_assemble", recording)
+        rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
+        assert taken
+        for x0, s1y in taken:
+            fiber = pipe.d_first.subs("l", Fraction(E07_TIED_L)).subs("x0", Fraction(x0))
+            roots = rotated_ellipses._quadratic_real_roots(fiber.to_ratpoly("s1y").coeffs)
+            assert len(roots) == 2 and s1y == min(roots)
