@@ -14,7 +14,8 @@ oracles:
   each part checked at one spare node;
 - ``built_antipodal_equations``: ``first``, ``second`` and ``t0`` built by
   ``MPoly`` products over the rationals, with two exact divisions, and
-  ``table_antipodal_equations``, the same four from the tables.
+  ``table_antipodal_equations``, the same four with the pair and ``t0``
+  read from the tables.
 """
 
 from __future__ import annotations
