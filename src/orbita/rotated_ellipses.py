@@ -20,7 +20,9 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   that excludes the symmetric families).  The system is polynomial, so its
   Jacobian is analytic: the constraint gradients and the hand-written
   Hessian of the Lagrangian.  One stacked residual call per iteration
-  serves every seed and every line-search step size.
+  serves every seed and every line-search step size.  Every seed starts
+  retrograde (``l < 0``): no prograde seed has ever converged, and every
+  case-1 point found so far is retrograde (see ``case1_numeric``).
 - ``case2a_axis`` / ``case2a_general``   burns mirror-symmetric across the
   x axis (``x1 = x0``, ``y1 = -y0``, forcing ``s1x = 0``).  The axis
   subfamily (burns on the y axis) is closed form.  The general subfamily is
@@ -103,7 +105,6 @@ from . import elimination_tables
 from .kepler import NotElliptic, Orbit, Vec3, orbit_geometry
 from .poly_kernel import (
     MPoly,
-    NotAFactor,
     QuadPair,
     RatPoly,
     euclidean_last_linear,
@@ -1315,16 +1316,25 @@ def _prove_antipodal_symmetric_empty(inp: RotatedInput) -> None:
     one = MPoly.const(1, V)
 
     def strip_monomials(p: MPoly) -> MPoly:
-        for fac in (x0, l, l - one, l + one):
-            while True:
-                try:
-                    p = p.divexact(fac)
-                except NotAFactor:
-                    break
+        # the powers of l and x0 are their lowest exponents; l - 1 and
+        # l + 1 are divided out only while p vanishes at l = 1 or l = -1,
+        # so no division fails
+        if p.is_zero():
+            return p
+        low_l, low_x0, _ = (min(e) for e in zip(*(unpack(k, len(V)) for k in p.terms)))
+        low = pack((low_l, low_x0, 0))
+        p = MPoly(V, {k - low: c for k, c in p.terms.items()})
+        for root, fac in ((1, l - one), (-1, l + one)):
+            while p.subs("l", root).is_zero():
+                p = p.divexact(fac)
         return p
 
+    def is_unit(p: MPoly) -> bool:
+        # a zero resultant means a common factor: the proof has failed
+        return p.is_const() and not p.is_zero()
+
     branch_a = strip_monomials(t0.subs("s1y", Fraction(0)))
-    if not branch_a.is_const():
+    if not is_unit(branch_a):
         raise PipelineDegreeMismatch(
             "symmetric antipodal split: stationary branch s1y=0 is not a "
             "monomial times a unit"
@@ -1334,7 +1344,7 @@ def _prove_antipodal_symmetric_empty(inp: RotatedInput) -> None:
     # the burn circle x0^2 = r(l) times s0x^2
     radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
     res = sylvester_resultant(radius_pair, quintic, "x0")
-    if not strip_monomials(res).is_const():
+    if not is_unit(strip_monomials(res)):
         raise PipelineDegreeMismatch(
             "symmetric antipodal split: branch s1y != 0 eliminant is not a "
             "monomial"
@@ -1524,28 +1534,36 @@ def _vdc(n: int, base: int) -> float:
 
 
 def _case1_seeds(sx: float, sy: float, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy seed states, fully initialized."""
+    """Deterministic low-discrepancy retrograde seed states, fully initialized.
+
+    Row ``r`` is term ``j = 2r + 1`` of a Halton-style sequence (radical
+    inverses of ``j + 1`` in the bases 2, 3, 5, 7, 11) with ``l = -|l|``.
+    ``j + 1`` is even, so burn 0 starts in the upper half-plane,
+    ``theta0`` in ``[0, pi)``.  The even terms of the sequence, its
+    prograde half (``l > 0``), are not seeded: on 252 cells none of their
+    8,064 seeds converged (see ``case1_numeric``).
+    """
     Z = np.zeros((count, _N_UNKNOWNS))
-    for j in range(count):
+    for r in range(count):
+        j = 2 * r + 1
         th0 = 2.0 * math.pi * _vdc(j + 1, 2)
         th1 = 2.0 * math.pi * _vdc(j + 1, 3)
         # keep away from the symmetric manifold y0 + y1 = 0
         while abs(math.sin(th0) + math.sin(th1)) < 0.05:
             th1 += 0.37
         lmag = 0.45 + 1.5 * _vdc(j + 1, 5)
-        lv = lmag if j % 2 == 0 else -lmag
         smag = 0.85 * lmag * _vdc(j + 1, 7)
         sang = 2.0 * math.pi * _vdc(j + 1, 11)
-        Z[j, 0:7] = (
+        Z[r, 0:7] = (
             math.cos(th0),
             math.sin(th0),
             math.cos(th1),
             math.sin(th1),
             smag * math.cos(sang),
             smag * math.sin(sang),
-            lv,
+            -lmag,
         )
-        Z[j, 15] = 1.0 / (Z[j, 1] + Z[j, 3])
+        Z[r, 15] = 1.0 / (Z[r, 1] + Z[r, 3])
     F, G = _case1_system(sx, sy, Z)
     # gaps: g[:,4] = d0^2 - gap0 with d0 = 0 at this point
     gap0 = np.maximum(-F[:, 4], 1e-4)
@@ -1685,7 +1703,7 @@ def _case1_newton(
     return Z, alive, done
 
 
-def case1_numeric(inp: RotatedInput, seed_count: int = 64) -> list[RotatedCandidate]:
+def case1_numeric(inp: RotatedInput, seed_count: int = 32) -> list[RotatedCandidate]:
     """Non-symmetric critical points by deterministic multi-start Newton.
 
     The full first-order system (six constraints, nine stationarity rows,
@@ -1696,9 +1714,18 @@ def case1_numeric(inp: RotatedInput, seed_count: int = 64) -> list[RotatedCandid
     of running each seed on its own, bit for bit.  Converged states (residual
     below 1e-12) are filtered: positive burn sizes, ``|y0+y1| > 1e-6``,
     elliptic transfer, plan residuals below 1e-9.  The list is often
-    empty — for many inputs this family has no real solution.  The seeds do
-    not make the list complete: on ``params_from_angle(0.9, 90)`` the
-    default 64 miss a pair at f1 = 3.6076 that 256 seeds find.
+    empty — for many inputs this family has no real solution.
+
+    The seeds are retrograde only (``l < 0``, see ``_case1_seeds``).  That
+    rests on evidence, not on a proof: on 252 cells (seeded benchmark
+    inputs, a 9 x 10 grid in e and alpha, and 60 random cells) none of the
+    8,064 prograde seeds of the former all-sign sequence converged, and all
+    158 case-1 points were retrograde.  The default 32 seeds are exactly
+    the retrograde half of the former 64, so the list is unchanged on those
+    cells.  No seed searches the prograde half, so a prograde case-1 point
+    would be missed.  The seeds do not make the list complete either: on
+    ``params_from_angle(0.9, 90)`` the default 32 miss a pair at
+    f1 = 3.6076 that 128 seeds find.
 
     Raises ``ValueError`` unless ``seed_count`` is a positive int.
     """

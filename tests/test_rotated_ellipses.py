@@ -848,15 +848,113 @@ class TestCase1Batched:
         mirror_best = min(c.f1 for c in case2a_axis_solutions(inp) + case2a_general(inp))
         assert all(c.f1 >= mirror_best for c in many)
 
-    # a case-1 point that 256 seeds find; see ROADMAP item 4
-    @pytest.mark.xfail(strict=True, reason="64 seeds miss the f1 = 3.607616 point on (0.9, 90)")
+    # a case-1 point that 128 retrograde seeds find; see ROADMAP item 2
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the default 32 retrograde seeds miss the f1 = 3.607616 point on (0.9, 90)",
+    )
     def test_default_seeds_find_the_e09_a90_point(self):
         f1s = [c.f1 for c in case1_numeric(params_from_angle(0.9, 90))]
         assert any(f == pytest.approx(3.6076163453931, abs=1e-9) for f in f1s)
 
-    def test_256_seeds_find_the_e09_a90_point(self):
-        f1s = [c.f1 for c in case1_numeric(params_from_angle(0.9, 90), seed_count=256)]
+    def test_128_seeds_find_the_e09_a90_point(self):
+        f1s = [c.f1 for c in case1_numeric(params_from_angle(0.9, 90), seed_count=128)]
         assert sum(f == pytest.approx(3.6076163453931, abs=1e-9) for f in f1s) == 2
+
+
+def _all_sign_seeds(sx, sy, count):
+    """The seed sequence before it kept only the retrograde half.
+
+    Seed j is prograde (l > 0) for even j and retrograde for odd j; the
+    rest of the formula is the one ``_case1_seeds`` keeps.
+    """
+    vdc = rotated_ellipses._vdc
+    Z = np.zeros((count, 16))
+    for j in range(count):
+        th0 = 2.0 * math.pi * vdc(j + 1, 2)
+        th1 = 2.0 * math.pi * vdc(j + 1, 3)
+        while abs(math.sin(th0) + math.sin(th1)) < 0.05:
+            th1 += 0.37
+        lmag = 0.45 + 1.5 * vdc(j + 1, 5)
+        lv = lmag if j % 2 == 0 else -lmag
+        smag = 0.85 * lmag * vdc(j + 1, 7)
+        sang = 2.0 * math.pi * vdc(j + 1, 11)
+        Z[j, 0:7] = (
+            math.cos(th0),
+            math.sin(th0),
+            math.cos(th1),
+            math.sin(th1),
+            smag * math.cos(sang),
+            smag * math.sin(sang),
+            lv,
+        )
+        Z[j, 15] = 1.0 / (Z[j, 1] + Z[j, 3])
+    F, _ = _case1_system(sx, sy, Z)
+    Z[:, 7] = np.sqrt(np.maximum(-F[:, 4], 1e-4))
+    Z[:, 8] = np.sqrt(np.maximum(-F[:, 5], 1e-4))
+    grad_f = np.zeros(9)
+    grad_f[7] = grad_f[8] = 1.0
+    _, G = _case1_system(sx, sy, Z)
+    Z[:, 9:15] = np.linalg.pinv(np.swapaxes(G, 1, 2)) @ grad_f
+    return Z
+
+
+_SEED_GRID = [(e, a) for e in (0.3, 0.5, 0.7, 0.9) for a in (37, 90, 133, 180)]
+
+
+class TestCase1Seeds:
+    @pytest.mark.parametrize("count", [7, 32])
+    @pytest.mark.parametrize("name", sorted(_NEWTON_INPUTS))
+    def test_seeds_are_the_retrograde_half(self, name, count):
+        # row r is seed 2r + 1 of the all-sign sequence, bit for bit
+        inp = _NEWTON_INPUTS[name]
+        sx, sy = inp.s0x_float, inp.s0y_float
+        Z = _case1_seeds(sx, sy, count)
+        assert Z.tobytes() == _all_sign_seeds(sx, sy, 2 * count)[1::2].tobytes()
+        assert (Z[:, 6] < 0).all()
+        # j + 1 is even, so burn 0 starts in the upper half-plane
+        assert (Z[:, 1] >= 0).all()
+
+    def test_prograde_seeds_find_nothing(self, monkeypatch):
+        # the evidence for seeding only l < 0: the prograde half of the
+        # all-sign sequence yields no state that passes the filters; if a
+        # change to the system makes it find one, this fails
+        calls = []
+
+        def prograde(sx, sy, count):
+            calls.append(count)
+            return _all_sign_seeds(sx, sy, 2 * count)[0::2]
+
+        monkeypatch.setattr(rotated_ellipses, "_case1_seeds", prograde)
+        for e, alpha in _SEED_GRID:
+            assert case1_numeric(params_from_angle(e, alpha)) == [], (e, alpha)
+        assert calls == [32] * len(_SEED_GRID)
+
+    def test_retrograde_cost_bound(self):
+        """Every case-1 point is retrograde and costs at least 2(1-e)(1+1/|l|).
+
+        In the normalized units of ``transfer_model``, the velocity on an
+        orbit ``(l z, s)`` at burn direction ``r`` is ``w = s + l t`` with
+        ``t = z x r``, and ``1/r = l^2 + l s.t``.  So the tangential
+        velocity is ``w.t = (1/r)/l``.  On the departure and arrival orbits
+        (``l = 1``, ``|s| = e``) it is ``1/r = 1 + s.t >= 1 - e``.  On a
+        retrograde transfer orbit (``l < 0``) it is ``(1/r)/l < 0`` at the
+        same point.  Each burn changes the tangential velocity by at least
+        ``(1/r)(1 + 1/|l|) >= (1 - e)(1 + 1/|l|)``, so
+        ``f1 >= 2(1 - e)(1 + 1/|l|) > 2(1 - e)``.  On this grid the smallest
+        ratio of f1 to the bound is 1.117.
+        """
+        ratios = []
+        for e in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for alpha in (10, 37, 60, 90, 120, 150, 180):
+                inp = params_from_angle(e, alpha)
+                ecc = math.hypot(inp.s0x_float, inp.s0y_float)
+                for c in case1_numeric(inp):
+                    assert c.l1z < 0, (e, alpha, c.l1z)
+                    bound = 2.0 * (1.0 - ecc) * (1.0 + 1.0 / abs(c.l1z))
+                    ratios.append(c.f1 / bound)
+        assert len(ratios) >= 10
+        assert min(ratios) >= 1.0
 
 
 # --------------------------------------------------------------------------
