@@ -10,7 +10,7 @@ are distances ``|w_after - w_before|`` in this normalized velocity space.
 Subpackages / modules:
 
 - ``poly_kernel``   exact rational polynomial arithmetic, Sylvester
-  resultants, Sturm real-root isolation
+  resultants, real-root isolation by Descartes' rule of signs
 - ``kepler``        orbit and orbit-point types, conversions, geometry
 - ``transfer_model`` multi-impulse transfer plans, validation, costs
 - ``lambert_pp``    minimum-energy fixed-endpoint transfers (both endpoint

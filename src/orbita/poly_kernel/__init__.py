@@ -22,7 +22,8 @@ Public surface:
   ``refine_root`` (on the square-free part; no multiplicities; bisection
   on integer numerators over one shared denominator, ``Fraction`` only at
   the interval endpoints; refinement predicts its bisection cell from a
-  float root and confirms it with two exact signs), ``sturm_chain``
+  float root and confirms it with two exact signs; isolation bisects by
+  Descartes' rule of signs on a square-free part certified modulo a prime)
 - errors: ``PolyKernelError``, ``DegenerateInput``, ``ChainCollapse``,
   ``NotAFactor``
 
@@ -47,7 +48,6 @@ from .roots import (
     isolate_real_roots,
     refine_root,
     strip_known_factors,
-    sturm_chain,
 )
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "strip_known_factors",
     "isolate_real_roots",
     "refine_root",
-    "sturm_chain",
     "PolyKernelError",
     "DegenerateInput",
     "ChainCollapse",

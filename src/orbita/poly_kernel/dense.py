@@ -7,8 +7,8 @@ zeros (zero polynomial = empty list).  The ``u_*`` arithmetic loops only
 combine coefficients with ``+ - *``, so they serve ``int`` and
 ``fractions.Fraction`` coefficients alike (``RatPoly`` uses them); the rest
 works on ints.  These are the workhorse representations inside resultants
-(Bareiss elimination entries) and Sturm chains, where exactness and
-big-integer speed matter most.  The kernel has one implementation, in pure
+(Bareiss elimination entries) and exact square-free parts, where exactness
+and big-integer speed matter most.  The kernel has one implementation, in pure
 Python.
 """
 

@@ -1,16 +1,28 @@
 """Real-root isolation and refinement for exact univariate polynomials.
 
-Sturm's method throughout: a sign-safe pseudo-remainder chain with
-primitive-part reduction, exact integer sign evaluation at rational
-points, and bisection until each root sits alone in a half-open rational
-interval ``(lo, hi]``.  The square-free part is isolated, so a multiple
-root is found once; its multiplicity is not reported (callers strip known
-repeated factors exactly first, with :func:`strip_known_factors`).  The
-square-free part, its Sturm chain and the float coefficients of the Newton
-polish are computed once per polynomial and shared by every isolation
-window and by refinement.  For a square-free input one pseudo-remainder
-chain is both the square-free test and the Sturm chain: it ends in a
-constant.
+Isolation is bisection with Descartes' rule of signs (Collins & Akritas,
+SYMSAC 1976; Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004).
+Each cell ``(a, b)`` carries its polynomial mapped onto ``(0, 1)``; the
+number of sign variations ``V`` of that polynomial's coefficients after
+``t = 1/(1 + s)`` is at least the number of roots in the cell, and exceeds
+it by an even number.  A cell with ``V = 0`` holds no root and is dropped;
+one with ``V = 1`` holds exactly one.  The halves of a cell come from one
+scaling and one integer Taylor shift by 1, so no remainder sequence is
+ever built.  The cells split at the points of Sturm bisection (the
+midpoint, nudged off a root by :func:`_split_point`), and of every cell's
+ancestors the largest holding exactly one root is returned, so the
+intervals are exactly those of Sturm bisection, which the tests keep as
+the oracle: ``(lo, hi]``, half-open, one distinct root each.
+
+Descartes bisection ends only on a square-free polynomial, so the
+square-free part is isolated and a multiple root is found once; its
+multiplicity is not reported (callers strip known repeated factors exactly
+first, with :func:`strip_known_factors`).  Square-freeness is certified
+modulo one fixed prime, and only when the certificate fails is the exact
+square-free part computed (see :func:`_decompose`).  The square-free part,
+its derivative and the float coefficients of the Newton polish are
+computed once per polynomial and shared by every isolation window and by
+refinement.
 
 Inside the kernel a bracket is a pair of integer numerators over one
 shared positive integer denominator, ``(na/den, nb/den]``: a midpoint is
@@ -33,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dense import divexact, prem, primitive, sign_at, u_derivative, u_trim
+from .dense import divexact, primitive, sign_at, squarefree_part, u_derivative, u_trim
 from .errors import DegenerateInput
 from .mpoly import RatPoly
 
@@ -42,7 +54,6 @@ __all__ = [
     "isolate_real_roots",
     "refine_root",
     "strip_known_factors",
-    "sturm_chain",
 ]
 
 
@@ -61,47 +72,80 @@ class RootInterval:
         return Fraction(self.hi) - Fraction(self.lo)
 
 
-# ---------------------------------------------------------- Sturm chain ---
+# ------------------------------------------------------ Descartes cells ---
 
 
-def sturm_chain(coeffs: list[int]) -> list[list[int]]:
-    """Canonical Sturm chain of an integer polynomial.
-
-    Each next element is the negated true remainder of the previous two,
-    up to a positive constant: when the pseudo-remainder multiplier
-    ``lead**k`` is negative the pseudo-remainder is kept as-is instead of
-    negated.  Elements are reduced to primitive parts (positive content),
-    which preserves all signs.
-    """
-    f = u_trim(list(coeffs))
-    if not f:
-        raise DegenerateInput("zero polynomial has no Sturm chain")
-    chain = [f]
-    if len(f) == 1:
-        return chain
-    g, _ = primitive(u_derivative(f))
-    chain.append(g)
-    while True:
-        r, lead, k = prem(chain[-2], chain[-1])
-        if not r:
-            return chain
-        if lead > 0 or k % 2 == 0:
-            r = [-c for c in r]
-        r, _ = primitive(r)
-        chain.append(r)
+def _taylor_shift(c: list[int], a: int) -> list[int]:
+    """``c(x + a)`` in place, by Horner's scheme: ``n (n + 1)/2`` steps."""
+    n = len(c) - 1
+    if a == 1:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += c[j + 1]
+    else:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += a * c[j + 1]
+    return c
 
 
-def _variations(chain: list[list[int]], num: int, den: int) -> int:
-    """Sign variations of the chain at ``num/den`` (zeros skipped)."""
+def _affine(q: list[int], a: int, w: int, d: int) -> list[int]:
+    """Integer coefficients of ``d^n q((a + w t)/d)``, ``n = deg q``: the
+    polynomial of the cell ``(a/d, (a + w)/d)`` on ``(0, 1)``, up to the
+    positive factor ``d^n``, which keeps every sign."""
+    n = len(q) - 1
+    c = [x * d ** (n - i) for i, x in enumerate(q)] if d != 1 else list(q)
+    if a:
+        _taylor_shift(c, a)
+    if w != 1:
+        c = [x * w**i for i, x in enumerate(c)]
+    return c
+
+
+def _halves(q: list[int], num: int, k: int) -> tuple[list[int], list[int]]:
+    """The polynomials of the two parts of the cell of ``q`` split at
+    ``num/k``: ``k^n q(num t/k)`` and ``k^n q((num + (k - num) t)/k)``.
+    At the midpoint (``num/k = 1/2``) that is one scaling and one Taylor
+    shift by 1."""
+    scaled = _affine(q, 0, 1, k)
+    left = scaled if num == 1 else [x * num**i for i, x in enumerate(scaled)]
+    right = _taylor_shift(list(scaled), num)
+    if k - num != 1:
+        right = [x * (k - num) ** i for i, x in enumerate(right)]
+    return left, right
+
+
+def _descartes(q: list[int]) -> int:
+    """Sign variations of ``(1 + s)^n q(1/(1 + s))``: the number of roots
+    of ``q`` in ``(0, 1)`` plus an even number ``>= 0``."""
+    c = _taylor_shift(q[::-1], 1)
     count = 0
     prev = 0
-    for poly in chain:
-        s = sign_at(poly, num, den)
-        if s:
-            if prev and s != prev:
+    for x in c:
+        if x:
+            if prev and (x > 0) != (prev > 0):
                 count += 1
-            prev = s
+            prev = x
     return count
+
+
+def _has_root(q: list[int]) -> bool:
+    """Whether ``q`` has a root in ``(0, 1)``, decided exactly by Descartes
+    bisection of the square-free ``q``.  A root at 0 or 1 is not counted
+    and does not stop the bisection: it only zeroes the top or the constant
+    coefficient of the transformed polynomial."""
+    stack = [q]
+    while stack:
+        q = stack.pop()
+        v = _descartes(q)
+        if v == 1:
+            return True
+        if v:
+            left, right = _halves(q, 1, 2)
+            if not right[0]:
+                return True  # a root at the midpoint
+            stack += (left, right)
+    return False
 
 
 # ------------------------------------------------------------ isolation ---
@@ -115,6 +159,15 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
     roots are handled exactly: a root at ``lo`` is excluded, a root at
     ``hi`` is returned in a degenerate-tight interval ending exactly at
     ``hi``.
+
+    The intervals are those of Sturm bisection: a cell is split at
+    :func:`_split_point` exactly when it holds two roots or more.  Descartes
+    bisection splits every such cell, since its variation count is at least
+    the root count, and also some cells holding one root or none, which
+    Sturm counting would not split.  So the cells it visits contain the
+    Sturm cells and split at the same points; the root count of each is the
+    number of its descendants with one variation, and of each root's
+    ancestors the largest with a count of one is the Sturm interval.
     """
     if p.is_zero():
         raise DegenerateInput("cannot isolate roots of the zero polynomial")
@@ -123,8 +176,7 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
     if len(coeffs) == 1:
         return []
 
-    full_sqf, full_chain, _, _ = _decompose(tuple(coeffs))
-    sqf = full_sqf
+    sqf = _decompose(tuple(coeffs))[0]
 
     if lo is None or hi is None:
         bound = _cauchy_bound(coeffs)
@@ -136,41 +188,63 @@ def isolate_real_roots(p: RatPoly, lo=None, hi=None) -> list[RootInterval]:
         raise DegenerateInput("empty isolation interval")
 
     # roots exactly at the endpoints: lo is excluded by the half-open
-    # interval, hi must be reported; both are deflated out so the Sturm
-    # chain below sees only the remaining roots
+    # interval, hi must be reported; both are deflated out so the cells
+    # below see only the remaining roots, none at a cell end
     if sign_at(sqf, lo.numerator, lo.denominator) == 0:
         sqf = divexact(sqf, [-lo.numerator, lo.denominator])
     hi_is_root = sign_at(sqf, hi.numerator, hi.denominator) == 0
     if hi_is_root:
         sqf = divexact(sqf, [-hi.numerator, hi.denominator])
 
-    chain = full_chain if sqf is full_sqf else sturm_chain(sqf)
     na, nb, den = _common_denominator(lo, hi)
+    core, end_root = sqf, 0
     if hi_is_root:
         # reserve a slice (hi - (hi - lo)/s, hi] holding no other root, for
         # s = 1024, 2048, ..., so the appended interval for the hi root
-        # stays disjoint; the interior then ends at nb/den
-        v_hi = _variations(chain, nb, den)
+        # stays disjoint; the interior then ends at nb/den, which may be a
+        # root: it is deflated out of the cell polynomials and counted once
+        # for every cell that ends there
+        w = nb - na
         scale = 1024
-        while _variations(chain, nb * scale - (nb - na), den * scale) != v_hi:
+        while _has_root(_affine(sqf, nb * scale - w, w, den * scale)):
             scale *= 2
-        na, nb, den = na * scale, nb * scale - (nb - na), den * scale
+        na, nb, den = na * scale, nb * scale - w, den * scale
+        if sign_at(sqf, nb, den) == 0:
+            end = Fraction(nb, den)
+            core, end_root = divexact(sqf, [-end.numerator, end.denominator]), 1
+
+    # cells as (a, b, d, parent); counts[i] is the number of roots found in
+    # cell i so far, and a cell with one variation is a leaf holding one
+    cells: list[tuple[int, int, int, int]] = []
+    counts: list[int] = []
+    leaves: list[int] = []
+    stack = [(_affine(core, na, nb - na, den), na, nb, den, end_root, -1)]
+    while stack:
+        q, a, b, d, at_b, parent = stack.pop()
+        v = _descartes(q) + at_b
+        if not v:
+            continue
+        index = len(cells)
+        cells.append((a, b, d, parent))
+        counts.append(0)
+        if v == 1:
+            leaves.append(index)
+            while index >= 0:
+                counts[index] += 1
+                index = cells[index][3]
+            continue
+        num, k = _split_point(sqf, a, b, d)
+        m = a * k + (b - a) * num
+        left, right = _halves(q, num, k)
+        stack.append((left, a * k, m, d * k, 0, index))
+        stack.append((right, m, b * k, d * k, at_b, index))
 
     out: list[RootInterval] = []
-    stack = [(na, nb, den, _variations(chain, na, den), _variations(chain, nb, den))]
-    while stack:
-        a, b, d, va, vb = stack.pop()
-        n = va - vb
-        if n <= 0:
-            continue
-        if n == 1:
-            out.append(RootInterval(Fraction(a, d), Fraction(b, d)))
-            continue
-        m, k = _split_point(sqf, a, b, d)
-        vm = _variations(chain, m, d * k)
-        stack.append((a * k, m, d * k, va, vm))
-        stack.append((m, b * k, d * k, vm, vb))
-
+    for index in leaves:
+        while cells[index][3] >= 0 and counts[cells[index][3]] == 1:
+            index = cells[index][3]
+        a, b, d, _ = cells[index]
+        out.append(RootInterval(Fraction(a, d), Fraction(b, d)))
     if hi_is_root:
         out.append(RootInterval(Fraction(nb, den), hi))
 
@@ -192,50 +266,78 @@ def _cauchy_bound(coeffs: list[int]) -> Fraction:
 
 def _split_point(sqf: list[int], na: int, nb: int, den: int) -> tuple[int, int]:
     """A point strictly between na/den and nb/den that is not a root, as
-    ``(m, k)`` for the point ``m/(den k)``: the midpoint, nudged through a
-    fixed sequence of interior fractions if needed."""
+    ``(num, k)`` for the point ``na/den + (nb - na) num/(den k)``: the
+    midpoint, nudged through a fixed sequence of interior fractions if
+    needed."""
     for num, k in ((1, 2), (1, 3), (2, 5), (3, 7), (5, 11), (7, 13)):
-        m = na * k + (nb - na) * num
-        if sign_at(sqf, m, den * k) != 0:
-            return m, k
+        if sign_at(sqf, na * k + (nb - na) * num, den * k) != 0:
+            return num, k
     raise DegenerateInput("could not find a non-root split point")
 
 
 # ------------------------------------------------ square-free part ---
 
+# A word-size prime for the square-free certificate.
+_CERTIFICATE_PRIME = 2**31 - 1
+
+
+def _squarefree_mod_p(f: list[int]) -> bool:
+    """Whether ``gcd(f, f')`` modulo ``_CERTIFICATE_PRIME`` is a nonzero
+    constant, for ``f`` whose leading coefficient the prime does not
+    divide: Euclid's algorithm over the field of the prime."""
+    p = _CERTIFICATE_PRIME
+    a = [c % p for c in f]
+    b = u_trim([i * c % p for i, c in enumerate(a)][1:])
+    while b:
+        # a <- a mod b: each step adds -lc(a)/lc(b) x^off b, dropping lc(a)
+        neg_inv = p - pow(b[-1], -1, p)
+        db = len(b) - 1
+        tail = b[:-1]
+        while len(a) > db:
+            q = a.pop() * neg_inv % p
+            for j, c in enumerate(tail, len(a) - db):
+                a[j] = (a[j] + q * c) % p
+            u_trim(a)
+        a, b = b, a
+    return len(a) == 1
+
 
 @lru_cache(maxsize=32)
 def _decompose(
     coeffs: tuple[int, ...],
-) -> tuple[list[int], list[list[int]], list[float], list[float]]:
+) -> tuple[list[int], list[int], list[float], list[float]]:
     """Square-free part of the integer polynomial ``coeffs`` (primitive,
-    positive leading coefficient), its Sturm chain, and the max-normalized
-    float coefficients of the square-free part and of its derivative for
-    the Newton polish, computed once per polynomial.  Shared through the
-    cache: never mutated.
+    positive leading coefficient), its primitive derivative (with its
+    sign), and the max-normalized float coefficients of the square-free
+    part and of its derivative for the Newton polish, computed once per
+    polynomial.  Shared through the cache: never mutated.
 
-    The Sturm chain of the primitive input ``f`` with positive leading
-    coefficient is built first.  Its last element is ``gcd(f, f')`` up to
-    a constant, and primitive, so when it is constant the input is
-    square-free, its square-free part is ``f`` and the chain is already the
-    one wanted: one pseudo-remainder chain.  Otherwise the square-free part
-    is ``f`` divided by that element, exact over the integers by Gauss's
-    lemma, and its chain is the second and last one.
+    The primitive input ``f`` is certified square-free modulo a fixed
+    prime ``p`` that does not divide its leading coefficient: if
+    ``gcd(f mod p, f' mod p)`` is constant, ``f`` is square-free over the
+    rationals and is its own square-free part.  Proof: a nonconstant
+    common factor of ``f`` and ``f'`` over the rationals can be taken
+    primitive in ``Z[x]``, call it ``g``; by Gauss's lemma it divides ``f``
+    and ``f'`` in ``Z[x]``, so ``lc(g)`` divides ``lc(f)`` and ``p`` does
+    not divide ``lc(g)``.  Then ``g mod p`` keeps its degree, at least 1,
+    and divides both ``f mod p`` and ``f' mod p``, so their gcd is not
+    constant.  When the certificate fails (a repeated root, a leading
+    coefficient divisible by ``p``, or an unlucky prime that divides the
+    discriminant) the exact square-free part is computed instead.  So no
+    polynomial reaches the Descartes cells without a certified square-free
+    part.
     """
     sqf, _ = primitive(list(coeffs))
     if sqf[-1] < 0:
         sqf = [-c for c in sqf]
-    chain = sturm_chain(sqf)
-    if len(chain[-1]) > 1:
-        sqf, _ = primitive(divexact(sqf, chain[-1]))
-        if sqf[-1] < 0:
-            sqf = [-c for c in sqf]
-        chain = sturm_chain(sqf)
+    if sqf[-1] % _CERTIFICATE_PRIME == 0 or not _squarefree_mod_p(sqf):
+        sqf, _ = squarefree_part(sqf)
+    dsqf, _ = primitive(u_derivative(sqf))
     scale = max(abs(c) for c in sqf)
     # int / int is correctly rounded, also beyond float range
     fc = [c / scale for c in sqf]
     dfc = [c * i for i, c in enumerate(fc)][1:]
-    return sqf, chain, fc, dfc
+    return sqf, dsqf, fc, dfc
 
 
 # ----------------------------------------------------- known-factor strip ---
@@ -308,15 +410,14 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
     if p.is_zero():
         raise DegenerateInput("cannot refine a root of the zero polynomial")
     coeffs, _ = p.to_int_coeffs()
-    sqf, chain, fc, dfc = _decompose(tuple(u_trim(coeffs)))
+    sqf, dsqf, fc, dfc = _decompose(tuple(u_trim(coeffs)))
     na, nb, den = _common_denominator(Fraction(interval.lo), Fraction(interval.hi))
     sb = sign_at(sqf, nb, den)
     if sb == 0:
         return nb / den
     sa = sign_at(sqf, na, den)
     if sa == 0:
-        # chain[1] is the primitive derivative, with its sign
-        sa = sign_at(chain[1], na, den)
+        sa = sign_at(dsqf, na, den)
     if sa == sb:
         raise DegenerateInput("interval does not bracket a sign change")
 

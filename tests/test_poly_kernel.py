@@ -23,11 +23,19 @@ from orbita.poly_kernel import (
     quadratic_resultant,
     refine_root,
     strip_known_factors,
-    sturm_chain,
     sylvester_resultant,
 )
 from orbita.poly_kernel import roots as roots_mod
-from orbita.poly_kernel.dense import divexact, sign_at, squarefree_part, u_trim
+from orbita.poly_kernel.dense import (
+    divexact,
+    gcd_poly,
+    prem,
+    primitive,
+    sign_at,
+    squarefree_part,
+    u_derivative,
+    u_trim,
+)
 from orbita.poly_kernel.resultant import interpolate_checked, newton_interpolate
 from orbita.poly_kernel.mpoly import pack, unpack
 
@@ -567,18 +575,14 @@ class TestRootIsolation:
         assert len(ivs) == 1
         assert abs(refine_root(p, ivs[0]) - 2**0.5) < 1e-13
 
-    def test_sturm_chain_endpoints(self):
-        chain = sturm_chain([-2, 0, 1])
-        assert len(chain) >= 2
-
     def test_zero_poly_rejected(self):
         with pytest.raises(DegenerateInput):
             isolate_real_roots(RatPoly([]))
 
 
 class TestSharedDecomposition:
-    """One square-free part and Sturm chain per polynomial, shared by every
-    isolation window and by refinement, on a product shaped like the
+    """One square-free part per polynomial, shared by every isolation
+    window and by refinement, on a product shaped like the
     antipodal eliminant (A^2 B^7 C^8) plus a rational root of multiplicity
     3.  Each distinct root is isolated once, wherever its multiplicity."""
 
@@ -602,17 +606,16 @@ class TestSharedDecomposition:
         assert self._got(p, lo, hi) == pytest.approx(self._expected(lo, hi), abs=1e-12)
 
     def test_computed_once(self, monkeypatch):
-        # one decomposition for both windows and every refinement, and in
-        # it two Sturm chains: the input's, whose last element gives the
-        # square-free part, and that part's
+        # one decomposition for both windows and every refinement; in it
+        # the certificate fails on the repeated roots, and the one exact
+        # square-free part is taken of the degree-30 input
         calls = []
-        real = roots_mod.sturm_chain
 
         def counting(a):
             calls.append(len(a) - 1)
-            return real(a)
+            return squarefree_part(a)
 
-        monkeypatch.setattr(roots_mod, "sturm_chain", counting)
+        monkeypatch.setattr(roots_mod, "squarefree_part", counting)
         roots_mod._decompose.cache_clear()
         p = self._poly()
         ivs = isolate_real_roots(p, Fraction(-4), Fraction(1)) + isolate_real_roots(
@@ -622,7 +625,7 @@ class TestSharedDecomposition:
         for iv in ivs:
             refine_root(p, iv)
         assert roots_mod._decompose.cache_info().misses == 1
-        assert calls == [30, 6]
+        assert calls == [30]
 
     def test_multiplicities_full_line(self):
         p = self._poly()
@@ -653,12 +656,60 @@ class TestSharedDecomposition:
         assert roots_mod._decompose.cache_info().misses == 1
 
 
-# ------------------------------------------- Fraction reference bisection ---
+# ------------------------------- Sturm and Fraction reference bisection ---
 #
-# The isolation and refinement loops as they ran on ``Fraction`` objects
-# before the kernel moved to integer numerators over a shared denominator.
-# Kept as the oracle: the kernel must take the same decisions, so its
-# intervals must be equal and its floats repr-identical.
+# The isolation and refinement loops as they ran on ``Fraction`` objects,
+# counting roots with Sturm chains, before the kernel moved to integer
+# numerators over a shared denominator and then to Descartes' rule of
+# signs.  Kept as the oracle: the kernel must take the same decisions, so
+# its intervals must be equal and its floats repr-identical.
+
+
+def sturm_chain(coeffs: list[int]) -> list[list[int]]:
+    """Canonical Sturm chain of an integer polynomial.
+
+    Each next element is the negated true remainder of the previous two,
+    up to a positive constant: when the pseudo-remainder multiplier
+    ``lead**k`` is negative the pseudo-remainder is kept as-is instead of
+    negated.  Elements are reduced to primitive parts (positive content),
+    which preserves all signs.
+    """
+    f = u_trim(list(coeffs))
+    if not f:
+        raise DegenerateInput("zero polynomial has no Sturm chain")
+    chain = [f]
+    if len(f) == 1:
+        return chain
+    g, _ = primitive(u_derivative(f))
+    chain.append(g)
+    while True:
+        r, lead, k = prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        if lead > 0 or k % 2 == 0:
+            r = [-c for c in r]
+        r, _ = primitive(r)
+        chain.append(r)
+
+
+def _variations(chain, num, den):
+    """Sign variations of the chain at ``num/den`` (zeros skipped)."""
+    count = 0
+    prev = 0
+    for poly in chain:
+        s = sign_at(poly, num, den)
+        if s:
+            if prev and s != prev:
+                count += 1
+            prev = s
+    return count
+
+
+def test_sturm_chain_endpoints():
+    # x^2 - 2: the chain ends in a constant, and counts the two roots
+    chain = sturm_chain([-2, 0, 1])
+    assert len(chain) == 3 and len(chain[-1]) == 1
+    assert _variations(chain, -2, 1) - _variations(chain, 2, 1) == 2
 
 
 def _ref_sign(coeffs, x):
@@ -668,7 +719,7 @@ def _ref_sign(coeffs, x):
 
 def _ref_var(chain, x):
     num, den = Fraction(x).as_integer_ratio()
-    return roots_mod._variations(chain, num, den)
+    return _variations(chain, num, den)
 
 
 def _ref_split_point(sqf, a, b):
@@ -807,13 +858,42 @@ def _ref_case(cofactor, rational_roots, ends):
 
 
 class TestIntegerBisectionMatchesFractionReference:
+    """Descartes bisection on integer numerators against the Sturm
+    bisection on ``Fraction`` objects.  The intervals are equal, which
+    implies the same root count per window and each interval nested in the
+    oracle's; the floats are repr-identical, the end-to-end check."""
+
     @settings(max_examples=200, deadline=None)
     @given(_REF_CASES)
     # a second root inside the first slice (hi - (hi - lo)/1024, hi] that
     # isolation reserves for a root at hi
     @example(([1], [Fraction(1), Fraction(4999, 5000)], (Fraction(0), Fraction(1)), 1e-13))
+    # a root at hi and one exactly at the end of the first slice: the slice
+    # holds no other root, and the interior ends on a root
+    @example(([1], [Fraction(1), Fraction(1023, 1024)], (Fraction(0), Fraction(1)), 1e-13))
+    # a root at hi and a complex pair 1e-5 off the first slice's midpoint:
+    # two variations there, and Descartes bisection of the slice finds no
+    # real root, as Sturm counting does
+    @example(
+        (
+            [Fraction(2047, 2048) ** 2 + Fraction(1, 10**10), -Fraction(2047, 1024), 1],
+            [Fraction(1)],
+            (Fraction(0), Fraction(1)),
+            1e-13,
+        )
+    )
     # a root at the open end lo, next to a root inside
     @example(([1], [Fraction(-1, 3), Fraction(-1, 3) + Fraction(1, 10**6)], (Fraction(-1, 3), Fraction(2)), 1e-13))
+    @example(([-5, 0, 1], [Fraction(-2)], (Fraction(-2), Fraction(3)), 1e-10))
+    # roots at the window midpoint 1/2 and at 1/3: both bisections nudge
+    # the split point off 1/2, then off 1/3, to 2/5
+    @example(([1], [Fraction(1, 2), Fraction(1, 3)], (Fraction(0), Fraction(1)), 1e-13))
+    # one root at the midpoint with a complex pair 0.1 off it: three
+    # variations on (0, 1), where Sturm counts one root; Descartes splits,
+    # nudges off the root, and returns the Sturm cell (0, 1]
+    @example(([26, -100, 100], [Fraction(1, 2)], (Fraction(0), Fraction(1)), 1e-13))
+    # coefficients near 10^400, beyond float range
+    @example(([-2 * 10**400 + 1, 3, 10**400], [Fraction(1, 3)], (Fraction(-2), Fraction(2)), 1e-10))
     def test_same_intervals_and_floats(self, case):
         cofactor, rational_roots, ends, tol = case
         p, lo, hi = _ref_case(cofactor, rational_roots, ends)
@@ -877,20 +957,20 @@ class TestRootInterval:
         assert iv.width() == Fraction(1, 4)
 
 
-# ------------------------------- predicted bisection, one chain per input ---
+# --------------------- predicted bisection, certified square-free parts ---
 #
-# Oracles: the two-step decomposition (square-free part, then its Sturm
-# chain) that ran before the chain of the input came first, and the exact
-# bisection loop of ``refine_root`` forced by declining every predicted
-# cell, besides the ``Fraction`` reference above.
+# Oracles: the exact decomposition (``dense.squarefree_part`` on every
+# input, then the primitive derivative), and the exact bisection loop of
+# ``refine_root`` forced by declining every predicted cell, besides the
+# ``Fraction`` reference above.
 
 
-def _two_step_decompose(coeffs):
+def _exact_decompose(coeffs):
     sqf, _ = squarefree_part(list(coeffs))
     scale = max(abs(c) for c in sqf)
     fc = [c / scale for c in sqf]
     dfc = [c * i for i, c in enumerate(fc)][1:]
-    return sqf, sturm_chain(sqf), fc, dfc
+    return sqf, primitive(u_derivative(sqf))[0], fc, dfc
 
 
 def _exact_bisection_refine(p, iv, tol=1e-13):
@@ -940,11 +1020,11 @@ _KERNEL_CASES = st.tuples(
 class TestPredictedBisection:
     @settings(max_examples=80, deadline=None)
     @given(_KERNEL_CASES)
-    def test_one_chain_decomposition_matches_two_steps(self, case):
+    def test_decomposition_matches_the_exact_squarefree_part(self, case):
         p = _factored(*case[:4])
         coeffs = tuple(u_trim(p.to_int_coeffs()[0]))
         got = roots_mod._decompose.__wrapped__(coeffs)
-        want = _two_step_decompose(coeffs)
+        want = _exact_decompose(coeffs)
         assert got[:2] == want[:2]
         assert repr(got[2:]) == repr(want[2:])
 
@@ -1036,3 +1116,120 @@ class TestPredictedBisection:
                 assert repr(x) == repr(_exact_bisection_refine(p, iv, tol))
                 assert repr(x) == repr(_ref_refine_root(p, iv, tol))
         assert None in cells
+
+
+# ------------------------------------------ Descartes cells and certificate ---
+
+
+def _sturm_count_open(sqf, lo, hi):
+    """Distinct roots of the square-free ``sqf`` in the open ``(lo, hi)``."""
+    chain = sturm_chain(sqf)
+    return _ref_var(chain, lo) - _ref_var(chain, hi) - (_ref_sign(sqf, hi) == 0)
+
+
+class TestDescartesCells:
+    @settings(max_examples=150, deadline=None)
+    @given(_REF_CASES)
+    def test_variations_bound_the_root_count_by_an_even_excess(self, case):
+        p, lo, hi = _ref_case(*case[:3])
+        sqf = u_trim(p.to_int_coeffs()[0])
+        na, nb, den = roots_mod._common_denominator(lo, hi)
+        q = roots_mod._affine(sqf, na, nb - na, den)
+        count = _sturm_count_open(sqf, lo, hi)
+        excess = roots_mod._descartes(q) - count
+        assert excess >= 0 and excess % 2 == 0
+        assert roots_mod._has_root(q) == (count > 0)
+
+    @pytest.mark.parametrize("num, k", [(1, 2), (1, 3), (2, 5), (7, 13)])
+    def test_halves_are_the_cell_polynomials_of_the_parts(self, num, k):
+        q = roots_mod._affine([3, -7, 0, 2, 5], -3, 4, 7)  # the cell (-3/7, 1/7)
+        left, right = roots_mod._halves(q, num, k)
+        split = num * 4  # -3/7 + 4 num/(7 k) = (-3 k + split)/(7 k)
+        assert left == roots_mod._affine([3, -7, 0, 2, 5], -3 * k, split, 7 * k)
+        assert right == roots_mod._affine([3, -7, 0, 2, 5], -3 * k + split, 4 * k - split, 7 * k)
+
+
+class _Fallbacks:
+    """Counts the exact square-free parts ``_decompose`` falls back to."""
+
+    def __init__(self, monkeypatch):
+        self.degrees = []
+        monkeypatch.setattr(roots_mod, "squarefree_part", self._counting)
+        roots_mod._decompose.cache_clear()
+
+    def _counting(self, a):
+        self.degrees.append(len(a) - 1)
+        return squarefree_part(a)
+
+
+def _same_as_oracle(p, lo=None, hi=None):
+    got = isolate_real_roots(p, lo, hi)
+    assert got == _ref_isolate_real_roots(p, lo, hi)
+    for iv in got:
+        assert repr(refine_root(p, iv)) == repr(_ref_refine_root(p, iv))
+    return got
+
+
+class TestSquarefreeCertificate:
+    P = roots_mod._CERTIFICATE_PRIME
+
+    def test_x2_minus_p_takes_the_exact_fallback(self, monkeypatch):
+        # square-free over Q, but x^2 modulo p: gcd(x^2, 2x) = x
+        fallbacks = _Fallbacks(monkeypatch)
+        coeffs = [-self.P, 0, 1]
+        assert not roots_mod._squarefree_mod_p(coeffs)
+        p = RatPoly(coeffs, "x")
+        assert len(_same_as_oracle(p)) == 2
+        assert len(_same_as_oracle(p, Fraction(0), Fraction(self.P))) == 1
+        assert fallbacks.degrees == [2]
+        assert roots_mod._decompose(tuple(coeffs))[0] == coeffs
+
+    @pytest.mark.parametrize("coeffs_of", [lambda P: [-2, 0, P], lambda P: [-1, -1, 0, 3 * P]])
+    def test_leading_coefficient_divisible_by_p(self, monkeypatch, coeffs_of):
+        fallbacks = _Fallbacks(monkeypatch)
+        coeffs = coeffs_of(self.P)
+        _same_as_oracle(RatPoly(coeffs, "x"))
+        assert fallbacks.degrees == [len(coeffs) - 1]
+        assert roots_mod._decompose(tuple(coeffs))[0] == coeffs
+
+    def test_repeated_roots_take_the_exact_square_free_part(self, monkeypatch):
+        t = sp.Symbol("t")
+        ex = sp.Poly(sp.expand((t - 1) ** 3 * (t + 2) ** 2), t)
+        coeffs = [int(c) for c in reversed(ex.all_coeffs())]
+        fallbacks = _Fallbacks(monkeypatch)
+        sqf = roots_mod._decompose(tuple(coeffs))[0]
+        assert fallbacks.degrees == [5]
+        assert sqf == squarefree_part(coeffs)[0] == [-2, 1, 1]
+        _same_as_oracle(RatPoly(coeffs, "t"))
+
+    def test_certified_input_takes_no_fallback(self, monkeypatch):
+        fallbacks = _Fallbacks(monkeypatch)
+        coeffs = [-6, 11, -6, 1]
+        assert roots_mod._squarefree_mod_p(coeffs)
+        assert len(_same_as_oracle(RatPoly(coeffs, "x"))) == 3
+        assert fallbacks.degrees == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(_KERNEL_CASES)
+    def test_every_cell_polynomial_is_square_free(self, case):
+        # inputs with roots of multiplicity up to 3: whatever the certificate
+        # says, every polynomial the Descartes cells see is square-free
+        p = _factored(*case[:4])
+        seen = []
+        real = roots_mod._descartes
+
+        def checking(q):
+            seen.append(q)
+            return real(q)
+
+        roots_mod._descartes = checking
+        roots_mod._decompose.cache_clear()
+        try:
+            ends = sorted(r for r, _ in case[0])
+            for window in ((None, None), (ends[0] - 1, ends[-1])):
+                isolate_real_roots(p, *window)
+        finally:
+            roots_mod._descartes = real
+        assert seen
+        for q in seen:
+            assert len(gcd_poly(q, u_derivative(q))) == 1
