@@ -11,9 +11,10 @@ move the outputs, and say so with it.
 
 - Rotated ellipses: ``[(case_tag, repr(f1))]`` of ``best_rotated_transfer``
   and ``repr(apogee_to_apogee_cost)`` for the benchmark's REF and FLAT_REF
-  cells, ``params_from_angle(0.9, 90)``, ``params_from_angle(0.5, 37)`` and
-  the first drawn round (four cells) of the seed-7 ``rotated-sweep``
-  inputs.
+  cells, ``params_from_angle(0.9, 90)``, ``params_from_angle(0.5, 37)``,
+  ``params_from_angle(0.7, 37)`` (whose case-2b fiber roots tie in the
+  float gate, so the exact residual decides) and the first three drawn
+  rounds (twelve cells) of the seed-7 ``rotated-sweep`` inputs.
 - Fixed endpoints: ``repr(f2)`` of every ``lambert_pp.solve`` solution on
   the first 16 seed-7 ``fixed-endpoint`` inputs.
 
@@ -33,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_outputs.json"
 
 SWEEP_SEED = 7
+SWEEP_ROUNDS = 3
 FIXED_SEED = 7
 FIXED_COUNT = 16
 
@@ -70,9 +72,11 @@ def main() -> None:
         workloads.FLAT_REF,
         rotated_ellipses.params_from_angle(0.9, 90.0),
         rotated_ellipses.params_from_angle(0.5, 37.0),
+        rotated_ellipses.params_from_angle(0.7, 37.0),
     ]
-    # round 0 of the sweep is REF alone; round 1 is the first drawn round
-    rotated += next(islice(workloads.sweep_rounds(SWEEP_SEED), 1, None))
+    # round 0 of the sweep is REF alone; rounds 1, 2, ... are drawn
+    for batch in islice(workloads.sweep_rounds(SWEEP_SEED), 1, 1 + SWEEP_ROUNDS):
+        rotated += batch
     fixed = next(workloads.fixed_rounds(FIXED_SEED))[:FIXED_COUNT]
     golden = {
         "rotated": [rotated_record(inp) for inp in rotated],
