@@ -317,14 +317,20 @@ def critical_eliminant_exact(k0, k1, x1, y1, w0, w1s) -> RatPoly:
     for ``y1 != 0``, ``c0`` vanishes only at ``k0 = k1 = 0``.  Each
     coefficient is one integer over ``d**5``, ``d`` the common denominator.
     """
+    coeffs, d5 = _quartic_integers(k0, k1, x1, y1, w0, w1s)
+    return RatPoly([Fraction(c, d5) for c in coeffs], "l")
+
+
+def _quartic_integers(k0, k1, x1, y1, w0, w1s) -> tuple[list[int], int]:
+    """``([c0, c1, 0, c3, c4], d**5)``: the coefficients of
+    :func:`critical_eliminant_exact`, lowest first, as integers over
+    ``d**5``, ``d`` the common denominator of the parameters."""
     values = [Fraction(v) for v in (k0, k1, x1, y1, w0[0], w0[1], w1s[0], w1s[1])]
     d = math.lcm(*(v.denominator for v in values))
     c0, c1, c3, c4 = _quartic_numerators(
         *(v.numerator * (d // v.denominator) for v in values), d
     )
-    d5 = d**5
-    coeffs = [Fraction(c0, d5), Fraction(c1, d5), Fraction(0), Fraction(c3, d5), Fraction(c4, d5)]
-    return RatPoly(coeffs, "l")
+    return [c0, c1, 0, c3, c4], d**5
 
 
 def _quartic_numerators(K0, K1, X, Y, A0, B0, A1, B1, d):
@@ -399,7 +405,10 @@ def solve_general(
             "endpoint directions are (anti)parallel; use the aligned-case solvers"
         )
 
-    quartic = critical_eliminant(inp)
+    # d^5 times the eliminant: a positive multiple, so the same roots, and
+    # isolation and refinement take integer coefficients as they are
+    coeffs, _ = _quartic_integers(k0, k1, x1, y1, inp.w0.as_tuple(), inp.w1star.as_tuple())
+    quartic = RatPoly(coeffs, "l")
     if quartic.degree() != 4:
         raise ArithmeticError(
             f"critical eliminant has degree {quartic.degree()}, expected 4"

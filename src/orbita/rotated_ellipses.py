@@ -428,19 +428,151 @@ def _sorted_unique(cands: Iterable[RotatedCandidate]) -> list[RotatedCandidate]:
     return out
 
 
-def _rel_residual(poly: MPoly, point: dict[str, float]) -> float:
-    """|poly(point)| divided by the sum of its term magnitudes at the point.
+# --------------------------------------------------------------------------
+# back-substitution on integers: fibers and the residual gate
+# --------------------------------------------------------------------------
+#
+# The symmetric families' polynomials are integer polynomials in three
+# variables, kept as the {packed key: coefficient} dicts of their tables
+# (_table_values).  Back-substitution fixes two of the variables at floats
+# and reads a polynomial in the third, the fiber.  Every finite float is
+# p / 2^k exactly, so a fiber times a power of two has integer
+# coefficients: ring arithmetic on the values at a point (Collins, J. ACM
+# 1971), with no Fraction and no gcd.
 
-    Both the value and the normalizer are evaluated exactly (floats convert
-    to exact rationals), so the ratio is a faithful relative residual even
-    for polynomials with astronomically large integer coefficients.  The
-    gate decides on this ratio; :class:`_ResidualGate` bounds it in floats
-    first and calls this only when the bounds cannot decide.
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """``(p, k)`` with ``x = p / 2^k`` exactly."""
+    p, q = x.as_integer_ratio()
+    return p, q.bit_length() - 1
+
+
+def _dyadic_value(coeffs: Sequence[int], x: float) -> tuple[int, int]:
+    """``(v, s)`` with ``sum_i coeffs[i] x^i = v / 2^s`` on integers, by a
+    homogenised Horner rule over ``x = p / 2^k``."""
+    if not coeffs:
+        return 0, 0
+    p, k = _dyadic(x)
+    top = len(coeffs) - 1
+    acc = 0
+    for i in range(top, -1, -1):
+        acc = acc * p + (coeffs[i] << k * (top - i))
+    return acc, k * top
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """What the back-substitution reads off the monomials of a polynomial
+    in three variables, given as its packed keys (built once per monomial
+    set by :func:`_layout`, on first use, not per input).
+
+    ``exps`` are the exponent triples in key order and ``degrees`` the
+    largest exponent of each variable.  The rest is the float image's
+    shape for :meth:`_ResidualGate.bounds`: per variable, the exponent of
+    each term padded with zeros to ``2^levels`` terms, each term's weight
+    ``d + 1 + levels`` (``d`` its total degree; 0 on the padding), and the
+    largest total degree.
     """
-    value = abs(poly.eval_float(point))
-    mag_terms = MPoly(poly.vars, {k: abs(c) for k, c in poly.terms.items()})
-    scale = mag_terms.eval_float({v: abs(x) for v, x in point.items()})
-    return value / max(scale, 1e-300)
+
+    exps: tuple[tuple[int, int, int], ...]
+    degrees: tuple[int, int, int]
+    index: tuple[np.ndarray, ...]
+    weights: np.ndarray
+    total: int
+
+
+@lru_cache(maxsize=16)
+def _layout(keys: tuple[int, ...]) -> _Layout:
+    exps = tuple(unpack(k, 3) for k in keys)
+    pad = (1 << max(len(exps) - 1, 0).bit_length()) - len(exps)
+    levels = (len(exps) + pad).bit_length() - 1
+    return _Layout(
+        exps=exps,
+        degrees=tuple(max((e[i] for e in exps), default=0) for i in range(3)),
+        index=tuple(np.array([e[i] for e in exps] + [0] * pad, dtype=np.intp) for i in range(3)),
+        weights=np.array([sum(e) + 1 + levels for e in exps] + [0] * pad, dtype=float),
+        total=max((sum(e) for e in exps), default=0),
+    )
+
+
+class _FiberRows:
+    """An integer polynomial in three variables, kept for its fibers in
+    the variable ``free``: ``grid[e][a]`` holds the pairs ``(b, c)`` of
+    its terms ``c free^e u^a v^b``, with ``u`` and ``v`` the other two
+    variables in order.
+
+    :meth:`at` sums the terms at floats ``u = pu / 2^ku``,
+    ``v = pv / 2^kv`` in homogenised form: coefficient ``e`` of the fiber
+    is ``sum c pu^a pv^b 2^(ku (du - a) + kv (dv - b))`` over the terms
+    with that ``e`` (``du``, ``dv`` the degrees in ``u`` and ``v``), by a
+    Horner rule in ``u`` over the powers of ``v`` (:func:`_powers`); that
+    is ``2^(ku du + kv dv)``, a positive integer, times the fiber.  Root isolation and refinement take the
+    primitive part, and the quadratic formula reads only ratios of the
+    coefficients, so they see the same polynomial as on the exact
+    rational fiber.
+    """
+
+    __slots__ = ("grid", "degrees")
+
+    def __init__(self, terms: dict[int, int], free: int) -> None:
+        layout = _layout(tuple(terms))
+        u, v = (i for i in range(3) if i != free)
+        self.degrees = tuple(layout.degrees[i] for i in (free, u, v))
+        top, du, _ = self.degrees
+        grid: list[list[list[tuple[int, int]]]] = [
+            [[] for _ in range(du + 1)] for _ in range(top + 1)
+        ]
+        for e, c in zip(layout.exps, terms.values()):
+            grid[e[free]][e[u]].append((e[v], c))
+        self.grid = grid
+
+    def at(self, u: float, v: float, magnitudes: bool = False) -> tuple[list[int], list[int], int]:
+        """The fiber at ``(u, v)`` times ``2^s`` (integer coefficients,
+        lowest first), with ``magnitudes`` also the same fiber of the term
+        magnitudes ``|c| |u|^a |v|^b`` (else ``[]``), and ``s``."""
+        _, du, dv = self.degrees
+        pu, ku = _dyadic(u)
+        apu = abs(pu)
+        pv = _powers(v, dv)
+        values: list[int] = []
+        mags: list[int] = []
+        for by_a in self.grid:
+            acc = mag = 0
+            for a in range(du, -1, -1):
+                acc *= pu
+                mag *= apu
+                if by_a[a]:
+                    inner = inner_mag = 0
+                    for b, c in by_a[a]:
+                        term = c * pv[b]
+                        inner += term
+                        if magnitudes:
+                            inner_mag += abs(term)
+                    acc += inner << ku * (du - a)
+                    mag += inner_mag << ku * (du - a)
+            values.append(acc)
+            mags.append(mag)
+        return values, mags if magnitudes else [], ku * du + _dyadic(v)[1] * dv
+
+
+def _rel_residual(fiber: tuple[list[int], list[int], int], z: float) -> float:
+    """``|V| / S`` at ``z``, for ``fiber`` from :meth:`_ResidualGate.fiber`:
+    the gate polynomial's value ``V`` divided by the sum ``S`` of its term
+    magnitudes, at the point whose two fixed coordinates made the fiber
+    and whose free one is ``z``.
+
+    Both are exact integers over one power of two, ``2^s``, so ``|V|`` and
+    ``S`` are each rounded once (int / int true division is correctly
+    rounded) and then divided: the float a rational evaluation of ``V``
+    and ``S`` would give, even for coefficients far beyond float range.
+    The gate decides on this ratio; :class:`_ResidualGate` bounds it in
+    floats first and calls this only when the bounds cannot decide.
+    """
+    values, magnitudes, shift = fiber
+    value, s = _dyadic_value(values, z)
+    scale, _ = _dyadic_value(magnitudes, abs(z))
+    den = 1 << (shift + s)
+    return abs(value) / den / max(scale / den, 1e-300)
 
 
 # the unit roundoff 2^-53, raised by a margin far above the 1 + O(2^-53)
@@ -450,7 +582,8 @@ _FLOAT_EXPONENT_ROOM = 1000  # powers of two kept away from under- and overflow
 
 
 class _ResidualGate:
-    """An integer polynomial with its float image, for the residual gate.
+    """An integer polynomial in three variables with its float image, for
+    the residual gate at points ``(x, y, z)`` in its variable order.
 
     :meth:`bounds` evaluates every term ``c x^a y^b z^c`` in floats, with
     the powers from tables built by repeated multiplication, so the term
@@ -464,64 +597,63 @@ class _ResidualGate:
     and Stability of Numerical Algorithms*, 2002, sections 3.1 and 4.2).
     That holds when no partial product leaves the normal float range,
     which :meth:`bounds` checks from the exponents of the point and of the
-    largest coefficient; outside it, or with a coefficient that is no
-    integer, it returns ``(0, inf)``.
+    largest coefficient; outside it it returns ``(0, inf)``.
+
+    The exact ratio ``|V| / S`` (:func:`_rel_residual`) is read from the
+    fibers in the variable ``free`` (:class:`_FiberRows`) of the
+    polynomial and of its term magnitudes, so fiber roots that share the
+    other two coordinates share one fiber.
     """
 
-    __slots__ = ("poly", "coeffs", "exps", "weights", "degrees", "total", "top_bits")
+    __slots__ = ("layout", "free", "coeffs", "top_bits", "rows")
 
-    def __init__(self, poly: MPoly) -> None:
-        self.poly = poly
-        n = len(poly.vars)
-        values = list(poly.terms.values())
-        exps = [unpack(k, n) for k in poly.terms]
-        pad = (1 << max(len(exps) - 1, 0).bit_length()) - len(exps)
-        levels = (len(exps) + pad).bit_length() - 1
-        self.exps = tuple(np.array([e[i] for e in exps] + [0] * pad, dtype=np.intp) for i in range(n))
-        self.weights = np.array([sum(e) + 1 + levels for e in exps] + [0] * pad, dtype=float)
-        self.degrees = tuple(max((e[i] for e in exps), default=0) for i in range(n))
-        self.total = max((sum(e) for e in exps), default=0)
+    def __init__(self, terms: dict[int, int], free: int) -> None:
+        self.layout = _layout(tuple(terms))
+        self.free = free
+        values = list(terms.values())
         self.top_bits = max((abs(c).bit_length() for c in values), default=0)
         # integers, so every nonzero |c| >= 1, and small enough to leave
         # exponent room for the products
-        if all(isinstance(c, int) for c in values) and self.top_bits <= _FLOAT_EXPONENT_ROOM:
+        if self.top_bits <= _FLOAT_EXPONENT_ROOM:
+            pad = len(self.layout.weights) - len(values)
             self.coeffs = np.array([float(c) for c in values] + [0.0] * pad)
         else:
             self.coeffs = None
+        self.rows = _FiberRows(terms, free)
 
-    def bounds(self, point: dict[str, float]) -> tuple[float, float]:
-        """Floats ``lo <= _rel_residual(self.poly, point) <= hi``.
+    def bounds(self, point: tuple[float, float, float]) -> tuple[float, float]:
+        """Floats ``lo <= |V| / S <= hi`` at ``point``.
 
-        ``_rel_residual`` rounds the exact ``|V|`` and ``S`` once each and
-        divides, all monotone in ``|V|`` and ``S``, so float bounds on
+        :func:`_rel_residual` rounds the exact ``|V|`` and ``S`` once each
+        and divides, all monotone in ``|V|`` and ``S``, so float bounds on
         ``|V|`` and ``S``, each rounded outward by one ``nextafter``, bound
         its result.
         """
         if self.coeffs is None:
             return 0.0, math.inf
-        values = [point[v] for v in self.poly.vars]
+        layout = self.layout
         low = high = 0
-        for x in values:
+        for x in point:
             if not math.isfinite(x):
                 return 0.0, math.inf
             if x:
                 e = math.frexp(x)[1]
                 low, high = min(low, e - 1), max(high, e)
         if (
-            low * self.total < -_FLOAT_EXPONENT_ROOM
-            or high * self.total + self.top_bits + len(self.coeffs).bit_length()
+            low * layout.total < -_FLOAT_EXPONENT_ROOM
+            or high * layout.total + self.top_bits + len(self.coeffs).bit_length()
             > _FLOAT_EXPONENT_ROOM
         ):
             return 0.0, math.inf
         terms = self.coeffs
-        for x, deg, e in zip(values, self.degrees, self.exps):
+        for x, deg, e in zip(point, layout.degrees, layout.index):
             if deg:
                 table = [1.0, x]
                 for _ in range(deg - 1):
                     table.append(table[-1] * x)
                 terms = terms * np.array(table)[e]
         mags = np.abs(terms)
-        err = _ERROR_SCALE * float(self.weights @ mags)
+        err = _ERROR_SCALE * float(layout.weights @ mags)
         pair = np.stack((terms, mags))
         while pair.shape[1] > 1:
             pair = pair[:, 0::2] + pair[:, 1::2]
@@ -532,15 +664,24 @@ class _ResidualGate:
         s_hi = math.nextafter(scale + err, math.inf)
         return v_lo / max(s_hi, 1e-300), v_hi / max(s_lo, 1e-300)
 
-    def exceeds(self, point: dict[str, float], bounds: tuple[float, float] | None = None) -> bool:
-        """``_rel_residual(self.poly, point) > _GATE_TOL``, from the float
-        bounds when they decide it, else exactly."""
+    def fiber(self, u: float, v: float) -> tuple[list[int], list[int], int]:
+        """The fibers in ``free`` at the other two coordinates ``(u, v)``,
+        of the polynomial and of its term magnitudes, both times ``2^s``,
+        and ``s``: the argument of :func:`_rel_residual`."""
+        return self.rows.at(u, v, magnitudes=True)
+
+    def exceeds(
+        self, point: tuple[float, float, float], bounds: tuple[float, float] | None = None
+    ) -> bool:
+        """``|V| / S > _GATE_TOL`` at ``point``, from the float bounds when
+        they decide it, else exactly."""
         lo, hi = self.bounds(point) if bounds is None else bounds
         if lo > _GATE_TOL:
             return True
         if hi <= _GATE_TOL:
             return False
-        return _rel_residual(self.poly, point) > _GATE_TOL
+        u, v = (x for i, x in enumerate(point) if i != self.free)
+        return _rel_residual(self.fiber(u, v), point[self.free]) > _GATE_TOL
 
 
 # --------------------------------------------------------------------------
@@ -651,8 +792,9 @@ def case2a_axis_solutions(inp: RotatedInput) -> list[RotatedCandidate]:
 
 def _powers(q, top: int) -> list[int]:
     """``n^j d^(top - j)`` for ``j = 0..top``, with ``q = n/d`` in lowest
-    terms: a table term ``c q^j`` times ``d^top`` is ``c`` times entry ``j``."""
-    n, d = q.numerator, q.denominator
+    terms (a ``Fraction`` or a float): a term ``c q^j`` times ``d^top`` is
+    ``c`` times entry ``j``."""
+    n, d = q.as_integer_ratio()
     return [n**j * d ** (top - j) for j in range(top + 1)]
 
 
@@ -776,11 +918,11 @@ class _MirrorPipeline:
     """Exact elimination data for the mirror-symmetric family, per input."""
 
     # the pair, primitive integer polynomials in (l, x0, y0) of degree 4 in
-    # l from the tables MIRROR_STAT_L and MIRROR_STAT_T, shared by the
-    # fiber and the residual gate
-    stat_l: MPoly  # d(cost)/dl
-    stat_t: MPoly  # tangential derivative along the burn circle
-    stat_t_gate: _ResidualGate  # stat_t with its float image
+    # l from the tables MIRROR_STAT_L and MIRROR_STAT_T: stat_l = d(cost)/dl
+    # as rows for its fibers in l at (x0, y0), and the residual gate on
+    # stat_t, the tangential derivative along the burn circle
+    stat_l_rows: _FiberRows
+    stat_t_gate: _ResidualGate
     # the degree-20 primitive integer eliminant core in y0, from MIRROR_CORE
     core: RatPoly
     # E and O of Res_l(stat_l, stat_t) = E + x0 O on the burn circle, from
@@ -794,14 +936,13 @@ class _MirrorPipeline:
 @lru_cache(maxsize=64)
 def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
     stat_l, stat_t = (
-        MPoly(_MIRROR_VARS, _table_values(name, s0x, s0y))
-        for name in ("MIRROR_STAT_L", "MIRROR_STAT_T")
+        _table_values(name, s0x, s0y) for name in ("MIRROR_STAT_L", "MIRROR_STAT_T")
     )
     # stat_l and stat_t are kappa_l and kappa_t times the table pair at
     # (s0x, s0y), whose l-leading coefficients are free of s0x and s0y, so
     # Res_l specializes exactly (Collins, J. ACM 1971) and, being of degree
     # 4 in the coefficients of each, scales by (kappa_l kappa_t)^4
-    kappa = stat_l.terms[_MIRROR_LEADS[0]] * stat_t.terms[_MIRROR_LEADS[1]]
+    kappa = stat_l[_MIRROR_LEADS[0]] * stat_t[_MIRROR_LEADS[1]]
     even, odd = (
         _dense(_table_values(name, s0x, s0y, kappa**4))
         for name in ("MIRROR_EVEN", "MIRROR_ODD")
@@ -822,9 +963,8 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
     )
 
     return _MirrorPipeline(
-        stat_l=stat_l,
-        stat_t=stat_t,
-        stat_t_gate=_ResidualGate(stat_t),
+        stat_l_rows=_FiberRows(stat_l, 0),
+        stat_t_gate=_ResidualGate(stat_t, 0),
         core=core,
         even_part=even,
         odd_part=odd,
@@ -843,8 +983,7 @@ def _mirror_backsub(
         return []  # burn on the y axis: covered by the closed form
 
     def from_x0(x0v: float) -> list[RotatedCandidate]:
-        yQ, xQ = Fraction(y0r), Fraction(x0v)
-        fiber = pipe.stat_l.subs("x0", xQ).subs("y0", yQ).to_ratpoly("l")
+        fiber = RatPoly(pipe.stat_l_rows.at(x0v, y0r)[0], "l")
         if fiber.is_zero():
             return []
         found: list[RotatedCandidate] = []
@@ -852,8 +991,7 @@ def _mirror_backsub(
             lv = refine_root(fiber, iv)
             if abs(lv) < 1e-9:
                 continue
-            point = {"l": lv, "x0": x0v, "y0": y0r}
-            if pipe.stat_t_gate.exceeds(point):
+            if pipe.stat_t_gate.exceeds((lv, x0v, y0r)):
                 continue  # fiber root not paired with this y0 root
             s1y = (1.0 + x0v * s0yf - y0r * s0xf - lv * lv) / (lv * x0v)
             try:
@@ -882,11 +1020,13 @@ def _mirror_backsub(
 
     mag = math.sqrt(xx)
     if not pipe.odd_part.is_zero():
-        num = pipe.even_part.eval_q(Fraction(y0r))
-        den = pipe.odd_part.eval_q(Fraction(y0r))
+        # x0 = -E/O at y0r, both over powers of two: one correctly rounded
+        # int / int division gives the float of the exact ratio
+        num, s_num = _dyadic_value(pipe.even_part.coeffs, y0r)
+        den, s_den = _dyadic_value(pipe.odd_part.coeffs, y0r)
         if den != 0:
-            ratio = -num / den
-            x0v = float(ratio)
+            num, den = -num << s_den, den << s_num
+            x0v = (num if den > 0 else -num) / abs(den)
             if abs(x0v) <= 1.0 + 1e-6 and abs(x0v) > 1e-9:
                 got = from_x0(math.copysign(mag, x0v))
                 if got:
@@ -943,11 +1083,12 @@ class _AntipodalPipeline:
     """Exact elimination data for the antipodal family, per input."""
 
     # the pair as _antipodal_pair returns it, primitive integer
-    # polynomials in (l, x0, s1y), shared by the guard nodes, the fiber
-    # and the residual gate
-    d_first: MPoly  # squared-gap balance, degree 2 in s1y
-    d_second: MPoly  # tangential balance, degree 5 in s1y
-    d_second_gate: _ResidualGate  # d_second with its float image
+    # polynomials in (l, x0, s1y), read by the guard nodes: d_first, the
+    # squared-gap balance of degree 2 in s1y, as rows for its fibers in
+    # s1y at (l, x0), and the residual gate on d_second, the tangential
+    # balance of degree 5 in s1y
+    d_first_rows: _FiberRows
+    d_second_gate: _ResidualGate
     # (factor, multiplicity) from _antipodal_factors, q2 first: h(l) =
     # H(l, r(l)) is a constant times l^11 (l-1)^10 (l+1)^10 times their
     # product, certified once (CERT_antipodal.json), guarded per input at
@@ -994,11 +1135,20 @@ _X0_LOW = 7
 
 def _node_rows(p: MPoly, elim: str, ring: str, node: str) -> list[list[list[int]]]:
     """``rows[j][k]``: the integer coefficients, lowest first, of the
-    polynomial in ``node`` multiplying ``elim^j ring^k`` in ``p``."""
-    return [
-        [cx.to_ratpoly(node).coeffs for cx in cs.coeffs_in(ring)]
-        for cs in p.coeffs_in(elim)
-    ]
+    polynomial in ``node`` multiplying ``elim^j ring^k`` in ``p``, an
+    integer polynomial in three variables, summed from the exponents of
+    its terms (:func:`_layout`).  Each list ends at its last nonzero entry;
+    a zero coefficient is ``[]``."""
+    i, k, n = (p.vars.index(v) for v in (elim, ring, node))
+    nested: dict[int, dict[int, dict[int, int]]] = {}
+    for e, c in zip(_layout(tuple(p.terms)).exps, p.terms.values()):
+        nested.setdefault(e[i], {}).setdefault(e[k], {})[e[n]] = c
+    rows = []
+    for j in range(max(nested, default=-1) + 1):
+        by_ring = nested.get(j, {})
+        cells = (by_ring.get(r, {}) for r in range(max(by_ring, default=-1) + 1))
+        rows.append([[cs.get(m, 0) for m in range(max(cs, default=-1) + 1)] for cs in cells])
+    return rows
 
 
 def _ring_coeffs(rows: list[list[list[int]]], c: int, n: int, d: int) -> list[QuadPair] | None:
@@ -1157,9 +1307,8 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     _guard_antipodal(first, second, s0x, _ANTIPODAL_UNITS + factors)
     degree_core = sum(factor.degree() * mult for factor, mult in factors)
     return _AntipodalPipeline(
-        d_first=first,
-        d_second=second,
-        d_second_gate=_ResidualGate(second),
+        d_first_rows=_FiberRows(first.terms, 2),
+        d_second_gate=_ResidualGate(second.terms, 2),
         factors=factors,
         degree_full=degree_core + sum(unit.degree() * mult for unit, mult in _ANTIPODAL_UNITS),
         degree_core=degree_core,
@@ -1167,9 +1316,27 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
 
 
 def _quadratic_real_roots(coeffs: Sequence[object]) -> list[float]:
-    """Real roots of an exact-coefficient polynomial of degree <= 2."""
+    """Real roots of an exact-coefficient polynomial of degree <= 2.
+
+    On integers, ``b = c1/c2`` and the discriminant
+    ``(c1^2 - 4 c0 c2)/c2^2`` are int / int true divisions, correctly
+    rounded, so they are the floats of the exact rationals with no
+    ``Fraction`` built; the leading coefficient is made positive first, so
+    a zero ratio is ``0.0``, never ``-0.0``.
+    """
     cs = list(coeffs) + [0] * (3 - len(coeffs))
     c0, c1, c2 = cs[0], cs[1], cs[2]
+    if all(type(c) is int for c in (c0, c1, c2)):
+        if c2 < 0 or (c2 == 0 and c1 < 0):
+            c0, c1, c2 = -c0, -c1, -c2
+        if c2 == 0:
+            return [-c0 / c1] if c1 else []
+        disc = (c1 * c1 - 4 * c0 * c2) / (c2 * c2)
+        if disc < 0:
+            return []
+        root = math.sqrt(disc)
+        bf = c1 / c2
+        return [(-bf - root) / 2.0, (-bf + root) / 2.0]
     if c2 == 0:
         if c1 == 0:
             return []
@@ -1235,8 +1402,7 @@ def _antipodal_backsub(
     out: list[RotatedCandidate] = []
     for sign in (1.0, -1.0):
         x0v = sign * mag
-        fiber = pipe.d_first.subs("l", Fraction(lv)).subs("x0", Fraction(x0v)).to_ratpoly("s1y")
-        roots = _quadratic_real_roots(fiber.coeffs)
+        roots = _quadratic_real_roots(pipe.d_first_rows.at(lv, x0v)[0])
         if not roots:
             continue
         # only the fiber root with the smaller residual continues the
@@ -1245,15 +1411,16 @@ def _antipodal_backsub(
         # magnitude, but both can sit below float rounding (the float bounds
         # overlap in 40 of the 108 pairs met on REF and the first 16
         # seed-7 rotated-sweep inputs), so the float bounds order the pair
-        # only when they are disjoint
+        # only when they are disjoint; otherwise both residuals are taken
+        # exactly on one fiber of d_second at (l, x0)
         gate = pipe.d_second_gate
-        points = [{"l": lv, "x0": x0v, "s1y": s1yv} for s1yv in roots]
+        points = [(lv, x0v, s1yv) for s1yv in roots]
         bounds = [gate.bounds(point) for point in points]
         if len(roots) == 2 and bounds[0][0] <= bounds[1][1] and bounds[1][0] <= bounds[0][1]:
+            fiber = gate.fiber(lv, x0v)
             # min keeps the first on an exact tie: the smaller root
             rel, s1yv = min(
-                ((_rel_residual(gate.poly, point), s1yv) for point, s1yv in zip(points, roots)),
-                key=lambda t: t[0],
+                ((_rel_residual(fiber, s1yv), s1yv) for s1yv in roots), key=lambda t: t[0]
             )
             if rel > _GATE_TOL:
                 continue

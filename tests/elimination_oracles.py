@@ -15,10 +15,18 @@ oracles:
 - ``built_antipodal_equations``: ``first``, ``second`` and ``t0`` built by
   ``MPoly`` products over the rationals, with two exact divisions, and
   ``table_antipodal_equations``, the same four with the pair and ``t0``
-  read from the tables.
+  read from the tables; ``table_mirror_pair``, the mirror pair read from
+  the tables as an ``MPoly``;
+- ``subs_fiber`` and ``rel_residual``: a polynomial's fiber in one
+  variable and its relative residual ``|V| / S`` at a point, by
+  ``MPoly.subs`` and ``MPoly.eval_float`` on exact rationals, against
+  which the solver's integer fibers (``_FiberRows``) and exact gate
+  (``_rel_residual``) are checked.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from orbita.poly_kernel import (
     DegenerateInput,
@@ -30,6 +38,7 @@ from orbita.poly_kernel import (
 )
 from orbita.rotated_ellipses import (
     _ANTIPODAL_VARS,
+    _MIRROR_VARS,
     PipelineDegreeMismatch,
     _antipodal_pair,
     _node_rows,
@@ -153,6 +162,35 @@ def built_mirror_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
         x0 * x0 * cost_num.partial("y0") - y0 * (x0 * cost_num.partial("x0") - 2 * cost_num)
     ).primitive()
     return stat_l, stat_t
+
+
+def table_mirror_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
+    """``(stat_l, stat_t)`` as the solver reads them: the tables
+    ``MIRROR_STAT_L`` and ``MIRROR_STAT_T`` at ``(s0x, s0y)``, primitive
+    integer polynomials in ``(l, x0, y0)``."""
+    return tuple(
+        MPoly(_MIRROR_VARS, _table_values(name, s0x, s0y))
+        for name in ("MIRROR_STAT_L", "MIRROR_STAT_T")
+    )
+
+
+def subs_fiber(poly: MPoly, free: str, point: dict[str, float]) -> RatPoly:
+    """The fiber of ``poly`` in ``free`` at the other coordinates of
+    ``point``, by ``MPoly.subs`` of exact rationals (floats convert
+    exactly)."""
+    for v in poly.vars:
+        if v != free:
+            poly = poly.subs(v, Fraction(point[v]))
+    return poly.to_ratpoly(free)
+
+
+def rel_residual(poly: MPoly, point: dict[str, float]) -> float:
+    """``|poly(point)|`` divided by the sum of its term magnitudes at the
+    point, each evaluated exactly and rounded once, then divided."""
+    value = abs(poly.eval_float(point))
+    mag_terms = MPoly(poly.vars, {k: abs(c) for k, c in poly.terms.items()})
+    scale = mag_terms.eval_float({v: abs(x) for v, x in point.items()})
+    return value / max(scale, 1e-300)
 
 
 def built_antipodal_equations(s0x, s0y):

@@ -34,7 +34,7 @@ from orbita.poly_kernel import (
     strip_known_factors,
     sylvester_resultant,
 )
-from orbita.poly_kernel.dense import primitive, squarefree_part
+from orbita.poly_kernel.dense import primitive, squarefree_part, u_trim
 from orbita.poly_kernel.mpoly import pack
 from orbita.rotated_ellipses import (
     SWEEP_COLUMNS,
@@ -312,7 +312,7 @@ class TestMirrorGeneral:
         # burn circle with the pair resultant equals E^2 - u O^2 from the
         # pipeline's parity parts, up to the pair's cleared denominators
         pipe = rotated_ellipses._mirror_pipeline(inp.s0x, inp.s0y)
-        pair = sylvester_resultant(pipe.stat_l, pipe.stat_t, "l")
+        pair = sylvester_resultant(*elimination_oracles.table_mirror_pair(inp.s0x, inp.s0y), "l")
         x0, y0 = (MPoly.variable(v, pair.vars) for v in ("x0", "y0"))
         circle = x0 * x0 + y0 * y0 - 1
         generic = sylvester_resultant(circle, pair, "x0").to_ratpoly("y0")
@@ -338,7 +338,7 @@ class TestMirrorGeneral:
         # the symbolic route, kept as an oracle: the pair resultant over
         # Z[x0, y0], split by parity in x0 and reduced on the burn circle
         pipe = rotated_ellipses._mirror_pipeline(inp.s0x, inp.s0y)
-        pair = sylvester_resultant(pipe.stat_l, pipe.stat_t, "l")
+        pair = sylvester_resultant(*elimination_oracles.table_mirror_pair(inp.s0x, inp.s0y), "l")
         u = RatPoly([1, 0, -1], "y0")
         coeffs = [c.to_ratpoly("y0") for c in pair.coeffs_in("x0")]
         even = odd = RatPoly([], "y0")
@@ -357,14 +357,14 @@ class TestMirrorGeneral:
             v = elimination_oracles.mirror_node_value(l_rows, t_rows, c)
             return v + QuadPair(*bump, v.m) if c == 5 else v
 
-        pipe = rotated_ellipses._mirror_pipeline(REF.s0x, REF.s0y)
+        pair = elimination_oracles.table_mirror_pair(REF.s0x, REF.s0y)
         with pytest.raises(PipelineDegreeMismatch, match="spare node"):
-            elimination_oracles.ring_mirror_parts(pipe.stat_l, pipe.stat_t, perturbed)
+            elimination_oracles.ring_mirror_parts(*pair, perturbed)
 
     def test_node_value_skips_the_non_domain_nodes(self):
         # X^2 = 1 - c^2 is 1 or 0 at c = 0, +-1: zero divisors in the ring
-        pipe = rotated_ellipses._mirror_pipeline(REF.s0x, REF.s0y)
-        rows = [rotated_ellipses._node_rows(p, "l", "x0", "y0") for p in (pipe.stat_l, pipe.stat_t)]
+        pair = elimination_oracles.table_mirror_pair(REF.s0x, REF.s0y)
+        rows = [rotated_ellipses._node_rows(p, "l", "x0", "y0") for p in pair]
         for c in (0, 1, -1):
             assert elimination_oracles.mirror_node_value(*rows, c) is None
         assert elimination_oracles.mirror_node_value(*rows, 2) is not None
@@ -1289,6 +1289,21 @@ class TestAntipodalNodeRing:
             poly = antipodal_certificate._antipodal_node_value_poly(first, second, radius, top, c)
             assert ring == poly, c
 
+    def test_node_rows_equal_the_coefficient_route(self):
+        # the rows summed from the term exponents against coeffs_in then
+        # to_ratpoly, on the pairs and on sparse ones with gaps
+        first, second = rotated_ellipses._antipodal_pair(BIG.s0x, BIG.s0y)
+        s1y, x0 = (MPoly.variable(v, first.vars) for v in ("s1y", "x0"))
+        mirror = elimination_oracles.table_mirror_pair(BIG.s0x, BIG.s0y)
+        cases = [(p, ("s1y", "x0", "l")) for p in (first, second, s1y**3 * x0 + 5, x0**2)]
+        cases += [(p, ("l", "x0", "y0")) for p in mirror]
+        for p, (elim, ring, node) in cases:
+            want = [
+                [cx.to_ratpoly(node).coeffs for cx in cs.coeffs_in(ring)]
+                for cs in p.coeffs_in(elim)
+            ]
+            assert rotated_ellipses._node_rows(p, elim, ring, node) == want
+
     def test_ring_route_rejects_even_part(self):
         # a factor x0 + 2 in second breaks the x0-parity of Res_s1y at
         # every node; the ring value shows it as a nonzero even part E
@@ -1624,18 +1639,19 @@ class TestEliminationTables:
         ) == elimination_oracles.built_antipodal_equations(s0x, s0y)
         # the mirror pair: the MPoly build's terms, integer coefficients
         pipe = rotated_ellipses._mirror_pipeline.__wrapped__(s0x, s0y)
+        stat_l, stat_t = elimination_oracles.table_mirror_pair(s0x, s0y)
         built = elimination_oracles.built_mirror_pair(s0x, s0y)
-        for got, want in zip((pipe.stat_l, pipe.stat_t), built):
+        for got, want in zip((stat_l, stat_t), built):
             assert got.vars == want.vars and got.terms == want.terms
             assert all(type(c) is int for c in got.terms.values())
         # E and O: the ring route's parts, and (kappa_l kappa_t)^4 times the
         # tables evaluated in Fraction arithmetic
-        even, odd = elimination_oracles.ring_mirror_parts(pipe.stat_l, pipe.stat_t)
+        even, odd = elimination_oracles.ring_mirror_parts(stat_l, stat_t)
         assert (pipe.even_part, pipe.odd_part) == (even, odd)
         # kappa_l and kappa_t: the scales of the l-leading coefficients
         # against the table pair's 1 - x0^2 and y0
-        x0, y0 = (MPoly.variable(v, pipe.stat_l.vars) for v in ("x0", "y0"))
-        lead_l, lead_t = (p.coeffs_in("l")[4] for p in (pipe.stat_l, pipe.stat_t))
+        x0, y0 = (MPoly.variable(v, stat_l.vars) for v in ("x0", "y0"))
+        lead_l, lead_t = (p.coeffs_in("l")[4] for p in (stat_l, stat_t))
         kappa_l, kappa_t = lead_l.terms[0], lead_t.terms[pack((0, 0, 1))]
         assert lead_l == kappa_l * (1 - x0 * x0) and lead_t == kappa_t * y0
         kappa = kappa_l * kappa_t
@@ -1740,23 +1756,47 @@ class TestSweep:
 
 
 # --------------------------------------------------------------------------
-# float-first residual gate
+# float-first residual gate and integer fibers
 # --------------------------------------------------------------------------
 
 
-def _count_exact_residuals(monkeypatch) -> list:
-    """Route ``_rel_residual`` through a recorder; returns the call list."""
+def _recorded_exact_residuals(monkeypatch) -> list:
+    """Route the exact gate, ``_ResidualGate.fiber`` then ``_rel_residual``,
+    through a recorder; returns the list of ``(gate, point, ratio)`` per
+    exact residual, the point in the gate's variable order."""
     calls = []
-    real = rotated_ellipses._rel_residual
+    made = {}
+    fiber, real = rotated_ellipses._ResidualGate.fiber, rotated_ellipses._rel_residual
 
-    def counting(poly, point):
-        calls.append(point)
-        return real(poly, point)
+    def recording_fiber(self, u, v):
+        out = fiber(self, u, v)
+        made[id(out)] = (out, self, u, v)
+        return out
 
-    monkeypatch.setattr(rotated_ellipses, "_rel_residual", counting)
+    def recording(f, z):
+        _, gate, u, v = made[id(f)]
+        point = [u, v]
+        point.insert(gate.free, z)
+        ratio = real(f, z)
+        calls.append((gate, tuple(point), ratio))
+        return ratio
+
+    monkeypatch.setattr(rotated_ellipses._ResidualGate, "fiber", recording_fiber)
+    monkeypatch.setattr(rotated_ellipses, "_rel_residual", recording)
     return calls
 
 
+def _exact_ratio(gate, point) -> float:
+    """The gate's exact ``|V| / S`` at ``point``, from its fiber."""
+    u, v = (x for i, x in enumerate(point) if i != gate.free)
+    return rotated_ellipses._rel_residual(gate.fiber(u, v), point[gate.free])
+
+
+def _gate(poly: MPoly, free: str):
+    return rotated_ellipses._ResidualGate(poly.terms, poly.vars.index(free))
+
+
+XYZ = ("x", "y", "z")
 E07 = params_from_angle(0.7, 37)
 # a case-2b root of E07 whose two fiber roots both have residuals at
 # rounding level, so their float bounds overlap
@@ -1764,68 +1804,123 @@ E07_TIED_L = -0.9939073577389373
 
 
 class TestResidualGate:
-    """The gate bounds ``_rel_residual`` in floats and evaluates it exactly
-    only when the bounds cannot decide the gate or the fiber-root order."""
+    """The gate bounds the exact relative residual in floats and evaluates
+    it exactly, on integer fibers, only when the bounds cannot decide the
+    gate or the fiber-root order.  The oracle is ``rel_residual`` of
+    ``elimination_oracles``: the same ratio by ``MPoly`` evaluation on
+    exact rationals."""
 
     @pytest.fixture(scope="class")
     def gates(self):
+        # (gate, the polynomial as an MPoly)
         return (
-            rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y).d_second_gate,
-            rotated_ellipses._mirror_pipeline(E07.s0x, E07.s0y).stat_t_gate,
+            (
+                rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y).d_second_gate,
+                rotated_ellipses._antipodal_pair(E07.s0x, E07.s0y)[1],
+            ),
+            (
+                rotated_ellipses._mirror_pipeline(E07.s0x, E07.s0y).stat_t_gate,
+                elimination_oracles.table_mirror_pair(E07.s0x, E07.s0y)[1],
+            ),
         )
 
     def test_bounds_contain_the_exact_ratio_at_random_points(self, gates):
         rng = random.Random(1717)
-        for gate in gates:
+        for gate, poly in gates:
             for _ in range(60):
-                point = {
-                    v: rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-3, 1) for v in gate.poly.vars
-                }
+                point = tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-3, 1) for _ in range(3))
+                want = elimination_oracles.rel_residual(poly, dict(zip(poly.vars, point)))
+                assert repr(_exact_ratio(gate, point)) == repr(want)
                 lo, hi = gate.bounds(point)
-                assert lo <= rotated_ellipses._rel_residual(gate.poly, point) <= hi
+                assert lo <= want <= hi
                 assert hi - lo < 1e-13
 
     def test_bounds_contain_the_exact_ratio_at_the_candidates(self, gates):
         # the candidates are near-roots: heavy cancellation in the value
-        d_second, stat_t = gates
+        (d_second, second), (stat_t, stat_t_poly) = gates
         points = [
-            (d_second, {"l": c.l1z, "x0": c.burn0.x, "s1y": c.s1y})
+            (d_second, second, (c.l1z, c.burn0.x, c.s1y))
             for c in case2b_solutions(E07)
             if c.case_tag == "case2b_general"
         ] + [
-            (stat_t, {"l": c.l1z, "x0": c.burn0.x, "y0": c.burn0.y})
+            (stat_t, stat_t_poly, (c.l1z, c.burn0.x, c.burn0.y))
             for c in case2a_general(E07)
         ]
         assert len(points) >= 4
-        for gate, point in points:
+        for gate, poly, point in points:
+            want = elimination_oracles.rel_residual(poly, dict(zip(poly.vars, point)))
+            assert repr(_exact_ratio(gate, point)) == repr(want)
             lo, hi = gate.bounds(point)
-            assert lo <= rotated_ellipses._rel_residual(gate.poly, point) <= hi
+            assert lo <= want <= hi
             assert hi <= rotated_ellipses._GATE_TOL
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        point=st.tuples(
+            *[
+                st.floats(min_value=-(2.0**500), max_value=2.0**500, allow_nan=False)
+                | st.sampled_from([0.0, -1.0, 2.0**-500, -(2.0**-500) * 3, 2.0**500])
+            ]
+            * 3
+        )
+    )
+    def test_exact_ratio_equals_the_rational_route(self, gates, point):
+        # also where the float bounds give up, near 2^+-500, and where |V|
+        # or S has no float image: both routes then raise OverflowError
+        def outcome(ratio) -> str:
+            try:
+                return repr(ratio())
+            except OverflowError:
+                return "OverflowError"
+
+        for gate, poly in gates:
+            want = outcome(
+                lambda: elimination_oracles.rel_residual(poly, dict(zip(poly.vars, point)))
+            )
+            assert outcome(lambda: _exact_ratio(gate, point)) == want
+
+    @pytest.mark.parametrize(
+        "inp", [E07, params_from_angle(0.5, 37)], ids=["e0.7-a37", "e0.5-a37"]
+    )
+    def test_tied_pairs_take_the_rational_ratio(self, monkeypatch, inp):
+        # every fiber pair whose float bounds overlap is ordered by the
+        # exact ratio, bit for bit the one MPoly evaluation gives (REF has
+        # no such pair: its float bounds order every fiber pair)
+        pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+        second = rotated_ellipses._antipodal_pair(inp.s0x, inp.s0y)[1]
+        calls = _recorded_exact_residuals(monkeypatch)
+        for lv in rotated_ellipses._antipodal_roots(pipe, inp.s0x):
+            rotated_ellipses._antipodal_backsub(inp, pipe, lv)
+        assert len(calls) >= 2
+        for _, point, ratio in calls:
+            want = elimination_oracles.rel_residual(second, dict(zip(second.vars, point)))
+            assert repr(ratio) == repr(want)
+
     def test_decided_points_take_no_exact_route(self, gates, monkeypatch):
-        calls = _count_exact_residuals(monkeypatch)
-        d_second, _ = gates
-        assert d_second.exceeds({"l": 0.5, "x0": 0.3, "s1y": 0.2})
-        assert not d_second.exceeds({"l": 0.0, "x0": 0.0, "s1y": 0.0})
+        calls = _recorded_exact_residuals(monkeypatch)
+        (d_second, _), _ = gates
+        assert d_second.exceeds((0.5, 0.3, 0.2))
+        assert not d_second.exceeds((0.0, 0.0, 0.0))
         assert calls == []
 
     def test_straddling_point_takes_the_exact_route(self, monkeypatch):
         # (x - 1)/(x + 1) is the tolerance at x = (1 + tol)/(1 - tol); one
         # of the floats around it has bounds on both sides of the tolerance
         tol = rotated_ellipses._GATE_TOL
-        gate = rotated_ellipses._ResidualGate(MPoly.variable("x", ("x",)) - 1)
+        poly = MPoly.variable("x", XYZ) - 1
+        gate = _gate(poly, "x")
         centre = (1 + tol) / (1 - tol)
         for k in range(-64, 65):
-            point = {"x": centre + k * 2.0**-52}
+            point = (centre + k * 2.0**-52, 0.0, 0.0)
             lo, hi = gate.bounds(point)
             if lo <= tol < hi:
                 break
         else:
             pytest.fail("no float near the tolerance has straddling bounds")
-        want = rotated_ellipses._rel_residual(gate.poly, point) > tol
-        calls = _count_exact_residuals(monkeypatch)
+        want = elimination_oracles.rel_residual(poly, dict(zip(XYZ, point))) > tol
+        calls = _recorded_exact_residuals(monkeypatch)
         assert gate.exceeds(point) == want
-        assert calls == [point]
+        assert [p for _, p, _ in calls] == [point]
 
     @pytest.mark.parametrize("bits", [1030, 1023])
     def test_coefficients_beyond_float_range_take_the_exact_route(self, monkeypatch, bits):
@@ -1834,18 +1929,18 @@ class TestResidualGate:
         # for.  top x - 1 stays in float range at x = 1/top and 2/top,
         # where the exact ratio is 0 and 1/3
         top = 2**bits
-        gate = rotated_ellipses._ResidualGate(MPoly.variable("x", ("x",)) * top - 1)
-        root, off = {"x": 2.0**-bits}, {"x": 2.0 ** (1 - bits)}
+        gate = _gate(MPoly.variable("x", XYZ) * top - 1, "x")
+        root, off = (2.0**-bits, 0.0, 0.0), (2.0 ** (1 - bits), 0.0, 0.0)
         assert gate.bounds(root) == gate.bounds(off) == (0.0, math.inf)
-        calls = _count_exact_residuals(monkeypatch)
+        calls = _recorded_exact_residuals(monkeypatch)
         assert not gate.exceeds(root)
         assert gate.exceeds(off)
-        assert calls == [root, off]
+        assert [(p, ratio) for _, p, ratio in calls] == [(root, 0.0), (off, 1 / 3)]
 
     def test_overlapping_fiber_roots_take_the_exact_route(self, monkeypatch):
         pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
         assert E07_TIED_L in rotated_ellipses._antipodal_roots(pipe, E07.s0x)
-        calls = _count_exact_residuals(monkeypatch)
+        calls = _recorded_exact_residuals(monkeypatch)
         got = rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
         assert got
         assert len(calls) >= 2
@@ -1858,7 +1953,7 @@ class TestResidualGate:
         monkeypatch.setattr(
             rotated_ellipses._ResidualGate, "bounds", lambda self, point: (0.0, math.inf)
         )
-        calls = _count_exact_residuals(monkeypatch)
+        calls = _recorded_exact_residuals(monkeypatch)
         exact = [rotated_ellipses._antipodal_backsub(E07, pipe, lv) for lv in roots]
         assert repr(exact) == repr(fast)
         assert repr(case2a_general(E07)) == repr(mirror_fast)
@@ -1868,7 +1963,8 @@ class TestResidualGate:
         # equal exact residuals for both fiber roots: the stable order
         # keeps the first, the smaller root, and no other rule is consulted
         pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
-        monkeypatch.setattr(rotated_ellipses, "_rel_residual", lambda poly, point: 0.0)
+        first = rotated_ellipses._antipodal_pair(E07.s0x, E07.s0y)[0]
+        monkeypatch.setattr(rotated_ellipses, "_rel_residual", lambda fiber, z: 0.0)
         assemble = rotated_ellipses._assemble
         taken = []
 
@@ -1880,6 +1976,89 @@ class TestResidualGate:
         rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
         assert taken
         for x0, s1y in taken:
-            fiber = pipe.d_first.subs("l", Fraction(E07_TIED_L)).subs("x0", Fraction(x0))
-            roots = rotated_ellipses._quadratic_real_roots(fiber.to_ratpoly("s1y").coeffs)
+            fiber = elimination_oracles.subs_fiber(first, "s1y", {"l": E07_TIED_L, "x0": x0})
+            roots = rotated_ellipses._quadratic_real_roots(fiber.coeffs)
             assert len(roots) == 2 and s1y == min(roots)
+
+
+# fiber points: 0, negatives and values near 2^-500 and 2^500, where the
+# fibers' integers have thousands of bits
+_FIBER_FLOATS = st.floats(min_value=-(2.0**501), max_value=2.0**501, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-500, -(2.0**-499) * 3, 2.0**500, -(2.0**500) * 1.5]
+)
+
+
+def _primitive_fiber(coeffs) -> list[int]:
+    return primitive(u_trim(list(coeffs)))[0]
+
+
+class TestIntegerFibers:
+    """``_FiberRows.at`` against the ``MPoly.subs`` fiber: a positive
+    integer multiple, so the primitive parts (signs kept) are equal."""
+
+    @pytest.fixture(scope="class")
+    def fibers(self):
+        # (rows, the polynomial as an MPoly, free variable)
+        out = []
+        for inp in (REF, E07, RotatedInput(s0x=Fraction(-3, 10), s0y=Fraction(2, 5))):
+            mirror = rotated_ellipses._mirror_pipeline(inp.s0x, inp.s0y)
+            antipodal = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+            stat_l, _ = elimination_oracles.table_mirror_pair(inp.s0x, inp.s0y)
+            first, second = rotated_ellipses._antipodal_pair(inp.s0x, inp.s0y)
+            out += [
+                (mirror.stat_l_rows, stat_l, "l"),
+                (antipodal.d_first_rows, first, "s1y"),
+                (antipodal.d_second_gate.rows, second, "s1y"),
+            ]
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(u=_FIBER_FLOATS, v=_FIBER_FLOATS)
+    @example(u=0.0, v=0.0)
+    @example(u=-0.9939073577389373, v=-0.5)
+    def test_fibers_are_positive_multiples_of_the_subs_fibers(self, fibers, u, v):
+        for rows, poly, free in fibers:
+            fixed = [name for name in poly.vars if name != free]
+            want = elimination_oracles.subs_fiber(poly, free, dict(zip(fixed, (u, v))))
+            values, mags, shift = rows.at(u, v)
+            assert mags == [] and shift >= 0
+            assert _primitive_fiber(values) == _primitive_fiber(want.to_int_coeffs()[0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(u=_FIBER_FLOATS, v=_FIBER_FLOATS)
+    def test_magnitude_fibers_are_the_fibers_of_the_magnitudes(self, fibers, u, v):
+        # the same power of two scales both fibers
+        for rows, poly, free in fibers:
+            fixed = [name for name in poly.vars if name != free]
+            values, mags, shift = rows.at(u, v, magnitudes=True)
+            assert (values, shift) == rows.at(u, v)[::2]
+            mag_poly = MPoly(poly.vars, {k: abs(c) for k, c in poly.terms.items()})
+            want = elimination_oracles.subs_fiber(mag_poly, free, dict(zip(fixed, (abs(u), abs(v)))))
+            assert [Fraction(c, 2**shift) for c in u_trim(mags)] == want.coeffs
+
+    def test_mirror_parity_ratio_is_the_rational_one(self):
+        # x0 = -E/O at a core root, from integers over powers of two
+        pipe = rotated_ellipses._mirror_pipeline(E07.s0x, E07.s0y)
+        for iv in isolate_real_roots(pipe.core, Fraction(-1), Fraction(1)):
+            y0 = refine_root(pipe.core, iv)
+            num, s_num = rotated_ellipses._dyadic_value(pipe.even_part.coeffs, y0)
+            assert Fraction(num, 2**s_num) == pipe.even_part.eval_q(Fraction(y0))
+            den, s_den = rotated_ellipses._dyadic_value(pipe.odd_part.coeffs, y0)
+            assert Fraction(den, 2**s_den) == pipe.odd_part.eval_q(Fraction(y0))
+
+
+_SMALL_INTS = st.integers(min_value=-(2**200), max_value=2**200) | st.sampled_from([0, 1, -1])
+
+
+class TestQuadraticRealRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(c0=_SMALL_INTS, c1=_SMALL_INTS, c2=_SMALL_INTS)
+    @example(c0=0, c1=0, c2=-3)
+    @example(c0=0, c1=-5, c2=0)
+    @example(c0=4, c1=-4, c2=1)
+    def test_integer_route_equals_the_fraction_route(self, c0, c1, c2):
+        # int / int true division is correctly rounded: the same floats,
+        # signed zeros included
+        ints = rotated_ellipses._quadratic_real_roots([c0, c1, c2])
+        fracs = rotated_ellipses._quadratic_real_roots([Fraction(c) for c in (c0, c1, c2)])
+        assert repr(ints) == repr(fracs)
