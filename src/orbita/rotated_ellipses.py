@@ -85,7 +85,10 @@ and the tests prove them equal to the constructions above with ``s0x`` and
 ``s0y`` as symbols; the package itself does not import sympy.
 
 All elimination runs in exact rational arithmetic, which is why
-:class:`RotatedInput` requires exact rational ``s0x, s0y``.  Every candidate
+:class:`RotatedInput` requires exact rational ``s0x, s0y``.  Back-substitution
+runs on integers too: a float is ``p / 2^k`` exactly, so the fibers of the
+tables' integer polynomials at float roots, and the exact residuals that
+order tied fiber roots, are integer sums over powers of two.  Every candidate
 returned has been validated against the full plan equations (residuals
 below 1e-9) and the elliptic-transfer requirement ``|s1| < |l|``.
 """
@@ -506,10 +509,10 @@ class _FiberRows:
     is ``sum c pu^a pv^b 2^(ku (du - a) + kv (dv - b))`` over the terms
     with that ``e`` (``du``, ``dv`` the degrees in ``u`` and ``v``), by a
     Horner rule in ``u`` over the powers of ``v`` (:func:`_powers`); that
-    is ``2^(ku du + kv dv)``, a positive integer, times the fiber.  Root isolation and refinement take the
-    primitive part, and the quadratic formula reads only ratios of the
-    coefficients, so they see the same polynomial as on the exact
-    rational fiber.
+    is ``2^(ku du + kv dv)``, a positive integer, times the fiber.  Root
+    isolation and refinement take the primitive part, and the quadratic
+    formula reads only ratios of the coefficients, so they see the same
+    polynomial as on the exact rational fiber.
     """
 
     __slots__ = ("grid", "degrees")
@@ -524,7 +527,8 @@ class _FiberRows:
         ]
         for e, c in zip(layout.exps, terms.values()):
             grid[e[free]][e[u]].append((e[v], c))
-        self.grid = grid
+        # tuples, the empty one shared: a pipeline keeps its grids
+        self.grid = tuple(tuple(tuple(cell) for cell in row) for row in grid)
 
     def at(self, u: float, v: float, magnitudes: bool = False) -> tuple[list[int], list[int], int]:
         """The fiber at ``(u, v)`` times ``2^s`` (integer coefficients,
