@@ -498,11 +498,30 @@ def _layout(keys: tuple[int, ...]) -> _Layout:
     )
 
 
+@lru_cache(maxsize=16)
+def _fiber_grid(keys: tuple[int, ...], free: int) -> tuple[tuple[int, int, int], tuple]:
+    """``(degrees, grid)`` for :class:`_FiberRows` of the polynomials with
+    the packed keys ``keys``: the degrees in ``(free, u, v)`` and
+    ``grid[e][a]``, the pairs ``(b, i)`` of the terms ``free^e u^a v^b``
+    with ``i`` their position in ``keys``.  Built once per monomial set and
+    variable, on first use, so a pipeline keeps only its coefficients."""
+    layout = _layout(keys)
+    u, v = (i for i in range(3) if i != free)
+    degrees = tuple(layout.degrees[i] for i in (free, u, v))
+    grid: list[list[list[tuple[int, int]]]] = [
+        [[] for _ in range(degrees[1] + 1)] for _ in range(degrees[0] + 1)
+    ]
+    for i, e in enumerate(layout.exps):
+        grid[e[free]][e[u]].append((e[v], i))
+    return degrees, tuple(tuple(tuple(cell) for cell in row) for row in grid)
+
+
 class _FiberRows:
     """An integer polynomial in three variables, kept for its fibers in
-    the variable ``free``: ``grid[e][a]`` holds the pairs ``(b, c)`` of
-    its terms ``c free^e u^a v^b``, with ``u`` and ``v`` the other two
-    variables in order.
+    the variable ``free``: its coefficients in key order, and the shared
+    :func:`_fiber_grid` of its monomials, which groups the terms
+    ``c free^e u^a v^b`` by ``e`` and ``a`` (``u`` and ``v`` the other two
+    variables in order).
 
     :meth:`at` sums the terms at floats ``u = pu / 2^ku``,
     ``v = pv / 2^kv`` in homogenised form: coefficient ``e`` of the fiber
@@ -515,20 +534,11 @@ class _FiberRows:
     polynomial as on the exact rational fiber.
     """
 
-    __slots__ = ("grid", "degrees")
+    __slots__ = ("degrees", "grid", "coeffs")
 
     def __init__(self, terms: dict[int, int], free: int) -> None:
-        layout = _layout(tuple(terms))
-        u, v = (i for i in range(3) if i != free)
-        self.degrees = tuple(layout.degrees[i] for i in (free, u, v))
-        top, du, _ = self.degrees
-        grid: list[list[list[tuple[int, int]]]] = [
-            [[] for _ in range(du + 1)] for _ in range(top + 1)
-        ]
-        for e, c in zip(layout.exps, terms.values()):
-            grid[e[free]][e[u]].append((e[v], c))
-        # tuples, the empty one shared: a pipeline keeps its grids
-        self.grid = tuple(tuple(tuple(cell) for cell in row) for row in grid)
+        self.degrees, self.grid = _fiber_grid(tuple(terms), free)
+        self.coeffs = tuple(terms.values())
 
     def at(self, u: float, v: float, magnitudes: bool = False) -> tuple[list[int], list[int], int]:
         """The fiber at ``(u, v)`` times ``2^s`` (integer coefficients,
@@ -538,6 +548,7 @@ class _FiberRows:
         pu, ku = _dyadic(u)
         apu = abs(pu)
         pv = _powers(v, dv)
+        coeffs = self.coeffs
         values: list[int] = []
         mags: list[int] = []
         for by_a in self.grid:
@@ -547,8 +558,8 @@ class _FiberRows:
                 mag *= apu
                 if by_a[a]:
                     inner = inner_mag = 0
-                    for b, c in by_a[a]:
-                        term = c * pv[b]
+                    for b, i in by_a[a]:
+                        term = coeffs[i] * pv[b]
                         inner += term
                         if magnitudes:
                             inner_mag += abs(term)
