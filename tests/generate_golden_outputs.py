@@ -13,8 +13,12 @@ move the outputs, and say so with it.
   and ``repr(apogee_to_apogee_cost)`` for the benchmark's REF and FLAT_REF
   cells, ``params_from_angle(0.9, 90)``, ``params_from_angle(0.5, 37)``,
   ``params_from_angle(0.7, 37)`` (whose case-2b fiber roots tie in the
-  float gate, so the exact residual decides) and the first three drawn
-  rounds (twelve cells) of the seed-7 ``rotated-sweep`` inputs.
+  float gate, so the exact residual decides), three cells where case 1
+  finds two candidates (``params_from_angle`` at (0.4, 60), (0.8, 20) and
+  (0.9, 37)), the first three drawn rounds (twelve cells) of the seed-7
+  ``rotated-sweep`` inputs and the first two drawn rounds (eight
+  alpha = 180 cells, where case 1 runs every seed to the iteration cap) of
+  the seed-7 ``rotated-flat`` inputs.
 - Fixed endpoints: ``repr(f2)`` of every ``lambert_pp.solve`` solution on
   the first 16 seed-7 ``fixed-endpoint`` inputs.
 
@@ -35,6 +39,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden_outputs.json"
 
 SWEEP_SEED = 7
 SWEEP_ROUNDS = 3
+FLAT_ROUNDS = 2
 FIXED_SEED = 7
 FIXED_COUNT = 16
 
@@ -73,9 +78,15 @@ def main() -> None:
         rotated_ellipses.params_from_angle(0.9, 90.0),
         rotated_ellipses.params_from_angle(0.5, 37.0),
         rotated_ellipses.params_from_angle(0.7, 37.0),
+        rotated_ellipses.params_from_angle(0.4, 60.0),
+        rotated_ellipses.params_from_angle(0.8, 20.0),
+        rotated_ellipses.params_from_angle(0.9, 37.0),
     ]
-    # round 0 of the sweep is REF alone; rounds 1, 2, ... are drawn
+    # round 0 of each workload is its reference cell alone; rounds 1, 2, ...
+    # are drawn
     for batch in islice(workloads.sweep_rounds(SWEEP_SEED), 1, 1 + SWEEP_ROUNDS):
+        rotated += batch
+    for batch in islice(workloads.flat_rounds(SWEEP_SEED), 1, 1 + FLAT_ROUNDS):
         rotated += batch
     fixed = next(workloads.fixed_rounds(FIXED_SEED))[:FIXED_COUNT]
     golden = {

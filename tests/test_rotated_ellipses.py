@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import antipodal_certificate
+import case1_oracles
 import elimination_oracles
 import generate_elimination_tables
 from orbita import elimination_tables, poly_kernel, rotated_ellipses
@@ -658,12 +659,89 @@ class TestCase1Numeric:
             assert np.max(np.abs(fd - J[:, :, j])) < 1e-5
 
 
+_MAGNITUDES = st.floats(1e-3, 1e3) | st.sampled_from([0.0, 1.0])
+_SIGNED = st.tuples(_MAGNITUDES, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+def _states(rng, n, sx, sy, zero_share, tie_share):
+    """n states with entries of magnitude 1e-3 to 1e3 and random signs.
+
+    About ``zero_share`` of the entries are exact ``0.0`` or ``-0.0``, and
+    about ``tie_share`` of the rows get a value that makes one of the
+    system's differences or sums cancel exactly (``s1x = +-sx``,
+    ``s1y = sy``, ``l = 1``, ``y1 = -y0``, ``lam2 = 2 lam4``,
+    ``lam3 = 2 lam5``), where the sign of a zero result is decided.
+    """
+    Z = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 16)))
+    Z *= rng.choice((-1.0, 1.0), size=Z.shape)
+    zeros = rng.random(Z.shape) < zero_share
+    Z[zeros] = rng.choice((0.0, -0.0), size=int(zeros.sum()))
+    ties = (
+        (4, lambda Z: sx),
+        (4, lambda Z: -sx),
+        (5, lambda Z: sy),
+        (6, lambda Z: 1.0),
+        (3, lambda Z: -Z[:, 1]),
+        (11, lambda Z: 2.0 * Z[:, 13]),
+        (12, lambda Z: 2.0 * Z[:, 14]),
+    )
+    for col, value in ties:
+        rows = rng.random(n) < tie_share
+        Z[rows, col] = np.broadcast_to(value(Z), (n,))[rows]
+    return Z
+
+
+class TestCase1Oracles:
+    """The solver's case-1 routes equal the frozen ones of ``case1_oracles``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        sx=_SIGNED,
+        sy=_SIGNED,
+        zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        tie_share=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_residuals_gradients_and_jacobian_bit_for_bit(
+        self, n, seed, sx, sy, zero_share, tie_share
+    ):
+        Z = _states(np.random.default_rng(seed), n, sx, sy, zero_share, tie_share)
+        F, G = _case1_system(sx, sy, Z)
+        F_ref, G_ref = case1_oracles.case1_system(sx, sy, Z)
+        # tobytes of a C-ordered copy: equal values and equal signs of zero
+        assert F.shape == F_ref.shape and G.shape == G_ref.shape
+        assert np.ascontiguousarray(F).tobytes() == F_ref.tobytes()
+        assert np.ascontiguousarray(G).tobytes() == G_ref.tobytes()
+        J = _case1_jacobian(sx, sy, Z, G)
+        J_ref = case1_oracles.case1_jacobian(sx, sy, Z, G_ref)
+        assert J.shape == J_ref.shape
+        assert np.ascontiguousarray(J).tobytes() == J_ref.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 7, 32, 128])
+    def test_seeds_bit_for_bit_and_cache_safe(self, count):
+        for name in ("ref", "e0.7-a37"):
+            inp = _NEWTON_INPUTS[name]
+            sx, sy = inp.s0x_float, inp.s0y_float
+            ref = case1_oracles.case1_seeds(sx, sy, count)
+            first = _case1_seeds(sx, sy, count)
+            assert first.tobytes() == ref.tobytes()
+            # writing to one call's result must not reach the next call
+            first[:] = np.nan
+            again = _case1_seeds(sx, sy, count)
+            assert again.flags.writeable
+            assert again.tobytes() == ref.tobytes()
+
+
 def _reference_newton(sx, sy, seed_count):
-    """The per-seed Newton loop that ``_case1_newton`` batches."""
-    Z = _case1_seeds(sx, sy, seed_count)
+    """The per-seed Newton loop that ``_case1_newton`` batches.
+
+    It runs on the frozen row-per-state routes of ``case1_oracles``.
+    """
+    Z = case1_oracles.case1_seeds(sx, sy, seed_count)
     alive = np.ones(seed_count, dtype=bool)
     done = np.zeros(seed_count, dtype=bool)
-    F, G = _case1_system(sx, sy, Z)
+    F, G = case1_oracles.case1_system(sx, sy, Z)
     norms = np.max(np.abs(F), axis=1)
 
     for _ in range(60):
@@ -671,7 +749,7 @@ def _reference_newton(sx, sy, seed_count):
         if not act.any():
             break
         for i in np.flatnonzero(act):
-            J = _case1_jacobian(sx, sy, Z[i][None, :], G[i][None, :, :])[0]
+            J = case1_oracles.case1_jacobian(sx, sy, Z[i][None, :], G[i][None, :, :])[0]
             try:
                 step = np.linalg.solve(J, -F[i])
             except np.linalg.LinAlgError:
@@ -680,7 +758,7 @@ def _reference_newton(sx, sy, seed_count):
             accepted = False
             for t in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3):
                 Znew = Z[i] + t * step
-                Fn, Gn = _case1_system(sx, sy, Znew[None, :])
+                Fn, Gn = case1_oracles.case1_system(sx, sy, Znew[None, :])
                 nn = float(np.max(np.abs(Fn)))
                 if math.isfinite(nn) and nn < norms[i] * (1.0 - 1e-4 * t):
                     Z[i], F[i], G[i] = Znew, Fn[0], Gn[0]
@@ -698,13 +776,15 @@ def _fd_reference_newton(sx, sy, seed_count):
     """The per-seed Newton loop with a forward-difference Jacobian.
 
     This was the production route before the analytic Jacobian; it stays
-    here as an oracle for the converged points.
+    here as an oracle for the converged points, on the frozen routes of
+    ``case1_oracles``.
     """
     n_unk = 16
-    Z = _case1_seeds(sx, sy, seed_count)
+    system = case1_oracles.case1_system
+    Z = case1_oracles.case1_seeds(sx, sy, seed_count)
     alive = np.ones(seed_count, dtype=bool)
     done = np.zeros(seed_count, dtype=bool)
-    F, _ = _case1_system(sx, sy, Z)
+    F, _ = system(sx, sy, Z)
     norms = np.max(np.abs(F), axis=1)
 
     for _ in range(60):
@@ -713,13 +793,13 @@ def _fd_reference_newton(sx, sy, seed_count):
             break
         idx = np.flatnonzero(act)
         Za = Z[idx]
-        Fa, _ = _case1_system(sx, sy, Za)
+        Fa, _ = system(sx, sy, Za)
         J = np.empty((len(idx), n_unk, n_unk))
         for j in range(n_unk):
             h = 1e-7 * np.maximum(1.0, np.abs(Za[:, j]))
             Zp = Za.copy()
             Zp[:, j] += h
-            Fp, _ = _case1_system(sx, sy, Zp)
+            Fp, _ = system(sx, sy, Zp)
             J[:, :, j] = (Fp - Fa) / h[:, None]
         steps = np.zeros_like(Za)
         for row, i in enumerate(idx):
@@ -733,7 +813,7 @@ def _fd_reference_newton(sx, sy, seed_count):
             accepted = False
             for t in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3):
                 Znew = Z[i] + t * steps[row]
-                Fn, _ = _case1_system(sx, sy, Znew[None, :])
+                Fn, _ = system(sx, sy, Znew[None, :])
                 nn = float(np.max(np.abs(Fn)))
                 if math.isfinite(nn) and nn < norms[i] * (1.0 - 1e-4 * t):
                     Z[i] = Znew
@@ -868,7 +948,7 @@ def _all_sign_seeds(sx, sy, count):
     Seed j is prograde (l > 0) for even j and retrograde for odd j; the
     rest of the formula is the one ``_case1_seeds`` keeps.
     """
-    vdc = rotated_ellipses._vdc
+    vdc = case1_oracles.vdc
     Z = np.zeros((count, 16))
     for j in range(count):
         th0 = 2.0 * math.pi * vdc(j + 1, 2)
@@ -889,12 +969,12 @@ def _all_sign_seeds(sx, sy, count):
             lv,
         )
         Z[j, 15] = 1.0 / (Z[j, 1] + Z[j, 3])
-    F, _ = _case1_system(sx, sy, Z)
+    F, _ = case1_oracles.case1_system(sx, sy, Z)
     Z[:, 7] = np.sqrt(np.maximum(-F[:, 4], 1e-4))
     Z[:, 8] = np.sqrt(np.maximum(-F[:, 5], 1e-4))
     grad_f = np.zeros(9)
     grad_f[7] = grad_f[8] = 1.0
-    _, G = _case1_system(sx, sy, Z)
+    _, G = case1_oracles.case1_system(sx, sy, Z)
     Z[:, 9:15] = np.linalg.pinv(np.swapaxes(G, 1, 2)) @ grad_f
     return Z
 
