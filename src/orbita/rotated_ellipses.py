@@ -1713,6 +1713,74 @@ def _case1_system(sx: float, sy: float, Z: np.ndarray) -> tuple[np.ndarray, np.n
     return F.T, G.transpose(2, 0, 1)
 
 
+def _vdc(n: int, base: int) -> float:
+    """Van der Corput radical-inverse of n in the given base."""
+    v, denom = 0.0, 1.0
+    while n:
+        n, rem = divmod(n, base)
+        denom *= base
+        v += rem / denom
+    return v
+
+
+@lru_cache(maxsize=8)
+def _halton_block(count: int) -> np.ndarray:
+    """The input-free part of ``count`` seeds: columns 0-6 and k, read-only."""
+    Z = np.zeros((count, _N_UNKNOWNS))
+    for r in range(count):
+        j = 2 * r + 1
+        th0 = 2.0 * math.pi * _vdc(j + 1, 2)
+        th1 = 2.0 * math.pi * _vdc(j + 1, 3)
+        # keep away from the symmetric manifold y0 + y1 = 0
+        while abs(math.sin(th0) + math.sin(th1)) < 0.05:
+            th1 += 0.37
+        lmag = 0.45 + 1.5 * _vdc(j + 1, 5)
+        smag = 0.85 * lmag * _vdc(j + 1, 7)
+        sang = 2.0 * math.pi * _vdc(j + 1, 11)
+        Z[r, 0:7] = (
+            math.cos(th0),
+            math.sin(th0),
+            math.cos(th1),
+            math.sin(th1),
+            smag * math.cos(sang),
+            smag * math.sin(sang),
+            -lmag,
+        )
+        Z[r, 15] = 1.0 / (Z[r, 1] + Z[r, 3])
+    Z.flags.writeable = False
+    return Z
+
+
+def _case1_seeds(sx: float, sy: float, count: int) -> np.ndarray:
+    """Deterministic low-discrepancy retrograde seed states, fully initialized.
+
+    Row ``r`` is term ``j = 2r + 1`` of a Halton-style sequence (radical
+    inverses of ``j + 1`` in the bases 2, 3, 5, 7, 11) with ``l = -|l|``.
+    ``j + 1`` is even, so burn 0 starts in the upper half-plane,
+    ``theta0`` in ``[0, pi)``.  The even terms of the sequence, its
+    prograde half (``l > 0``), are not seeded: on 252 cells none of their
+    8,064 seeds converged (see ``case1_numeric``).  The burn directions,
+    ``s1``, ``l`` and ``k`` do not depend on the input and are built once
+    per count (``_halton_block``); the burn sizes and multipliers are
+    fitted to the input here.
+    """
+    Z = _halton_block(count).copy()
+    F, _ = _case1_system(sx, sy, Z)
+    # gaps: g[:,4] = d0^2 - gap0 with d0 = 0 at this point
+    Z[:, 7] = np.sqrt(np.maximum(-F[:, 4], 1e-4))
+    Z[:, 8] = np.sqrt(np.maximum(-F[:, 5], 1e-4))
+    _, G = _case1_system(sx, sy, Z)
+    # least-squares multipliers of every seed, one stacked pseudo-inverse
+    Z[:, 9:15] = np.linalg.pinv(G.transpose(0, 2, 1)) @ _GRAD_F
+    return Z
+
+
+_LINE_SEARCH_STEPS = np.array((1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3))
+# a step of size t is taken when it brings the residual norm below
+# norm * (1 - 1e-4 t)
+_SUFFICIENT_DECREASE = 1.0 - 1e-4 * _LINE_SEARCH_STEPS[:, None]
+
+
 # the off-diagonal entries (i, j) of W in the order _case1_jacobian
 # stacks them, and the flat indices in J of -W[i, j] at (6 + i, j) and of
 # its mirror image at (6 + j, i)
@@ -1783,74 +1851,6 @@ def _case1_jacobian(sx: float, sy: float, Z: np.ndarray, G: np.ndarray) -> np.nd
     np.negative(T[15], out=Jf[241:244:2])
     np.negative(y[0] + y[1], out=Jf[255])
     return J.transpose(2, 0, 1)
-
-
-def _vdc(n: int, base: int) -> float:
-    """Van der Corput radical-inverse of n in the given base."""
-    v, denom = 0.0, 1.0
-    while n:
-        n, rem = divmod(n, base)
-        denom *= base
-        v += rem / denom
-    return v
-
-
-@lru_cache(maxsize=8)
-def _halton_block(count: int) -> np.ndarray:
-    """The input-free part of ``count`` seeds: columns 0-6 and k, read-only."""
-    Z = np.zeros((count, _N_UNKNOWNS))
-    for r in range(count):
-        j = 2 * r + 1
-        th0 = 2.0 * math.pi * _vdc(j + 1, 2)
-        th1 = 2.0 * math.pi * _vdc(j + 1, 3)
-        # keep away from the symmetric manifold y0 + y1 = 0
-        while abs(math.sin(th0) + math.sin(th1)) < 0.05:
-            th1 += 0.37
-        lmag = 0.45 + 1.5 * _vdc(j + 1, 5)
-        smag = 0.85 * lmag * _vdc(j + 1, 7)
-        sang = 2.0 * math.pi * _vdc(j + 1, 11)
-        Z[r, 0:7] = (
-            math.cos(th0),
-            math.sin(th0),
-            math.cos(th1),
-            math.sin(th1),
-            smag * math.cos(sang),
-            smag * math.sin(sang),
-            -lmag,
-        )
-        Z[r, 15] = 1.0 / (Z[r, 1] + Z[r, 3])
-    Z.flags.writeable = False
-    return Z
-
-
-def _case1_seeds(sx: float, sy: float, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy retrograde seed states, fully initialized.
-
-    Row ``r`` is term ``j = 2r + 1`` of a Halton-style sequence (radical
-    inverses of ``j + 1`` in the bases 2, 3, 5, 7, 11) with ``l = -|l|``.
-    ``j + 1`` is even, so burn 0 starts in the upper half-plane,
-    ``theta0`` in ``[0, pi)``.  The even terms of the sequence, its
-    prograde half (``l > 0``), are not seeded: on 252 cells none of their
-    8,064 seeds converged (see ``case1_numeric``).  The burn directions,
-    ``s1``, ``l`` and ``k`` do not depend on the input and are built once
-    per count (``_halton_block``); the burn sizes and multipliers are
-    fitted to the input here.
-    """
-    Z = _halton_block(count).copy()
-    F, _ = _case1_system(sx, sy, Z)
-    # gaps: g[:,4] = d0^2 - gap0 with d0 = 0 at this point
-    Z[:, 7] = np.sqrt(np.maximum(-F[:, 4], 1e-4))
-    Z[:, 8] = np.sqrt(np.maximum(-F[:, 5], 1e-4))
-    _, G = _case1_system(sx, sy, Z)
-    # least-squares multipliers of every seed, one stacked pseudo-inverse
-    Z[:, 9:15] = np.linalg.pinv(G.transpose(0, 2, 1)) @ _GRAD_F
-    return Z
-
-
-_LINE_SEARCH_STEPS = np.array((1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3))
-# a step of size t is taken when it brings the residual norm below
-# norm * (1 - 1e-4 t)
-_SUFFICIENT_DECREASE = 1.0 - 1e-4 * _LINE_SEARCH_STEPS[:, None]
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
