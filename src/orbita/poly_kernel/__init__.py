@@ -5,16 +5,19 @@ Public surface:
 - types: ``MPoly``, ``RatPoly`` (arithmetic as operators, ``partial``,
   ``subs`` and ``divexact`` as methods; ``MPoly`` also splits by parity in
   one variable, ``parity_parts``, and returns its primitive integer
-  multiple, ``primitive``), ``RootInterval``
+  multiple, ``primitive``; no solver builds one, only the tests, their
+  oracles and the antipodal certificate), ``RootInterval``
 - elimination: ``sylvester_resultant``, ``sylvester_degree_bound``,
   ``quadratic_resultant`` (the degree-2 closed form on coefficient lists
   over any exact ring, e.g. ``QuadPair``, an element of ``Z[X]/(X^2 - m)``),
   ``interpolate_checked`` (exact interpolation at integer nodes, checked
-  at one spare node), ``euclidean_last_linear``.  The solvers call neither
-  ``sylvester_degree_bound`` nor ``euclidean_last_linear``: the tests and
-  the antipodal certificate (``tests/antipodal_certificate.py``) read the
-  bound, and ``euclidean_last_linear`` is kept for its own tests and for
-  the benchmark tracer, which wraps that name in ``rotated_ellipses``
+  at one spare node), ``euclidean_last_linear``.  No solver calls
+  ``sylvester_resultant``, ``sylvester_degree_bound``,
+  ``interpolate_checked``, ``strip_known_factors`` or
+  ``euclidean_last_linear`` any more: the tests and the antipodal
+  certificate (``tests/antipodal_certificate.py``) read them, and the
+  benchmark tracer wraps ``sylvester_resultant``, ``strip_known_factors``
+  and ``euclidean_last_linear`` in the solver modules
 - roots: ``strip_known_factors`` (exact division by known factors, a
   ``NotAFactor`` when one does not divide; the solvers take their cores
   from closed forms, and the tests strip with it to check them),

@@ -75,10 +75,14 @@ Critical points of ``f1`` split into three families, named by ``case_tag``:
   roots in the feasibility window are isolated and refined on the
   factors, then back-substituted.
   When ``s0y = 0`` (``alpha = 180``) the two reduced stationarity
-  polynomials become odd in ``s1y`` and the eliminant degenerates; the
-  module switches to a dedicated split (``s1y = 0`` branch and
-  ``s1y != 0`` branch) and proves, in exact arithmetic per input, that both
-  branches are empty away from the axis, so only the closed forms remain.
+  polynomials become odd in ``s1y`` and the eliminant vanishes
+  identically.  The family splits into the branches ``s1y = 0`` and
+  ``s1y != 0``, and both are empty for every ``s0x != 0``: on the first,
+  ``t0`` is ``3 s0x^2 x0 l^4 (l-1)^4 (l+1)^3``; on the second, the
+  s1y-coefficient of ``first`` is ``-s0x^2 x0 l^3 (l-1)(l+1)`` times a
+  quintic whose x0-resultant with the burn circle is ``l^4 s0x^8``.  The
+  tests prove this once on the tables with ``s0x`` as a symbol, so only
+  the closed forms remain.
 
 The tables are generated with sympy by ``tests/generate_elimination_tables.py``,
 and the tests prove them equal to the constructions above with ``s0x`` and
@@ -107,7 +111,6 @@ import numpy as np
 from . import elimination_tables
 from .kepler import NotElliptic, Orbit, Vec3, orbit_geometry
 from .poly_kernel import (
-    MPoly,
     QuadPair,
     RatPoly,
     euclidean_last_linear,
@@ -121,8 +124,9 @@ from .poly_kernel.dense import u_eval
 from .poly_kernel.mpoly import pack, unpack
 from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
 
-# Unused by the solver; bound only because perfbench/spans.py wraps them here.
-_WRAPPED_BY_PERFBENCH = (euclidean_last_linear, strip_known_factors)
+# Unused by the solver; bound only because perfbench/spans.py wraps them here,
+# until the benchmark change of ROADMAP item 1 drops all three targets.
+_WRAPPED_BY_PERFBENCH = (euclidean_last_linear, strip_known_factors, sylvester_resultant)
 
 __all__ = [
     "DegenerateGeometry",
@@ -816,7 +820,7 @@ def _powers(q, top: int) -> list[int]:
 def _keyed(table) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
     """Rows ``(*exponents, a, b, c)`` of a table (``c s0x^a s0y^b`` times
     the monomial of the exponents) as ``(key, a, b, c)`` with the packed
-    ``MPoly`` key of the exponents, and the table's largest ``a`` and ``b``."""
+    key of the exponents, and the table's largest ``a`` and ``b``."""
     return (
         tuple((pack(row[:-3]), *row[-3:]) for row in table),
         max(row[-3] for row in table),
@@ -1113,11 +1117,13 @@ class _AntipodalPipeline:
     degree_core: int  # 38: sum of the factor degrees times multiplicities
 
 
+# the variable order of the antipodal pair's packed keys
 _ANTIPODAL_VARS = ("l", "x0", "s1y")
 
 
-def _antipodal_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
-    """The reduced antipodal-system pair ``(first, second)`` in (l, x0, s1y).
+def _antipodal_pair(s0x, s0y) -> tuple[dict[int, int], dict[int, int]]:
+    """The reduced antipodal-system pair ``(first, second)`` in (l, x0, s1y),
+    as the ``{packed key: integer}`` dicts of :func:`_table_values`.
 
     ``p0`` is the first burn's squared gap and ``t0`` its tangential
     derivative, both times powers of ``d = l (1 - l^2)``.  The second burn
@@ -1135,11 +1141,10 @@ def _antipodal_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
     prove them equal to these formulas with ``s0x`` and ``s0y`` as
     symbols).  Each comes back as the primitive integer polynomial of its
     table at ``(s0x, s0y)``.  No consumer (node values, fiber roots,
-    residual gate, s0y = 0 proof) depends on the positive factor.
+    residual gate) depends on the positive factor.
     """
     first, second = (
-        MPoly(_ANTIPODAL_VARS, _table_values(name, s0x, s0y))
-        for name in ("ANTIPODAL_FIRST", "ANTIPODAL_SECOND")
+        _table_values(name, s0x, s0y) for name in ("ANTIPODAL_FIRST", "ANTIPODAL_SECOND")
     )
     return first, second
 
@@ -1148,16 +1153,16 @@ def _antipodal_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
 _X0_LOW = 7
 
 
-def _node_rows(p: MPoly, elim: str, ring: str, node: str) -> list[list[list[int]]]:
+def _node_rows(terms: dict[int, int], elim: int, ring: int, node: int) -> list[list[list[int]]]:
     """``rows[j][k]``: the integer coefficients, lowest first, of the
-    polynomial in ``node`` multiplying ``elim^j ring^k`` in ``p``, an
-    integer polynomial in three variables, summed from the exponents of
-    its terms (:func:`_layout`).  Each list ends at its last nonzero entry;
-    a zero coefficient is ``[]``."""
-    i, k, n = (p.vars.index(v) for v in (elim, ring, node))
+    polynomial in ``node`` multiplying ``elim^j ring^k`` in ``terms``, an
+    integer polynomial in three variables as ``{packed key: coefficient}``
+    (``elim``, ``ring`` and ``node`` are positions in the keys), summed
+    from the exponents of its terms (:func:`_layout`).  Each list ends at
+    its last nonzero entry; a zero coefficient is ``[]``."""
     nested: dict[int, dict[int, dict[int, int]]] = {}
-    for e, c in zip(_layout(tuple(p.terms)).exps, p.terms.values()):
-        nested.setdefault(e[i], {}).setdefault(e[k], {})[e[n]] = c
+    for e, c in zip(_layout(tuple(terms)).exps, terms.values()):
+        nested.setdefault(e[elim], {}).setdefault(e[ring], {})[e[node]] = c
     rows = []
     for j in range(max(nested, default=-1) + 1):
         by_ring = nested.get(j, {})
@@ -1262,7 +1267,7 @@ _ANTIPODAL_UNITS = (
 _S1Y_DEGREES = (2, 5)
 
 
-def _antipodal_node_setup(first: MPoly, second: MPoly, s0x):
+def _antipodal_node_setup(first: dict[int, int], second: dict[int, int], s0x):
     """``(first_rows, second_rows, radius, top)`` for
     :func:`_antipodal_node_value`: the :func:`_node_rows` of the pair,
     ``r(l) = N(l)/D`` and the x0-degree bound ``7 + 2 top`` of Res_s1y.
@@ -1278,8 +1283,8 @@ def _antipodal_node_setup(first: MPoly, second: MPoly, s0x):
     ``N = num^2 - den^2 (1 - l^2)^2`` and ``D = num^2``.  ``N(c) != 0`` at
     every integer ``c``, as ``0 < |s0x| < 1``.
     """
-    first_rows = _node_rows(first, "s1y", "x0", "l")
-    second_rows = _node_rows(second, "s1y", "x0", "l")
+    # (elim, ring, node) = (s1y, x0, l), positions 2, 1, 0 of the keys
+    first_rows, second_rows = (_node_rows(p, 2, 1, 0) for p in (first, second))
     dxf, dxg = (max(len(row) for row in rows) - 1 for rows in (first_rows, second_rows))
     top = ((len(second_rows) - 1) * dxf + (len(first_rows) - 1) * dxg - _X0_LOW) // 2
     num, den = s0x.numerator, s0x.denominator
@@ -1287,7 +1292,7 @@ def _antipodal_node_setup(first: MPoly, second: MPoly, s0x):
     return first_rows, second_rows, radius, top
 
 
-def _guard_antipodal(first: MPoly, second: MPoly, s0x, known) -> None:
+def _guard_antipodal(first: dict[int, int], second: dict[int, int], s0x, known) -> None:
     """Check ``h(l) = H(l, r(l))`` against ``F``, the product of the
     ``(factor, multiplicity)`` pairs ``known``, at two integer nodes.
 
@@ -1299,10 +1304,11 @@ def _guard_antipodal(first: MPoly, second: MPoly, s0x, known) -> None:
     :func:`_guard_nodes` compares ``h`` and ``F`` at two nodes where ``h``
     has a ring value.
     """
-    if (first.degree("s1y"), second.degree("s1y")) != _S1Y_DEGREES:
+    degrees = tuple(_layout(tuple(p)).degrees[2] for p in (first, second))
+    if degrees != _S1Y_DEGREES:
         raise PipelineDegreeMismatch(
-            f"antipodal pair has s1y-degrees {first.degree('s1y')}, "
-            f"{second.degree('s1y')}, expected {_S1Y_DEGREES}"
+            f"antipodal pair has s1y-degrees {degrees[0]}, {degrees[1]}, "
+            f"expected {_S1Y_DEGREES}"
         )
     setup = _antipodal_node_setup(first, second, s0x)
     _guard_nodes(
@@ -1322,8 +1328,8 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     _guard_antipodal(first, second, s0x, _ANTIPODAL_UNITS + factors)
     degree_core = sum(factor.degree() * mult for factor, mult in factors)
     return _AntipodalPipeline(
-        d_first_rows=_FiberRows(first.terms, 2),
-        d_second_gate=_ResidualGate(second.terms, 2),
+        d_first_rows=_FiberRows(first, 2),
+        d_second_gate=_ResidualGate(second, 2),
         factors=factors,
         degree_full=degree_core + sum(unit.degree() * mult for unit, mult in _ANTIPODAL_UNITS),
         degree_core=degree_core,
@@ -1469,70 +1475,6 @@ def _antipodal_backsub(
     return out
 
 
-def _prove_antipodal_symmetric_empty(inp: RotatedInput) -> None:
-    """Prove (exactly, per input) that the s0y = 0 antipodal family is empty.
-
-    At ``s0y = 0`` both reduced stationarity polynomials are odd in
-    ``s1y``, so the generic eliminant vanishes identically and the family
-    splits.  The branch ``s1y = 0`` has stationarity polynomial equal to a
-    unit times ``x0 l^4 (l-1)^4 (l+1)^3`` — no interior zeros.  On the
-    branch ``s1y != 0`` the ``s1y``-coefficient of the first polynomial
-    factors as a monomial times a quintic in ``l`` whose resultant with the
-    burn-latitude relation is a monomial in ``l`` — again no interior
-    zeros.  Both facts are verified here in exact arithmetic; a failed
-    verification raises ``PipelineDegreeMismatch``.
-    """
-    s0x, V = inp.s0x, _ANTIPODAL_VARS
-    first, t0 = (
-        MPoly(V, _table_values(name, s0x, Fraction(0)))
-        for name in ("ANTIPODAL_FIRST", "ANTIPODAL_T0")
-    )
-
-    coeffs = first.coeffs_in("s1y")
-    if len(coeffs) != 2 or not coeffs[0].is_zero():
-        raise PipelineDegreeMismatch(
-            "symmetric antipodal split: first polynomial is not odd in s1y"
-        )
-
-    l, x0 = MPoly.variable("l", V), MPoly.variable("x0", V)
-    one = MPoly.const(1, V)
-
-    def strip_monomials(p: MPoly) -> MPoly:
-        # the powers of l and x0 are their lowest exponents; l - 1 and
-        # l + 1 are divided out only while p vanishes at l = 1 or l = -1,
-        # so no division fails
-        if p.is_zero():
-            return p
-        low_l, low_x0, _ = (min(e) for e in zip(*(unpack(k, len(V)) for k in p.terms)))
-        low = pack((low_l, low_x0, 0))
-        p = MPoly(V, {k - low: c for k, c in p.terms.items()})
-        for root, fac in ((1, l - one), (-1, l + one)):
-            while p.subs("l", root).is_zero():
-                p = p.divexact(fac)
-        return p
-
-    def is_unit(p: MPoly) -> bool:
-        # a zero resultant means a common factor: the proof has failed
-        return p.is_const() and not p.is_zero()
-
-    branch_a = strip_monomials(t0.subs("s1y", Fraction(0)))
-    if not is_unit(branch_a):
-        raise PipelineDegreeMismatch(
-            "symmetric antipodal split: stationary branch s1y=0 is not a "
-            "monomial times a unit"
-        )
-
-    quintic = strip_monomials(coeffs[1])
-    # the burn circle x0^2 = r(l) times s0x^2
-    radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
-    res = sylvester_resultant(radius_pair, quintic, "x0")
-    if not is_unit(strip_monomials(res)):
-        raise PipelineDegreeMismatch(
-            "symmetric antipodal split: branch s1y != 0 eliminant is not a "
-            "monomial"
-        )
-
-
 def case2b_solutions(
     inp: RotatedInput, include_general: bool = True
 ) -> list[RotatedCandidate]:
@@ -1572,10 +1514,11 @@ def case2b_solutions(
     the window ``sqrt(1-|s0x|) <= |l| <= sqrt(1+|s0x|)`` imposed by a real
     burn latitude; no square-free part of the core is taken.
 
-    For ``s0y = 0`` the eliminant degenerates (both reduced polynomials
-    are odd in ``s1y``); the split solver then verifies in exact
-    arithmetic that the general family is empty away from the axis, and
-    raises ``PipelineDegreeMismatch`` if it cannot.
+    For ``s0y = 0`` the eliminant vanishes identically (both reduced
+    polynomials are odd in ``s1y``) and the family splits into the
+    branches ``s1y = 0`` and ``s1y != 0``.  Both are empty for every
+    ``s0x != 0``, an identity in ``s0x`` that the tests prove once on the
+    tables with sympy, so only the closed forms are returned.
     ``include_general=False`` skips the general family and returns the
     closed forms only.
     """
@@ -1624,13 +1567,10 @@ def case2b_solutions(
     if cand is not None:
         out.append(cand)
 
-    if include_general:
-        if inp.s0y == 0:
-            _prove_antipodal_symmetric_empty(inp)
-        else:
-            pipe = _antipodal_pipeline(inp.s0x, inp.s0y)
-            for lv in _antipodal_roots(pipe, inp.s0x):
-                out.extend(_antipodal_backsub(inp, pipe, lv))
+    if include_general and inp.s0y != 0:
+        pipe = _antipodal_pipeline(inp.s0x, inp.s0y)
+        for lv in _antipodal_roots(pipe, inp.s0x):
+            out.extend(_antipodal_backsub(inp, pipe, lv))
     return _sorted_unique(out)
 
 

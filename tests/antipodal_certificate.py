@@ -302,7 +302,7 @@ def eliminant(first: MPoly, second: MPoly, s0x) -> tuple[RatPoly, int]:
         raise PipelineDegreeMismatch(
             f"antipodal degree bound is {bound}, below the expected degree 69"
         )
-    first_rows, second_rows, radius, top = _antipodal_node_setup(first, second, s0x)
+    first_rows, second_rows, radius, top = _antipodal_node_setup(first.terms, second.terms, s0x)
     try:
         coeffs = interpolate_checked(
             lambda c: _antipodal_node_value(first_rows, second_rows, radius, top, c),
@@ -347,7 +347,7 @@ def factors_at(s0x, s0y):
 def oracle(s0x, s0y) -> tuple[RatPoly, RatPoly, int]:
     """``(h, core, bound)`` by the per-input route on the production pair,
     with the factorization of the core proven exactly."""
-    first, second = _antipodal_pair(s0x, s0y)
+    first, second = (MPoly(PAIR_VARS, terms) for terms in _antipodal_pair(s0x, s0y))
     h, bound = eliminant(first, second, s0x)
     core = core_of(h)
     prove_factorization(core, factors_at(s0x, s0y))

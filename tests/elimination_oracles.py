@@ -15,8 +15,9 @@ oracles:
 - ``built_antipodal_equations``: ``first``, ``second`` and ``t0`` built by
   ``MPoly`` products over the rationals, with two exact divisions, and
   ``table_antipodal_equations``, the same four with the pair and ``t0``
-  read from the tables; ``table_mirror_pair``, the mirror pair read from
-  the tables as an ``MPoly``;
+  read from the tables; ``table_mirror_pair`` and ``table_antipodal_pair``,
+  the pairs the solver reads from the tables (``{packed key: integer}``
+  dicts) as ``MPoly``;
 - ``subs_fiber`` and ``rel_residual``: a polynomial's fiber in one
   variable and its relative residual ``|V| / S`` at a point, by
   ``MPoly.subs`` and ``MPoly.eval_float`` on exact rationals, against
@@ -122,7 +123,8 @@ def ring_mirror_parts(stat_l: MPoly, stat_t: MPoly, node_value=mirror_node_value
     ``deg O``; each part is checked at one spare node.
     """
     bound = sylvester_degree_bound(stat_l, stat_t, "l", {"x0": 1, "y0": 1})
-    rows = (_node_rows(stat_l, "l", "x0", "y0"), _node_rows(stat_t, "l", "x0", "y0"))
+    # (elim, ring, node) = (l, x0, y0), positions 0, 1, 2 of the keys
+    rows = (_node_rows(stat_l.terms, 0, 1, 2), _node_rows(stat_t.terms, 0, 1, 2))
     values: dict[int, QuadPair | None] = {}
 
     def part_at(c: int, odd: bool) -> int | None:
@@ -172,6 +174,12 @@ def table_mirror_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
         MPoly(_MIRROR_VARS, _table_values(name, s0x, s0y))
         for name in ("MIRROR_STAT_L", "MIRROR_STAT_T")
     )
+
+
+def table_antipodal_pair(s0x, s0y) -> tuple[MPoly, MPoly]:
+    """``(first, second)`` of ``rotated_ellipses._antipodal_pair`` as
+    ``MPoly`` in ``(l, x0, s1y)``."""
+    return tuple(MPoly(_ANTIPODAL_VARS, terms) for terms in _antipodal_pair(s0x, s0y))
 
 
 def subs_fiber(poly: MPoly, free: str, point: dict[str, float]) -> RatPoly:
@@ -236,7 +244,7 @@ def built_antipodal_equations(s0x, s0y):
 
 def table_antipodal_equations(s0x, s0y):
     """``(radius_pair, first, second, t0)`` from the tables: the solver's
-    pair (``rotated_ellipses._antipodal_pair``), ``t0`` from
+    pair (:func:`table_antipodal_pair`), ``t0`` from
     ``ANTIPODAL_T0``, and ``radius_pair``, the burn circle ``x0^2 = r(l)``
     times ``s0x^2``."""
     l = MPoly.variable("l", _ANTIPODAL_VARS)
@@ -244,4 +252,4 @@ def table_antipodal_equations(s0x, s0y):
     one = MPoly.const(1, _ANTIPODAL_VARS)
     radius_pair = s0x * s0x * (x0 * x0 - one) + (one - l * l) ** 2
     t0 = MPoly(_ANTIPODAL_VARS, _table_values("ANTIPODAL_T0", s0x, s0y))
-    return radius_pair, *_antipodal_pair(s0x, s0y), t0
+    return radius_pair, *table_antipodal_pair(s0x, s0y), t0

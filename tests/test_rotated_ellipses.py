@@ -365,7 +365,7 @@ class TestMirrorGeneral:
     def test_node_value_skips_the_non_domain_nodes(self):
         # X^2 = 1 - c^2 is 1 or 0 at c = 0, +-1: zero divisors in the ring
         pair = elimination_oracles.table_mirror_pair(REF.s0x, REF.s0y)
-        rows = [rotated_ellipses._node_rows(p, "l", "x0", "y0") for p in pair]
+        rows = [rotated_ellipses._node_rows(p.terms, 0, 1, 2) for p in pair]
         for c in (0, 1, -1):
             assert elimination_oracles.mirror_node_value(*rows, c) is None
         assert elimination_oracles.mirror_node_value(*rows, 2) is not None
@@ -503,52 +503,36 @@ class TestAntipodalSolutions:
         for c in ref_antipodal:
             assert max_equality_residual(c) < 1e-9
 
-    def test_flat_geometry_has_only_closed_forms(self):
+    @pytest.mark.parametrize(
+        "inp",
+        [
+            REF180,
+            params_from_angle(0.001, 180),
+            params_from_angle(0.999, 180),
+            RotatedInput(s0x=Fraction(-1, 2), s0y=Fraction(0)),
+            params_from_angle(0.5, 179.9999999),
+        ],
+        ids=["REF180", "e0.001", "e0.999", "negative-s0x", "alpha-179.9999999"],
+    )
+    def test_flat_geometry_has_only_closed_forms(self, inp):
         # at alpha = 180 both reduced stationarity polynomials are odd in
-        # s1y; the solver proves the general family empty in exact
-        # arithmetic and returns the two closed forms only
-        cands = case2b_solutions(REF180)
+        # s1y and the general family is empty for every s0x != 0
+        # (TestEliminationTables.test_flat_split_is_empty_for_every_s0x), so
+        # exactly the two closed forms come back
+        assert inp.s0y == 0
+        cands = case2b_solutions(inp)
         assert [c.case_tag for c in cands] == ["case2b_closed", "case2b_closed"]
-        assert cands[0].f1 == pytest.approx(1.0, abs=1e-15)
-        assert cands[1].f1 == pytest.approx(2.0 * math.sqrt(4.25), abs=1e-14)
-        assert cands[1].s1x == 0.0 and cands[1].s1y == 0.0
-
-    def test_flat_geometry_failed_proof_raises(self, monkeypatch):
-        # a stationary branch s1y = 0 that is no longer a monomial times a
-        # unit defeats the emptiness proof; the solver must say so instead
-        # of returning the closed forms alone
-        table_values = rotated_ellipses._table_values
-
-        def perturbed(name, *args):
-            values = table_values(name, *args)
-            if name == "ANTIPODAL_T0":  # t0 + 1
-                one = pack((0, 0, 0))
-                values[one] = values.get(one, 0) + 1
-            return values
-
-        monkeypatch.setattr(rotated_ellipses, "_table_values", perturbed)
-        with pytest.raises(PipelineDegreeMismatch, match="stationary branch"):
-            case2b_solutions(REF180)
-
-    def test_flat_geometry_proof_reads_first_and_t0_only(self, monkeypatch):
-        # the proof needs first and t0; the 798-row ANTIPODAL_SECOND table
-        # would be summed for nothing
-        names = []
-        table_values = rotated_ellipses._table_values
-
-        def recording(name, *args):
-            names.append(name)
-            return table_values(name, *args)
-
-        monkeypatch.setattr(rotated_ellipses, "_table_values", recording)
-        rotated_ellipses._prove_antipodal_symmetric_empty(REF180)
-        assert sorted(names) == ["ANTIPODAL_FIRST", "ANTIPODAL_T0"]
+        if inp == REF180:
+            assert cands[0].f1 == pytest.approx(1.0, abs=1e-15)
+            assert cands[1].f1 == pytest.approx(2.0 * math.sqrt(4.25), abs=1e-14)
+            assert cands[1].s1x == 0.0 and cands[1].s1y == 0.0
 
     @pytest.mark.parametrize("e, alpha", [(0.1, 120), (0.9, 90)])
     def test_no_y_axis_burns_in_general_family(self, e, alpha):
-        # roots of the boundary factor B (|1 - l^2| = |s0x|, burns on the y
-        # axis) are stripped exactly; none may come back, through rounding,
-        # as a general candidate with x0 ~ 1e-6
+        # B = (1 - l^2)^2 - s0x^2 (|1 - l^2| = |s0x|, burns on the y axis)
+        # is no factor of the core: the roots come from the seven factors
+        # inside _antipodal_window, whose edges are B's roots.  None may
+        # come back, through rounding, as a general candidate with x0 ~ 1e-6
         general = [
             c for c in case2b_solutions(params_from_angle(e, alpha))
             if c.case_tag == "case2b_general"
@@ -1325,12 +1309,11 @@ class TestLargeCoefficientGolden:
     )
     def test_perturbed_equations_fail_the_signature(self, monkeypatch, perturb, message):
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
-        pair = rotated_ellipses._antipodal_pair
 
         def perturbed(s0x, s0y):
-            first, second = pair(s0x, s0y)
+            first, second = elimination_oracles.table_antipodal_pair(s0x, s0y)
             l, x0 = (MPoly.variable(v, first.vars) for v in ("l", "x0"))
-            return perturb(first, second, l, x0)
+            return tuple(p.terms for p in perturb(first, second, l, x0))
 
         monkeypatch.setattr(rotated_ellipses, "_antipodal_pair", perturbed)
         with pytest.raises(PipelineDegreeMismatch, match=message):
@@ -1340,9 +1323,9 @@ class TestLargeCoefficientGolden:
 def _node_inputs(inp):
     """The integer polynomials, their node rows, r(l) = N/D and ``top``,
     as ``_antipodal_pipeline`` builds them."""
-    first, second = rotated_ellipses._antipodal_pair(inp.s0x, inp.s0y)
+    first, second = elimination_oracles.table_antipodal_pair(inp.s0x, inp.s0y)
     first_rows, second_rows, radius, top = rotated_ellipses._antipodal_node_setup(
-        first, second, inp.s0x
+        first.terms, second.terms, inp.s0x
     )
     return first, second, (first_rows, second_rows), radius, top
 
@@ -1372,7 +1355,7 @@ class TestAntipodalNodeRing:
     def test_node_rows_equal_the_coefficient_route(self):
         # the rows summed from the term exponents against coeffs_in then
         # to_ratpoly, on the pairs and on sparse ones with gaps
-        first, second = rotated_ellipses._antipodal_pair(BIG.s0x, BIG.s0y)
+        first, second = elimination_oracles.table_antipodal_pair(BIG.s0x, BIG.s0y)
         s1y, x0 = (MPoly.variable(v, first.vars) for v in ("s1y", "x0"))
         mirror = elimination_oracles.table_mirror_pair(BIG.s0x, BIG.s0y)
         cases = [(p, ("s1y", "x0", "l")) for p in (first, second, s1y**3 * x0 + 5, x0**2)]
@@ -1382,7 +1365,8 @@ class TestAntipodalNodeRing:
                 [cx.to_ratpoly(node).coeffs for cx in cs.coeffs_in(ring)]
                 for cs in p.coeffs_in(elim)
             ]
-            assert rotated_ellipses._node_rows(p, elim, ring, node) == want
+            positions = (p.vars.index(v) for v in (elim, ring, node))
+            assert rotated_ellipses._node_rows(p.terms, *positions) == want
 
     def test_ring_route_rejects_even_part(self):
         # a factor x0 + 2 in second breaks the x0-parity of Res_s1y at
@@ -1390,7 +1374,7 @@ class TestAntipodalNodeRing:
         inp = RotatedInput(s0x=Fraction(1, 5), s0y=Fraction(3, 10))
         first, second, _, _, _ = _node_inputs(inp)
         second = second * (MPoly.variable("x0", second.vars) + 2)
-        setup = rotated_ellipses._antipodal_node_setup(first, second, inp.s0x)
+        setup = rotated_ellipses._antipodal_node_setup(first.terms, second.terms, inp.s0x)
         for c in (2, -3, 7):
             with pytest.raises(PipelineDegreeMismatch, match="not odd in x0"):
                 rotated_ellipses._antipodal_node_value(*setup, c)
@@ -1478,7 +1462,7 @@ class TestAntipodalCertificate:
         ids=["REF", "negative-s0x", "from-floats-1e6"],
     )
     def test_symbolic_pair_specializes_to_the_production_pair(self, inp):
-        first, second = rotated_ellipses._antipodal_pair(inp.s0x, inp.s0y)
+        first, second = elimination_oracles.table_antipodal_pair(inp.s0x, inp.s0y)
         for got, symbolic in zip((first, second), antipodal_certificate.symbolic_pair()):
             specialized = antipodal_certificate.specialize(symbolic, inp.s0x, inp.s0y)
             assert _single_ratio(got, specialized) > 0
@@ -1515,12 +1499,10 @@ class TestAntipodalCertificate:
             rotated_ellipses._antipodal_pipeline.__wrapped__(REF.s0x, REF.s0y)
 
     def test_guard_rejects_an_s1y_degree_drop(self, monkeypatch):
-        pair = rotated_ellipses._antipodal_pair
-
         def dropped(s0x, s0y):
-            first, second = pair(s0x, s0y)
+            first, second = elimination_oracles.table_antipodal_pair(s0x, s0y)
             s1y = MPoly.variable("s1y", first.vars)
-            return first - first.coeffs_in("s1y")[-1] * s1y * s1y, second
+            return (first - first.coeffs_in("s1y")[-1] * s1y * s1y).terms, second.terms
 
         monkeypatch.setattr(rotated_ellipses, "_antipodal_pair", dropped)
         with pytest.raises(PipelineDegreeMismatch, match="s1y-degrees 1, 5"):
@@ -1638,6 +1620,35 @@ def _oracle_core(even: RatPoly, odd: RatPoly, s0x, s0y) -> RatPoly:
     return RatPoly(primitive(core.to_int_coeffs()[0])[0], "y0")
 
 
+def _prove_flat_split(first_rows, t0_rows) -> None:
+    """The four facts that empty the s0y = 0 antipodal family, proven with
+    sympy on table rows ``(l, x0, s1y, s0x, s0y, c)``, with ``s0x`` a
+    symbol; an ``AssertionError`` names the fact that fails."""
+    l, x0, s1y, s0x = sp.symbols("l x0 s1y s0x")
+
+    def at_flat(rows):
+        # the rows free of s0y are the table at s0y = 0
+        return sp.expand(
+            sum(c * l**i * x0**j * s1y**k * s0x**a for i, j, k, a, b, c in rows if b == 0)
+        )
+
+    first, t0 = at_flat(first_rows), at_flat(t0_rows)
+    assert sp.degree(first, s1y) == 1 and first.coeff(s1y, 0) == 0, "first is not odd in s1y"
+    branch = t0.subs(s1y, 0)
+    assert sp.expand(branch - 3 * s0x**2 * x0 * l**4 * (l - 1) ** 4 * (l + 1) ** 3) == 0, (
+        "t0 at s1y = 0 is not 3 s0x^2 x0 l^4 (l-1)^4 (l+1)^3"
+    )
+    monomial = -(s0x**2) * x0 * l**3 * (l - 1) * (l + 1)
+    quintic, rest = sp.div(first.coeff(s1y, 1), monomial, l, x0, s0x)
+    assert rest == 0 and sp.degree(quintic, l) == 5, (
+        "the s1y-coefficient of first is not -s0x^2 x0 l^3 (l-1)(l+1) times a quintic"
+    )
+    circle = s0x**2 * (x0**2 - 1) + (1 - l**2) ** 2
+    assert sp.expand(sp.resultant(circle, quintic, x0) - l**4 * s0x**8) == 0, (
+        "the x0-resultant of the quintic and the burn circle is not l^4 s0x^8"
+    )
+
+
 def _table_rational():
     """Rationals in (-1, 1) with small denominators or denominators near
     10^6, so both signs, 0 and the ends of the range all come up."""
@@ -1699,6 +1710,50 @@ class TestEliminationTables:
         ):
             rows = {(a, b, i, j, k): c for i, j, k, a, b, c in table}
             assert _single_ratio(certified, MPoly.from_dict(certified.vars, rows)) > 0
+
+    def test_flat_split_is_empty_for_every_s0x(self):
+        """At s0y = 0 (alpha = 180) first and second are odd in s1y, so
+        Res_s1y vanishes identically and the family splits into two
+        branches, both empty for every s0x != 0.
+
+        On the branch s1y = 0, first vanishes and t0 = 0 must hold:
+        t0 is 3 s0x^2 x0 l^4 (l-1)^4 (l+1)^3 there.  On the branch
+        s1y != 0, first = s1y c1 with c1 = -s0x^2 x0 l^3 (l-1)(l+1) Q and
+        Q a quintic in l, and Res_x0(C, Q) = l^4 s0x^8 for the burn circle
+        C = s0x^2 (x0^2 - 1) + (1 - l^2)^2.  The first three facts are
+        polynomial identities in s0x, so they hold at every s0x.  The
+        resultant specializes exactly at every s0x != 0, because C's
+        x0-leading coefficient s0x^2 does not vanish there: the
+        specialized Res_x0 is a nonzero power of s0x^2 times l^4 s0x^8
+        (Collins, J. ACM 1971), so Q and C share an x0 only at l = 0.
+
+        The monomial factors vanish only where no interior candidate can
+        sit: x0 = 0 is the y-axis closed form (case2a_axis), l = 0 is no
+        transfer orbit, and l = +-1 are the case-2b closed forms, which
+        case2b_solutions returns anyway.  So at s0y = 0 the solver returns
+        the closed forms with no per-input proof.  The rows are the
+        committed tables, so a corrupted table fails here.
+        """
+        _prove_flat_split(elimination_tables.ANTIPODAL_FIRST, elimination_tables.ANTIPODAL_T0)
+
+    @pytest.mark.parametrize(
+        "name, extra, message",
+        [
+            ("ANTIPODAL_T0", [(0, 0, 0, 0, 0, 1)], "t0 at s1y = 0"),
+            ("ANTIPODAL_FIRST", [(0, 0, 0, 0, 0, 1)], "not odd in s1y"),
+            # s1y c1 with Q + 1 in place of Q
+            ("ANTIPODAL_FIRST", [(5, 1, 1, 2, 0, -1), (3, 1, 1, 2, 0, 1)], "x0-resultant"),
+        ],
+        ids=["t0-plus-1", "first-plus-1", "quintic-plus-1"],
+    )
+    def test_flat_split_proof_fails_on_a_perturbed_table(self, name, extra, message):
+        tables = {
+            "ANTIPODAL_FIRST": elimination_tables.ANTIPODAL_FIRST,
+            "ANTIPODAL_T0": elimination_tables.ANTIPODAL_T0,
+        }
+        tables[name] = tables[name] + tuple(extra)
+        with pytest.raises(AssertionError, match=message):
+            _prove_flat_split(tables["ANTIPODAL_FIRST"], tables["ANTIPODAL_T0"])
 
     def test_generated_module_is_the_committed_one(self):
         path = generate_elimination_tables.TABLE_PATH
@@ -1896,7 +1951,7 @@ class TestResidualGate:
         return (
             (
                 rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y).d_second_gate,
-                rotated_ellipses._antipodal_pair(E07.s0x, E07.s0y)[1],
+                elimination_oracles.table_antipodal_pair(E07.s0x, E07.s0y)[1],
             ),
             (
                 rotated_ellipses._mirror_pipeline(E07.s0x, E07.s0y).stat_t_gate,
@@ -1967,7 +2022,7 @@ class TestResidualGate:
         # exact ratio, bit for bit the one MPoly evaluation gives (REF has
         # no such pair: its float bounds order every fiber pair)
         pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
-        second = rotated_ellipses._antipodal_pair(inp.s0x, inp.s0y)[1]
+        second = elimination_oracles.table_antipodal_pair(inp.s0x, inp.s0y)[1]
         calls = _recorded_exact_residuals(monkeypatch)
         for lv in rotated_ellipses._antipodal_roots(pipe, inp.s0x):
             rotated_ellipses._antipodal_backsub(inp, pipe, lv)
@@ -2043,7 +2098,7 @@ class TestResidualGate:
         # equal exact residuals for both fiber roots: the stable order
         # keeps the first, the smaller root, and no other rule is consulted
         pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
-        first = rotated_ellipses._antipodal_pair(E07.s0x, E07.s0y)[0]
+        first = elimination_oracles.table_antipodal_pair(E07.s0x, E07.s0y)[0]
         monkeypatch.setattr(rotated_ellipses, "_rel_residual", lambda fiber, z: 0.0)
         assemble = rotated_ellipses._assemble
         taken = []
@@ -2084,7 +2139,7 @@ class TestIntegerFibers:
             mirror = rotated_ellipses._mirror_pipeline(inp.s0x, inp.s0y)
             antipodal = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
             stat_l, _ = elimination_oracles.table_mirror_pair(inp.s0x, inp.s0y)
-            first, second = rotated_ellipses._antipodal_pair(inp.s0x, inp.s0y)
+            first, second = elimination_oracles.table_antipodal_pair(inp.s0x, inp.s0y)
             out += [
                 (mirror.stat_l_rows, stat_l, "l"),
                 (antipodal.d_first_rows, first, "s1y"),
