@@ -55,8 +55,9 @@ class NotElliptic(ValueError):
 
 class DegenerateOrbit(ValueError):
     """The data does not describe a usable orbit or orbit point
-    (vanishing angular momentum, non-orthogonal vectors beyond snapping
-    tolerance, zero direction, non-positive ``mu`` or radius)."""
+    (non-finite components, vanishing angular momentum, non-orthogonal
+    vectors beyond snapping tolerance, zero direction, non-positive ``mu``
+    or radius)."""
 
 
 @dataclass(frozen=True)
@@ -116,17 +117,20 @@ ZERO = Vec3(0.0, 0.0, 0.0)
 class Orbit:
     """Elliptic orbit ``(l, s)``.
 
-    Construction validates the invariants: ``|l|`` bounded away from
-    zero, ``|s| < |l|`` (elliptic), and ``l . s = 0``.  Tiny
-    orthogonality violations (relative 1e-12) are snapped away by
+    Construction validates the invariants: finite components, ``|l|``
+    bounded away from zero, ``|s| < |l|`` (elliptic), and ``l . s = 0``.
+    Tiny orthogonality violations (relative 1e-12) are snapped away by
     projecting ``s`` onto the plane normal to ``l``; larger ones raise
-    :class:`DegenerateOrbit`.
+    :class:`DegenerateOrbit`, as do non-finite components.
     """
 
     l: Vec3
     s: Vec3
 
     def __post_init__(self):
+        l, s = self.l, self.s
+        if not all(map(math.isfinite, (l.x, l.y, l.z, s.x, s.y, s.z))):
+            raise DegenerateOrbit(f"non-finite orbit vectors l={l}, s={s}")
         ln = self.l.norm()
         if ln <= _TINY:
             raise DegenerateOrbit(f"|l| = {ln:.3e} is too small")

@@ -103,13 +103,13 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import elimination_tables
-from .kepler import NotElliptic, Orbit, Vec3, orbit_geometry
+from .kepler import NotElliptic, Orbit, OrbitGeometry, Vec3, orbit_geometry
 from .poly_kernel import (
     QuadPair,
     RatPoly,
@@ -269,13 +269,18 @@ class RotatedInput:
         """True when departure and arrival orbits coincide (``s0x = 0``)."""
         return self.s0x == 0
 
-    @property
+    # built once per input: every candidate's plan shares the two orbits
+    @cached_property
     def orbit0(self) -> Orbit:
         return Orbit(Vec3(0.0, 0.0, 1.0), Vec3(self.s0x_float, self.s0y_float, 0.0))
 
-    @property
+    @cached_property
     def orbit2(self) -> Orbit:
         return Orbit(Vec3(0.0, 0.0, 1.0), Vec3(-self.s0x_float, self.s0y_float, 0.0))
+
+    @cached_property
+    def _orbit0_geometry(self) -> OrbitGeometry:
+        return orbit_geometry(self.orbit0)
 
 
 @dataclass(frozen=True)
@@ -349,12 +354,12 @@ def separation_angle(c: RotatedCandidate, inp: RotatedInput) -> float:
 
     Returns 0.0 for circular inputs, which have no apse line.
     """
-    geom = orbit_geometry(inp.orbit0)
-    if geom.apogee_dir is None:
+    apogee = inp._orbit0_geometry.apogee_dir
+    if apogee is None:
         return 0.0
     b = c.burn0
     n = math.hypot(b.x, b.y)
-    dot = (geom.apogee_dir.x * b.x + geom.apogee_dir.y * b.y) / n
+    dot = (apogee.x * b.x + apogee.y * b.y) / n
     return math.degrees(math.acos(max(-1.0, min(1.0, dot))))
 
 
@@ -374,7 +379,9 @@ def _assemble(
     """Build and validate one candidate; None if the plan check fails.
 
     Raises :class:`EllipticityViolation` when the transfer orbit is not
-    elliptic — callers catch it, log, and skip.
+    elliptic — callers catch it, log, and skip.  A non-finite transfer
+    orbit raises :class:`orbita.kepler.DegenerateOrbit`, which no caller
+    catches: a solver handing one over is at fault.
     """
     try:
         orbit1 = Orbit(Vec3(0.0, 0.0, l1z), Vec3(s1x, s1y, 0.0))
@@ -1998,15 +2005,45 @@ def best_rotated_transfer(
     return ranked[0], ranked
 
 
-def _scan_and_refine(fn, lo: float, hi: float, samples: int = 400) -> float:
-    """Minimum of fn over [lo, hi]: dense scan, golden-section refinement."""
+_SCREEN_RTOL = 1e-14  # a few ulps: the vector screen's hypot may round apart
+
+
+def _inf_where(outside: bool, value: float) -> float:
+    return math.inf if outside else value
+
+
+# (hypot, inf mask) for one float, and for a NumPy array of samples
+_SCALAR = (math.hypot, _inf_where)
+_VECTOR = (np.hypot, lambda outside, value: np.where(outside, np.inf, value))
+
+
+def _scan_and_refine(cost, lo: float, hi: float, samples: int = 400) -> float:
+    """Minimum of ``cost`` over [lo, hi]: dense scan, golden-section refinement.
+
+    ``cost(x, ops)`` is one expression that takes either a float with
+    ``ops = _SCALAR`` or an array with ``ops = _VECTOR``; the two differ only
+    in ``hypot`` and in how the non-elliptic ``inf`` mask is applied.  One
+    vectorized pass screens the samples, then every sample whose screened
+    value lies within a relative ``_SCREEN_RTOL`` of the screened minimum
+    is evaluated again in floats, so the chosen sample and its value are
+    exactly those of a scan that evaluates every sample in floats (the
+    first of the smallest).  The golden-section refinement runs in floats.
+    """
     if hi <= lo:
         return math.inf
     xs = np.linspace(lo, hi, samples)
-    vals = np.array([fn(x) for x in xs])
-    i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, samples - 1)]
+    screen = cost(xs, _VECTOR)
+    # NaN fails the comparison, so a NaN sample (or minimum) is re-checked
+    near = np.flatnonzero(~(screen > screen.min() * (1.0 + _SCREEN_RTOL)))
+
+    def fn(x: float) -> float:
+        return cost(x, _SCALAR)
+
+    vals = [fn(float(xs[j])) for j in near]
+    k = int(np.argmin(vals))
+    i, best = int(near[k]), vals[k]
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, samples - 1)])
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
@@ -2020,7 +2057,7 @@ def _scan_and_refine(fn, lo: float, hi: float, samples: int = 400) -> float:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = fn(d)
-    return min(float(vals[i]), fc, fd)
+    return min(float(best), fc, fd)
 
 
 def apogee_to_apogee_cost(inp: RotatedInput) -> float:
@@ -2028,9 +2065,11 @@ def apogee_to_apogee_cost(inp: RotatedInput) -> float:
 
     The burn points are fixed at the apogee of each orbit; the transfer
     orbit through them is a one- or two-parameter family (antiparallel
-    apogees leave a free velocity component), minimized by dense scan plus
-    golden-section refinement.  This is the classical apse-line reference
-    maneuver the free-burn optimum is compared against.
+    apogees leave a free velocity component), minimized by
+    :func:`_scan_and_refine`: one vectorized screen of 400 samples, a
+    re-check in floats of the samples nearest the screened minimum, and a
+    golden-section refinement in floats.  This is the classical apse-line
+    reference maneuver the free-burn optimum is compared against.
 
     Raises :class:`DegenerateGeometry` for circular inputs (no apse line)
     and for identical orbits (``alpha = 0``: the apogees coincide).
@@ -2058,18 +2097,19 @@ def apogee_to_apogee_cost(inp: RotatedInput) -> float:
             b = (k0 - k1) / (2.0 * lz)
             amax = math.sqrt(max(lz * lz - b * b, 0.0)) - 1e-9
 
-            def cost(a: float, lz=lz, b=b) -> float:
+            def cost(a, ops, lz=lz, b=b):
+                hypot = ops[0]
                 svec = (a * r0[0] + b * t_hat[0], a * r0[1] + b * t_hat[1])
                 w0c = (svec[0] + lz * t_hat[0], svec[1] + lz * t_hat[1])
                 w1c = (svec[0] - lz * t_hat[0], svec[1] - lz * t_hat[1])
-                return math.hypot(w0c[0] - w0[0], w0c[1] - w0[1]) + math.hypot(
+                return hypot(w0c[0] - w0[0], w0c[1] - w0[1]) + hypot(
                     w1c[0] - w1[0], w1c[1] - w1[1]
                 )
 
             best = min(best, _scan_and_refine(cost, -amax, amax))
         return best
 
-    def solved_s(lz: float) -> tuple[float, float]:
+    def solved_s(lz):
         # radius constraints: lz^2 + lz*(sy_*rx - sx_*ry) = k at both apogees
         a00, a01 = -lz * r0[1], lz * r0[0]
         a10, a11 = -lz * r1[1], lz * r1[0]
@@ -2080,21 +2120,21 @@ def apogee_to_apogee_cost(inp: RotatedInput) -> float:
             (a00 * b1 - a10 * b0) / det,
         )
 
-    def cost_or_inf(lz: float) -> float:
+    def cost_or_inf(lz, ops):
+        hypot, inf_where = ops
         sx_, sy_ = solved_s(lz)
-        if sx_ * sx_ + sy_ * sy_ >= lz * lz - 1e-12:
-            return math.inf
         w0c = (sx_ - lz * r0[1], sy_ + lz * r0[0])
         w1c = (sx_ - lz * r1[1], sy_ + lz * r1[0])
-        return math.hypot(w0c[0] - w0[0], w0c[1] - w0[1]) + math.hypot(
-            w1c[0] - w1[0], w1c[1] - w1[1]
+        return inf_where(
+            sx_ * sx_ + sy_ * sy_ >= lz * lz - 1e-12,
+            hypot(w0c[0] - w0[0], w0c[1] - w0[1]) + hypot(w1c[0] - w1[0], w1c[1] - w1[1]),
         )
 
     lo = math.sqrt(max(k0, k1) / 2.0) * (1.0 + 1e-9)
     hi = 3.0
     best = math.inf
     for sign in (1.0, -1.0):
-        best = min(best, _scan_and_refine(lambda t: cost_or_inf(sign * t), lo, hi))
+        best = min(best, _scan_and_refine(lambda t, ops: cost_or_inf(sign * t, ops), lo, hi))
     return best
 
 

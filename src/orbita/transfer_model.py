@@ -12,10 +12,15 @@ and the two objectives are ``f1 = sum(delta_i)`` and
 ``f2 = sum(delta_i^2)``.  The squared cost also satisfies the algebraic
 expansion
 
-    delta_i^2 = |ds|^2 + |dl|^2 + 2 (ds x dl) . rhat_i,
+    delta_i^2 = |ds|^2 + |dl|^2 |rhat_i|^2 - (dl . rhat_i)^2
+                + 2 (ds x dl) . rhat_i,
 
-with ``ds = s_i - s_{i+1}``, ``dl = l_i - l_{i+1}``; ``impulses`` asserts
-this identity on every evaluation.
+with ``ds = s_i - s_{i+1}``, ``dl = l_i - l_{i+1}``.  It holds for any
+``rhat_i``, so it does not lean on the unit norm and the orthogonality that
+validation only checks to a tolerance; on a valid plan it reduces to
+``|ds|^2 + |dl|^2 + 2 (ds x dl) . rhat_i``.  ``impulses`` checks this
+identity on every evaluation and raises :class:`CostExpansionMismatch` when
+it fails.
 
 Plans are plain values: construction checks only structural shape, so an
 invalid geometry can still be built and diagnosed with
@@ -34,6 +39,7 @@ __all__ = [
     "CostReport",
     "Residual",
     "InvalidPlan",
+    "CostExpansionMismatch",
     "validate_plan",
     "plan_is_valid",
     "impulses",
@@ -51,6 +57,10 @@ DEFAULT_TOL = 1e-9
 
 class InvalidPlan(ValueError):
     """The plan violates a transfer constraint beyond tolerance."""
+
+
+class CostExpansionMismatch(ArithmeticError):
+    """A squared burn cost disagrees with its algebraic expansion."""
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,35 @@ class Residual:
     kind: str
 
 
+_BURN_RESIDUALS = ("ortho_l_before", "ortho_l_after", "unit_norm", "radius_match")
+_ORBIT_RESIDUALS = ("orbit_ls", "ellipticity")
+
+
+def _residual_values(p: TransferPlan) -> list[tuple[str, float]]:
+    """``(kind, value)`` of every residual, in :func:`validate_plan`'s order."""
+    out: list[tuple[str, float]] = []
+    for i, rhat in enumerate(p.burn_points):
+        before, after = p.orbits[i], p.orbits[i + 1]
+        rinv_before = before.l.dot(before.l) + before.s.cross(before.l).dot(rhat)
+        rinv_after = after.l.dot(after.l) + after.s.cross(after.l).dot(rhat)
+        out += (
+            ("equality", abs(rhat.dot(before.l))),
+            ("equality", abs(rhat.dot(after.l))),
+            ("equality", abs(rhat.dot(rhat) - 1.0)),
+            ("equality", abs(rinv_before - rinv_after)),
+        )
+    for o in p.orbits:
+        out += (("equality", abs(o.l.dot(o.s))), ("margin", o.l.norm() - o.s.norm()))
+    return out
+
+
+def _violates(kind: str, value: float, tol: float) -> bool:
+    """True unless the residual passes; a NaN residual never passes."""
+    if kind == "equality":
+        return not value < tol
+    return not value > 0.0
+
+
 def validate_plan(p: TransferPlan) -> list[Residual]:
     """All constraint residuals of the plan.
 
@@ -113,50 +152,30 @@ def validate_plan(p: TransferPlan) -> list[Residual]:
     radius-continuity mismatch.  Per orbit ``j``: the ``l . s``
     orthogonality residual and the ellipticity margin ``|l| - |s|``.
     """
-    out: list[Residual] = []
-    for i, rhat in enumerate(p.burn_points):
-        before, after = p.orbits[i], p.orbits[i + 1]
-        out.append(Residual(f"ortho_l_before[{i}]", abs(rhat.dot(before.l)), "equality"))
-        out.append(Residual(f"ortho_l_after[{i}]", abs(rhat.dot(after.l)), "equality"))
-        out.append(Residual(f"unit_norm[{i}]", abs(rhat.dot(rhat) - 1.0), "equality"))
-        rinv_before = before.l.dot(before.l) + before.s.cross(before.l).dot(rhat)
-        rinv_after = after.l.dot(after.l) + after.s.cross(after.l).dot(rhat)
-        out.append(
-            Residual(f"radius_match[{i}]", abs(rinv_before - rinv_after), "equality")
-        )
-    for j, o in enumerate(p.orbits):
-        out.append(Residual(f"orbit_ls[{j}]", abs(o.l.dot(o.s)), "equality"))
-        out.append(
-            Residual(f"ellipticity[{j}]", o.l.norm() - o.s.norm(), "margin")
-        )
-    return out
+    names = [f"{name}[{i}]" for i in range(p.n_impulses) for name in _BURN_RESIDUALS]
+    names += [f"{name}[{j}]" for j in range(len(p.orbits)) for name in _ORBIT_RESIDUALS]
+    return [
+        Residual(name, value, kind)
+        for name, (kind, value) in zip(names, _residual_values(p))
+    ]
 
 
 def plan_is_valid(p: TransferPlan, tol: float = DEFAULT_TOL) -> bool:
     """True when every equality residual is below ``tol`` and every
-    margin is positive."""
-    for r in validate_plan(p):
-        if r.kind == "equality" and r.value >= tol:
-            return False
-        if r.kind == "margin" and r.value <= 0.0:
-            return False
-    return True
+    margin is positive (a NaN residual is neither)."""
+    return not any(_violates(kind, value, tol) for kind, value in _residual_values(p))
 
 
 def impulses(p: TransferPlan, tol: float = DEFAULT_TOL) -> CostReport:
     """Evaluate the plan's burn costs and objectives.
 
-    Raises :class:`InvalidPlan` when a constraint residual exceeds
-    ``tol``.  Each squared burn cost is cross-checked against the
-    algebraic expansion (see module docstring) to 1e-10 relative.
+    Raises :class:`InvalidPlan` when a constraint residual fails as in
+    :func:`plan_is_valid`.  Each squared burn cost is cross-checked against
+    the algebraic expansion (see module docstring) to 1e-10 relative, and
+    :class:`CostExpansionMismatch` is raised when they disagree.
     """
-    bad = [
-        r
-        for r in validate_plan(p)
-        if (r.kind == "equality" and r.value >= tol)
-        or (r.kind == "margin" and r.value <= 0.0)
-    ]
-    if bad:
+    if any(_violates(kind, value, tol) for kind, value in _residual_values(p)):
+        bad = [r for r in validate_plan(p) if _violates(r.kind, r.value, tol)]
         worst = max(bad, key=lambda r: r.value if r.kind == "equality" else 0.0)
         raise InvalidPlan(
             f"{len(bad)} constraint(s) violated; worst: "
@@ -171,9 +190,15 @@ def impulses(p: TransferPlan, tol: float = DEFAULT_TOL) -> CostReport:
         d2 = dv.dot(dv)
         ds = before.s - after.s
         dl = before.l - after.l
-        expansion = ds.dot(ds) + dl.dot(dl) + 2.0 * ds.cross(dl).dot(rhat)
+        dl_r = dl.dot(rhat)
+        expansion = (
+            ds.dot(ds)
+            + dl.dot(dl) * rhat.dot(rhat)
+            - dl_r * dl_r
+            + 2.0 * ds.cross(dl).dot(rhat)
+        )
         if abs(d2 - expansion) > 1e-10 * max(1.0, abs(d2)):
-            raise AssertionError(
+            raise CostExpansionMismatch(
                 f"squared-cost expansion mismatch at burn {i}: "
                 f"{d2!r} vs {expansion!r}"
             )

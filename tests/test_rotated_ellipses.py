@@ -11,6 +11,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import antipodal_certificate
+import apogee_oracles
 import case1_oracles
 import elimination_oracles
 import generate_elimination_tables
 from orbita import elimination_tables, poly_kernel, rotated_ellipses
-from orbita.kepler import Vec3
+from orbita.kepler import DegenerateOrbit, Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
 from orbita.poly_kernel import (
     MPoly,
@@ -43,11 +45,15 @@ from orbita.rotated_ellipses import (
     PipelineDegreeMismatch,
     RotatedCandidate,
     RotatedInput,
+    _SCALAR,
+    _VECTOR,
+    _assemble,
     _case1_jacobian,
     _case1_newton,
     _case1_seeds,
     _case1_system,
     _newton_steps,
+    _scan_and_refine,
     apogee_to_apogee_cost,
     best_rotated_transfer,
     candidate_as_dict,
@@ -152,6 +158,25 @@ class TestRotatedInput:
     def test_alpha_at_the_ends(self):
         assert RotatedInput(s0x=Fraction(1, 2), s0y=Fraction(0)).alpha_deg == pytest.approx(180.0)
         assert RotatedInput(s0x=Fraction(0), s0y=Fraction(1, 2)).alpha_deg == pytest.approx(0.0)
+
+    def test_orbits_are_built_once_per_input(self):
+        inp = params_from_angle(0.7, 37)
+        assert inp.orbit0 is inp.orbit0 and inp.orbit2 is inp.orbit2
+        cands = case2a_axis_solutions(inp)
+        assert cands
+        for c in cands:
+            assert c.plan.orbits[0] is inp.orbit0 and c.plan.orbits[2] is inp.orbit2
+        # the cached views leave equality, hashing and repr to the fields
+        fresh = params_from_angle(0.7, 37)
+        assert fresh == inp and hash(fresh) == hash(inp) and repr(fresh) == repr(inp)
+
+
+class TestAssemble:
+    def test_non_finite_transfer_orbit_is_not_a_candidate(self):
+        # this used to return a validated candidate with f1 = nan
+        inp = params_from_angle(0.7, 37)
+        with pytest.raises(DegenerateOrbit, match="non-finite"):
+            _assemble(inp, "case1", 1.0, 0.0, 0.0, 1.0, math.nan, 0.1, 0.1)
 
 
 # --------------------------------------------------------------------------
@@ -1864,6 +1889,77 @@ class TestApogeeToApogee:
             apogee_to_apogee_cost(RotatedInput(s0x=Fraction(0), s0y=Fraction(0)))
         with pytest.raises(DegenerateGeometry):
             apogee_to_apogee_cost(RotatedInput(s0x=Fraction(0), s0y=Fraction(2, 5)))
+
+
+_GOLDEN_ROTATED = json.loads(
+    (Path(__file__).resolve().parent / "golden_outputs.json").read_text()
+)["rotated"]
+
+
+def _assert_scan_matches_oracle(inp: RotatedInput) -> None:
+    assert repr(apogee_to_apogee_cost(inp)) == repr(apogee_oracles.apogee_to_apogee_cost(inp))
+
+
+class TestApogeeScanOracle:
+    """The screened scan returns the float of the scan that evaluates every
+    sample in floats (``tests/apogee_oracles.py``), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "record", _GOLDEN_ROTATED, ids=lambda r: f"{r['s0x']},{r['s0y']}"
+    )
+    def test_golden_cells(self, record):
+        _assert_scan_matches_oracle(RotatedInput(s0x=record["s0x"], s0y=record["s0y"]))
+
+    @pytest.mark.parametrize("e", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_antiparallel_branch_and_its_neighbour(self, e):
+        # alpha = 180 takes the antiparallel branch, 179.9 the branch next to it
+        for alpha in (180.0, 179.9):
+            _assert_scan_matches_oracle(params_from_angle(e, alpha))
+
+    @pytest.mark.parametrize("e", [0.01, 0.99])
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 90.0])
+    def test_extreme_eccentricities_and_small_angles(self, e, alpha):
+        inp = params_from_angle(e, alpha)
+        assert inp.s0x != 0
+        _assert_scan_matches_oracle(inp)
+
+    @pytest.mark.parametrize("s0y", [Fraction(1, 100), Fraction(99, 100)])
+    def test_alpha_of_a_microdegree(self, s0y):
+        # params_from_angle snaps alpha below about 0.005 deg to 0
+        inp = RotatedInput(s0x=Fraction(1, 10**8), s0y=s0y)
+        assert 0.0 < inp.alpha_deg < 1e-3
+        _assert_scan_matches_oracle(inp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.floats(0.005, 0.995), alpha=st.floats(0.0, 180.0))
+    def test_sweep(self, e, alpha):
+        inp = params_from_angle(e, alpha)
+        assume(inp.s0x != 0)
+        _assert_scan_matches_oracle(inp)
+
+    def test_screen_that_rounds_a_near_tie_the_other_way(self):
+        # two dips, at samples 200 and 201, one ulp apart in depth, so the
+        # float scan's pick decides the result; the screen rounds sample 200
+        # 3 ulps up, its own argmin is 201, and the re-check in floats must
+        # still pick 200
+        xs = np.linspace(0.0, 1.0, 400)
+
+        def f(t):
+            return min(1.0 + abs(t - xs[200]), 1.0 + math.ulp(1.0) + abs(t - xs[201]))
+
+        def cost(x, ops):
+            if ops is _SCALAR:
+                return f(x)
+            screened = np.array([f(t) for t in x])
+            for _ in range(3):
+                screened[200] = np.nextafter(screened[200], np.inf)
+            return screened
+
+        assert f(xs[201]) - f(xs[200]) == math.ulp(1.0)
+        assert int(np.argmin(cost(xs, _VECTOR))) == 201
+        expected = apogee_oracles.scan_and_refine(f, 0.0, 1.0)
+        assert expected == 1.0
+        assert repr(_scan_and_refine(cost, 0.0, 1.0)) == repr(expected)
 
 
 # --------------------------------------------------------------------------

@@ -4,11 +4,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbita.kepler import Orbit, Vec3, circular_orbit, plane_basis
+from orbita import transfer_model
+from orbita.kepler import DegenerateOrbit, Orbit, Vec3, circular_orbit, plane_basis
 from orbita.transfer_model import (
+    CostExpansionMismatch,
     CostReport,
     InvalidPlan,
+    Residual,
     TransferPlan,
     cost_report_as_dict,
     impulses,
@@ -171,7 +176,7 @@ class TestImpulses:
             rep = impulses(plan)
             assert all(d >= 0.0 for d in rep.deltas)
             # Recompute the expansion here, independently of the
-            # assertion inside impulses().
+            # check inside impulses().
             for i, rhat in enumerate(plan.burn_points):
                 o0, o1 = plan.orbits[i], plan.orbits[i + 1]
                 ds, dl = o0.s - o1.s, o0.l - o1.l
@@ -183,6 +188,186 @@ class TestImpulses:
             assert rep.f2 == pytest.approx(
                 sum(d * d for d in rep.deltas), rel=1e-14
             )
+
+
+class TestCostExpansion:
+    def test_validation_slack_does_not_break_the_check(self):
+        # |rhat| = 1 + 2.5e-10 and a radius mismatch of 1.1e-10 pass
+        # validation; the check used to assume |rhat| = 1 and raised
+        o0 = Orbit(Vec3(0, 0, 1), Vec3(0.3, 0.4, 0))
+        o1 = Orbit(Vec3(0, 0, -1.2), Vec3(0, 1 / 30, 0))
+        plan = TransferPlan(orbits=[o0, o1], burn_points=[Vec3(1 + 2.5e-10, 0, 0)])
+        assert all(r.value < 1e-9 for r in validate_plan(plan) if r.kind == "equality")
+        rep = impulses(plan)
+        dv = (o1.s + o1.l.cross(plan.burn_points[0])) - (o0.s + o0.l.cross(plan.burn_points[0]))
+        assert rep.f1 == math.sqrt(dv.dot(dv))
+
+    def test_forced_mismatch_raises_the_typed_error(self):
+        class LongBurn(Vec3):
+            """A burn direction whose squared norm reads 1e-6 too large."""
+
+            def dot(self, other):
+                value = Vec3.dot(self, other)
+                return value + 1e-6 if other is self else value
+
+        plan = hohmann_plan_1_to_2()
+        plan = TransferPlan(plan.orbits, [LongBurn(1.0, 0.0, 0.0), plan.burn_points[1]])
+        # within a loosened tolerance the plan is valid, but |dl|^2 |rhat|^2
+        # now disagrees with the squared cost
+        assert plan_is_valid(plan, tol=1e-5)
+        with pytest.raises(CostExpansionMismatch, match="burn 0"):
+            impulses(plan, tol=1e-5)
+        assert issubclass(CostExpansionMismatch, ArithmeticError)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def _raw_orbit(l: Vec3, s: Vec3) -> Orbit:
+    """An ``Orbit`` that skips construction checks (non-finite allowed)."""
+    o = object.__new__(Orbit)
+    object.__setattr__(o, "l", l)
+    object.__setattr__(o, "s", s)
+    return o
+
+
+class TestNonFinite:
+    def test_orbit_rejects_non_finite_vectors(self):
+        for l, s in [
+            (Vec3(0, 0, NAN), Vec3(0.1, 0.1, 0)),
+            (Vec3(0, 0, 1), Vec3(INF, 0, 0)),
+            (Vec3(0, -INF, 1), Vec3(0, 0, 0)),
+            (Vec3(0, 0, 1), Vec3(0.1, NAN, 0)),
+        ]:
+            with pytest.raises(DegenerateOrbit, match="non-finite"):
+                Orbit(l, s)
+
+    def test_nan_plan_fails_validation(self):
+        # the plan that used to pass with f1 = nan: its middle orbit has
+        # l = (0, 0, nan), so every residual that reads it is NaN
+        o0 = Orbit(Z, Vec3(0.3, 0.4, 0))
+        o2 = Orbit(Z, Vec3(-0.3, 0.4, 0))
+        nan_orbit = _raw_orbit(Vec3(0, 0, NAN), Vec3(0.1, 0.1, 0))
+        plan = TransferPlan(orbits=[o0, nan_orbit, o2], burn_points=[X, Y])
+        assert not plan_is_valid(plan)
+        with pytest.raises(InvalidPlan):
+            impulses(plan)
+
+    def test_nan_burn_fails_validation(self):
+        o = Orbit(Z, Vec3(0.3, 0, 0))
+        plan = TransferPlan(orbits=[o, o], burn_points=[Vec3(NAN, 0, 0)])
+        assert not plan_is_valid(plan)
+        with pytest.raises(InvalidPlan):
+            impulses(plan)
+
+
+def _frozen_validate_plan(p: TransferPlan) -> list[Residual]:
+    """``validate_plan`` as it was before it read ``_residual_values``."""
+    out: list[Residual] = []
+    for i, rhat in enumerate(p.burn_points):
+        before, after = p.orbits[i], p.orbits[i + 1]
+        out.append(Residual(f"ortho_l_before[{i}]", abs(rhat.dot(before.l)), "equality"))
+        out.append(Residual(f"ortho_l_after[{i}]", abs(rhat.dot(after.l)), "equality"))
+        out.append(Residual(f"unit_norm[{i}]", abs(rhat.dot(rhat) - 1.0), "equality"))
+        rinv_before = before.l.dot(before.l) + before.s.cross(before.l).dot(rhat)
+        rinv_after = after.l.dot(after.l) + after.s.cross(after.l).dot(rhat)
+        out.append(
+            Residual(f"radius_match[{i}]", abs(rinv_before - rinv_after), "equality")
+        )
+    for j, o in enumerate(p.orbits):
+        out.append(Residual(f"orbit_ls[{j}]", abs(o.l.dot(o.s)), "equality"))
+        out.append(
+            Residual(f"ellipticity[{j}]", o.l.norm() - o.s.norm(), "margin")
+        )
+    return out
+
+
+def _reference_is_valid(p: TransferPlan, tol: float) -> bool:
+    """The acceptance rule, read off ``validate_plan``'s named residuals."""
+    return all(
+        r.value < tol if r.kind == "equality" else r.value > 0.0
+        for r in validate_plan(p)
+    )
+
+
+# components that put residuals exactly at 1e-9 or at 0, or make them inf or NaN
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, -1e-9, 0.5, INF, -INF, NAN]),
+    st.floats(-2.0, 2.0),
+)
+_VEC = st.builds(Vec3, _COMPONENT, _COMPONENT, _COMPONENT)
+# residual values at and around the boundaries, for substituted residuals
+_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, math.nextafter(1e-9, 0.0), 5e-324, -5e-324, INF, -INF, NAN]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _agree(plan: TransferPlan, tol: float) -> None:
+    """On a finite plan: valid exactly when the reference says so, and
+    ``impulses`` raises ``InvalidPlan`` exactly then."""
+    expected = _reference_is_valid(plan, tol)
+    assert plan_is_valid(plan, tol) is expected
+    if expected:
+        impulses(plan, tol)
+    else:
+        with pytest.raises(InvalidPlan):
+            impulses(plan, tol)
+
+
+class TestValidationEquivalence:
+    """``plan_is_valid`` and ``impulses`` read the raw residual values; they
+    must decide as a rule written on ``validate_plan`` does, and
+    ``validate_plan``'s output must stay what it was."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        orbits=st.lists(st.tuples(_VEC, _VEC), min_size=4, max_size=4),
+        burns=st.lists(_VEC, min_size=3, max_size=3),
+        data=st.data(),
+    )
+    def test_raw_plans(self, n, orbits, burns, data):
+        plan = TransferPlan(
+            orbits=[_raw_orbit(l, s) for l, s in orbits[: n + 1]],
+            burn_points=burns[:n],
+        )
+        residuals = validate_plan(plan)
+        assert [repr(r) for r in residuals] == [repr(r) for r in _frozen_validate_plan(plan)]
+        # a tolerance equal to one of the residuals tests the strict bound
+        tol = data.draw(st.sampled_from([1e-9] + [r.value for r in residuals]))
+        expected = _reference_is_valid(plan, tol)
+        assert plan_is_valid(plan, tol) is expected
+        if not expected:
+            with pytest.raises(InvalidPlan):
+                impulses(plan, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_substituted_residuals(self, seed, n, data):
+        plan = random_plan(random.Random(seed), n_burns=n)
+        kinds = [kind for kind, _ in transfer_model._residual_values(plan)]
+        values = data.draw(st.lists(_VALUE, min_size=len(kinds), max_size=len(kinds)))
+        tol = data.draw(st.sampled_from([1e-9, *values]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                transfer_model, "_residual_values", lambda p: list(zip(kinds, values))
+            )
+            _agree(plan, tol)
+
+    def test_valid_random_plans(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            plan = random_plan(rng, n_burns=rng.choice([1, 2, 3]))
+            assert [repr(r) for r in validate_plan(plan)] == [
+                repr(r) for r in _frozen_validate_plan(plan)
+            ]
+            _agree(plan, 1e-9)
 
 
 class TestScale:
