@@ -117,24 +117,25 @@ ZERO = Vec3(0.0, 0.0, 0.0)
 class Orbit:
     """Elliptic orbit ``(l, s)``.
 
-    Construction validates the invariants: finite components, ``|l|``
-    bounded away from zero, ``|s| < |l|`` (elliptic), and ``l . s = 0``.
-    Tiny orthogonality violations (relative 1e-12) are snapped away by
-    projecting ``s`` onto the plane normal to ``l``; larger ones raise
-    :class:`DegenerateOrbit`, as do non-finite components.
+    Construction validates the invariants: finite ``|l|`` and ``|s|``,
+    ``|l|`` bounded away from zero, ``|s| < |l|`` (elliptic), and
+    ``l . s = 0``.  Tiny orthogonality violations (relative 1e-12) are
+    snapped away by projecting ``s`` onto the plane normal to ``l``; larger
+    ones raise :class:`DegenerateOrbit`, as do non-finite components and
+    norms that overflow.
     """
 
     l: Vec3
     s: Vec3
 
     def __post_init__(self):
-        l, s = self.l, self.s
-        if not all(map(math.isfinite, (l.x, l.y, l.z, s.x, s.y, s.z))):
-            raise DegenerateOrbit(f"non-finite orbit vectors l={l}, s={s}")
         ln = self.l.norm()
+        sn = self.s.norm()
+        # a NaN or infinite component, or a norm that overflows, is not finite
+        if not (math.isfinite(ln) and math.isfinite(sn)):
+            raise DegenerateOrbit(f"non-finite |l| = {ln!r} or |s| = {sn!r}")
         if ln <= _TINY:
             raise DegenerateOrbit(f"|l| = {ln:.3e} is too small")
-        sn = self.s.norm()
         if sn >= ln:
             raise NotElliptic(
                 f"|s| = {sn:.12g} >= |l| = {ln:.12g} (not an ellipse)"

@@ -239,6 +239,8 @@ class TestNonFinite:
             (Vec3(0, 0, 1), Vec3(INF, 0, 0)),
             (Vec3(0, -INF, 1), Vec3(0, 0, 0)),
             (Vec3(0, 0, 1), Vec3(0.1, NAN, 0)),
+            # finite components whose norm overflows
+            (Vec3(0, 0, 1e200), Vec3(0, 0, 0)),
         ]:
             with pytest.raises(DegenerateOrbit, match="non-finite"):
                 Orbit(l, s)
