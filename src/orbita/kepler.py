@@ -55,7 +55,7 @@ class NotElliptic(ValueError):
 
 class DegenerateOrbit(ValueError):
     """The data does not describe a usable orbit or orbit point
-    (non-finite components, vanishing angular momentum, non-orthogonal
+    (non-finite vector norms, vanishing angular momentum, non-orthogonal
     vectors beyond snapping tolerance, zero direction, non-positive ``mu``
     or radius)."""
 
