@@ -18,7 +18,11 @@ move the outputs, and say so with it.
   (0.9, 37)), the first three drawn rounds (twelve cells) of the seed-7
   ``rotated-sweep`` inputs and the first two drawn rounds (eight
   alpha = 180 cells, where case 1 runs every seed to the iteration cap) of
-  the seed-7 ``rotated-flat`` inputs.
+  the seed-7 ``rotated-flat`` inputs, and four ``rotated-sweep`` cells
+  where a case-1 seed converges late, after iteration 40 of 60
+  (``LATE_CONVERGENCE``: seed-7 round 9 converges at iteration 49, round
+  75 at 55; seed-1301 round 8 at 44, round 13 at 57), so a change to the
+  Newton loop's bookkeeping that drops or moves a late seed shows here.
 - Fixed endpoints: ``repr(f2)`` of every ``lambert_pp.solve`` solution on
   the first 16 seed-7 ``fixed-endpoint`` inputs.
 
@@ -42,6 +46,10 @@ SWEEP_ROUNDS = 3
 FLAT_ROUNDS = 2
 FIXED_SEED = 7
 FIXED_COUNT = 16
+# (seed, round, position in the round) of rotated-sweep cells with a late
+# case-1 convergence; their records were added before the Newton loop was
+# rewritten on one compacted buffer, so they pin the earlier loop's output
+LATE_CONVERGENCE = ((7, 9, 1), (7, 75, 2), (1301, 8, 3), (1301, 13, 1))
 
 
 def rotated_record(inp) -> dict:
@@ -88,6 +96,8 @@ def main() -> None:
         rotated += batch
     for batch in islice(workloads.flat_rounds(SWEEP_SEED), 1, 1 + FLAT_ROUNDS):
         rotated += batch
+    for seed, round_, position in LATE_CONVERGENCE:
+        rotated.append(next(islice(workloads.sweep_rounds(seed), round_, None))[position])
     fixed = next(workloads.fixed_rounds(FIXED_SEED))[:FIXED_COUNT]
     golden = {
         "rotated": [rotated_record(inp) for inp in rotated],
