@@ -122,7 +122,7 @@ from .poly_kernel import (
 )
 from .poly_kernel.dense import u_eval
 from .poly_kernel.mpoly import pack, unpack
-from .transfer_model import TransferPlan, impulses, plan_as_dict, plan_is_valid
+from .transfer_model import TransferPlan, _checked_costs, impulses, plan_as_dict, plan_is_valid
 
 # Unused by the solver; bound only because perfbench/spans.py wraps them here,
 # until the benchmark change of ROADMAP item 1 drops all three targets.
@@ -403,7 +403,8 @@ def _assemble(
             s1y,
         )
         return None
-    cost = impulses(plan).f1
+    # plan_is_valid checked the residuals that impulses would check again
+    cost = _checked_costs(plan).f1
     if f1 is not None and abs(cost - f1) > 1e-9 * max(1.0, cost):
         logger.warning(
             "%s candidate: closed-form cost %.17g disagrees with plan cost "
@@ -1593,9 +1594,65 @@ _BURN_SIGNS = np.array(((1.0,), (-1.0,)))
 _BURN_FLIPS = -_BURN_SIGNS
 _GRAD_F = np.array((0.0,) * 7 + (1.0, 1.0))
 
+# first rows of the parts of a case-1 buffer (see _case1_buffer)
+_F = 16
+_G = 32
+_SHARED = 86
+_NEG_G = 91
+_W_DIAG = 145
+_W_OFF = 151
+_DEFLATION = 161
+_ZERO, _NEG_ZERO = 163, 164
+_ROWS = 165
 
-def _case1_system(sx: float, sy: float, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals (n, 16) and constraint gradients (n, 6, 9) at states Z.
+# the off-diagonal entries (i, j) of W in the order of the buffer's rows
+_W_PAIRS = ((0, 5), (2, 5), (1, 4), (3, 4), (0, 6), (2, 6), (1, 6), (3, 6), (4, 6), (5, 6))
+
+
+def _jacobian_rows() -> np.ndarray:
+    """The buffer row of each entry of the flattened 16 x 16 Jacobian."""
+    rows = np.full((_N_UNKNOWNS, _N_UNKNOWNS), _ZERO)
+    rows[0:6, 0:9] = _G + np.arange(54).reshape(6, 9)
+    rows[6:15, 0:9] = _NEG_ZERO  # the zeros of the -W block
+    rows[6:15, 9:15] = (_NEG_G + np.arange(54).reshape(6, 9)).T
+    for i, row in enumerate((0, 0, 1, 1, 2, 2, 3, 4, 5)):
+        rows[6 + i, i] = _W_DIAG + row
+    for row, (i, j) in enumerate(_W_PAIRS):
+        rows[6 + i, j] = rows[6 + j, i] = _W_OFF + row
+    rows[15, (1, 3)] = _DEFLATION
+    rows[15, 15] = _DEFLATION + 1
+    return rows.ravel()
+
+
+_JACOBIAN_ROWS = _jacobian_rows()
+
+
+def _case1_buffer(n: int) -> np.ndarray:
+    """A case-1 buffer for ``n`` seeds: zeros, with the -0.0 row set.
+
+    The buffer is unknown-major, one column per seed, and its rows hold::
+
+        0-15     the state, in the unknown layout above
+        16-31    the residuals F
+        32-85    the constraint gradients, G[i, j] in row 32 + 9 i + j;
+                 the entries that are zero for every state are never written
+        86-90    -dxs, sxs, dys, 1 - l and -l, which the Jacobian reuses
+        91-144   -G in the same order as G
+        145-150  -W00 = -W11, -W22 = -W33, -W44 = -W55, -W66, -W77, -W88
+        151-160  -W[i, j] for the pairs (i, j) of _W_PAIRS
+        161-162  the deflation entries -k and -(y0 + y1)
+        163-164  0.0 and -0.0
+
+    ``_case1_system`` writes rows 16-90, and ``_case1_jacobian`` writes
+    rows 91-162 before it gathers the Jacobian from the buffer.
+    """
+    B = np.zeros((_ROWS, n))
+    B[_NEG_ZERO] = -0.0
+    return B
+
+
+def _case1_system(sx: float, sy: float, B: np.ndarray) -> None:
+    """Residuals and constraint gradients of the states in buffer ``B``.
 
     With ``dxs = sx - s1x``, ``dys = sy - s1y``, ``sxs = sx + s1x`` and
     ``m = 1 - l`` the constraints are::
@@ -1606,41 +1663,44 @@ def _case1_system(sx: float, sy: float, Z: np.ndarray) -> tuple[np.ndarray, np.n
         g4 = d0^2 - (dxs^2 + dys^2 + m^2 + 2m (x0 dys - y0 dxs))
         g5 = d1^2 - (sxs^2 + dys^2 + m^2 + 2m (x1 dys + y1 sxs))
 
-    evaluated left to right as written; rows 6-14 are the stationarity
-    ``grad(d0 + d1) - G^T lam`` and row 15 the deflation ``1 - k (y0 + y1)``.
-    The work runs on one contiguous row per unknown, ``T = Z.T``, with burn
-    0 and burn 1 stacked, and the results are views of (16, n) and
-    (6, 9, n) buffers.  The stacking writes ``- y1 sx`` as
+    evaluated left to right as written; rows 6-14 of F are the
+    stationarity ``grad(d0 + d1) - G^T lam`` and row 15 is
+    ``1 - k (y0 + y1)`` (see ``case1_numeric`` for what it does).  The
+    states are read from the buffer's rows (see ``_case1_buffer``), which
+    may be a column slice of a larger buffer, and F, G and the
+    intermediates that ``_case1_jacobian`` reuses are written to them.
+    Burn 0 and burn 1 are stacked: ``- y1 sx`` is computed as
     ``+ y1 (-sx)``, ``dxs`` as ``-(-dxs)`` and so on, which IEEE arithmetic
     gives bit for bit, signs of zero included (``tests/case1_oracles.py``
     keeps the per-burn route).
     """
-    T = np.ascontiguousarray(Z.T)
-    n = T.shape[1]
+    T = B[0:_N_UNKNOWNS]
     x, y, d = T[0:4:2], T[1:4:2], T[7:9]  # rows (x0, x1), (y0, y1), (d0, d1)
     s1x, s1y, l = T[4], T[5], T[6]
     sq = T[0:9] * T[0:9]
     sxb = sx * _BURN_SIGNS  # (sx, -sx)
     # r = (-(sx - s1x), sx + s1x): the burn-1 row is sxs, the burn-0 row -dxs
-    r = (sx - s1x * _BURN_SIGNS) * _BURN_FLIPS
-    dys = sy - s1y
-    ml = 1.0 - l
+    shared = B[_SHARED:_NEG_G]
+    r, dys, ml, nl = shared[0:2], shared[2], shared[3], shared[4]
+    np.multiply(sx - s1x * _BURN_SIGNS, _BURN_FLIPS, out=r)
+    np.subtract(sy, s1y, out=dys)
+    np.subtract(1.0, l, out=ml)
+    np.negative(l, out=nl)
     ml2 = 2.0 * ml
     nml2 = -ml2
-    nl = -l
     xs1y, ys1x = x * s1y, y * s1x
     w = x * dys + y * r  # (x0 dys - y0 dxs, x1 dys + y1 sxs)
 
-    F = np.empty((_N_UNKNOWNS, n))
+    F = B[_F:_G]
     np.subtract(sq[0:4:2] + sq[1:4:2], 1.0, out=F[0:2])
     np.add(sq[6] + l * (xs1y - ys1x) - 1.0 - x * sy, y * sxb, out=F[2:4])
-    gap = r * r + dys * dys + ml * ml + ml2 * w
+    sh2 = shared[0:4] * shared[0:4]  # r * r, dys * dys, ml * ml
+    gap = sh2[0:2] + sh2[2] + sh2[3] + ml2 * w
     np.subtract(sq[7:9], gap, out=F[4:6])
 
-    # G[i, j] of both burns at once: the flat index 9i + j of burn 1 is a
-    # fixed stride (9 or 11) past that of burn 0
-    G = np.zeros((6, 9, n))
-    Gf = G.reshape(54, n)
+    # G[i, j] of both burns at once: the row 9i + j of burn 1 is a fixed
+    # stride (9 or 11) past that of burn 0
+    Gf = B[_G:_SHARED]
     np.multiply(2.0, x, out=Gf[0:12:11])
     np.multiply(2.0, y, out=Gf[1:13:11])
     np.subtract(l * s1y, sy, out=Gf[18:30:11])
@@ -1655,9 +1715,9 @@ def _case1_system(sx: float, sy: float, Z: np.ndarray) -> tuple[np.ndarray, np.n
     np.add(ml2, 2.0 * w, out=Gf[42:52:9])
     np.multiply(2.0, d, out=Gf[43:54:10])
 
+    G = B[_G:_SHARED].reshape(6, 9, B.shape[1])
     np.subtract(_GRAD_F[:, None], np.einsum("in,ipn->pn", T[9:15], G), out=F[6:15])
     np.subtract(1.0, T[15] * (y[0] + y[1]), out=F[15])
-    return F.T, G.transpose(2, 0, 1)
 
 
 def _vdc(n: int, base: int) -> float:
@@ -1672,8 +1732,8 @@ def _vdc(n: int, base: int) -> float:
 
 @lru_cache(maxsize=8)
 def _halton_block(count: int) -> np.ndarray:
-    """The input-free part of ``count`` seeds: columns 0-6 and k, read-only."""
-    Z = np.zeros((count, _N_UNKNOWNS))
+    """The input-free part of ``count`` seeds: rows 0-6 and k, read-only."""
+    Z = np.zeros((_N_UNKNOWNS, count))
     for r in range(count):
         j = 2 * r + 1
         th0 = 2.0 * math.pi * _vdc(j + 1, 2)
@@ -1684,7 +1744,7 @@ def _halton_block(count: int) -> np.ndarray:
         lmag = 0.45 + 1.5 * _vdc(j + 1, 5)
         smag = 0.85 * lmag * _vdc(j + 1, 7)
         sang = 2.0 * math.pi * _vdc(j + 1, 11)
-        Z[r, 0:7] = (
+        Z[0:7, r] = (
             math.cos(th0),
             math.sin(th0),
             math.cos(th1),
@@ -1693,13 +1753,13 @@ def _halton_block(count: int) -> np.ndarray:
             smag * math.sin(sang),
             -lmag,
         )
-        Z[r, 15] = 1.0 / (Z[r, 1] + Z[r, 3])
+        Z[15, r] = 1.0 / (Z[1, r] + Z[3, r])
     Z.flags.writeable = False
     return Z
 
 
 def _case1_seeds(sx: float, sy: float, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy retrograde seed states, fully initialized.
+    """Deterministic low-discrepancy retrograde seed states (count, 16).
 
     Row ``r`` is term ``j = 2r + 1`` of a Halton-style sequence (radical
     inverses of ``j + 1`` in the bases 2, 3, 5, 7, 11) with ``l = -|l|``.
@@ -1711,15 +1771,17 @@ def _case1_seeds(sx: float, sy: float, count: int) -> np.ndarray:
     per count (``_halton_block``); the burn sizes and multipliers are
     fitted to the input here.
     """
-    Z = _halton_block(count).copy()
-    F, _ = _case1_system(sx, sy, Z)
-    # gaps: g[:,4] = d0^2 - gap0 with d0 = 0 at this point
-    Z[:, 7] = np.sqrt(np.maximum(-F[:, 4], 1e-4))
-    Z[:, 8] = np.sqrt(np.maximum(-F[:, 5], 1e-4))
-    _, G = _case1_system(sx, sy, Z)
+    B = _case1_buffer(count)
+    T = B[0:_N_UNKNOWNS]
+    T[...] = _halton_block(count)
+    _case1_system(sx, sy, B)
+    # gaps: F4 = d0^2 - gap0 with d0 = 0 at this point
+    np.sqrt(np.maximum(-B[_F + 4 : _F + 6], 1e-4), out=T[7:9])
+    _case1_system(sx, sy, B)
     # least-squares multipliers of every seed, one stacked pseudo-inverse
-    Z[:, 9:15] = np.linalg.pinv(G.transpose(0, 2, 1)) @ _GRAD_F
-    return Z
+    G = B[_G:_SHARED].reshape(6, 9, count)
+    T[9:15] = (np.linalg.pinv(G.transpose(2, 1, 0)) @ _GRAD_F).T
+    return np.ascontiguousarray(T.T)
 
 
 _LINE_SEARCH_STEPS = np.array((1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3))
@@ -1728,25 +1790,17 @@ _LINE_SEARCH_STEPS = np.array((1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3))
 _SUFFICIENT_DECREASE = 1.0 - 1e-4 * _LINE_SEARCH_STEPS[:, None]
 
 
-# the off-diagonal entries (i, j) of W in the order _case1_jacobian
-# stacks them, and the flat indices in J of -W[i, j] at (6 + i, j) and of
-# its mirror image at (6 + j, i)
-_W_PAIRS = ((0, 5), (2, 5), (1, 4), (3, 4), (0, 6), (2, 6), (1, 6), (3, 6), (4, 6), (5, 6))
-_W_UPPER = np.array([16 * (6 + i) + j for i, j in _W_PAIRS])
-_W_LOWER = np.array([16 * (6 + j) + i for i, j in _W_PAIRS])
+def _case1_jacobian(sx: float, sy: float, B: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian (n, 16, 16) of the case-1 residuals in buffer ``B``.
 
-
-def _case1_jacobian(sx: float, sy: float, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian (n, 16, 16) of the case-1 residuals at states Z.
-
-    ``G`` is the constraint gradient block that ``_case1_system`` returns
-    for the same states.  The stationarity rows differentiate to the
-    Lagrangian Hessian ``W = sum(lam_i H_i)`` in the primal unknowns and
-    ``-G^T`` in the multipliers (Nocedal & Wright 2006, ch. 18).  The
-    constraints are polynomials of degree at most 3 (g2-g5 have terms such
-    as ``l x0 s1y``), so every entry of ``W`` is a multiplier times a
-    constant or a term linear in the primal unknowns.  With ``m = 1 - l``
-    and the burn-1 twin of an entry in brackets::
+    ``B`` holds the constraint gradients that ``_case1_system`` wrote for
+    its states.  The stationarity rows differentiate to the Lagrangian
+    Hessian ``W = sum(lam_i H_i)`` in the primal unknowns and ``-G^T`` in
+    the multipliers (Nocedal & Wright 2006, ch. 18).  The constraints are
+    polynomials of degree at most 3 (g2-g5 have terms such as ``l x0 s1y``),
+    so every entry of ``W`` is a multiplier times a constant or a term
+    linear in the primal unknowns.  With ``m = 1 - l`` and the burn-1 twin
+    of an entry in brackets::
 
         W00 = W11 = 2 lam0  [W22 = W33 = 2 lam1]     W77 = 2 lam4, W88 = 2 lam5
         W44 = W55 = -2 (lam4 + lam5)                 W66 = 2 (lam2 + lam3 - lam4 - lam5)
@@ -1756,48 +1810,39 @@ def _case1_jacobian(sx: float, sy: float, Z: np.ndarray, G: np.ndarray) -> np.nd
         W46 = (2 lam4 - lam2) y0 + (2 lam5 - lam3) y1
         W56 = (lam2 - 2 lam4) x0 + (lam3 - 2 lam5) x1
 
-    Burn 0 and burn 1 are stacked as in ``_case1_system``, and the result
-    is a view of a (16, 16, n) buffer that the blocks are written into:
-    ``G``, ``-G^T`` and each ``-W`` entry stored negated (the zeros of the
-    ``-W`` block are ``-0.0``).
+    Burn 0 and burn 1 are stacked as in ``_case1_system``.  ``-G``, each
+    distinct ``-W`` entry (stored negated) and the deflation entries are
+    written to the buffer's rows, and the Jacobian is one gather of buffer
+    rows by ``_JACOBIAN_ROWS``, whose constant entries read the 0.0 and
+    -0.0 rows (the zeros of the ``-W`` block are ``-0.0``).  Column 15 is
+    zero in rows 0-14.  The result is a view of a (16, 16, n) array.
     """
-    T = Z.T
-    n = T.shape[1]
+    T = B[0:_N_UNKNOWNS]
     x, y = T[0:4:2], T[1:4:2]
     s1x, s1y, l = T[4], T[5], T[6]
-    lam0, lam1, lam23, lam45 = T[9], T[10], T[11:13], T[13:15]
-    r = (sx - s1x * _BURN_SIGNS) * _BURN_FLIPS  # (-dxs, sxs)
-    dys = sy - s1y
-    ml = 1.0 - l
+    lam23, lam45 = T[11:13], T[13:15]
+    r, dys, ml, nl = B[_SHARED : _SHARED + 2], B[_SHARED + 2], B[_SHARED + 3], B[_SHARED + 4]
     two45 = 2.0 * lam45
     ml45 = two45 * ml
 
-    J = np.zeros((_N_UNKNOWNS, _N_UNKNOWNS, n))
-    Jf = J.reshape(_N_UNKNOWNS * _N_UNKNOWNS, n)
-    Gt = G.transpose(1, 2, 0)
-    J[0:6, 0:9] = Gt
-    np.negative(Gt.transpose(1, 0, 2), out=J[6:15, 9:15])
-    J[6:15, 0:9] = -0.0
-    # -W on the diagonal, flat index 16 (6 + i) + i = 96 + 17 i
-    np.multiply(-2.0, lam0, out=Jf[96:114:17])
-    np.multiply(-2.0, lam1, out=Jf[130:148:17])
-    np.multiply(2.0, lam45[0] + lam45[1], out=Jf[164:182:17])
-    np.multiply(-2.0, lam23[0] + lam23[1] - lam45[0] - lam45[1], out=Jf[198])
-    np.negative(two45, out=Jf[215:233:17])
-    W = np.empty((10, n))  # rows in the order of _W_PAIRS
+    np.negative(B[_G:_SHARED], out=B[_NEG_G:_W_DIAG])
+    D = B[_W_DIAG:_W_OFF]
+    np.multiply(-2.0, T[9:11], out=D[0:2])
+    np.multiply(2.0, lam45[0] + lam45[1], out=D[2])
+    np.multiply(-2.0, lam23[0] + lam23[1] - lam45[0] - lam45[1], out=D[3])
+    np.negative(two45, out=D[4:6])
+    W = B[_W_OFF:_DEFLATION]  # rows in the order of _W_PAIRS
     np.add(lam23 * l, ml45, out=W[0:2])
-    np.subtract(lam23 * -l, ml45, out=W[2:4])
+    np.subtract(lam23 * nl, ml45, out=W[2:4])
     np.add(lam23 * s1y, two45 * dys, out=W[4:6])
     np.add(lam23 * -s1x, two45 * r, out=W[6:8])
     P, Q = (two45 - lam23) * y, (lam23 - two45) * x
     np.add(P[0], P[1], out=W[8])
     np.add(Q[0], Q[1], out=W[9])
     np.negative(W, out=W)
-    Jf[_W_UPPER] = W
-    Jf[_W_LOWER] = W
-    np.negative(T[15], out=Jf[241:244:2])
-    np.negative(y[0] + y[1], out=Jf[255])
-    return J.transpose(2, 0, 1)
+    np.negative(T[15], out=B[_DEFLATION])
+    np.negative(y[0] + y[1], out=B[_DEFLATION + 1])
+    return B.take(_JACOBIAN_ROWS, axis=0).reshape(_N_UNKNOWNS, _N_UNKNOWNS, -1).transpose(2, 0, 1)
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1825,65 +1870,101 @@ def _case1_newton(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton from ``seed_count`` seeds: final states, alive, converged.
 
-    All live seeds (alive and not yet converged) move together, and each
-    iteration makes one ``_case1_system`` call.  The analytic Jacobian is
-    built from the constraint gradients of each seed's current point, kept
-    from the call that accepted it, and solved in one batch.  The line
-    search evaluates every step size of ``_LINE_SEARCH_STEPS`` for every
-    seed in one stacked call; each seed takes the first size that lowers
-    its residual norm enough, or stops.  Seeds never interact and every
-    operation works element by element, so the result is the same, bit for
-    bit, as running each seed on its own and trying the step sizes in
-    order.  A seed stops for good when its step is singular, no step size
-    is taken, or its norm passes 1e10; it converges below 1e-12.
+    The live seeds (alive and not yet converged) are the columns of one
+    case-1 buffer ``B`` (see ``_case1_buffer``), in seed order, and move
+    together.  Per iteration:
+
+    - ``_case1_jacobian`` builds the analytic Jacobian from the constraint
+      gradients in ``B``, kept from the call that accepted each state, and
+      ``_newton_steps`` solves it in one batch;
+    - the line search writes the candidate states into a buffer ``C``
+      allocated once per call, column ``t m + i`` for seed ``i`` moved by
+      step size ``t`` of ``_LINE_SEARCH_STEPS``, and makes the
+      iteration's one ``_case1_system`` call on it; each seed takes the
+      first size that lowers its residual norm enough;
+    - a seed stops for good when its step is singular, no step size is
+      taken, or its norm passes 1e10; it converges below 1e-12.  Stopped
+      seeds are written out to the returned states;
+    - the next ``B`` is one column take of ``C``: the accepted candidates
+      of the seeds that go on.
+
+    Seeds never interact and every operation works element by element, so
+    the result is the same, bit for bit, as running each seed on its own
+    and trying the step sizes in order.
+
+    The buffers' rows hold the state, the residuals, the constraint
+    gradients, the intermediates the Jacobian reuses, ``-G``, the entries
+    of ``-W``, the deflation entries and a 0.0 and a -0.0 row (see
+    ``_case1_buffer``), so the Jacobian is one gather of rows and no seed
+    is gathered or scattered by index until it stops.  On the seed-7
+    ``rotated-flat`` rounds 0-10 of the benchmark (32 seeds, all 60
+    iterations) an iteration spends 35% of its time in the line-search
+    system on the 8 m candidate columns, 24% in the batched 16 x 16 solve,
+    14% building the Jacobian, 13% writing the candidates and choosing the
+    step sizes, 6% in the column take and 2% on stopped seeds; the seeds
+    and the set-up take the rest.
     """
     Z = _case1_seeds(sx, sy, seed_count)
-    F, G = _case1_system(sx, sy, Z)
-    norms = np.abs(F).max(axis=1)
-    live = np.ones(seed_count, dtype=bool)
+    B = _case1_buffer(seed_count)
+    B[0:_N_UNKNOWNS] = Z.T
+    _case1_system(sx, sy, B)
+    norms = np.abs(B[_F:_G]).max(axis=0)
+    C = _case1_buffer(_LINE_SEARCH_STEPS.size * seed_count)
+    index = np.arange(seed_count)
+    cols = index  # the seed of each column of B
     done = np.zeros(seed_count, dtype=bool)
-    ts = _LINE_SEARCH_STEPS[:, None, None]
+    ts = _LINE_SEARCH_STEPS[:, None]
 
     for _ in range(60):
-        idx = live.nonzero()[0]
-        if not idx.size:
+        m = cols.size
+        if not m:
             break
-        J = _case1_jacobian(sx, sy, Z[idx], G[idx])
-        steps, ok = _newton_steps(J, F[idx])
-
-        # row t*m + i of the stack is seed tried[i] moved by step size t
-        tried = idx[ok]
-        m = tried.size
-        Zc = (Z[tried] + ts * steps[ok]).reshape(-1, _N_UNKNOWNS)
-        Fc, Gc = _case1_system(sx, sy, Zc)
-        nc = np.abs(Fc).max(axis=1).reshape(ts.shape[0], m)
-        acc = np.isfinite(nc) & (nc < norms[tried] * _SUFFICIENT_DECREASE)
-        took = acc.any(axis=0)
-        rows = (acc.argmax(axis=0) * m + np.arange(m))[took]
-        dest = tried[took]
-        Z[dest], F[dest], G[dest] = Zc[rows], Fc[rows], Gc[rows]
-        norms[dest] = nc.ravel()[rows]
-        # over idx: stop where singular, not taken, diverged or converged
-        nt = norms[idx]
-        moved = np.zeros_like(ok)
-        moved[ok] = took
-        live[idx[~moved | (nt > 1e10) | (nt < 1e-12)]] = False
-        done[idx[moved & (nt < 1e-12)]] = True
-    return Z, live | done, done
+        steps, ok = _newton_steps(_case1_jacobian(sx, sy, B), B[_F:_G].T)
+        S = C[:, : ts.size * m]
+        Zc = S[0:_N_UNKNOWNS].reshape(_N_UNKNOWNS, ts.size, m)
+        np.multiply(ts, steps.T[:, None, :], out=Zc)
+        np.add(B[0:_N_UNKNOWNS, None, :], Zc, out=Zc)
+        _case1_system(sx, sy, S)
+        nc = np.abs(S[_F:_G]).max(axis=0).reshape(ts.size, m)
+        acc = nc < norms * _SUFFICIENT_DECREASE  # False where nc is NaN or inf
+        took = acc.any(axis=0) & ok
+        src = acc.argmax(axis=0) * m + index[:m]  # each seed's first taken candidate
+        norms = nc.ravel()[src]
+        go_on = took & (norms >= 1e-12) & (norms <= 1e10)
+        if not go_on.all():
+            ended = took & ~go_on  # converged or diverged
+            Z[cols[~took]] = B[0:_N_UNKNOWNS, ~took].T
+            Z[cols[ended]] = S[0:_N_UNKNOWNS, src[ended]].T
+            done[cols[ended & (norms < 1e-12)]] = True
+            cols, src, norms = cols[go_on], src[go_on], norms[go_on]
+        B = S.take(src, axis=1)
+    Z[cols] = B[0:_N_UNKNOWNS].T
+    alive = done.copy()
+    alive[cols] = True
+    return Z, alive, done
 
 
 def case1_numeric(inp: RotatedInput, seed_count: int = 32) -> list[RotatedCandidate]:
     """Non-symmetric critical points by deterministic multi-start Newton.
 
-    The full first-order system (six constraints, nine stationarity rows,
-    one deflation row ``1 - k*(y0+y1)`` that excludes the symmetric
-    families) is solved by a damped Newton iteration from ``seed_count``
-    low-discrepancy seeds, with the analytic Jacobian of ``_case1_jacobian``,
-    batched across seeds and line-search step sizes; the states equal those
-    of running each seed on its own, bit for bit.  Converged states (residual
-    below 1e-12) are filtered: positive burn sizes, ``|y0+y1| > 1e-6``,
-    elliptic transfer, plan residuals below 1e-9.  The list is often
-    empty — for many inputs this family has no real solution.
+    The full first-order system (six constraints, nine stationarity rows
+    and the deflation row ``1 - k*(y0+y1)``) is solved by a damped Newton
+    iteration from ``seed_count`` low-discrepancy seeds, with the analytic
+    Jacobian of ``_case1_jacobian``, batched across seeds and line-search
+    step sizes; the states equal those of running each seed on its own, bit
+    for bit.  Converged states (residual below 1e-12) are filtered: positive
+    burn sizes, ``|y0+y1| > 1e-6``, elliptic transfer, plan residuals below
+    1e-9.  The list is often empty — for many inputs this family has no
+    real solution.
+
+    The ``|y0+y1|`` filter, not the deflation row, drops the symmetric
+    points.  Column 15 (``k``) of the Jacobian is zero in rows 0-14, so the
+    row never changes the Newton direction in the other 15 unknowns; it
+    enters only the residual norm of the line search, which shortens the
+    steps of seeds near ``y0 + y1 = 0`` and keeps them from converging
+    there.  On the seed-7 rounds 0-10 of the benchmark, 131 of the 579
+    seeds still live at the cap on the alpha = 180 cells, and 131 of 364 on
+    the generic cells, have rows 0-14 below 1e-3 and ``|row 15| >= 0.05``.
 
     The seeds are retrograde only (``l < 0``, see ``_case1_seeds``).  That
     rests on evidence, not on a proof: on 252 cells (seeded benchmark
@@ -1897,13 +1978,13 @@ def case1_numeric(inp: RotatedInput, seed_count: int = 32) -> list[RotatedCandid
     f1 = 3.6076 that 128 seeds find.
 
     Every input runs all 60 iterations: on 314 measured cells at least one
-    seed was still live at the cap, most of them stuck near the excluded
-    symmetric manifold, and no rule on consecutive slow iterations that
-    spares every converging seed stops most of the stuck ones (converging
-    seeds spent up to 24 iterations in a row under 1% progress).  An
-    iteration costs NumPy dispatch more than arithmetic, so the residuals,
-    Jacobian and seeds run on contiguous per-unknown rows with the two
-    burns stacked.
+    seed was still live at the cap, most of them stuck near the symmetric
+    manifold, and no rule on consecutive slow iterations that spares every
+    converging seed stops most of the stuck ones (converging seeds spent up
+    to 24 iterations in a row under 1% progress).  An iteration costs NumPy
+    dispatch more than arithmetic, so the live seeds are the columns of one
+    unknown-major buffer, with the two burns stacked; ``_case1_newton``
+    gives the layout and where an iteration's time goes.
 
     Raises ``ValueError`` unless ``seed_count`` is a positive int.
     """

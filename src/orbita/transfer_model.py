@@ -181,6 +181,15 @@ def impulses(p: TransferPlan, tol: float = DEFAULT_TOL) -> CostReport:
             f"{len(bad)} constraint(s) violated; worst: "
             f"{worst.name} = {worst.value:.3e}"
         )
+    return _checked_costs(p)
+
+
+def _checked_costs(p: TransferPlan) -> CostReport:
+    """:func:`impulses` of a plan whose constraints were already checked.
+
+    Only the squared-cost expansion is checked here; it raises
+    :class:`CostExpansionMismatch` as :func:`impulses` does.
+    """
     deltas = []
     for i, rhat in enumerate(p.burn_points):
         before, after = p.orbits[i], p.orbits[i + 1]

@@ -24,7 +24,7 @@ import apogee_oracles
 import case1_oracles
 import elimination_oracles
 import generate_elimination_tables
-from orbita import elimination_tables, poly_kernel, rotated_ellipses
+from orbita import elimination_tables, poly_kernel, rotated_ellipses, transfer_model
 from orbita.kepler import DegenerateOrbit, Vec3
 from orbita.oracle import OracleConfig, planar_two_impulse_min
 from orbita.poly_kernel import (
@@ -48,6 +48,7 @@ from orbita.rotated_ellipses import (
     _SCALAR,
     _VECTOR,
     _assemble,
+    _case1_buffer,
     _case1_jacobian,
     _case1_newton,
     _case1_seeds,
@@ -177,6 +178,22 @@ class TestAssemble:
         inp = params_from_angle(0.7, 37)
         with pytest.raises(DegenerateOrbit, match="non-finite"):
             _assemble(inp, "case1", 1.0, 0.0, 0.0, 1.0, math.nan, 0.1, 0.1)
+
+    def test_accepted_plan_is_validated_once(self, monkeypatch):
+        c = case2a_axis_solutions(REF)[0]
+        transfer = c.plan.orbits[1]
+        args = (c.burn0.x, c.burn0.y, c.burn1.x, c.burn1.y, transfer.l.z, transfer.s.x, transfer.s.y)
+        residual_values = transfer_model._residual_values
+        calls = []
+
+        def counted(plan):
+            calls.append(plan)
+            return residual_values(plan)
+
+        monkeypatch.setattr(transfer_model, "_residual_values", counted)
+        again = _assemble(REF, c.case_tag, *args)
+        assert again is not None and again.f1 == c.f1
+        assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
@@ -591,6 +608,27 @@ class TestAntipodalSolutions:
 # --------------------------------------------------------------------------
 
 
+def _case1_state(sx, sy, Z):
+    """A case-1 buffer holding the states Z (n, 16), with the system run on it."""
+    B = _case1_buffer(Z.shape[0])
+    B[0:16] = Z.T
+    _case1_system(sx, sy, B)
+    return B
+
+
+def _system(sx, sy, Z):
+    """Residuals (n, 16) and constraint gradients (n, 6, 9) at states Z."""
+    B = _case1_state(sx, sy, Z)
+    F = B[rotated_ellipses._F : rotated_ellipses._G]
+    G = B[rotated_ellipses._G : rotated_ellipses._SHARED].reshape(6, 9, -1)
+    return F.T, G.transpose(2, 0, 1)
+
+
+def _jacobian(sx, sy, Z):
+    """The analytic Jacobian (n, 16, 16) at states Z."""
+    return _case1_jacobian(sx, sy, _case1_state(sx, sy, Z))
+
+
 class TestCase1Numeric:
     def test_reference_pair(self, ref_case1):
         # the reference geometry has exactly one non-symmetric critical
@@ -614,15 +652,15 @@ class TestCase1Numeric:
         Z[:, 6] += 1.5  # keep l away from 0
         Z[:, 7:9] = np.abs(Z[:, 7:9]) + 0.5
         sx, sy = 0.3, 0.4
-        F, G = _case1_system(sx, sy, Z)
+        F, G = _system(sx, sy, Z)
         h = 1e-6
         for j in range(9):
             Zp = Z.copy()
             Zm = Z.copy()
             Zp[:, j] += h
             Zm[:, j] -= h
-            Fp, _ = _case1_system(sx, sy, Zp)
-            Fm, _ = _case1_system(sx, sy, Zm)
+            Fp, _ = _system(sx, sy, Zp)
+            Fm, _ = _system(sx, sy, Zm)
             fd = (Fp[:, 0:6] - Fm[:, 0:6]) / (2.0 * h)
             assert np.max(np.abs(fd - G[:, :, j])) < 1e-5
 
@@ -631,10 +669,10 @@ class TestCase1Numeric:
         Z = rng.normal(scale=0.7, size=(3, 16))
         Z[:, 7:9] = np.abs(Z[:, 7:9]) + 0.4
         sx, sy = 0.3, 0.4
-        F, _ = _case1_system(sx, sy, Z)
+        F, _ = _system(sx, sy, Z)
 
         def lagrangian(Zrow):
-            Fr, _ = _case1_system(sx, sy, Zrow[None, :])
+            Fr, _ = _system(sx, sy, Zrow[None, :])
             g = Fr[0, 0:6]
             return Zrow[7] + Zrow[8] - float(np.dot(Zrow[9:15], g))
 
@@ -654,18 +692,20 @@ class TestCase1Numeric:
         Z[:, 6] += 1.5  # keep l away from 0
         Z[:, 7:9] = np.abs(Z[:, 7:9]) + 0.5
         sx, sy = 0.3, 0.4
-        _, G = _case1_system(sx, sy, Z)
-        J = _case1_jacobian(sx, sy, Z, G)
+        J = _jacobian(sx, sy, Z)
         h = 1e-6
         for j in range(16):  # primal, multiplier and deflation columns
             Zp = Z.copy()
             Zm = Z.copy()
             Zp[:, j] += h
             Zm[:, j] -= h
-            Fp, _ = _case1_system(sx, sy, Zp)
-            Fm, _ = _case1_system(sx, sy, Zm)
+            Fp, _ = _system(sx, sy, Zp)
+            Fm, _ = _system(sx, sy, Zm)
             fd = (Fp - Fm) / (2.0 * h)
             assert np.max(np.abs(fd - J[:, :, j])) < 1e-5
+        # only row 15 depends on k: the deflation row never changes the
+        # Newton direction in the other 15 unknowns
+        assert not J[:, 0:15, 15].any()
 
 
 _MAGNITUDES = st.floats(1e-3, 1e3) | st.sampled_from([0.0, 1.0])
@@ -716,13 +756,13 @@ class TestCase1Oracles:
         self, n, seed, sx, sy, zero_share, tie_share
     ):
         Z = _states(np.random.default_rng(seed), n, sx, sy, zero_share, tie_share)
-        F, G = _case1_system(sx, sy, Z)
+        F, G = _system(sx, sy, Z)
         F_ref, G_ref = case1_oracles.case1_system(sx, sy, Z)
         # tobytes of a C-ordered copy: equal values and equal signs of zero
         assert F.shape == F_ref.shape and G.shape == G_ref.shape
         assert np.ascontiguousarray(F).tobytes() == F_ref.tobytes()
         assert np.ascontiguousarray(G).tobytes() == G_ref.tobytes()
-        J = _case1_jacobian(sx, sy, Z, G)
+        J = _jacobian(sx, sy, Z)
         J_ref = case1_oracles.case1_jacobian(sx, sy, Z, G_ref)
         assert J.shape == J_ref.shape
         assert np.ascontiguousarray(J).tobytes() == J_ref.tobytes()
@@ -742,10 +782,11 @@ class TestCase1Oracles:
             assert again.tobytes() == ref.tobytes()
 
 
-def _reference_newton(sx, sy, seed_count):
+def _reference_newton(sx, sy, seed_count, iterations=60):
     """The per-seed Newton loop that ``_case1_newton`` batches.
 
-    It runs on the frozen row-per-state routes of ``case1_oracles``.
+    It runs on the frozen row-per-state routes of ``case1_oracles``;
+    ``iterations`` below 60 stops it early, to look at a middle iteration.
     """
     Z = case1_oracles.case1_seeds(sx, sy, seed_count)
     alive = np.ones(seed_count, dtype=bool)
@@ -753,7 +794,7 @@ def _reference_newton(sx, sy, seed_count):
     F, G = case1_oracles.case1_system(sx, sy, Z)
     norms = np.max(np.abs(F), axis=1)
 
-    for _ in range(60):
+    for _ in range(iterations):
         act = alive & ~done
         if not act.any():
             break
@@ -836,18 +877,31 @@ def _fd_reference_newton(sx, sy, seed_count):
     return Z, alive, done
 
 
-_NEWTON_INPUTS = {
+# the forward-difference comparison is slow, so it runs on the first five
+_FD_INPUTS = {
     "ref": REF,
     "e0.7-a37": params_from_angle(0.7, 37),
     "flat": REF180,
     "e0.9-a90": params_from_angle(0.9, 90),
     "e0.9-a180": params_from_angle(0.9, 180),
 }
+_NEWTON_INPUTS = _FD_INPUTS | {
+    # two rotated-flat cells, where every seed that stops is compacted away
+    "e0.182-a180": params_from_angle(0.182, 180),
+    "e0.678-a180": params_from_angle(0.678, 180),
+    "e0.01-a90": params_from_angle(0.01, 90),
+    "e0.99-a90": params_from_angle(0.99, 90),
+    # s0x snaps to 0: identical orbits, which case1_numeric never solves
+    "e0.5-a1e-6": params_from_angle(0.5, 1e-6),
+}
+# the added inputs run at the default seed count, to keep the suite short
+_BATCHED_RUNS = [(name, n) for name in sorted(_FD_INPUTS) for n in (64, 7, 1)] + [
+    (name, n) for name in sorted(_NEWTON_INPUTS.keys() - _FD_INPUTS.keys()) for n in (32, 1)
+]
 
 
 class TestCase1Batched:
-    @pytest.mark.parametrize("seed_count", [64, 7])
-    @pytest.mark.parametrize("name", sorted(_NEWTON_INPUTS))
+    @pytest.mark.parametrize("name, seed_count", _BATCHED_RUNS)
     def test_batched_newton_equals_per_seed_loop(self, name, seed_count):
         inp = _NEWTON_INPUTS[name]
         sx, sy = inp.s0x_float, inp.s0y_float
@@ -858,9 +912,9 @@ class TestCase1Batched:
         assert np.array_equal(done, done_ref)
 
     @pytest.mark.parametrize("seed_count", [64, 7])
-    @pytest.mark.parametrize("name", sorted(_NEWTON_INPUTS))
+    @pytest.mark.parametrize("name", sorted(_FD_INPUTS))
     def test_analytic_route_matches_forward_differences(self, name, seed_count):
-        inp = _NEWTON_INPUTS[name]
+        inp = _FD_INPUTS[name]
         sx, sy = inp.s0x_float, inp.s0y_float
         Z_fd, _, done_fd = _fd_reference_newton(sx, sy, seed_count)
         Z, _, done = _case1_newton(sx, sy, seed_count)
@@ -896,6 +950,33 @@ class TestCase1Batched:
         Z, alive, done = _case1_newton(REF.s0x_float, REF.s0y_float, 7)
         assert Z.tobytes() == _case1_seeds(REF.s0x_float, REF.s0y_float, 7).tobytes()
         assert not alive.any() and not done.any()
+
+    def test_one_singular_row_stops_only_its_seed(self, monkeypatch):
+        sx, sy, n, middle = REF180.s0x_float, REF180.s0y_float, 7, 20
+        Z_free, alive_free, done_free = _case1_newton(sx, sy, n)
+        # the lowest live seed of the middle iteration is row 0 of its batch
+        Z_mid, alive_mid, done_mid = _reference_newton(sx, sy, n, iterations=middle)
+        seed = np.flatnonzero(alive_mid & ~done_mid)[0]
+        assert Z_free[seed].tobytes() != Z_mid[seed].tobytes()  # it moves on, unforced
+        steps_fn, calls = rotated_ellipses._newton_steps, []
+
+        def one_singular(J, F):
+            steps, ok = steps_fn(J, F)
+            calls.append(J.shape[0])
+            if len(calls) == middle + 1:
+                ok = ok.copy()
+                ok[0] = False
+            return steps, ok
+
+        monkeypatch.setattr(rotated_ellipses, "_newton_steps", one_singular)
+        Z, alive, done = _case1_newton(sx, sy, n)
+        assert len(calls) > middle + 1
+        assert Z[seed].tobytes() == Z_mid[seed].tobytes()
+        assert not alive[seed] and not done[seed]
+        others = np.arange(n) != seed
+        assert Z[others].tobytes() == Z_free[others].tobytes()
+        assert np.array_equal(alive[others], alive_free[others])
+        assert np.array_equal(done[others], done_free[others])
 
     def test_singular_row_is_the_only_failure(self):
         rng = np.random.default_rng(3)
