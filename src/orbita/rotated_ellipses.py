@@ -1898,10 +1898,10 @@ def _case1_newton(
     ``_case1_buffer``), so the Jacobian is one gather of rows and no seed
     is gathered or scattered by index until it stops.  On the seed-7
     ``rotated-flat`` rounds 0-10 of the benchmark (32 seeds, all 60
-    iterations) an iteration spends 35% of its time in the line-search
-    system on the 8 m candidate columns, 24% in the batched 16 x 16 solve,
-    14% building the Jacobian, 13% writing the candidates and choosing the
-    step sizes, 6% in the column take and 2% on stopped seeds; the seeds
+    iterations) a call spends 35% of its time in the line-search systems
+    on the 8 m candidate columns, 24% in the batched 16 x 16 solves, 14%
+    building the Jacobians, 13% writing the candidates and choosing the
+    step sizes, 6% in the column takes and 2% on stopped seeds; the seeds
     and the set-up take the rest.
     """
     Z = _case1_seeds(sx, sy, seed_count)

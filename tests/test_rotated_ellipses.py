@@ -609,8 +609,11 @@ class TestAntipodalSolutions:
 
 
 def _case1_state(sx, sy, Z):
-    """A case-1 buffer holding the states Z (n, 16), with the system run on it."""
-    B = _case1_buffer(Z.shape[0])
+    """A case-1 buffer holding the states Z (n, 16), with the system run on it.
+
+    Like the line search, it is a column slice of a wider buffer.
+    """
+    B = _case1_buffer(2 * Z.shape[0] + 1)[:, : Z.shape[0]]
     B[0:16] = Z.T
     _case1_system(sx, sy, B)
     return B
