@@ -420,7 +420,7 @@ def fixed_endpoint_min(
         return d0sq + d1sq
 
     if abs(y1) <= 1e-12:  # aligned endpoints
-        return _aligned_min(k0, k1, x1, w0, w1s, cost, cost_of)
+        return _aligned_min(k0, k1, x1, w0, w1s, cost_of)
 
     def solve(lz):
         # radius at rhat0 = (1,0,0):  lz^2 + lz*sy        = k0
@@ -499,7 +499,7 @@ def fixed_endpoint_min(
     return Orbit(l=Vec3(0.0, 0.0, lz_best), s=Vec3(sx, sy, 0.0)), v_best
 
 
-def _aligned_min(k0, k1, x1, w0, w1s, cost, cost_of):
+def _aligned_min(k0, k1, x1, w0, w1s, cost_of):
     """Degenerate endpoint geometries: both endpoints on one line."""
     candidates = []
     if x1 > 0:  # same direction: one radius constraint, s_x free

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .dense import bareiss_det, u_eval, u_trim
 from .errors import DegenerateInput, NotAFactor
-from .mpoly import MPoly, unpack
+from .mpoly import MASK, SHIFT, MPoly, unpack
 
 __all__ = [
     "QuadPair",
@@ -286,12 +286,12 @@ def _dense_in(c: MPoly, var: str) -> list[int]:
         return []
     out = [0] * (deg + 1)
     for k, cf in c.terms.items():
-        out[(k >> sh) & 0xFFFF] = int(cf)
+        out[(k >> sh) & MASK] = int(cf)
     return u_trim(out)
 
 
 def _shift_of(variables: tuple[str, ...], var: str) -> int:
-    return 16 * (len(variables) - 1 - variables.index(var))
+    return SHIFT * (len(variables) - 1 - variables.index(var))
 
 
 # ------------------------------------------------------- interpolation ---

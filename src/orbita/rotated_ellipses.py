@@ -91,10 +91,10 @@ and the tests prove them equal to the constructions above with ``s0x`` and
 All elimination runs in exact rational arithmetic, which is why
 :class:`RotatedInput` requires exact rational ``s0x, s0y``.  Back-substitution
 runs on integers too: a float is ``p / 2^k`` exactly, so the fibers of the
-tables' integer polynomials at float roots, and the exact residuals that
-order tied fiber roots, are integer sums over powers of two.  Every candidate
-returned has been validated against the full plan equations (residuals
-below 1e-9) and the elliptic-transfer requirement ``|s1| < |l|``.
+tables' integer polynomials at float roots, and the exact relative residuals
+that keep or drop every fiber root, are integer sums over powers of two.
+Every candidate returned has been validated against the full plan equations
+(residuals below 1e-9) and the elliptic-transfer requirement ``|s1| < |l|``.
 """
 
 from __future__ import annotations
@@ -477,36 +477,22 @@ def _dyadic_value(coeffs: Sequence[int], x: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Layout:
-    """What the back-substitution reads off the monomials of a polynomial
-    in three variables, given as its packed keys (built once per monomial
-    set by :func:`_layout`, on first use, not per input).
-
-    ``exps`` are the exponent triples in key order and ``degrees`` the
-    largest exponent of each variable.  The rest is the float image's
-    shape for :meth:`_ResidualGate.bounds`: per variable, the exponent of
-    each term padded with zeros to ``2^levels`` terms, each term's weight
-    ``d + 1 + levels`` (``d`` its total degree; 0 on the padding), and the
-    largest total degree.
+    """The monomials of a polynomial in three variables, given as its
+    packed keys (built once per monomial set by :func:`_layout`, on first
+    use, not per input): ``exps``, the exponent triples in key order, and
+    ``degrees``, the largest exponent of each variable.
     """
 
     exps: tuple[tuple[int, int, int], ...]
     degrees: tuple[int, int, int]
-    index: tuple[np.ndarray, ...]
-    weights: np.ndarray
-    total: int
 
 
 @lru_cache(maxsize=16)
 def _layout(keys: tuple[int, ...]) -> _Layout:
     exps = tuple(unpack(k, 3) for k in keys)
-    pad = (1 << max(len(exps) - 1, 0).bit_length()) - len(exps)
-    levels = (len(exps) + pad).bit_length() - 1
     return _Layout(
         exps=exps,
         degrees=tuple(max((e[i] for e in exps), default=0) for i in range(3)),
-        index=tuple(np.array([e[i] for e in exps] + [0] * pad, dtype=np.intp) for i in range(3)),
-        weights=np.array([sum(e) + 1 + levels for e in exps] + [0] * pad, dtype=float),
-        total=max((sum(e) for e in exps), default=0),
     )
 
 
@@ -583,132 +569,23 @@ class _FiberRows:
 
 
 def _rel_residual(fiber: tuple[list[int], list[int], int], z: float) -> float:
-    """``|V| / S`` at ``z``, for ``fiber`` from :meth:`_ResidualGate.fiber`:
-    the gate polynomial's value ``V`` divided by the sum ``S`` of its term
-    magnitudes, at the point whose two fixed coordinates made the fiber
-    and whose free one is ``z``.
+    """``|V| / S`` at ``z``, for ``fiber`` from :meth:`_FiberRows.at` with
+    ``magnitudes``: the gate polynomial's value ``V`` divided by the sum
+    ``S`` of its term magnitudes, at the point whose two fixed coordinates
+    made the fiber and whose free one is ``z``.
 
     Both are exact integers over one power of two, ``2^s``, so ``|V|`` and
     ``S`` are each rounded once (int / int true division is correctly
     rounded) and then divided: the float a rational evaluation of ``V``
     and ``S`` would give, even for coefficients far beyond float range.
-    The gate decides on this ratio; :class:`_ResidualGate` bounds it in
-    floats first and calls this only when the bounds cannot decide.
+    The gate keeps a fiber root when this ratio is at most ``_GATE_TOL``;
+    fiber roots that share the two fixed coordinates share one fiber.
     """
     values, magnitudes, shift = fiber
     value, s = _dyadic_value(values, z)
     scale, _ = _dyadic_value(magnitudes, abs(z))
     den = 1 << (shift + s)
     return abs(value) / den / max(scale / den, 1e-300)
-
-
-# the unit roundoff 2^-53, raised by a margin far above the 1 + O(2^-53)
-# factors that the residual bound neglects
-_ERROR_SCALE = 1.001 * 2.0**-53
-_FLOAT_EXPONENT_ROOM = 1000  # powers of two kept away from under- and overflow
-
-
-class _ResidualGate:
-    """An integer polynomial in three variables with its float image, for
-    the residual gate at points ``(x, y, z)`` in its variable order.
-
-    :meth:`bounds` evaluates every term ``c x^a y^b z^c`` in floats, with
-    the powers from tables built by repeated multiplication, so the term
-    carries at most ``d + 1`` roundings for ``d = a + b + c`` (the
-    coefficient, ``a - 1`` for the power and one for its product, and so
-    on).  The terms are padded with zeros to ``2^L`` and summed pairwise,
-    ``L`` more roundings each, and so are their magnitudes.  So the float
-    value and the float magnitude sum are each within
-    ``u sum (d_i + 1 + L) |t_i|`` (times ``1 + O(u)``) of the exact value
-    ``V`` and magnitude sum ``S``, with ``u = 2^-53`` (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2002, sections 3.1 and 4.2).
-    That holds when no partial product leaves the normal float range,
-    which :meth:`bounds` checks from the exponents of the point and of the
-    largest coefficient; outside it it returns ``(0, inf)``.
-
-    The exact ratio ``|V| / S`` (:func:`_rel_residual`) is read from the
-    fibers in the variable ``free`` (:class:`_FiberRows`) of the
-    polynomial and of its term magnitudes, so fiber roots that share the
-    other two coordinates share one fiber.
-    """
-
-    __slots__ = ("layout", "free", "coeffs", "top_bits", "rows")
-
-    def __init__(self, terms: dict[int, int], free: int) -> None:
-        self.layout = _layout(tuple(terms))
-        self.free = free
-        values = list(terms.values())
-        self.top_bits = max((abs(c).bit_length() for c in values), default=0)
-        # integers, so every nonzero |c| >= 1, and small enough to leave
-        # exponent room for the products
-        if self.top_bits <= _FLOAT_EXPONENT_ROOM:
-            pad = len(self.layout.weights) - len(values)
-            self.coeffs = np.array([float(c) for c in values] + [0.0] * pad)
-        else:
-            self.coeffs = None
-        self.rows = _FiberRows(terms, free)
-
-    def bounds(self, point: tuple[float, float, float]) -> tuple[float, float]:
-        """Floats ``lo <= |V| / S <= hi`` at ``point``.
-
-        :func:`_rel_residual` rounds the exact ``|V|`` and ``S`` once each
-        and divides, all monotone in ``|V|`` and ``S``, so float bounds on
-        ``|V|`` and ``S``, each rounded outward by one ``nextafter``, bound
-        its result.
-        """
-        if self.coeffs is None:
-            return 0.0, math.inf
-        layout = self.layout
-        low = high = 0
-        for x in point:
-            if not math.isfinite(x):
-                return 0.0, math.inf
-            if x:
-                e = math.frexp(x)[1]
-                low, high = min(low, e - 1), max(high, e)
-        if (
-            low * layout.total < -_FLOAT_EXPONENT_ROOM
-            or high * layout.total + self.top_bits + len(self.coeffs).bit_length()
-            > _FLOAT_EXPONENT_ROOM
-        ):
-            return 0.0, math.inf
-        terms = self.coeffs
-        for x, deg, e in zip(point, layout.degrees, layout.index):
-            if deg:
-                table = [1.0, x]
-                for _ in range(deg - 1):
-                    table.append(table[-1] * x)
-                terms = terms * np.array(table)[e]
-        mags = np.abs(terms)
-        err = _ERROR_SCALE * float(layout.weights @ mags)
-        pair = np.stack((terms, mags))
-        while pair.shape[1] > 1:
-            pair = pair[:, 0::2] + pair[:, 1::2]
-        value, scale = abs(float(pair[0, 0])), float(pair[1, 0])
-        v_lo = max(math.nextafter(value - err, -math.inf), 0.0)
-        v_hi = math.nextafter(value + err, math.inf)
-        s_lo = math.nextafter(scale - err, -math.inf)
-        s_hi = math.nextafter(scale + err, math.inf)
-        return v_lo / max(s_hi, 1e-300), v_hi / max(s_lo, 1e-300)
-
-    def fiber(self, u: float, v: float) -> tuple[list[int], list[int], int]:
-        """The fibers in ``free`` at the other two coordinates ``(u, v)``,
-        of the polynomial and of its term magnitudes, both times ``2^s``,
-        and ``s``: the argument of :func:`_rel_residual`."""
-        return self.rows.at(u, v, magnitudes=True)
-
-    def exceeds(
-        self, point: tuple[float, float, float], bounds: tuple[float, float] | None = None
-    ) -> bool:
-        """``|V| / S > _GATE_TOL`` at ``point``, from the float bounds when
-        they decide it, else exactly."""
-        lo, hi = self.bounds(point) if bounds is None else bounds
-        if lo > _GATE_TOL:
-            return True
-        if hi <= _GATE_TOL:
-            return False
-        u, v = (x for i, x in enumerate(point) if i != self.free)
-        return _rel_residual(self.fiber(u, v), point[self.free]) > _GATE_TOL
 
 
 # --------------------------------------------------------------------------
@@ -945,11 +822,12 @@ class _MirrorPipeline:
     """Exact elimination data for the mirror-symmetric family, per input."""
 
     # the pair, primitive integer polynomials in (l, x0, y0) of degree 4 in
-    # l from the tables MIRROR_STAT_L and MIRROR_STAT_T: stat_l = d(cost)/dl
-    # as rows for its fibers in l at (x0, y0), and the residual gate on
-    # stat_t, the tangential derivative along the burn circle
+    # l from the tables MIRROR_STAT_L and MIRROR_STAT_T, as rows for their
+    # fibers in l at (x0, y0): stat_l = d(cost)/dl, and stat_t, the
+    # tangential derivative along the burn circle, whose relative residual
+    # gates the fiber roots of stat_l
     stat_l_rows: _FiberRows
-    stat_t_gate: _ResidualGate
+    stat_t_rows: _FiberRows
     # the degree-20 primitive integer eliminant core in y0, from MIRROR_CORE
     core: RatPoly
     # E and O of Res_l(stat_l, stat_t) = E + x0 O on the burn circle, from
@@ -991,7 +869,7 @@ def _mirror_pipeline(s0x, s0y) -> _MirrorPipeline:
 
     return _MirrorPipeline(
         stat_l_rows=_FiberRows(stat_l, 0),
-        stat_t_gate=_ResidualGate(stat_t, 0),
+        stat_t_rows=_FiberRows(stat_t, 0),
         core=core,
         even_part=even,
         odd_part=odd,
@@ -1013,12 +891,17 @@ def _mirror_backsub(
         fiber = RatPoly(pipe.stat_l_rows.at(x0v, y0r)[0], "l")
         if fiber.is_zero():
             return []
+        roots = [
+            refine_root(fiber, iv) for iv in isolate_real_roots(fiber, Fraction(-8), Fraction(8))
+        ]
+        roots = [lv for lv in roots if abs(lv) >= 1e-9]
+        if not roots:
+            return []
+        # every fiber root at (x0, y0) is gated on one fiber of stat_t
+        gate = pipe.stat_t_rows.at(x0v, y0r, magnitudes=True)
         found: list[RotatedCandidate] = []
-        for iv in isolate_real_roots(fiber, Fraction(-8), Fraction(8)):
-            lv = refine_root(fiber, iv)
-            if abs(lv) < 1e-9:
-                continue
-            if pipe.stat_t_gate.exceeds((lv, x0v, y0r)):
+        for lv in roots:
+            if _rel_residual(gate, lv) > _GATE_TOL:
                 continue  # fiber root not paired with this y0 root
             s1y = (1.0 + x0v * s0yf - y0r * s0xf - lv * lv) / (lv * x0v)
             try:
@@ -1046,6 +929,7 @@ def _mirror_backsub(
         return found
 
     mag = math.sqrt(xx)
+    tried = None
     if not pipe.odd_part.is_zero():
         # x0 = -E/O at y0r, both over powers of two: one correctly rounded
         # int / int division gives the float of the exact ratio
@@ -1055,13 +939,16 @@ def _mirror_backsub(
             num, den = -num << s_den, den << s_num
             x0v = (num if den > 0 else -num) / abs(den)
             if abs(x0v) <= 1.0 + 1e-6 and abs(x0v) > 1e-9:
-                got = from_x0(math.copysign(mag, x0v))
+                tried = math.copysign(mag, x0v)
+                got = from_x0(tried)
                 if got:
                     return got
-        # fall through: ratio degenerate or rejected; try both signs
+        # fall through: ratio degenerate or rejected; try both signs, but
+        # not again the one that gave nothing
     out: list[RotatedCandidate] = []
     for sign in (1.0, -1.0):
-        out.extend(from_x0(sign * mag))
+        if sign * mag != tried:
+            out.extend(from_x0(sign * mag))
     return out
 
 
@@ -1110,12 +997,12 @@ class _AntipodalPipeline:
     """Exact elimination data for the antipodal family, per input."""
 
     # the pair as _antipodal_pair returns it, primitive integer
-    # polynomials in (l, x0, s1y), read by the guard nodes: d_first, the
-    # squared-gap balance of degree 2 in s1y, as rows for its fibers in
-    # s1y at (l, x0), and the residual gate on d_second, the tangential
-    # balance of degree 5 in s1y
+    # polynomials in (l, x0, s1y), read by the guard nodes, as rows for
+    # their fibers in s1y at (l, x0): d_first, the squared-gap balance of
+    # degree 2 in s1y, and d_second, the tangential balance of degree 5 in
+    # s1y, whose relative residual gates the fiber roots of d_first
     d_first_rows: _FiberRows
-    d_second_gate: _ResidualGate
+    d_second_rows: _FiberRows
     # (factor, multiplicity) from _antipodal_factors, q2 first: h(l) =
     # H(l, r(l)) is a constant times l^11 (l-1)^10 (l+1)^10 times their
     # product, certified once (CERT_antipodal.json), guarded per input at
@@ -1337,46 +1224,32 @@ def _antipodal_pipeline(s0x, s0y) -> _AntipodalPipeline:
     degree_core = sum(factor.degree() * mult for factor, mult in factors)
     return _AntipodalPipeline(
         d_first_rows=_FiberRows(first, 2),
-        d_second_gate=_ResidualGate(second, 2),
+        d_second_rows=_FiberRows(second, 2),
         factors=factors,
         degree_full=degree_core + sum(unit.degree() * mult for unit, mult in _ANTIPODAL_UNITS),
         degree_core=degree_core,
     )
 
 
-def _quadratic_real_roots(coeffs: Sequence[object]) -> list[float]:
-    """Real roots of an exact-coefficient polynomial of degree <= 2.
+def _quadratic_real_roots(coeffs: Sequence[int]) -> list[float]:
+    """Real roots of an integer polynomial of degree <= 2 (coefficients
+    lowest first), smaller first.
 
-    On integers, ``b = c1/c2`` and the discriminant
-    ``(c1^2 - 4 c0 c2)/c2^2`` are int / int true divisions, correctly
-    rounded, so they are the floats of the exact rationals with no
-    ``Fraction`` built; the leading coefficient is made positive first, so
-    a zero ratio is ``0.0``, never ``-0.0``.
+    ``b = c1/c2`` and the discriminant ``(c1^2 - 4 c0 c2)/c2^2`` are
+    int / int true divisions, correctly rounded, so they are the floats of
+    the exact rationals with no ``Fraction`` built; the leading coefficient
+    is made positive first, so a zero ratio is ``0.0``, never ``-0.0``.
     """
-    cs = list(coeffs) + [0] * (3 - len(coeffs))
-    c0, c1, c2 = cs[0], cs[1], cs[2]
-    if all(type(c) is int for c in (c0, c1, c2)):
-        if c2 < 0 or (c2 == 0 and c1 < 0):
-            c0, c1, c2 = -c0, -c1, -c2
-        if c2 == 0:
-            return [-c0 / c1] if c1 else []
-        disc = (c1 * c1 - 4 * c0 * c2) / (c2 * c2)
-        if disc < 0:
-            return []
-        root = math.sqrt(disc)
-        bf = c1 / c2
-        return [(-bf - root) / 2.0, (-bf + root) / 2.0]
+    c0, c1, c2 = list(coeffs) + [0] * (3 - len(coeffs))
+    if c2 < 0 or (c2 == 0 and c1 < 0):
+        c0, c1, c2 = -c0, -c1, -c2
     if c2 == 0:
-        if c1 == 0:
-            return []
-        return [float(Fraction(-c0) / Fraction(c1))]
-    b = Fraction(c1) / Fraction(c2)
-    c = Fraction(c0) / Fraction(c2)
-    disc = float(b * b - 4 * c)
+        return [-c0 / c1] if c1 else []
+    disc = (c1 * c1 - 4 * c0 * c2) / (c2 * c2)
     if disc < 0:
         return []
-    bf = float(b)
     root = math.sqrt(disc)
+    bf = c1 / c2
     return [(-bf - root) / 2.0, (-bf + root) / 2.0]
 
 
@@ -1437,27 +1310,13 @@ def _antipodal_backsub(
         # only the fiber root with the smaller residual continues the
         # solution branch; the other quadratic root belongs to a sign branch
         # of the squared system.  Its residual is often larger by orders of
-        # magnitude, but both can sit below float rounding (the float bounds
-        # overlap in 40 of the 108 pairs met on REF and the first 16
-        # seed-7 rotated-sweep inputs), so the float bounds order the pair
-        # only when they are disjoint; otherwise both residuals are taken
-        # exactly on one fiber of d_second at (l, x0)
-        gate = pipe.d_second_gate
-        points = [(lv, x0v, s1yv) for s1yv in roots]
-        bounds = [gate.bounds(point) for point in points]
-        if len(roots) == 2 and bounds[0][0] <= bounds[1][1] and bounds[1][0] <= bounds[0][1]:
-            fiber = gate.fiber(lv, x0v)
-            # min keeps the first on an exact tie: the smaller root
-            rel, s1yv = min(
-                ((_rel_residual(fiber, s1yv), s1yv) for s1yv in roots), key=lambda t: t[0]
-            )
-            if rel > _GATE_TOL:
-                continue
-        else:
-            best = min(range(len(roots)), key=lambda i: bounds[i][0])
-            s1yv = roots[best]
-            if gate.exceeds(points[best], bounds[best]):
-                continue
+        # magnitude, but both can sit at rounding level, so both are taken
+        # exactly, on one fiber of d_second at (l, x0)
+        gate = pipe.d_second_rows.at(lv, x0v, magnitudes=True)
+        # min keeps the first on an exact tie: the smaller root
+        rel, s1yv = min(((_rel_residual(gate, s1yv), s1yv) for s1yv in roots), key=lambda t: t[0])
+        if rel > _GATE_TOL:
+            continue
         s1xv = x0v * (lv * s1yv - s0yf) * s0xf / (lv * (1.0 - lv * lv))
         try:
             cand = _assemble(
@@ -1790,7 +1649,7 @@ _LINE_SEARCH_STEPS = np.array((1.0, 0.5, 0.25, 0.1, 0.03, 0.01, 3e-3, 1e-3))
 _SUFFICIENT_DECREASE = 1.0 - 1e-4 * _LINE_SEARCH_STEPS[:, None]
 
 
-def _case1_jacobian(sx: float, sy: float, B: np.ndarray) -> np.ndarray:
+def _case1_jacobian(B: np.ndarray) -> np.ndarray:
     """Analytic Jacobian (n, 16, 16) of the case-1 residuals in buffer ``B``.
 
     ``B`` holds the constraint gradients that ``_case1_system`` wrote for
@@ -1919,7 +1778,7 @@ def _case1_newton(
         m = cols.size
         if not m:
             break
-        steps, ok = _newton_steps(_case1_jacobian(sx, sy, B), B[_F:_G].T)
+        steps, ok = _newton_steps(_case1_jacobian(B), B[_F:_G].T)
         S = C[:, : ts.size * m]
         Zc = S[0:_N_UNKNOWNS].reshape(_N_UNKNOWNS, ts.size, m)
         np.multiply(ts, steps.T[:, None, :], out=Zc)

@@ -22,11 +22,15 @@ oracles:
   variable and its relative residual ``|V| / S`` at a point, by
   ``MPoly.subs`` and ``MPoly.eval_float`` on exact rationals, against
   which the solver's integer fibers (``_FiberRows``) and exact gate
-  (``_rel_residual``) are checked.
+  (``_rel_residual``) are checked;
+- ``quadratic_real_roots``: the real roots of a polynomial of degree at
+  most 2 from ``Fraction`` ratios of its coefficients, against which the
+  solver's integer route (``_quadratic_real_roots``) is checked.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from orbita.poly_kernel import (
@@ -199,6 +203,25 @@ def rel_residual(poly: MPoly, point: dict[str, float]) -> float:
     mag_terms = MPoly(poly.vars, {k: abs(c) for k, c in poly.terms.items()})
     scale = mag_terms.eval_float({v: abs(x) for v, x in point.items()})
     return value / max(scale, 1e-300)
+
+
+def quadratic_real_roots(coeffs) -> list[float]:
+    """Real roots, smaller first, of the polynomial of degree <= 2 with
+    the exact coefficients ``coeffs`` (lowest first), from the rationals
+    ``b = c1/c2`` and ``c = c0/c2`` rounded once each."""
+    c0, c1, c2 = list(coeffs) + [0] * (3 - len(coeffs))
+    if c2 == 0:
+        if c1 == 0:
+            return []
+        return [float(Fraction(-c0) / Fraction(c1))]
+    b = Fraction(c1) / Fraction(c2)
+    c = Fraction(c0) / Fraction(c2)
+    disc = float(b * b - 4 * c)
+    if disc < 0:
+        return []
+    bf = float(b)
+    root = math.sqrt(disc)
+    return [(-bf - root) / 2.0, (-bf + root) / 2.0]
 
 
 def built_antipodal_equations(s0x, s0y):

@@ -629,7 +629,7 @@ def _system(sx, sy, Z):
 
 def _jacobian(sx, sy, Z):
     """The analytic Jacobian (n, 16, 16) at states Z."""
-    return _case1_jacobian(sx, sy, _case1_state(sx, sy, Z))
+    return _case1_jacobian(_case1_state(sx, sy, Z))
 
 
 class TestCase1Numeric:
@@ -2071,86 +2071,85 @@ class TestSweep:
 
 
 # --------------------------------------------------------------------------
-# float-first residual gate and integer fibers
+# exact residual gate and integer fibers
 # --------------------------------------------------------------------------
 
 
 def _recorded_exact_residuals(monkeypatch) -> list:
-    """Route the exact gate, ``_ResidualGate.fiber`` then ``_rel_residual``,
-    through a recorder; returns the list of ``(gate, point, ratio)`` per
-    exact residual, the point in the gate's variable order."""
+    """Route the exact gate, ``_FiberRows.at`` with ``magnitudes`` then
+    ``_rel_residual``, through a recorder; returns the list of
+    ``(rows, (u, v, z), ratio)`` per exact residual, ``(u, v)`` the fixed
+    coordinates of the fiber and ``z`` the free one."""
     calls = []
     made = {}
-    fiber, real = rotated_ellipses._ResidualGate.fiber, rotated_ellipses._rel_residual
+    at, real = rotated_ellipses._FiberRows.at, rotated_ellipses._rel_residual
 
-    def recording_fiber(self, u, v):
-        out = fiber(self, u, v)
-        made[id(out)] = (out, self, u, v)
+    def recording_at(self, u, v, magnitudes=False):
+        out = at(self, u, v, magnitudes)
+        if magnitudes:
+            made[id(out)] = (out, self, u, v)
         return out
 
     def recording(f, z):
-        _, gate, u, v = made[id(f)]
-        point = [u, v]
-        point.insert(gate.free, z)
+        _, rows, u, v = made[id(f)]
         ratio = real(f, z)
-        calls.append((gate, tuple(point), ratio))
+        calls.append((rows, (u, v, z), ratio))
         return ratio
 
-    monkeypatch.setattr(rotated_ellipses._ResidualGate, "fiber", recording_fiber)
+    monkeypatch.setattr(rotated_ellipses._FiberRows, "at", recording_at)
     monkeypatch.setattr(rotated_ellipses, "_rel_residual", recording)
     return calls
 
 
 def _exact_ratio(gate, point) -> float:
-    """The gate's exact ``|V| / S`` at ``point``, from its fiber."""
-    u, v = (x for i, x in enumerate(point) if i != gate.free)
-    return rotated_ellipses._rel_residual(gate.fiber(u, v), point[gate.free])
+    """The gate's exact ``|V| / S`` at ``point``, from its fiber; ``gate``
+    is ``(rows, free)``, the point in the polynomial's variable order."""
+    rows, free = gate
+    u, v = (x for i, x in enumerate(point) if i != free)
+    return rotated_ellipses._rel_residual(rows.at(u, v, magnitudes=True), point[free])
 
 
 def _gate(poly: MPoly, free: str):
-    return rotated_ellipses._ResidualGate(poly.terms, poly.vars.index(free))
+    index = poly.vars.index(free)
+    return rotated_ellipses._FiberRows(poly.terms, index), index
 
 
 XYZ = ("x", "y", "z")
 E07 = params_from_angle(0.7, 37)
 # a case-2b root of E07 whose two fiber roots both have residuals at
-# rounding level, so their float bounds overlap
+# rounding level
 E07_TIED_L = -0.9939073577389373
 
 
 class TestResidualGate:
-    """The gate bounds the exact relative residual in floats and evaluates
-    it exactly, on integer fibers, only when the bounds cannot decide the
-    gate or the fiber-root order.  The oracle is ``rel_residual`` of
+    """The gate decides every fiber root on the exact relative residual,
+    evaluated on integer fibers.  The oracle is ``rel_residual`` of
     ``elimination_oracles``: the same ratio by ``MPoly`` evaluation on
     exact rationals."""
 
     @pytest.fixture(scope="class")
     def gates(self):
-        # (gate, the polynomial as an MPoly)
+        # ((rows, free index), the polynomial as an MPoly)
         return (
             (
-                rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y).d_second_gate,
+                (rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y).d_second_rows, 2),
                 elimination_oracles.table_antipodal_pair(E07.s0x, E07.s0y)[1],
             ),
             (
-                rotated_ellipses._mirror_pipeline(E07.s0x, E07.s0y).stat_t_gate,
+                (rotated_ellipses._mirror_pipeline(E07.s0x, E07.s0y).stat_t_rows, 0),
                 elimination_oracles.table_mirror_pair(E07.s0x, E07.s0y)[1],
             ),
         )
 
-    def test_bounds_contain_the_exact_ratio_at_random_points(self, gates):
+    def test_exact_ratio_at_random_points(self, gates):
         rng = random.Random(1717)
         for gate, poly in gates:
             for _ in range(60):
                 point = tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-3, 1) for _ in range(3))
                 want = elimination_oracles.rel_residual(poly, dict(zip(poly.vars, point)))
                 assert repr(_exact_ratio(gate, point)) == repr(want)
-                lo, hi = gate.bounds(point)
-                assert lo <= want <= hi
-                assert hi - lo < 1e-13
 
-    def test_bounds_contain_the_exact_ratio_at_the_candidates(self, gates):
+    def test_exact_ratio_at_the_candidates(self, gates):
         # the candidates are near-roots: heavy cancellation in the value
         (d_second, second), (stat_t, stat_t_poly) = gates
         points = [
@@ -2165,9 +2164,7 @@ class TestResidualGate:
         for gate, poly, point in points:
             want = elimination_oracles.rel_residual(poly, dict(zip(poly.vars, point)))
             assert repr(_exact_ratio(gate, point)) == repr(want)
-            lo, hi = gate.bounds(point)
-            assert lo <= want <= hi
-            assert hi <= rotated_ellipses._GATE_TOL
+            assert want <= rotated_ellipses._GATE_TOL
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -2180,8 +2177,8 @@ class TestResidualGate:
         )
     )
     def test_exact_ratio_equals_the_rational_route(self, gates, point):
-        # also where the float bounds give up, near 2^+-500, and where |V|
-        # or S has no float image: both routes then raise OverflowError
+        # also near 2^+-500, and where |V| or S has no float image: both
+        # routes then raise OverflowError
         def outcome(ratio) -> str:
             try:
                 return repr(ratio())
@@ -2198,81 +2195,46 @@ class TestResidualGate:
         "inp", [E07, params_from_angle(0.5, 37)], ids=["e0.7-a37", "e0.5-a37"]
     )
     def test_tied_pairs_take_the_rational_ratio(self, monkeypatch, inp):
-        # every fiber pair whose float bounds overlap is ordered by the
-        # exact ratio, bit for bit the one MPoly evaluation gives (REF has
-        # no such pair: its float bounds order every fiber pair)
+        # every fiber pair is ordered by the exact ratio, bit for bit the
+        # one MPoly evaluation gives
         pipe = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
         second = elimination_oracles.table_antipodal_pair(inp.s0x, inp.s0y)[1]
         calls = _recorded_exact_residuals(monkeypatch)
         for lv in rotated_ellipses._antipodal_roots(pipe, inp.s0x):
             rotated_ellipses._antipodal_backsub(inp, pipe, lv)
         assert len(calls) >= 2
-        for _, point, ratio in calls:
+        for rows, point, ratio in calls:
+            assert rows is pipe.d_second_rows
             want = elimination_oracles.rel_residual(second, dict(zip(second.vars, point)))
             assert repr(ratio) == repr(want)
 
-    def test_decided_points_take_no_exact_route(self, gates, monkeypatch):
-        calls = _recorded_exact_residuals(monkeypatch)
-        (d_second, _), _ = gates
-        assert d_second.exceeds((0.5, 0.3, 0.2))
-        assert not d_second.exceeds((0.0, 0.0, 0.0))
-        assert calls == []
-
-    def test_straddling_point_takes_the_exact_route(self, monkeypatch):
-        # (x - 1)/(x + 1) is the tolerance at x = (1 + tol)/(1 - tol); one
-        # of the floats around it has bounds on both sides of the tolerance
+    def test_floats_around_the_tolerance_decide_as_the_rational_route(self):
+        # (x - 1)/(x + 1) is the tolerance at x = (1 + tol)/(1 - tol): the
+        # floats around it fall on both sides, each as the rational ratio
         tol = rotated_ellipses._GATE_TOL
         poly = MPoly.variable("x", XYZ) - 1
         gate = _gate(poly, "x")
         centre = (1 + tol) / (1 - tol)
+        decisions = set()
         for k in range(-64, 65):
             point = (centre + k * 2.0**-52, 0.0, 0.0)
-            lo, hi = gate.bounds(point)
-            if lo <= tol < hi:
-                break
-        else:
-            pytest.fail("no float near the tolerance has straddling bounds")
-        want = elimination_oracles.rel_residual(poly, dict(zip(XYZ, point))) > tol
-        calls = _recorded_exact_residuals(monkeypatch)
-        assert gate.exceeds(point) == want
-        assert [p for _, p, _ in calls] == [point]
+            want = elimination_oracles.rel_residual(poly, dict(zip(XYZ, point)))
+            assert repr(_exact_ratio(gate, point)) == repr(want)
+            decisions.add(want > tol)
+        assert decisions == {False, True}
 
     @pytest.mark.parametrize("bits", [1030, 1023])
-    def test_coefficients_beyond_float_range_take_the_exact_route(self, monkeypatch, bits):
-        # 2^1030 has no float image; 2^1023 has one, but leaves no room
-        # below the float maximum for the products the bound is proven
-        # for.  top x - 1 stays in float range at x = 1/top and 2/top,
-        # where the exact ratio is 0 and 1/3
+    def test_coefficients_beyond_float_range(self, bits):
+        # 2^1030 has no float image, and 2^1023 leaves no room below the
+        # float maximum for its products; top x - 1 stays in float range
+        # at x = 1/top and 2/top, where the exact ratio is 0 and 1/3
         top = 2**bits
-        gate = _gate(MPoly.variable("x", XYZ) * top - 1, "x")
+        poly = MPoly.variable("x", XYZ) * top - 1
+        gate = _gate(poly, "x")
         root, off = (2.0**-bits, 0.0, 0.0), (2.0 ** (1 - bits), 0.0, 0.0)
-        assert gate.bounds(root) == gate.bounds(off) == (0.0, math.inf)
-        calls = _recorded_exact_residuals(monkeypatch)
-        assert not gate.exceeds(root)
-        assert gate.exceeds(off)
-        assert [(p, ratio) for _, p, ratio in calls] == [(root, 0.0), (off, 1 / 3)]
-
-    def test_overlapping_fiber_roots_take_the_exact_route(self, monkeypatch):
-        pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
-        assert E07_TIED_L in rotated_ellipses._antipodal_roots(pipe, E07.s0x)
-        calls = _recorded_exact_residuals(monkeypatch)
-        got = rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
-        assert got
-        assert len(calls) >= 2
-
-    def test_forced_exact_route_gives_the_same_candidates(self, monkeypatch):
-        pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
-        roots = rotated_ellipses._antipodal_roots(pipe, E07.s0x)
-        fast = [rotated_ellipses._antipodal_backsub(E07, pipe, lv) for lv in roots]
-        mirror_fast = case2a_general(E07)
-        monkeypatch.setattr(
-            rotated_ellipses._ResidualGate, "bounds", lambda self, point: (0.0, math.inf)
-        )
-        calls = _recorded_exact_residuals(monkeypatch)
-        exact = [rotated_ellipses._antipodal_backsub(E07, pipe, lv) for lv in roots]
-        assert repr(exact) == repr(fast)
-        assert repr(case2a_general(E07)) == repr(mirror_fast)
-        assert len(calls) > 2 * len(roots)
+        for point, ratio in ((root, 0.0), (off, 1 / 3)):
+            want = elimination_oracles.rel_residual(poly, dict(zip(XYZ, point)))
+            assert _exact_ratio(gate, point) == want == ratio
 
     def test_exact_tie_keeps_the_smaller_fiber_root(self, monkeypatch):
         # equal exact residuals for both fiber roots: the stable order
@@ -2292,8 +2254,42 @@ class TestResidualGate:
         assert taken
         for x0, s1y in taken:
             fiber = elimination_oracles.subs_fiber(first, "s1y", {"l": E07_TIED_L, "x0": x0})
-            roots = rotated_ellipses._quadratic_real_roots(fiber.coeffs)
+            roots = elimination_oracles.quadratic_real_roots(fiber.coeffs)
             assert len(roots) == 2 and s1y == min(roots)
+
+    @pytest.mark.parametrize("inp", [E07, REF], ids=["E07", "REF"])
+    def test_one_magnitude_fiber_per_fixed_pair(self, monkeypatch, inp):
+        # each back-substitution builds the gate fiber once per fixed
+        # coordinate pair, (x0, y0) for the mirror family and (l, x0) for
+        # the antipodal one, and decides every candidate on it
+        mirror = rotated_ellipses._mirror_pipeline(inp.s0x, inp.s0y)
+        antipodal = rotated_ellipses._antipodal_pipeline(inp.s0x, inp.s0y)
+        built = {}
+        at = rotated_ellipses._FiberRows.at
+
+        def counting(self, u, v, magnitudes=False):
+            if magnitudes:
+                built[self, u, v] = built.get((self, u, v), 0) + 1
+            return at(self, u, v, magnitudes)
+
+        monkeypatch.setattr(rotated_ellipses._FiberRows, "at", counting)
+        mirror_found = [
+            c
+            for iv in isolate_real_roots(mirror.core, Fraction(-1), Fraction(1))
+            for c in rotated_ellipses._mirror_backsub(inp, mirror, refine_root(mirror.core, iv))
+        ]
+        antipodal_found = [
+            c
+            for lv in rotated_ellipses._antipodal_roots(antipodal, inp.s0x)
+            for c in rotated_ellipses._antipodal_backsub(inp, antipodal, lv)
+        ]
+        assert mirror_found and antipodal_found
+        assert set(built.values()) == {1}
+        assert {rows for rows, _, _ in built} == {mirror.stat_t_rows, antipodal.d_second_rows}
+        for c in mirror_found:
+            assert (mirror.stat_t_rows, c.burn0.x, c.burn0.y) in built
+        for c in antipodal_found:
+            assert (antipodal.d_second_rows, c.l1z, c.burn0.x) in built
 
 
 # fiber points: 0, negatives and values near 2^-500 and 2^500, where the
@@ -2323,7 +2319,7 @@ class TestIntegerFibers:
             out += [
                 (mirror.stat_l_rows, stat_l, "l"),
                 (antipodal.d_first_rows, first, "s1y"),
-                (antipodal.d_second_gate.rows, second, "s1y"),
+                (antipodal.d_second_rows, second, "s1y"),
             ]
         return out
 
@@ -2376,5 +2372,5 @@ class TestQuadraticRealRoots:
         # int / int true division is correctly rounded: the same floats,
         # signed zeros included
         ints = rotated_ellipses._quadratic_real_roots([c0, c1, c2])
-        fracs = rotated_ellipses._quadratic_real_roots([Fraction(c) for c in (c0, c1, c2)])
+        fracs = elimination_oracles.quadratic_real_roots([Fraction(c) for c in (c0, c1, c2)])
         assert repr(ints) == repr(fracs)
