@@ -36,6 +36,7 @@ from orbita.poly_kernel.dense import (
     u_derivative,
     u_trim,
 )
+from orbita.poly_kernel import resultant as resultant_mod
 from orbita.poly_kernel.resultant import interpolate_checked, newton_interpolate
 from orbita.poly_kernel.mpoly import pack, unpack
 
@@ -267,6 +268,17 @@ class TestResultant:
             assert _to_sympy(mine, (sx, sy, sz)).equals(
                 ref.as_expr() if hasattr(ref, "as_expr") else sp.sympify(ref)
             )
+
+    def test_dense_in_reads_the_packed_exponent_of_each_variable(self):
+        # one active variable in any position of three, with degrees up to
+        # the packed field's top bits
+        V3 = ("x", "y", "z")
+        for i, var in enumerate(V3):
+            for coeffs in ([5], [0, -3, 0, 7], [1] + [0] * 299 + [-2], [0] * 40000 + [9]):
+                exps = [tuple(k if j == i else 0 for j in range(3)) for k in range(len(coeffs))]
+                p = MPoly.from_dict(V3, {e: c for e, c in zip(exps, coeffs) if c})
+                assert resultant_mod._dense_in(p, var) == coeffs
+        assert resultant_mod._dense_in(MPoly.zero(V3), "y") == []
 
     def test_scaling_rule(self):
         # Res(c*p, q) = c^deg(q) * Res(p, q)

@@ -2236,6 +2236,22 @@ class TestResidualGate:
             want = elimination_oracles.rel_residual(poly, dict(zip(XYZ, point)))
             assert _exact_ratio(gate, point) == want == ratio
 
+    def test_overlapping_fiber_roots_take_the_exact_route(self, monkeypatch):
+        # at E07_TIED_L both fiber roots have residuals at rounding level:
+        # each is decided on the exact ratio of the one d_second fiber of
+        # its (l, x0), bit for bit the rational route
+        pipe = rotated_ellipses._antipodal_pipeline(E07.s0x, E07.s0y)
+        assert E07_TIED_L in rotated_ellipses._antipodal_roots(pipe, E07.s0x)
+        second = elimination_oracles.table_antipodal_pair(E07.s0x, E07.s0y)[1]
+        calls = _recorded_exact_residuals(monkeypatch)
+        got = rotated_ellipses._antipodal_backsub(E07, pipe, E07_TIED_L)
+        assert got
+        assert len(calls) >= 2
+        for rows, point, ratio in calls:
+            assert rows is pipe.d_second_rows and point[0] == E07_TIED_L
+            want = elimination_oracles.rel_residual(second, dict(zip(second.vars, point)))
+            assert repr(ratio) == repr(want)
+
     def test_exact_tie_keeps_the_smaller_fiber_root(self, monkeypatch):
         # equal exact residuals for both fiber roots: the stable order
         # keeps the first, the smaller root, and no other rule is consulted
