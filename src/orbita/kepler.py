@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Vec3",
@@ -47,6 +48,10 @@ _ORTHO_SNAP = 1e-12
 _TINY = 1e-9
 _CIRCULAR_EPS = 1e-9
 
+# Vec3 arithmetic builds its results with tuple.__new__: one call, where the
+# generated NamedTuple constructor makes two
+_new = tuple.__new__
+
 
 class NotElliptic(ValueError):
     """The data describes a parabolic or hyperbolic trajectory
@@ -60,36 +65,43 @@ class DegenerateOrbit(ValueError):
     or radius)."""
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """Immutable 3-vector of floats."""
+class Vec3(NamedTuple):
+    """Immutable 3-vector of floats.
+
+    A tuple: it unpacks as ``x, y, z = v`` and compares equal to a plain
+    tuple of the same floats.  ``+``, ``-`` and ``*`` are the vector
+    operations, not tuple concatenation or repetition.
+    """
 
     x: float
     y: float
     z: float
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
+        return _new(Vec3, (self.x + other.x, self.y + other.y, self.z + other.z))
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+        return _new(Vec3, (self.x - other.x, self.y - other.y, self.z - other.z))
 
     def __mul__(self, c: float) -> "Vec3":
-        return Vec3(self.x * c, self.y * c, self.z * c)
+        return _new(Vec3, (self.x * c, self.y * c, self.z * c))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
+        return _new(Vec3, (-self.x, -self.y, -self.z))
 
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
+        return _new(
+            Vec3,
+            (
+                self.y * other.z - self.z * other.y,
+                self.z * other.x - self.x * other.z,
+                self.x * other.y - self.y * other.x,
+            ),
         )
 
     def norm(self) -> float:

@@ -246,7 +246,13 @@ class CanonicalFrame:
 
     def to_world(self, v: Vec3) -> Vec3:
         """Frame coordinates -> world coordinates."""
-        return v.x * self.ex + v.y * self.ey + v.z * self.ez
+        x, y, z = v
+        ex, ey, ez = self.ex, self.ey, self.ez
+        return Vec3(
+            ex.x * x + ey.x * y + ez.x * z,
+            ex.y * x + ey.y * y + ez.y * z,
+            ex.z * x + ey.z * y + ez.z * z,
+        )
 
 
 def canonical_frame(inp: LambertInput) -> tuple[LambertInput, CanonicalFrame]:
@@ -267,7 +273,8 @@ def canonical_frame(inp: LambertInput) -> tuple[LambertInput, CanonicalFrame]:
             f"(|rhat0 x rhat1| = {normal.norm():.3e}); "
             "use the aligned-case solvers"
         )
-    frame = CanonicalFrame(ex=rhat0, ez=normal.unit(), ey=normal.unit().cross(rhat0))
+    ez = normal.unit()
+    frame = CanonicalFrame(ex=rhat0, ey=ez.cross(rhat0), ez=ez)
     framed = LambertInput(
         r0=frame.to_frame(inp.r0),
         r1=frame.to_frame(inp.r1),
@@ -324,12 +331,14 @@ def critical_eliminant_exact(k0, k1, x1, y1, w0, w1s) -> RatPoly:
 def _quartic_integers(k0, k1, x1, y1, w0, w1s) -> tuple[list[int], int]:
     """``([c0, c1, 0, c3, c4], d**5)``: the coefficients of
     :func:`critical_eliminant_exact`, lowest first, as integers over
-    ``d**5``, ``d`` the common denominator of the parameters."""
-    values = [Fraction(v) for v in (k0, k1, x1, y1, w0[0], w0[1], w1s[0], w1s[1])]
-    d = math.lcm(*(v.denominator for v in values))
-    c0, c1, c3, c4 = _quartic_numerators(
-        *(v.numerator * (d // v.denominator) for v in values), d
-    )
+    ``d**5``, ``d`` the common denominator of the parameters.  A float's
+    integer ratio is read directly: it is the pair its ``Fraction`` holds."""
+    ratios = [
+        v.as_integer_ratio() if isinstance(v, float) else Fraction(v).as_integer_ratio()
+        for v in (k0, k1, x1, y1, w0[0], w0[1], w1s[0], w1s[1])
+    ]
+    d = math.lcm(*(den for _, den in ratios))
+    c0, c1, c3, c4 = _quartic_numerators(*(num * (d // den) for num, den in ratios), d)
     return [c0, c1, 0, c3, c4], d**5
 
 

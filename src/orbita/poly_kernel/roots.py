@@ -421,7 +421,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-13) -> float
     if sa == sb:
         raise DegenerateInput("interval does not bracket a sign change")
 
-    tn, td = Fraction(tol).as_integer_ratio()
+    tn, td = tol.as_integer_ratio()
     cell = _predicted_cell(sqf, fc, dfc, na, nb, den, sa, sb, tn, td)
     if cell is not None:
         na, nb, den = cell

@@ -97,6 +97,46 @@ class TestVec3:
         with pytest.raises(DegenerateOrbit):
             ZERO.unit()
 
+    def test_fields_are_immutable(self):
+        v = Vec3(1.0, 2.0, 3.0)
+        for name in ("x", "y", "z"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 0.0)
+        assert v == Vec3(1.0, 2.0, 3.0)
+
+    def test_equal_vectors_compare_and_hash_equal(self):
+        a, b = Vec3(1.0, -0.5, 3.0), Vec3(1.0, -0.5, 3.0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Vec3(1.0, -0.5, 3.5)
+        # a tuple: equal to the plain tuple of the same floats
+        assert a == (1.0, -0.5, 3.0)
+
+    def test_repr(self):
+        assert repr(Vec3(1.0, 2.0, 3.0)) == "Vec3(x=1.0, y=2.0, z=3.0)"
+
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            (lambda v, w: 2 * v, (2.0, -4.0, 6.5)),
+            (lambda v, w: 2.0 * v, (2.0, -4.0, 6.5)),
+            (lambda v, w: v * 2, (2.0, -4.0, 6.5)),
+            (lambda v, w: v + w, (1.5, -2.0, 7.25)),
+            (lambda v, w: v - w, (0.5, -2.0, -0.75)),
+            (lambda v, w: -v, (-1.0, 2.0, -3.25)),
+        ],
+        ids=["int*v", "float*v", "v*int", "v+w", "v-w", "-v"],
+    )
+    def test_operators_are_componentwise(self, expr, expected):
+        # not tuple repetition or concatenation, which would give 6 or 9 items
+        got = expr(Vec3(1.0, -2.0, 3.25), Vec3(0.5, 0.0, 4.0))
+        assert type(got) is Vec3
+        assert got.as_tuple() == expected
+
+    def test_unpacks(self):
+        x, y, z = Vec3(1.0, 2.0, 3.0)
+        assert (x, y, z) == (1.0, 2.0, 3.0)
+
 
 class TestOrbitValidation:
     def test_valid(self):

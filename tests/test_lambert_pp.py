@@ -116,6 +116,17 @@ def _endpoint_residuals(inp: LambertInput, sol) -> tuple[float, float, float, fl
     return dr0, dr1, dw0, dw1
 
 
+def _fraction_quartic_integers(k0, k1, x1, y1, w0, w1s) -> tuple[list[int], int]:
+    """``lambert_pp._quartic_integers`` with every parameter read through
+    ``Fraction``: the oracle for its float route."""
+    values = [Fraction(v) for v in (k0, k1, x1, y1, w0[0], w0[1], w1s[0], w1s[1])]
+    d = math.lcm(*(v.denominator for v in values))
+    c0, c1, c3, c4 = lambert_pp._quartic_numerators(
+        *(v.numerator * (d // v.denominator) for v in values), d
+    )
+    return [c0, c1, 0, c3, c4], d**5
+
+
 def _independent_quartic(k0, k1, x1, y1, w0, w1s) -> RatPoly:
     """Closed-form eliminant quartic, transcribed independently.
 
@@ -314,6 +325,31 @@ class TestCanonicalFrame:
         assert framed.w1star.norm() == pytest.approx(
             REGRESSION_INPUT.w1star.norm(), rel=1e-14)
 
+    def test_to_world_is_the_vector_sum_bit_for_bit(self):
+        # the componentwise sums must equal the vector expression
+        # v.x * ex + v.y * ey + v.z * ez bit for bit, compared by float.hex
+        # so that the sign of a zero counts
+        def bits(v):
+            return [c.hex() for c in v]
+
+        rng = random.Random(31)
+        vectors = [
+            Vec3(0.0, 0.0, 0.0), Vec3(-0.0, -0.0, -0.0), Vec3(0.0, -0.0, 1.5),
+            Vec3(-0.0, 2.0, -0.0), Vec3(-1.25, 0.0, -0.0), Vec3(1e-300, -0.0, 5e-324),
+        ]
+        vectors += [Vec3(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(8)]
+        frames = [CanonicalFrame.identity()]
+        for _ in range(20):
+            inp = _random_instance(rng)
+            frames.append(canonical_frame(inp)[1])
+            axes = _random_rotation(rng)
+            world = LambertInput(*(_rotate(axes, v) for v in (inp.r0, inp.r1, inp.w0, inp.w1star)))
+            frames.append(canonical_frame(world)[1])
+        for frame in frames:
+            for v in vectors:
+                oracle = v.x * frame.ex + v.y * frame.ey + v.z * frame.ez
+                assert bits(frame.to_world(v)) == bits(oracle)
+
     @pytest.mark.parametrize("r1", [Vec3(2.5, 0, 0), Vec3(-0.7, 0, 0)])
     def test_collinear_raises(self, r1):
         inp = LambertInput(r0=Vec3(1, 0, 0), r1=r1,
@@ -404,6 +440,26 @@ class TestEliminant:
         ref = _ref_critical_eliminant_exact(
             inp.k0, inp.k1, inp.x1, inp.y1, inp.w0.as_tuple(), inp.w1star.as_tuple())
         assert critical_eliminant(inp).coeffs == ref.coeffs
+
+    def test_float_parameters_read_the_fraction_pair(self):
+        # floats take their integer ratio directly, other types go through
+        # Fraction; both must give the integers of the all-Fraction oracle
+        rng = random.Random(37)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 0.1, -2.5]
+        others = [3, -7, 0, Fraction(2, 3), Fraction(-5, 12), np.float64(0.3), np.float64(-0.0)]
+        pools = [
+            lambda: rng.uniform(-3.0, 3.0),
+            lambda: rng.choice(specials),
+            lambda: rng.choice(others),
+            lambda: math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1000, 1000)),
+        ]
+        for _ in range(300):
+            params = [rng.choice(pools)() for _ in range(8)]
+            k0, k1, x1, y1, a0, b0, a1, b1 = params
+            args = (k0, k1, x1, y1, (a0, b0, 0.25), (a1, b1, -0.5))
+            got = lambert_pp._quartic_integers(*args)
+            assert got == _fraction_quartic_integers(*args)
+            assert all(type(c) is int for c in got[0]) and type(got[1]) is int
 
     def test_closed_form_is_the_symbolic_resultant(self):
         # With every parameter a symbol, Res_sy(q1, Res_sx(q2, jac)) is

@@ -579,6 +579,26 @@ class TestRootIsolation:
         assert len(ivs2) == 1 and Fraction(ivs2[0].hi) == Fraction(2)
         assert refine_root(p2, ivs2[0]) == 2.0
 
+    def test_float_tolerance_refines_as_the_equal_fraction(self):
+        # refine_root reads tol's integer ratio; a float and the Fraction
+        # equal to it must give the same float
+        t = sp.Symbol("t")
+        polys = [
+            RatPoly([-2, 0, 1]),
+            RatPoly([-2 * 10**400, 0, 10**400]),  # beyond float range
+            RatPoly([int(c) for c in reversed(sp.Poly(sp.expand((t - 1) ** 3 * (3 * t + 1)), t).all_coeffs())]),
+        ]
+        rng = random.Random(41)
+        while len(polys) < 12:
+            coeffs = [rng.randrange(-50, 51) for _ in range(rng.randrange(3, 8))]
+            if coeffs[-1] and isolate_real_roots(RatPoly(coeffs)):
+                polys.append(RatPoly(coeffs))
+        for p in polys:
+            for iv in isolate_real_roots(p):
+                for tol in (1e-13, 1e-6, 0.1, 2.0**-40, 1e-300):
+                    got = refine_root(p, iv, tol=tol)
+                    assert repr(got) == repr(refine_root(p, iv, tol=Fraction(tol)))
+
     def test_huge_coefficients(self):
         # far outside float range: exact bisection must not care
         big = 10**400
