@@ -70,12 +70,15 @@ class Vec3(NamedTuple):
 
     A tuple: it unpacks as ``x, y, z = v`` and compares equal to a plain
     tuple of the same floats.  ``+``, ``-`` and ``*`` are the vector
-    operations, not tuple concatenation or repetition.
+    operations, not tuple concatenation or repetition.  NumPy ufuncs defer
+    to it, so ``numpy.float64(2.0) * v`` is a ``Vec3`` too, not an array.
     """
 
     x: float
     y: float
     z: float
+
+    __array_ufunc__ = None
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return _new(Vec3, (self.x + other.x, self.y + other.y, self.z + other.z))

@@ -308,11 +308,12 @@ def critical_eliminant(inp: LambertInput) -> RatPoly:
 def critical_eliminant_exact(k0, k1, x1, y1, w0, w1s) -> RatPoly:
     """Univariate eliminant from exact scalar parameters.
 
-    Accepts anything the rational constructor does (ints, fractions, floats)
-    for the inverse radii ``k0``/``k1``, the arrival direction ``(x1, y1)``
-    and the velocity triples ``w0``/``w1s``.  Eliminating ``sx`` from ``q2``
-    and the Jacobian determinant, then ``sy`` with ``q1``, gives ``l^3``
-    times ``c4*l^4 + c3*l^3 + c1*l + c0`` (no ``l^2`` term), where
+    Accepts exact rationals (ints, fractions, floats: anything with
+    ``as_integer_ratio``) for the inverse radii ``k0``/``k1``, the arrival
+    direction ``(x1, y1)`` and the velocity triples ``w0``/``w1s``.
+    Eliminating ``sx`` from ``q2`` and the Jacobian determinant, then ``sy``
+    with ``q1``, gives ``l^3`` times ``c4*l^4 + c3*l^3 + c1*l + c0`` (no
+    ``l^2`` term), where
 
         c4 =  2*y1*(x1^2*y1^2 + 2*x1^2 - 4*x1 + y1^4 - y1^2 + 2)
         c3 = -2*y1^2*(w0x*(1 - x1) + w1x*(1 - x1 - y1^2) + w1y*y1*(x1 - 1))
@@ -331,12 +332,10 @@ def critical_eliminant_exact(k0, k1, x1, y1, w0, w1s) -> RatPoly:
 def _quartic_integers(k0, k1, x1, y1, w0, w1s) -> tuple[list[int], int]:
     """``([c0, c1, 0, c3, c4], d**5)``: the coefficients of
     :func:`critical_eliminant_exact`, lowest first, as integers over
-    ``d**5``, ``d`` the common denominator of the parameters.  A float's
-    integer ratio is read directly: it is the pair its ``Fraction`` holds."""
-    ratios = [
-        v.as_integer_ratio() if isinstance(v, float) else Fraction(v).as_integer_ratio()
-        for v in (k0, k1, x1, y1, w0[0], w0[1], w1s[0], w1s[1])
-    ]
+    ``d**5``, ``d`` the common denominator of the parameters.  Each
+    parameter's integer ratio is read directly: for floats, ints and
+    fractions it is the pair its ``Fraction`` holds."""
+    ratios = [v.as_integer_ratio() for v in (k0, k1, x1, y1, w0[0], w0[1], w1s[0], w1s[1])]
     d = math.lcm(*(den for _, den in ratios))
     c0, c1, c3, c4 = _quartic_numerators(*(num * (d // den) for num, den in ratios), d)
     return [c0, c1, 0, c3, c4], d**5

@@ -8,6 +8,7 @@ package's own vector identities).
 import math
 import random
 
+import numpy as np
 import pytest
 
 from orbita.kepler import (
@@ -120,12 +121,13 @@ class TestVec3:
         [
             (lambda v, w: 2 * v, (2.0, -4.0, 6.5)),
             (lambda v, w: 2.0 * v, (2.0, -4.0, 6.5)),
+            (lambda v, w: np.float64(2.0) * v, (2.0, -4.0, 6.5)),
             (lambda v, w: v * 2, (2.0, -4.0, 6.5)),
             (lambda v, w: v + w, (1.5, -2.0, 7.25)),
             (lambda v, w: v - w, (0.5, -2.0, -0.75)),
             (lambda v, w: -v, (-1.0, 2.0, -3.25)),
         ],
-        ids=["int*v", "float*v", "v*int", "v+w", "v-w", "-v"],
+        ids=["int*v", "float*v", "np.float64*v", "v*int", "v+w", "v-w", "-v"],
     )
     def test_operators_are_componentwise(self, expr, expected):
         # not tuple repetition or concatenation, which would give 6 or 9 items

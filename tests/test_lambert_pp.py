@@ -442,8 +442,9 @@ class TestEliminant:
         assert critical_eliminant(inp).coeffs == ref.coeffs
 
     def test_float_parameters_read_the_fraction_pair(self):
-        # floats take their integer ratio directly, other types go through
-        # Fraction; both must give the integers of the all-Fraction oracle
+        # every parameter type's integer ratio is read directly; floats,
+        # ints, fractions and numpy.float64 must all give the integers of
+        # the all-Fraction oracle
         rng = random.Random(37)
         specials = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 0.1, -2.5]
         others = [3, -7, 0, Fraction(2, 3), Fraction(-5, 12), np.float64(0.3), np.float64(-0.0)]
@@ -669,6 +670,19 @@ class TestAlignedOpposite:
         dr0, dr1, dw0, dw1 = _endpoint_residuals(inp, sol)
         assert max(dr0, dr1) < 1e-12
         assert max(dw0, dw1) < 1e-12
+
+    def test_numpy_float_components(self):
+        # a Vec3 built from numpy.float64 components is kept as given; its
+        # arithmetic with numpy scalars must still give Vec3s, not arrays
+        args = dict(r0=(2.0, 0.0, 0.0), r1=(-1.0, 0.0, 0.0),
+                    w0=(0.3, 0.7, 0.1), w1star=(-0.1, -0.6, 0.2))
+        plain = solve_aligned_opposite(LambertInput(**{k: Vec3(*v) for k, v in args.items()}))
+        numpy_inp = LambertInput(**{k: Vec3(*np.array(v)) for k, v in args.items()})
+        assert type(numpy_inp.w0.x) is np.float64
+        sol = solve_aligned_opposite(numpy_inp)
+        assert type(sol.w0star) is Vec3 and type(sol.w1) is Vec3
+        assert sol.f2 == plain.f2
+        assert sol.w0star == plain.w0star and sol.w1 == plain.w1
 
     @staticmethod
     def _random_opposite(rng):
